@@ -260,8 +260,35 @@
 // GQA shares each K/V block traversal across the group's query heads (one K
 // row read per block for all dGroup heads, per-head numerics bitwise equal
 // to Blocked); TopKBlocks parallelizes its score+pool phase into
-// index-owned slots and keeps block selection serial and deterministic; the
-// accelerator model and large MatMuls shard rows on the same pool.
+// index-owned slots and keeps block selection serial and deterministic;
+// large MatMuls shard rows on the same pool.
+//
+// The accelerator model (accel.AttentionWorkers) is a fused, copy-free
+// block datapath on the same pool. Its work items are block-aligned K/V
+// chunks. Each 128-token K or V block is copied into per-worker scratch (a
+// sync.Pool lane) and quantized to FP16 there, so the caller's cache is
+// never cloned whole and never written. One traversal of a block serves all
+// d_group query rows: phase 1 scores every row from the block's K rows, and
+// phase 2 adds each V row into every row's chunk accumulator, in token
+// order. The hardware's K-Buf → KT-Buf block transpose is modeled
+// (accel.TransposeBlock, the cycle model) but not re-executed: transposition
+// moves data without arithmetic, so reading K rows directly gives each q·k
+// the same sequential FP32 chain over the head dimension and the same bits.
+// A steady-state call allocates only the scores, block statistics, chunk
+// accumulators and output. SHA-256 digests of its outputs over a fixed shape
+// table are checked in (internal/accel/testdata), and the original per-row
+// loop lives in the tests as the one-chunk golden reference.
+//
+// FP16 storage emulation (fp16.Round and RoundSlice, and so every
+// Mat.RoundFP16) rounds magnitudes in [2^-14, 65520) — those that land on a
+// normal half — directly on the float32 bits: round-to-nearest-even at bit
+// 13. Subnormals, zero, overflow to ±Inf past 65504, Inf and NaN take the
+// FromFloat32/ToFloat32 round trip. The fast path is exact, not
+// approximate: a test sweeps every rounding-boundary pattern of the 13
+// dropped bits under all 2^19 prefixes, FuzzRoundTrip asserts bitwise
+// equality with the round trip, and
+// `go test ./internal/fp16 -run TestRoundExhaustive -exhaustive` checks all
+// 2^32 float32 patterns (about 30 s on 2 CPUs).
 //
 // Picking Workers: the default (tensor.DefaultWorkers, overridable
 // process-wide with tensor.SetWorkers or hilos.SetKernelWorkers) is

@@ -2,30 +2,35 @@ package accel
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/attention"
 	"repro/internal/fp16"
 	"repro/internal/tensor"
 )
 
-// This file implements the parallel functional datapath of the accelerator
-// model: AttentionWorkers shards the (query group × K/V chunk) grid across
-// the kernel worker pool (tensor.ParallelFor) while staying bit-identical to
-// a one-worker run, mirroring the internal/attention dataflow:
+// This file implements the fused functional datapath of the accelerator
+// model. AttentionWorkers streams K/V through 128-token blocks as the
+// hardware's on-chip buffers do, sharding block-aligned chunks across the
+// kernel worker pool (tensor.ParallelFor) while staying bit-identical to a
+// one-worker run, mirroring the internal/attention dataflow:
 //
 //   - The chunk partition is a pure function of shape + settings
 //     (attention.ChunkSpan at the hardware block size), never of worker
-//     count, and every (group, chunk) work item owns its score slice, its
-//     per-block stat slots and its chunk accumulator.
+//     count, and every chunk work item owns its score slices, its per-block
+//     stat slots and its per-group chunk accumulators.
+//   - Each block is copied into per-worker lane scratch and quantized to
+//     FP16 there, so the caller's K/V are never cloned or written, and one
+//     traversal of the block serves all d_group query rows.
 //   - Per-group softmax statistics fold serially in block index order —
 //     exactly the serial dataflow's association — and chunk accumulators
 //     reduce through the same fixed-shape stride-doubling tree the
 //     attention kernels use.
 //
-// attentionSerial retains the original single-pass loop as the golden
-// reference; with the chunk span pinned past the sequence length the
-// parallel datapath degenerates to it bit-for-bit (one chunk, same fold
-// order), which the tests pin.
+// The original per-row loop is retained as the golden reference in
+// serial_test.go; with the chunk span pinned past the sequence length the
+// fused datapath degenerates to it bit-for-bit (one chunk, same fold order),
+// which the tests pin.
 
 // accelMinParallelWork is the floor, in group·token units, below which the
 // grid runs inline on the calling goroutine: dispatching pool workers for a
@@ -33,24 +38,77 @@ import (
 // cannot perturb results.
 const accelMinParallelWork = 16 * 1024
 
-// roundFP16Rows quantizes m through binary16 in place, sharding row ranges
-// across the pool. Quantization is element-wise, so sharding is trivially
-// bit-identical to tensor.Mat.RoundFP16.
-func roundFP16Rows(m tensor.Mat, workers int) {
-	const rowsPerShard = 64
-	if m.Rows*m.Cols < accelMinParallelWork || workers <= 1 {
-		fp16.RoundSlice(m.Data)
-		return
+// lane is per-worker scratch: one FP16-quantized K or V block and its
+// validity mask. Lanes live in a sync.Pool and are fully overwritten before
+// every read, so reuse can never leak state between calls.
+type lane struct {
+	block []float32 // ≤ BlockTokens rows of the block being streamed
+	mask  []bool    // blockMask output for the current block
+}
+
+var lanePool = sync.Pool{New: func() any { return new(lane) }}
+
+// quantize copies rows [lo,hi) of m into the lane's block buffer and
+// rounds them to FP16 there — the storage-precision emulation of one
+// K-Buf/V-Buf fill.
+func (ln *lane) quantize(m tensor.Mat, lo, hi int) []float32 {
+	if cap(ln.block) < BlockTokens*m.Cols {
+		ln.block = make([]float32, BlockTokens*m.Cols)
 	}
-	shards := (m.Rows + rowsPerShard - 1) / rowsPerShard
-	tensor.ParallelFor(shards, workers, func(sh int) {
-		lo := sh * rowsPerShard
-		hi := lo + rowsPerShard
-		if hi > m.Rows {
-			hi = m.Rows
+	b := ln.block[:(hi-lo)*m.Cols]
+	copy(b, m.Data[lo*m.Cols:hi*m.Cols])
+	return fp16.RoundSlice(b)
+}
+
+// blockMask returns the validity mask for block [lo,hi) in lane scratch:
+// user-provided mask entries for real tokens, false for pad positions ≥ s.
+// Returns nil if everything in the block is valid.
+func (ln *lane) blockMask(mask []bool, lo, hi, s int) []bool {
+	if mask == nil && hi <= s {
+		return nil
+	}
+	if cap(ln.mask) < BlockTokens {
+		ln.mask = make([]bool, BlockTokens)
+	}
+	bm := ln.mask[:hi-lo]
+	for i := range bm {
+		bm[i] = lo+i < s && (mask == nil || mask[lo+i])
+	}
+	return bm
+}
+
+// qkRow is the query-key product unit for one query row over a quantized K
+// block kb of len(q)-wide rows: dst[t] = scale·(q·k_t), each dot one
+// sequential FP32 chain over the head dimension. Four tokens run side by
+// side so their independent chains overlap in the FPU, as the hardware's
+// MAC lanes do; no chain changes its order.
+//
+//lint:allow floataccum the per-token dot chains are the modeled 128-lane FP32 MAC array
+func qkRow(dst, q, kb []float32, scale float32) {
+	d := len(q)
+	t := 0
+	for ; t+4 <= len(dst); t += 4 {
+		k0 := kb[t*d : t*d+d]
+		k1 := kb[(t+1)*d : (t+1)*d+d]
+		k2 := kb[(t+2)*d : (t+2)*d+d]
+		k3 := kb[(t+3)*d : (t+3)*d+d]
+		var a0, a1, a2, a3 float32
+		for i, x := range q {
+			a0 += x * k0[i]
+			a1 += x * k1[i]
+			a2 += x * k2[i]
+			a3 += x * k3[i]
 		}
-		fp16.RoundSlice(m.Data[lo*m.Cols : hi*m.Cols])
-	})
+		dst[t], dst[t+1], dst[t+2], dst[t+3] = a0*scale, a1*scale, a2*scale, a3*scale
+	}
+	for ; t < len(dst); t++ {
+		krow := kb[t*d : t*d+d]
+		var acc float32
+		for i, x := range q {
+			acc += x * krow[i]
+		}
+		dst[t] = acc * scale
+	}
 }
 
 // treeAddVec reduces per-chunk FP32 accumulators with the fixed-shape
@@ -73,13 +131,15 @@ func treeAddVec(parts [][]float32) []float32 {
 
 // AttentionWorkers computes Attention with an explicit worker count. The
 // padded sequence splits into block-aligned chunks of
-// attention.ChunkSpan(HeadDim, BlockTokens) tokens; (group × chunk) work
-// items fill index-owned score and block-stat slots (phase 1: query-key
-// product + per-block softmax statistics), the per-group statistics fold
-// serially in block order, and a second (group × chunk) pass accumulates
-// score·V into per-chunk slots that reduce through the fixed tree (phase 2).
-// Results are bit-identical for every workers value, 1 included; Attention
-// delegates here with the default worker count.
+// attention.ChunkSpan(HeadDim, BlockTokens) tokens, one work item each.
+// Phase 1 quantizes each K block into lane scratch and fills every group
+// row's index-owned score slice and block-stat slot from it (query-key
+// product + per-block softmax statistics); the per-group statistics then
+// fold serially in block order. Phase 2 quantizes each V block once and adds
+// every V row, in token order, into each group row's chunk accumulator;
+// the accumulators reduce through the fixed tree. Results are bit-identical
+// for every workers value, 1 included; Attention delegates here with the
+// default worker count.
 //
 //lint:allow floataccum per-chunk score·V slots model the hardware's FP32 accumulators
 func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScores, hostV tensor.Mat, workers int) (tensor.Mat, error) {
@@ -87,65 +147,64 @@ func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScor
 		return tensor.Mat{}, err
 	}
 
-	// Storage precision emulation; K/V quantization shards across the pool.
-	q = q.Clone().RoundFP16()
-	k = k.Clone()
-	v = v.Clone()
-	roundFP16Rows(k, workers)
-	roundFP16Rows(v, workers)
-
+	q = q.Clone().RoundFP16() // dg rows: the only input copied whole
 	s := k.Rows
 	sPad := PadSequence(s)
 	scale := float32(1 / math.Sqrt(float64(a.cfg.HeadDim)))
 	nb := (sPad + BlockTokens - 1) / BlockTokens
 	span := attention.ChunkSpan(a.cfg.HeadDim, BlockTokens)
 	nChunks := (sPad + span - 1) / span
-	dg := a.cfg.DGroup
+	dg, dv := a.cfg.DGroup, v.Cols
 	if dg*sPad < accelMinParallelWork {
 		workers = 1
 	}
+	// blocks calls fn for each block [lo,hi) of chunk c, with realHi
+	// clipping the padding off the cached tokens.
+	blocks := func(c int, fn func(lo, hi, realHi int)) {
+		for lo := c * span; lo < min((c+1)*span, sPad); lo += BlockTokens {
+			hi := min(lo+BlockTokens, sPad)
+			fn(lo, hi, min(hi, s))
+		}
+	}
 
-	out := tensor.New(q.Rows, v.Cols)
+	out := tensor.New(q.Rows, dv)
 
 	// Index-owned slots: per-group score rows (SM-Buf contents, stored
-	// FP16), per-block softmax statistics, per-(group, chunk) accumulators.
+	// FP16; pad positions stay 0), per-block softmax statistics,
+	// per-(group, chunk) accumulators.
 	scores := make([]float32, dg*sPad)
 	blockM := make([]float64, dg*nb)
 	blockZ := make([]float64, dg*nb)
+	accData := make([]float32, dg*nChunks*dv)
 	acc := make([][]float32, dg*nChunks)
 	for i := range acc {
-		acc[i] = make([]float32, v.Cols)
+		acc[i] = accData[i*dv : (i+1)*dv]
 	}
 
 	// Phase 1: query-key product unit + per-block statistics. Chunks are
-	// block-aligned, so each block's score slice and stat slot have exactly
-	// one writer.
-	tensor.ParallelFor(dg*nChunks, workers, func(it int) {
-		g, c := it/nChunks, it%nChunks
-		clo := c * span
-		chi := clo + span
-		if chi > sPad {
-			chi = sPad
-		}
-		qrow := q.Row(g)
-		for lo := clo; lo < chi; lo += BlockTokens {
-			hi := lo + BlockTokens
-			if hi > sPad {
-				hi = sPad
-			}
-			blockScores := a.qkBlock(qrow, k, lo, hi, scale)
-			fp16.RoundSlice(blockScores)
-			copy(scores[g*sPad+lo:g*sPad+hi], blockScores)
-			bm := blockMask(mask, lo, hi, s)
-			mB, sB := attention.BlockStats(blockScores, bm)
+	// block-aligned, so each block's score slices and stat slots have
+	// exactly one writer.
+	tensor.ParallelFor(nChunks, workers, func(c int) {
+		ln := lanePool.Get().(*lane)
+		defer lanePool.Put(ln)
+		blocks(c, func(lo, hi, realHi int) {
+			kb := ln.quantize(k, lo, realHi)
+			bm := ln.blockMask(mask, lo, hi, s)
 			b := lo / BlockTokens
-			blockM[g*nb+b], blockZ[g*nb+b] = mB, sB
-		}
+			for g := 0; g < dg; g++ {
+				row := scores[g*sPad+lo : g*sPad+hi]
+				qkRow(row[:realHi-lo], q.Row(g), kb, scale)
+				// Hardware stores QKᵀ results at FP16 before the softmax
+				// reads them back from SM-Buf.
+				fp16.RoundSlice(row)
+				blockM[g*nb+b], blockZ[g*nb+b] = attention.BlockStats(row, bm)
+			}
+		})
 	})
 
 	// Per-group serial fold of block statistics in index order — the same
 	// association as the serial dataflow — then the host delayed-writeback
-	// partial merge, exactly as in attentionSerial.
+	// partial merge.
 	stats := make([]attention.Stats, dg)
 	partials := make([]attention.Partial, dg)
 	for g := 0; g < dg; g++ {
@@ -161,39 +220,34 @@ func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScor
 		stats[g] = st
 	}
 
-	// Phase 2: softmax normalization + score-value product units. Every
-	// chunk accumulates into its own slot with the settled global max.
-	tensor.ParallelFor(dg*nChunks, workers, func(it int) {
-		g, c := it/nChunks, it%nChunks
-		clo := c * span
-		chi := clo + span
-		if chi > sPad {
-			chi = sPad
-		}
-		st := stats[g]
-		arow := acc[it]
-		grow := scores[g*sPad : (g+1)*sPad]
-		for lo := clo; lo < chi; lo += BlockTokens {
-			hi := lo + BlockTokens
-			if hi > sPad {
-				hi = sPad
-			}
-			bm := blockMask(mask, lo, hi, s)
-			for i := lo; i < hi; i++ {
-				x := grow[i]
-				if bm != nil && !bm[i-lo] {
-					x = attention.MaskValue
-				}
-				w := float32(math.Exp(float64(x) - st.M))
-				if w == 0 || i >= s {
-					continue
-				}
-				vrow := v.Row(i)
-				for j := range arow {
-					arow[j] += w * vrow[j]
+	// Phase 2: softmax normalization + score-value product units. Each V
+	// row is read once and shared by every group row; each (group, chunk)
+	// accumulator still adds its tokens in order, with the settled global
+	// max.
+	tensor.ParallelFor(nChunks, workers, func(c int) {
+		ln := lanePool.Get().(*lane)
+		defer lanePool.Put(ln)
+		blocks(c, func(lo, hi, realHi int) {
+			vb := ln.quantize(v, lo, realHi)
+			bm := ln.blockMask(mask, lo, hi, s)
+			for t := 0; t < realHi-lo; t++ {
+				vrow := vb[t*dv : (t+1)*dv]
+				for g := 0; g < dg; g++ {
+					x := scores[g*sPad+lo+t]
+					if bm != nil && !bm[t] {
+						x = attention.MaskValue
+					}
+					w := float32(math.Exp(float64(x) - stats[g].M))
+					if w == 0 {
+						continue
+					}
+					arow := acc[g*nChunks+c][:len(vrow)]
+					for j, y := range vrow {
+						arow[j] += w * y
+					}
 				}
 			}
-		}
+		})
 	})
 
 	// Fixed-tree merge per group, then the host partial fold and the global

@@ -133,6 +133,37 @@ func TestAttentionWorkersOneChunkMatchesSerial(t *testing.T) {
 	})
 }
 
+// TestAttentionWorkersLeavesInputs: K/V are quantized block by block in lane
+// scratch and q in a private copy, so inputs that are not FP16-representable
+// come back bit-for-bit unmodified.
+func TestAttentionWorkersLeavesInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	acc := newAccel(t, 4, 64)
+	q := tensor.RandMat(rng, 4, 64, 1)
+	k := tensor.RandMat(rng, 700, 64, 1)
+	v := tensor.RandMat(rng, 700, 64, 1)
+	hostScores := tensor.RandMat(rng, 4, 5, 1)
+	hostV := tensor.RandMat(rng, 5, 64, 1)
+	ins := []tensor.Mat{q, k, v, hostScores, hostV}
+	want := make([]tensor.Mat, len(ins))
+	for i, m := range ins {
+		want[i] = m.Clone()
+	}
+	if accelEqual(k.Clone().RoundFP16(), k) {
+		t.Fatal("inputs are already FP16; the test would prove nothing")
+	}
+	for _, w := range []int{1, 3} {
+		if _, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, w); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range ins {
+			if !accelEqual(m, want[i]) {
+				t.Fatalf("workers=%d: input %d modified", w, i)
+			}
+		}
+	}
+}
+
 // TestTreeAddVecFixedShape: the vector tree reduction must be a pure
 // function of the slot count — identical bits on identical inputs — and
 // must equal a serial left fold within FP32 tolerance.

@@ -1,7 +1,11 @@
 package fp16
 
 import (
+	"flag"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -150,5 +154,67 @@ func TestRoundSlice(t *testing.T) {
 		if Round(v) != v {
 			t.Errorf("element %d not quantized: %g", i, v)
 		}
+	}
+}
+
+// roundTripBits is the reference Round: the FromFloat32/ToFloat32 round trip.
+func roundTripBits(x float32) uint32 { return math.Float32bits(ToFloat32(FromFloat32(x))) }
+
+// TestRoundMatchesRoundTripAtBoundaries sweeps every float32 whose low 13
+// bits (the ones binary16 drops) form a rounding-boundary pattern — exact,
+// just above exact, just below and at the tie, just above the tie, just
+// below the next half — over all 2^19 sign/exponent/kept-fraction prefixes,
+// and requires Round's fast path to match the round trip bit for bit.
+func TestRoundMatchesRoundTripAtBoundaries(t *testing.T) {
+	for hi := uint32(0); hi < 1<<19; hi++ {
+		for _, lo := range []uint32{0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF} {
+			x := math.Float32frombits(hi<<13 | lo)
+			if got, want := math.Float32bits(Round(x)), roundTripBits(x); got != want {
+				t.Fatalf("Round(%#08x) = %#08x, round trip %#08x", hi<<13|lo, got, want)
+			}
+		}
+	}
+	s := []float32{1, 65519.996, 65520, 6.1035156e-05, 6.1035152e-05}
+	want := make([]uint32, len(s))
+	for i, x := range s {
+		want[i] = roundTripBits(x)
+	}
+	for i, x := range RoundSlice(s) {
+		if math.Float32bits(x) != want[i] {
+			t.Errorf("RoundSlice element %d = %#08x, round trip %#08x", i, math.Float32bits(x), want[i])
+		}
+	}
+}
+
+var exhaustive = flag.Bool("exhaustive", false, "compare Round with the round trip on all 2^32 float32 patterns")
+
+// TestRoundExhaustive is the full 2^32 sweep of
+// TestRoundMatchesRoundTripAtBoundaries (tens of seconds); it runs only
+// with -exhaustive.
+func TestRoundExhaustive(t *testing.T) {
+	if !*exhaustive {
+		t.Skip("run with -exhaustive")
+	}
+	const shards = 256
+	var wg sync.WaitGroup
+	var mismatches atomic.Int64
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for sh := uint32(0); sh < shards; sh++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			for lo := uint32(0); lo < 1<<24; lo++ {
+				b := sh<<24 | lo
+				x := math.Float32frombits(b)
+				if math.Float32bits(Round(x)) != roundTripBits(x) && mismatches.Add(1) == 1 {
+					t.Errorf("Round(%#08x) differs from the round trip", b)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := mismatches.Load(); n > 0 {
+		t.Fatalf("%d patterns differ", n)
 	}
 }

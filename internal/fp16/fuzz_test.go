@@ -6,15 +6,22 @@ import (
 )
 
 // FuzzRoundTrip checks the core conversion invariants on arbitrary bit
-// patterns: idempotence, ordering preservation, and exact round trips for
-// representable values.
+// patterns: Round equals the FromFloat32/ToFloat32 round trip bit for bit
+// (its fast path included), idempotence, sign preservation, and exact round
+// trips for representable values.
 func FuzzRoundTrip(f *testing.F) {
-	for _, seed := range []uint32{0, 1, 0x3F800000, 0x7F800000, 0x7FC00000, 0x80000000, 0x477FE000} {
+	for _, seed := range []uint32{
+		0, 1, 0x3F800000, 0x7F800000, 0x7FC00000, 0x80000000, 0x477FE000,
+		0x477FEFFF, 0x477FF000, 0x38800000, 0x387FFFFF, 0x3F801000, 0xBF803000,
+	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, bits uint32) {
 		x := math.Float32frombits(bits)
 		r := Round(x)
+		if got, want := math.Float32bits(r), roundTripBits(x); got != want {
+			t.Fatalf("Round(%#08x) = %#08x, round trip %#08x", bits, got, want)
+		}
 		if math.IsNaN(float64(x)) {
 			if !math.IsNaN(float64(r)) {
 				t.Fatalf("NaN input produced %v", r)
