@@ -29,7 +29,7 @@ type backlogGolden struct {
 
 func g17(v float64) string { return fmt.Sprintf("%.17g", v) }
 
-func backlogGoldenOf(name string, s BacklogSummary) backlogGolden {
+func backlogGoldenOf(name string, s ClusterSummary) backlogGolden {
 	g := backlogGolden{
 		Name:         name,
 		MakespanSec:  g17(s.MakespanSec),
@@ -37,13 +37,13 @@ func backlogGoldenOf(name string, s BacklogSummary) backlogGolden {
 		Batches:      s.Batches,
 		FailedJobs:   s.FailedJobs,
 		PerClassSec:  map[string]string{},
-		PipeBatches:  s.PerPipelineBatches,
 	}
 	for c, sec := range s.PerClassSec {
 		g.PerClassSec[c] = g17(sec)
 	}
-	for _, sec := range s.PerPipelineSec {
-		g.BusySec = append(g.BusySec, g17(sec))
+	for _, ps := range s.Pipelines {
+		g.BusySec = append(g.BusySec, g17(ps.BusySec))
+		g.PipeBatches = append(g.PipeBatches, ps.Batches)
 	}
 	return g
 }
@@ -95,10 +95,11 @@ func closeRel(t *testing.T, got, want string, rel float64) bool {
 	return math.Abs(g-w) <= rel*math.Abs(w)
 }
 
-// Backlog summaries are pinned: integer fields and per-class seconds exactly,
-// makespan and per-pipeline busy seconds within 1e-12 relative — those are
-// sums over every batch a pipeline ran, so a different but equivalent
-// summation order may move their last bits.
+// Backlog summaries are pinned: integer fields exactly, seconds within 1e-12
+// relative. Makespan and busy seconds sum every batch a pipeline ran, and
+// each batch's seconds are its finish minus its start, so an equivalent
+// schedule that runs the same batches in another order moves only their
+// last bits.
 func TestBacklogGolden(t *testing.T) {
 	got := backlogGoldenCases(t)
 	path := filepath.Join("testdata", "backlog_golden.json")
@@ -132,9 +133,14 @@ func TestBacklogGolden(t *testing.T) {
 			t.Fatalf("case %d is %s, golden has %s", i, g.Name, w.Name)
 		}
 		if g.OutputTokens != w.OutputTokens || g.Batches != w.Batches || g.FailedJobs != w.FailedJobs ||
-			!reflect.DeepEqual(g.PipeBatches, w.PipeBatches) || !reflect.DeepEqual(g.PerClassSec, w.PerClassSec) {
+			!reflect.DeepEqual(g.PipeBatches, w.PipeBatches) || len(g.PerClassSec) != len(w.PerClassSec) {
 			t.Errorf("%s: got %+v, want %+v", w.Name, g, w)
 			continue
+		}
+		for c, sec := range w.PerClassSec {
+			if !closeRel(t, g.PerClassSec[c], sec, rel) {
+				t.Errorf("%s: class %s busy %s, want %s", w.Name, c, g.PerClassSec[c], sec)
+			}
 		}
 		if !closeRel(t, g.MakespanSec, w.MakespanSec, rel) {
 			t.Errorf("%s: makespan %s, want %s", w.Name, g.MakespanSec, w.MakespanSec)

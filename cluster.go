@@ -38,7 +38,7 @@ type (
 // The dispatch policies of the cluster scheduler.
 const (
 	// DispatchLeastLoaded sends each batch to the earliest-available
-	// pipeline — serving.Evaluate's homogeneous semantics, generalized.
+	// pipeline — the classic list schedule, and the policy Backlog uses.
 	DispatchLeastLoaded = cluster.LeastLoaded
 	// DispatchCheapestFeasible sends each batch to the feasible pipeline
 	// with the lowest amortized dollar cost for it (internal/cost pricing).

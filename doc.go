@@ -108,20 +108,19 @@
 // fleet compositions, rates, arrival processes, scheduling modes and
 // policies from the command line.
 //
-// Backlog remains the offline special case — a request trace packed into
-// same-shape batches, released at time zero over WithPipelines(n)
-// identical pipelines — and serving.Evaluate delegates to the same cluster
-// dispatch core, so there is exactly one scheduling implementation. When
-// an engine shrinks a batch, the remainder is charged as a smaller final
-// pass simulated at its exact tail shape:
+// Backlog is the offline special case, and it runs on the same event loop:
+// a request trace whose every arrival is at t=0, queued by class with the
+// batch size as MaxBatch and zero max wait, over WithPipelines(n) identical
+// pipelines under DispatchLeastLoaded. A class's batch closes as soon as
+// the batch size of its requests has arrived, in trace order, so full
+// batches dispatch interleaved across classes; each class's partial tail
+// closes at the t=0 flush, in class order. When an engine shrinks a batch,
+// the remainder is charged as a smaller final pass simulated at its exact
+// tail shape:
 //
 //	deploy, _ := hilos.New(hilos.WithDevices(16), hilos.WithPipelines(4))
 //	trace, _ := hilos.NewWorkloadTrace(7, 200)
 //	sum, err := deploy.Backlog(m, trace, 16, hilos.SystemHILOS)
-//
-// The pre-registry entry points (NewSimulator, Simulator.Run,
-// Simulator.RunBacklog, Simulator.EnergyPerToken) remain as deprecated
-// shims over the registry and behave identically.
 //
 // # Robustness: deterministic faults and self-healing dispatch
 //
@@ -399,9 +398,8 @@
 //
 //   - Determinism (simdeterminism): identical inputs produce bit-identical
 //     tables. The simulation and kernel packages (internal/sim,
-//     internal/cluster, internal/faults, internal/serving,
-//     internal/experiments, internal/attention, internal/tensor,
-//     internal/accel) never read
+//     internal/cluster, internal/faults, internal/experiments,
+//     internal/attention, internal/tensor, internal/accel) never read
 //     time.Now, the process environment, or an unseeded entropy source —
 //     randomness comes from explicitly seeded rand.New(rand.NewSource(seed))
 //     streams — and Go's randomized map iteration order never reaches an

@@ -2,10 +2,12 @@ package hilos
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/accel"
 	"repro/internal/attention"
 	"repro/internal/baseline"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/energy"
@@ -14,7 +16,6 @@ import (
 	"repro/internal/longbench"
 	"repro/internal/model"
 	"repro/internal/pipeline"
-	"repro/internal/serving"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -45,8 +46,6 @@ type (
 	ExperimentTable = experiments.Table
 	// AccuracyTask is one synthetic long-context retrieval dataset.
 	AccuracyTask = longbench.Task
-	// BacklogSummary is the outcome of draining an offline request backlog.
-	BacklogSummary = serving.Summary
 )
 
 // Models returns the Table 2 model zoo.
@@ -130,7 +129,7 @@ func WithDevices(n int) Option {
 // to let the §4.2 cache scheduler choose per workload point.
 func WithAlpha(a float64) Option {
 	return func(s *Simulator) error {
-		if a > 1 {
+		if a > 1 || math.IsNaN(a) {
 			return errorf("α must be in [0,1] or AlphaAuto, got %g", a)
 		}
 		if a < 0 {
@@ -196,17 +195,10 @@ func Must(s *Simulator, err error) *Simulator {
 // Testbed returns the simulator's hardware configuration.
 func (s *Simulator) Testbed() Testbed { return s.tb }
 
-func (s *Simulator) engineConfig(devices int) engine.Config {
-	if devices <= 0 {
-		devices = s.devices
-	}
-	return engine.Config{Testbed: s.tb, Devices: devices, Alpha: s.alpha, SpillInterval: s.spill}
-}
-
 // Engine resolves a system through the registry, bound to this simulator's
 // testbed and options.
 func (s *Simulator) Engine(sys System) (Engine, error) {
-	return engine.New(sys, s.engineConfig(0))
+	return engine.New(sys, engine.Config{Testbed: s.tb, Devices: s.devices, Alpha: s.alpha, SpillInterval: s.spill})
 }
 
 // Simulate runs one system on a request. Infeasible configurations are
@@ -329,87 +321,38 @@ func KernelChunkSpan(headDim, blockSize int) int {
 	return attention.ChunkSpan(headDim, blockSize)
 }
 
-// Backlog packs a request trace into same-shape batches of batchSize and
-// drains them through the selected system over the simulator's configured
-// pipeline count (WithPipelines) — the offline-inference deployment model
-// of the paper's introduction, generalized to several hosts sharing one
-// backlog queue. Makespan is the maximum pipeline load; per-pipeline and
-// per-class attribution, plus failed-work accounting, are in the summary.
-func (s *Simulator) Backlog(m Model, trace []RequestClass, batchSize int, sys System) (BacklogSummary, error) {
+// Backlog drains a request trace through the selected system over the
+// simulator's configured pipeline count (WithPipelines) — the
+// offline-inference deployment model of the paper's introduction,
+// generalized to several hosts sharing one backlog queue. It is the
+// degenerate cluster trace: every request arrives at t=0 and queues by
+// class, a batch closes as soon as batchSize same-class requests have
+// arrived (in trace order), and each class's partial tail batch closes at
+// the t=0 flush, in class order. Batches go to the earliest-idle of the
+// identical pipelines. Per-pipeline, per-class and failed-work accounting
+// are in the summary.
+func (s *Simulator) Backlog(m Model, trace []RequestClass, batchSize int, sys System) (ClusterSummary, error) {
 	eng, err := s.Engine(sys)
 	if err != nil {
-		return BacklogSummary{}, err
+		return ClusterSummary{}, err
 	}
-	return runBacklog(m, trace, batchSize, eng.Run, s.pipelines)
-}
-
-func runBacklog(m Model, trace []RequestClass, batchSize int, run serving.Engine, pipelines int) (BacklogSummary, error) {
-	jobs := make([]serving.Job, len(trace))
+	reqs := make([]TimedRequest, len(trace))
 	for i, c := range trace {
-		jobs[i] = serving.Job{ID: i, Class: c}
+		reqs[i] = TimedRequest{ID: i, Class: c}
 	}
-	batches, err := serving.PackByClass(jobs, batchSize)
-	if err != nil {
-		return BacklogSummary{}, err
+	// Every pipeline runs the same engine, so they share one memo group.
+	fleet := make([]cluster.Pipeline, s.pipelines)
+	for i := range fleet {
+		fleet[i] = cluster.Pipeline{Name: fmt.Sprintf("pipeline-%d", i), Run: eng.Run, EngineID: string(sys)}
 	}
-	return serving.Evaluate(m, batches, run, serving.WithPipelines(pipelines))
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated shims over the registry. They keep the pre-registry call sites
-// compiling and behaving identically; new code should use New with options,
-// Engine/Simulate, Backlog and Energy.
-
-// NewSimulator returns a simulator on the default testbed.
-//
-// Deprecated: use New.
-func NewSimulator() (*Simulator, error) { return New() }
-
-// NewSimulatorWithTestbed validates and adopts a custom testbed.
-//
-// Deprecated: use New(WithTestbed(tb)).
-func NewSimulatorWithTestbed(tb Testbed) (*Simulator, error) {
-	return New(WithTestbed(tb))
-}
-
-// Run simulates one system on a request. devices is the SmartSSD count for
-// HILOS variants (ignored by the baselines; pass 0 for the simulator's
-// configured count).
-//
-// Deprecated: use Simulate, with WithDevices selecting the device count, or
-// resolve an Engine once and reuse it.
-func (s *Simulator) Run(sys System, req Request, devices int) (Report, error) {
-	eng, err := engine.New(sys, s.engineConfig(devices))
-	if err != nil {
-		return Report{}, err
-	}
-	return eng.Run(req), nil
-}
-
-// EnergyPerToken integrates the Fig. 17(a) energy model over a report and
-// returns the four components separately.
-//
-// Deprecated: use Energy, which returns the EnergyBreakdown struct.
-func (s *Simulator) EnergyPerToken(rep Report, smartSSDs int) (cpu, dram, gpu, ssd float64, err error) {
-	b, err := s.Energy(rep, smartSSDs)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return b.CPU, b.DRAM, b.GPU, b.SSD, nil
-}
-
-// RunBacklog packs a request trace into same-shape batches of batchSize and
-// executes them serially on the selected system. devices applies to HILOS
-// variants.
-//
-// Deprecated: use Backlog, with WithDevices and WithPipelines on the
-// simulator selecting the deployment.
-func (s *Simulator) RunBacklog(m Model, trace []RequestClass, batchSize int, sys System, devices int) (BacklogSummary, error) {
-	eng, err := engine.New(sys, s.engineConfig(devices))
-	if err != nil {
-		return BacklogSummary{}, err
-	}
-	return runBacklog(m, trace, batchSize, eng.Run, 1)
+	// A zero MaxWaitSec releases the partial tail batches at t=0 rather than
+	// holding them back.
+	return cluster.Run(cluster.Config{
+		Model:     m,
+		Fleet:     fleet,
+		Policy:    cluster.LeastLoaded,
+		Admission: cluster.Admission{MaxBatch: batchSize},
+	}, reqs)
 }
 
 func errorf(format string, args ...any) error {

@@ -1,6 +1,8 @@
 package hilos
 
 import (
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -50,6 +52,7 @@ func TestNewOptionValidation(t *testing.T) {
 	for name, opt := range map[string]Option{
 		"devices 0":       WithDevices(0),
 		"alpha 1.5":       WithAlpha(1.5),
+		"alpha NaN":       WithAlpha(math.NaN()),
 		"spill 0":         WithSpillInterval(0),
 		"pipelines 0":     WithPipelines(0),
 		"invalid testbed": WithTestbed(func() Testbed { tb := DefaultTestbed(); tb.GPU.EffFLOPS = 0; return tb }()),
@@ -60,34 +63,6 @@ func TestNewOptionValidation(t *testing.T) {
 	}
 	if _, err := New(WithDevices(16), WithAlpha(0.5), WithSpillInterval(32), WithPipelines(4)); err != nil {
 		t.Errorf("valid options rejected: %v", err)
-	}
-}
-
-// The functional-options constructor reproduces the deprecated positional
-// API exactly: same engine, same report.
-func TestSimulateMatchesDeprecatedRun(t *testing.T) {
-	m, _ := ModelByName("OPT-66B")
-	req := Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32}
-	oldSim, err := NewSimulator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSim, err := New(WithDevices(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sys := range Systems() {
-		old, err := oldSim.Run(sys, req, 16)
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		got, err := newSim.Simulate(sys, req)
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		if got.StepSec != old.StepSec || got.PrefillSec != old.PrefillSec || got.Batch != old.Batch {
-			t.Errorf("%s: Simulate %+v differs from deprecated Run %+v", sys, got, old)
-		}
 	}
 }
 
@@ -121,7 +96,7 @@ func TestBacklogPipelinesSpeedup(t *testing.T) {
 	if s4.OutputTokens != s1.OutputTokens {
 		t.Errorf("token totals differ: %d vs %d", s4.OutputTokens, s1.OutputTokens)
 	}
-	if s4.Pipelines != 4 || len(s4.PerPipelineSec) != 4 {
+	if len(s4.Pipelines) != 4 {
 		t.Errorf("per-pipeline attribution missing: %+v", s4)
 	}
 	// Determinism across runs.
@@ -151,28 +126,20 @@ func TestEnergyBreakdownFacade(t *testing.T) {
 	if b.Total() != b.CPU+b.DRAM+b.GPU+b.SSD {
 		t.Error("Total() does not sum the components")
 	}
-	// The deprecated 4-float shim agrees with the struct.
-	cpu, dram, gpu, ssd, err := s.EnergyPerToken(rep, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpu != b.CPU || dram != b.DRAM || gpu != b.GPU || ssd != b.SSD {
-		t.Error("EnergyPerToken shim disagrees with Energy")
-	}
 }
 
-func TestNewSimulator(t *testing.T) {
-	s, err := NewSimulator()
+func TestNewDefaults(t *testing.T) {
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Testbed().GPU.Name == "" {
-		t.Error("testbed not populated")
+	if !reflect.DeepEqual(s.Testbed(), DefaultTestbed()) {
+		t.Error("New() does not default to the Table 1 testbed")
 	}
-	bad := DefaultTestbed()
-	bad.GPU.EffFLOPS = 0
-	if _, err := NewSimulatorWithTestbed(bad); err == nil {
-		t.Error("invalid testbed accepted")
+	tb := DefaultTestbed()
+	tb.GPU.Name = "custom"
+	if got := Must(New(WithTestbed(tb))).Testbed().GPU.Name; got != "custom" {
+		t.Errorf("WithTestbed ignored: GPU %q", got)
 	}
 }
 
@@ -190,14 +157,14 @@ func TestModelsFacade(t *testing.T) {
 }
 
 func TestRunAllSystems(t *testing.T) {
-	s, err := NewSimulator()
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := ModelByName("OPT-66B")
 	req := Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32}
 	for _, sys := range Systems() {
-		rep, err := s.Run(sys, req, 8)
+		rep, err := s.Simulate(sys, req)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
@@ -205,24 +172,24 @@ func TestRunAllSystems(t *testing.T) {
 			t.Errorf("%s: non-positive throughput", sys)
 		}
 	}
-	if _, err := s.Run(System("bogus"), req, 8); err == nil {
+	if _, err := s.Simulate(System("bogus"), req); err == nil {
 		t.Error("unknown system accepted")
 	}
 }
 
 func TestHILOSBeatsFlexSSDViaFacade(t *testing.T) {
-	s, _ := NewSimulator()
+	s := Must(New(WithDevices(16)))
 	m, _ := ModelByName("OPT-66B")
 	req := Request{Model: m, Batch: 16, Context: 65536, OutputLen: 64}
-	base, _ := s.Run(SystemFlexSSD, req, 0)
-	h, _ := s.Run(SystemHILOS, req, 16)
+	base, _ := s.Simulate(SystemFlexSSD, req)
+	h, _ := s.Simulate(SystemHILOS, req)
 	if h.DecodeTokPerSec() <= base.DecodeTokPerSec() {
 		t.Error("HILOS not faster than FLEX(SSD) through the facade")
 	}
 }
 
 func TestChooseAlphaFacade(t *testing.T) {
-	s, _ := NewSimulator()
+	s, _ := New()
 	m, _ := ModelByName("OPT-66B")
 	a, err := s.ChooseAlpha(m, 16, 32768, 8)
 	if err != nil || a != 0.5 {
@@ -230,22 +197,33 @@ func TestChooseAlphaFacade(t *testing.T) {
 	}
 }
 
+// Energy selects the storage power model from its device argument: 0 means
+// the four plain SSDs, > 0 that many SmartSSDs.
 func TestEnergyFacade(t *testing.T) {
-	s, _ := NewSimulator()
+	s, _ := New()
 	m, _ := ModelByName("OPT-30B")
-	req := Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32}
-	rep, _ := s.Run(SystemHILOS, req, 8)
-	cpu, dram, gpu, ssd, err := s.EnergyPerToken(rep, 8)
+	rep, err := s.Simulate(SystemFlexSSD, Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cpu <= 0 || dram <= 0 || gpu <= 0 || ssd <= 0 {
-		t.Errorf("energy components: %v %v %v %v", cpu, dram, gpu, ssd)
+	plain, err := s.Energy(rep, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smart, err := s.Energy(rep, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.CPU <= 0 || plain.DRAM <= 0 || plain.GPU <= 0 || plain.SSD <= 0 {
+		t.Errorf("plain-SSD energy components %+v", plain)
+	}
+	if smart.SSD == plain.SSD || smart.CPU != plain.CPU {
+		t.Errorf("device count did not select the storage model: plain %+v, smart %+v", plain, smart)
 	}
 }
 
 func TestExperimentFacade(t *testing.T) {
-	s, _ := NewSimulator()
+	s, _ := New()
 	tab, err := s.ExperimentByID("table3")
 	if err != nil || len(tab.Rows) != 3 {
 		t.Errorf("ExperimentByID(table3) = %d rows, %v", len(tab.Rows), err)
@@ -274,26 +252,23 @@ func TestAcceleratorTable3Facade(t *testing.T) {
 	}
 }
 
-func TestRunBacklogFacade(t *testing.T) {
-	s, err := NewSimulator()
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestBacklogFacade(t *testing.T) {
+	s := Must(New(WithDevices(16)))
 	m, _ := ModelByName("OPT-30B")
 	trace, err := NewWorkloadTrace(5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flex, err := s.RunBacklog(m, trace, 16, SystemFlexSSD, 0)
+	flex, err := s.Backlog(m, trace, 16, SystemFlexSSD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hil, err := s.RunBacklog(m, trace, 16, SystemHILOS, 16)
+	hil, err := s.Backlog(m, trace, 16, SystemHILOS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flex.Jobs != 20 || hil.Jobs != 20 {
-		t.Errorf("jobs = %d / %d, want 20", flex.Jobs, hil.Jobs)
+	if flex.Requests != 20 || hil.Requests != 20 || hil.Completed != 20 {
+		t.Errorf("requests = %d / %d (completed %d), want 20", flex.Requests, hil.Requests, hil.Completed)
 	}
 	if hil.MakespanSec >= flex.MakespanSec {
 		t.Errorf("HILOS backlog %.1fs not below FlexGen %.1fs", hil.MakespanSec, flex.MakespanSec)
@@ -301,7 +276,54 @@ func TestRunBacklogFacade(t *testing.T) {
 	if hil.OutputTokens != flex.OutputTokens {
 		t.Error("token accounting differs between engines")
 	}
-	if _, err := s.RunBacklog(m, nil, 16, SystemHILOS, 8); err == nil {
+	if _, err := s.Backlog(m, nil, 16, SystemHILOS); err == nil {
 		t.Error("empty trace accepted")
+	}
+	if _, err := s.Backlog(m, trace, 0, SystemHILOS); err == nil {
+		t.Error("batch size 0 accepted")
+	}
+	if _, err := s.Backlog(m, trace, 16, System("bogus")); err == nil {
+		t.Error("unknown system accepted")
+	}
+}
+
+// Backlog is a list schedule: replaying its assignments in dispatch order
+// on a naive earliest-idle schedule (ties to the lowest index) reproduces
+// every pipeline choice and start time, and the makespan is the maximum
+// pipeline load.
+func TestBacklogListSchedule(t *testing.T) {
+	const P = 3
+	s := Must(New(WithDevices(16), WithPipelines(P)))
+	m, _ := ModelByName("OPT-30B")
+	trace, err := NewWorkloadTrace(11, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := s.Backlog(m, trace, 4, SystemVLLM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var load [P]float64
+	for i, a := range sum.Assignments {
+		p := 0
+		for q := 1; q < P; q++ {
+			if load[q] < load[p] {
+				p = q
+			}
+		}
+		if a.Pipeline != p || a.StartSec != load[p] {
+			t.Fatalf("assignment %d on pipeline %d at %v, list schedule says %d at %v", i, a.Pipeline, a.StartSec, p, load[p])
+		}
+		load[p] = a.FinishSec
+	}
+	want := 0.0
+	for _, l := range load {
+		want = math.Max(want, l)
+	}
+	if sum.MakespanSec != want {
+		t.Errorf("makespan %v, want max pipeline load %v", sum.MakespanSec, want)
+	}
+	if sum.Batches != len(sum.Assignments) || sum.FailedBatches != 0 {
+		t.Errorf("%d batches, %d assignments, %d failed", sum.Batches, len(sum.Assignments), sum.FailedBatches)
 	}
 }

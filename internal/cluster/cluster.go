@@ -28,10 +28,11 @@
 //
 // With both extensions disabled the loop reproduces the original
 // close-at-admission, run-to-completion scheduler event for event, so pure
-// offline studies are unchanged. The offline backlog of internal/serving is
-// the degenerate trace — every request arrives at time zero, priority 0,
-// over identical pipelines — and serving.Evaluate delegates to this
-// package's Dispatch core: there is one scheduling implementation, not two.
+// offline studies are unchanged. The facade's offline backlog
+// (Simulator.Backlog) is the degenerate trace — every request arrives at
+// time zero, priority 0, zero max wait, over identical pipelines — and runs
+// through Run like every other trace: there is one scheduling
+// implementation, not two.
 //
 // Everything is deterministic under -race: engine simulations are pure and
 // prewarmed on a worker pool, while admission, eviction and placement run

@@ -146,9 +146,11 @@ func TestPoliciesDiffer(t *testing.T) {
 	}
 }
 
-// Dispatch skips pipelines that cannot place a batch; a batch no pipeline
-// can place fails as a unit with the engine's reason.
+// Dispatch skips pipelines that cannot place a batch — an OOM report, or a
+// non-OOM report with an effective batch below 1; a batch no pipeline can
+// place fails as a unit with the engine's reason.
 func TestFeasibilityRouting(t *testing.T) {
+	zeroBatch := func(pipeline.Request) pipeline.Report { return pipeline.Report{Batch: 0, StepSec: 1} }
 	longOnly := func(req pipeline.Request) pipeline.Report {
 		if req.Context < workload.Long.Input {
 			return pipeline.Report{OOM: true, Reason: "too small to bother"}
@@ -161,7 +163,9 @@ func TestFeasibilityRouting(t *testing.T) {
 		}
 		return pipeline.Report{Batch: req.Batch, PrefillSec: 1}
 	}
-	fleet := []Pipeline{{Name: "long", Run: longOnly}, {Name: "short", Run: shortOnly}}
+	// The zero-batch pipeline comes first, so least-loaded would pick it on
+	// every tie if it counted as feasible.
+	fleet := []Pipeline{{Name: "zero", Run: zeroBatch}, {Name: "long", Run: longOnly}, {Name: "short", Run: shortOnly}}
 	reqs := []Request{
 		{ID: 0, Class: workload.Short, ArrivalSec: 0},
 		{ID: 1, Class: workload.Long, ArrivalSec: 0},
@@ -199,7 +203,7 @@ func TestFeasibilityRouting(t *testing.T) {
 
 // The backlog cap rejects arrivals while admitted-but-unstarted work is at
 // the cap, and rejected requests never reach a pipeline.
-func TestRunBacklogRejection(t *testing.T) {
+func TestBacklogCapRejection(t *testing.T) {
 	s, err := Run(Config{
 		Model:     model.OPT30B,
 		Fleet:     []Pipeline{{Name: "slow", Run: constEngine(100)}},
@@ -327,38 +331,52 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(ok, []Request{{ID: 0, Class: workload.Short, ArrivalSec: -2}}); err == nil {
 		t.Error("negative arrival accepted")
 	}
-	if _, err := Dispatch(model.OPT30B, nil, okFleet, LeastLoaded); err == nil {
-		t.Error("empty plan accepted")
-	}
-	if _, err := Dispatch(model.OPT30B, []BatchJob{{Class: workload.Short}}, okFleet, LeastLoaded); err == nil {
-		t.Error("empty batch accepted")
-	}
 }
 
-// The exact-tail-pass accounting: 5 jobs on an engine that fits 2 run two
-// full passes plus one batch-1 tail pass at the tail's own (cheaper) cost.
+// Integer-pass accounting: a batch of 5 on an engine that fits 2 runs two
+// full passes plus one tail pass simulated at the tail's own shape, each
+// pass paying prefill again — never 2.5 fractional passes.
 func TestDispatchExactTailPass(t *testing.T) {
-	shrink := func(req pipeline.Request) pipeline.Report {
-		b := req.Batch
-		if b > 2 {
-			b = 2
+	for _, tc := range []struct {
+		name string
+		run  RunFunc
+		want float64
+	}{{
+		// Step time scales with the running batch: full passes at batch 2
+		// cost 10 + 99×2 = 208 s, the batch-1 tail 10 + 99×1 = 109 s. Ceil
+		// accounting would charge 3×208.
+		name: "batch-scaled steps",
+		run: func(req pipeline.Request) pipeline.Report {
+			b := min(req.Batch, 2)
+			return pipeline.Report{Batch: b, PrefillSec: 10, StepSec: float64(b)}
+		},
+		want: 2*208.0 + 109,
+	}, {
+		// Batch-independent timing: every pass, tail included, costs
+		// 10 + 99×1 = 109 s. Fractional passes would charge 2.5×109.
+		name: "batch-independent steps",
+		run: func(pipeline.Request) pipeline.Report {
+			return pipeline.Report{Batch: 2, PrefillSec: 10, StepSec: 1}
+		},
+		want: 3 * 109.0,
+	}} {
+		s, err := Run(Config{
+			Model: model.OPT30B, Fleet: []Pipeline{{Name: "p", Run: tc.run}}, Policy: LeastLoaded,
+			Admission: Admission{MaxBatch: 5},
+		}, shortReqs(0, 0, 0, 0, 0))
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Step time scales with the running batch.
-		return pipeline.Report{Batch: b, PrefillSec: 10, StepSec: float64(b)}
-	}
-	batches := []BatchJob{{Class: workload.Short, JobIDs: []int{0, 1, 2, 3, 4}}}
-	asgs, err := Dispatch(model.OPT30B, batches, []Pipeline{{Name: "p", Run: shrink}}, LeastLoaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full pass at batch 2: 10 + 99×2 = 208 s, twice; tail pass at batch 1:
-	// 10 + 99×1 = 109 s. The old ceil accounting would charge 3×208.
-	if want := 2*208.0 + 109; asgs[0].ExecSec() != want {
-		t.Errorf("exec %v, want %v (two full passes + exact tail pass)", asgs[0].ExecSec(), want)
+		if s.Batches != 1 {
+			t.Fatalf("%s: %d batches, want 1", tc.name, s.Batches)
+		}
+		if got := s.Assignments[0].ExecSec(); got != tc.want {
+			t.Errorf("%s: exec %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
-func BenchmarkClusterDispatch(b *testing.B) {
+func BenchmarkClusterRun(b *testing.B) {
 	tb := device.DefaultTestbed()
 	fleet := []Pipeline{
 		{Name: "hilos", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, core.DefaultOptions(8)) }},
@@ -486,14 +504,18 @@ func TestSharedEngineIDMemoizesAcrossPipelines(t *testing.T) {
 		{Name: "a", Run: counting, EngineID: "shared"},
 		{Name: "b", Run: counting, EngineID: "shared"},
 	}
-	batches := []BatchJob{
-		{Class: workload.Short, JobIDs: []int{0, 1}},
-		{Class: workload.Short, JobIDs: []int{2, 3}},
-		{Class: workload.Long, JobIDs: []int{4, 5}},
+	reqs := shortReqs(0, 0, 0, 0, 0, 0)
+	reqs[4].Class, reqs[5].Class = workload.Long, workload.Long
+	run := func(fleet []Pipeline) {
+		t.Helper()
+		if _, err := Run(Config{
+			Model: model.OPT30B, Fleet: fleet, Policy: LeastLoaded,
+			Admission: Admission{MaxBatch: 2},
+		}, reqs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Dispatch(model.OPT30B, batches, fleet, LeastLoaded); err != nil {
-		t.Fatal(err)
-	}
+	run(fleet)
 	// Two distinct shapes (Short×2, Long×2), one simulation each.
 	if got := calls.Load(); got != 2 {
 		t.Errorf("%d engine simulations, want 2 (shared EngineID must memoize across pipelines)", got)
@@ -502,9 +524,7 @@ func TestSharedEngineIDMemoizesAcrossPipelines(t *testing.T) {
 	// Without EngineID, each pipeline keeps a private memo.
 	calls.Store(0)
 	private := []Pipeline{{Name: "a", Run: counting}, {Name: "b", Run: counting}}
-	if _, err := Dispatch(model.OPT30B, batches, private, LeastLoaded); err != nil {
-		t.Fatal(err)
-	}
+	run(private)
 	if got := calls.Load(); got != 4 {
 		t.Errorf("%d engine simulations, want 4 (private memos per pipeline)", got)
 	}

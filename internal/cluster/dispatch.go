@@ -62,8 +62,7 @@ type Policy string
 // batch (no OOM); a batch no pipeline can place fails as a unit.
 const (
 	// LeastLoaded assigns to the earliest-available pipeline (ties: lowest
-	// index) — the classic list schedule, and exactly the homogeneous
-	// multi-pipeline semantics of serving.Evaluate.
+	// index) — the classic list schedule.
 	LeastLoaded Policy = "least-loaded"
 	// CheapestFeasible assigns to the pipeline with the lowest dollar cost
 	// for the batch (amortized $/h × execution seconds; ties: earliest
@@ -143,10 +142,9 @@ type repKey struct {
 	size    int
 }
 
-// dispatcher is the policy layer shared by the event loop (trace-driven
-// admission, Run) and Dispatch (pre-formed plans, serving.Evaluate's path).
-// It is single-goroutine after prewarming, which keeps assignment
-// deterministic. Report memoization is delegated to a private
+// dispatcher is the policy layer under the event loop (Run): it scores and
+// commits placements for the batches the loop forms. It is
+// single-goroutine after prewarming, which keeps assignment deterministic. Report memoization is delegated to a private
 // repcache.Group, whose per-key singleflight also serializes the prewarm
 // workers on identical shapes.
 type dispatcher struct {
@@ -409,7 +407,8 @@ func (d *dispatcher) pick(b BatchJob, idleOnly bool, now float64) (pl placement,
 }
 
 // plan picks a pipeline for the batch per the policy without committing it:
-// the pipeline clocks are untouched until commit. Failed plans (p == -1)
+// the pipeline clocks are untouched until the event loop commits the slot
+// (commitSlot), which must happen before any further planning. Failed plans (p == -1)
 // carry the first engine's refusal reason; feasible and nextAvail follow
 // pick's contract for the recovery layer's deferral decision.
 func (d *dispatcher) plan(b BatchJob, now float64) (placement, bool, float64) {
@@ -422,58 +421,4 @@ func (d *dispatcher) plan(b BatchJob, now float64) (placement, bool, float64) {
 // with p == -1 means "wait for a pipeline-free (or repair) event".
 func (d *dispatcher) planIdle(b BatchJob, now float64) (placement, bool, float64) {
 	return d.pick(b, true, now)
-}
-
-// commit advances the chosen pipeline's clock and materializes the
-// assignment. Plans must be committed before any further planning.
-func (d *dispatcher) commit(b BatchJob, pl placement) Assignment {
-	d.freeAt[pl.p] = pl.start + pl.sec
-	return Assignment{
-		Batch: b, Pipeline: pl.p,
-		StartSec: pl.start, FinishSec: pl.start + pl.sec,
-		Report: pl.rep,
-	}
-}
-
-// assign picks a pipeline for the batch per the policy, advances that
-// pipeline's clock, and returns the assignment. Failed batches leave every
-// clock untouched.
-func (d *dispatcher) assign(b BatchJob) Assignment {
-	pl, _, _ := d.plan(b, 0)
-	if pl.p < 0 {
-		return Assignment{Batch: b, Pipeline: -1, Reason: pl.reason}
-	}
-	return d.commit(b, pl)
-}
-
-// Dispatch assigns pre-formed batches to fleet pipelines in slice order
-// under the policy and returns one assignment per batch. It is the
-// policy core behind both the trace-driven cluster (Run forms batches via
-// the event loop first) and serving.Evaluate (whose offline plan is the
-// special case of identical pipelines and all-zero release times).
-func Dispatch(m model.Config, batches []BatchJob, fleet []Pipeline, policy Policy) ([]Assignment, error) {
-	if len(batches) == 0 {
-		return nil, fmt.Errorf("cluster: empty plan")
-	}
-	d, err := newDispatcher(m, fleet, policy)
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range batches {
-		if len(b.JobIDs) == 0 {
-			return nil, fmt.Errorf("cluster: batch %d is empty", i)
-		}
-	}
-	var shapes []prewarmShape
-	for _, b := range batches {
-		for p := range fleet {
-			shapes = append(shapes, prewarmShape{p: p, c: b.Class, size: len(b.JobIDs)})
-		}
-	}
-	d.prewarm(shapes)
-	out := make([]Assignment, len(batches))
-	for i, b := range batches {
-		out[i] = d.assign(b)
-	}
-	return out, nil
 }

@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -70,7 +71,8 @@ func (c Config) Validate() error {
 	if err := c.Testbed.Validate(); err != nil {
 		return err
 	}
-	if c.Alpha > 1 {
+	// NaN compares false against every bound, so it needs its own check.
+	if c.Alpha > 1 || math.IsNaN(c.Alpha) {
 		return fmt.Errorf("engine: X-cache ratio α must be in [0,1] or negative for automatic, got %g", c.Alpha)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -83,6 +84,9 @@ func TestNewNormalizesAndValidates(t *testing.T) {
 	}
 	if _, err := New("test-probe", Config{Testbed: device.DefaultTestbed(), Alpha: 1.5}); err == nil {
 		t.Error("α > 1 accepted")
+	}
+	if _, err := New("test-probe", Config{Testbed: device.DefaultTestbed(), Alpha: math.NaN()}); err == nil {
+		t.Error("NaN α accepted")
 	}
 }
 

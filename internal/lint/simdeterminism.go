@@ -48,7 +48,7 @@ var SimDeterminism = &analysis.Analyzer{
 		"global math/rand source, iterates a map where order can reach an output, or\n" +
 		"collects parallel worker results in completion order (index-ordered slots\n" +
 		"plus a fixed-order reduction are the sanctioned shape).",
-	Packages: []string{"internal/sim", "internal/cluster", "internal/faults", "internal/serving", "internal/experiments", "internal/telemetry", "cmd/hilos-cluster", "internal/attention", "internal/tensor", "internal/accel"},
+	Packages: []string{"internal/sim", "internal/cluster", "internal/faults", "internal/experiments", "internal/telemetry", "cmd/hilos-cluster", "internal/attention", "internal/tensor", "internal/accel"},
 	Run:      runSimDeterminism,
 }
 
