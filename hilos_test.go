@@ -252,7 +252,7 @@ func TestAcceleratorTable3Facade(t *testing.T) {
 	}
 }
 
-func TestBacklogFacade(t *testing.T) {
+func TestRunBacklogFacade(t *testing.T) {
 	s := Must(New(WithDevices(16)))
 	m, _ := ModelByName("OPT-30B")
 	trace, err := NewWorkloadTrace(5, 20)

@@ -333,46 +333,30 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// Integer-pass accounting: a batch of 5 on an engine that fits 2 runs two
-// full passes plus one tail pass simulated at the tail's own shape, each
-// pass paying prefill again — never 2.5 fractional passes.
+// The exact-tail-pass accounting: 5 jobs on an engine that fits 2 run two
+// full passes plus one batch-1 tail pass at the tail's own (cheaper) cost.
+// The backlog-level pass tests (batch-independent integer passes, busy and
+// per-class seconds) live in the internal/serving tests.
 func TestDispatchExactTailPass(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  RunFunc
-		want float64
-	}{{
-		// Step time scales with the running batch: full passes at batch 2
-		// cost 10 + 99×2 = 208 s, the batch-1 tail 10 + 99×1 = 109 s. Ceil
-		// accounting would charge 3×208.
-		name: "batch-scaled steps",
-		run: func(req pipeline.Request) pipeline.Report {
-			b := min(req.Batch, 2)
-			return pipeline.Report{Batch: b, PrefillSec: 10, StepSec: float64(b)}
-		},
-		want: 2*208.0 + 109,
-	}, {
-		// Batch-independent timing: every pass, tail included, costs
-		// 10 + 99×1 = 109 s. Fractional passes would charge 2.5×109.
-		name: "batch-independent steps",
-		run: func(pipeline.Request) pipeline.Report {
-			return pipeline.Report{Batch: 2, PrefillSec: 10, StepSec: 1}
-		},
-		want: 3 * 109.0,
-	}} {
-		s, err := Run(Config{
-			Model: model.OPT30B, Fleet: []Pipeline{{Name: "p", Run: tc.run}}, Policy: LeastLoaded,
-			Admission: Admission{MaxBatch: 5},
-		}, shortReqs(0, 0, 0, 0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Batches != 1 {
-			t.Fatalf("%s: %d batches, want 1", tc.name, s.Batches)
-		}
-		if got := s.Assignments[0].ExecSec(); got != tc.want {
-			t.Errorf("%s: exec %v, want %v", tc.name, got, tc.want)
-		}
+	shrink := func(req pipeline.Request) pipeline.Report {
+		// Step time scales with the running batch.
+		b := min(req.Batch, 2)
+		return pipeline.Report{Batch: b, PrefillSec: 10, StepSec: float64(b)}
+	}
+	s, err := Run(Config{
+		Model: model.OPT30B, Fleet: []Pipeline{{Name: "p", Run: shrink}}, Policy: LeastLoaded,
+		Admission: Admission{MaxBatch: 5},
+	}, shortReqs(0, 0, 0, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Batches != 1 {
+		t.Fatalf("%d batches, want 1", s.Batches)
+	}
+	// Full pass at batch 2: 10 + 99×2 = 208 s, twice; tail pass at batch 1:
+	// 10 + 99×1 = 109 s. Ceil accounting would charge 3×208.
+	if want := 2*208.0 + 109; s.Assignments[0].ExecSec() != want {
+		t.Errorf("exec %v, want %v (two full passes + exact tail pass)", s.Assignments[0].ExecSec(), want)
 	}
 }
 
