@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -391,9 +392,13 @@ func TestRunShapeConflictingClasses(t *testing.T) {
 		{ID: 0, Class: a, ArrivalSec: 0},
 		{ID: 1, Class: b, ArrivalSec: 0},
 	}
+	// The spy runs on the prewarm workers, so its log needs a lock.
+	var mu sync.Mutex
 	var shapes []int
 	spy := func(req pipeline.Request) pipeline.Report {
+		mu.Lock()
 		shapes = append(shapes, req.Context)
+		mu.Unlock()
 		return pipeline.Report{Batch: req.Batch, PrefillSec: 1}
 	}
 	s, err := Run(Config{
