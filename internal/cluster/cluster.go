@@ -48,6 +48,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -314,18 +315,18 @@ func (s Summary) PriorityByClass(priority int) (PriorityStats, bool) {
 	return PriorityStats{}, false
 }
 
-// summarize folds assignments into the Summary, attributing time, tokens,
-// cost and energy per pipeline and queueing delay per priority class.
-// startSec is the trace's first arrival; the makespan measures from it.
+// summarize folds a drained loop's assignments into the Summary,
+// attributing time, tokens, cost and energy per pipeline and queueing delay
+// per priority class. The makespan measures from the trace's first arrival.
 // fracs parallels asgs with each attempt's performed-write fraction (1
-// except for attempts a fail-stop killed mid-run); healths carries the
-// recovery layer's per-pipeline end state.
-func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, startSec float64, tally preemptTally, ft faultTally, healths []pipeHealth, fracs []float64) Summary {
+// except for attempts a fail-stop killed mid-run).
+func summarize(l *eventLoop, asgs []Assignment, fracs []float64) Summary {
+	cfg, reqs, tally, ft := l.cfg, l.trace, l.tally, l.ft
+	startSec := reqs[0].ArrivalSec
 	s := Summary{
 		Policy:            cfg.Policy,
 		Requests:          len(reqs),
-		RejectedJobs:      len(rejected),
-		RejectedJobIDs:    rejected,
+		RejectedJobs:      len(l.rejected),
 		PreemptedBatches:  tally.batches,
 		PreemptedJobs:     tally.jobs,
 		RetriedBatches:    ft.retryBatches,
@@ -342,14 +343,11 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 	}
 	for i, p := range cfg.Fleet {
 		s.Pipelines[i].Name = p.Name
-		if i < len(healths) {
-			s.Pipelines[i].Faults = healths[i].faults
-			s.Pipelines[i].Quarantines = healths[i].quarantines
-			s.Pipelines[i].WearOut = healths[i].wearOut
-		}
+		s.Pipelines[i].Faults = l.health[i].faults
+		s.Pipelines[i].Quarantines = l.health[i].quarantines
+		s.Pipelines[i].WearOut = l.health[i].wearOut
 	}
 
-	prioOf := make(map[int]int, len(reqs))
 	perPrio := map[int]*PriorityStats{}
 	prioStats := func(prio int) *PriorityStats {
 		ps := perPrio[prio]
@@ -360,19 +358,19 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 		return ps
 	}
 	for _, r := range reqs {
-		prioOf[r.ID] = r.Priority
 		ps := prioStats(r.Priority)
 		ps.Requests++
 		ps.Admitted++
 	}
-	for _, id := range rejected {
-		prioStats(prioOf[id]).Admitted--
+	for _, r := range l.rejected {
+		prioStats(r.Priority).Admitted--
+		s.RejectedJobIDs = append(s.RejectedJobIDs, r.ID)
 	}
 	for prio, jobs := range tally.byPrio {
 		prioStats(prio).PreemptedJobs = jobs
 	}
 
-	var delays []float64
+	delays := make([]float64, 0, len(reqs))
 	prioDelays := map[int][]float64{}
 	devices := make([]int, len(cfg.Fleet))
 	seenFailed := map[int]bool{}
@@ -386,47 +384,37 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 			s.Batches++
 			s.FailedBatches++
 			for _, id := range a.Batch.JobIDs {
-				if seenFailed[id] {
-					continue
+				if !seenFailed[id] {
+					seenFailed[id] = true
+					s.FailedJobIDs = append(s.FailedJobIDs, id)
 				}
-				seenFailed[id] = true
-				s.FailedJobs++
-				s.FailedJobIDs = append(s.FailedJobIDs, id)
 			}
 			continue
 		}
 		ps := &s.Pipelines[a.Pipeline]
 		sec := a.ExecSec()
 		p := cfg.Fleet[a.Pipeline]
-		if a.Aborted {
-			// A fault-consumed attempt: the pipeline's time, dollars and
-			// (prorated) flash writes were spent on this class, but no job
-			// completed here — the batch's outcome is a later assignment.
-			ps.BusySec += sec
-			s.PerClassSec[a.Batch.Class.Name] += sec
-			ps.WriteBytes += assignmentWriteBytes(a) * fracs[ai]
-			if a.Report.Devices > devices[a.Pipeline] {
-				devices[a.Pipeline] = a.Report.Devices
-			}
-			ps.CostUSD += p.USDPerHour / 3600 * sec
-			if fin := a.FinishSec - startSec; fin > s.MakespanSec {
-				s.MakespanSec = fin
-			}
-			continue
-		}
-		s.Batches++
-		ps.Batches++
-		ps.Jobs += n
+		// Every attempt spends time, dollars and flash writes on its class;
+		// one a fail-stop killed wrote only fracs[ai] (1 for all others).
 		ps.BusySec += sec
-		toks := int64(n) * int64(a.Batch.Class.Output)
-		ps.OutputTokens += toks
-		s.OutputTokens += toks
 		s.PerClassSec[a.Batch.Class.Name] += sec
-		ps.WriteBytes += assignmentWriteBytes(a)
+		ps.WriteBytes += batchWriteBytes(&a.Report, &a.Batch) * fracs[ai]
 		if a.Report.Devices > devices[a.Pipeline] {
 			devices[a.Pipeline] = a.Report.Devices
 		}
 		ps.CostUSD += p.USDPerHour / 3600 * sec
+		if fin := a.FinishSec - startSec; fin > s.MakespanSec {
+			s.MakespanSec = fin
+		}
+		if a.Aborted {
+			continue // no job completed here: the batch settles in a later assignment
+		}
+		s.Batches++
+		ps.Batches++
+		ps.Jobs += n
+		toks := int64(n) * int64(a.Batch.Class.Output)
+		ps.OutputTokens += toks
+		s.OutputTokens += toks
 		if p.Energy != nil {
 			eb, err := energy.PerToken(p.Energy.Testbed, a.Report, p.Energy.Model)
 			if err != nil {
@@ -436,9 +424,6 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 			} else {
 				ps.EnergyJ += eb.Total() * float64(toks)
 			}
-		}
-		if fin := a.FinishSec - startSec; fin > s.MakespanSec {
-			s.MakespanSec = fin
 		}
 		pst := prioStats(a.Batch.Priority)
 		pst.Completed += n
@@ -456,6 +441,7 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 			}
 		}
 	}
+	s.FailedJobs = len(s.FailedJobIDs)
 	s.Admitted = s.Requests - s.RejectedJobs
 	s.Completed = s.Admitted - s.FailedJobs
 	// IDs accumulate in scheduling order (rejections by arrival, failures
@@ -478,10 +464,7 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 		s.TotalEnergyJ += ps.EnergyJ
 		s.TotalWriteBytes += ps.WriteBytes
 	}
-	s.DelayMeanSec = stats.Mean(delays)
-	s.DelayP50Sec = stats.Percentile(delays, 50)
-	s.DelayP95Sec = stats.Percentile(delays, 95)
-	s.DelayP99Sec = stats.Percentile(delays, 99)
+	s.DelayMeanSec, s.DelayP50Sec, s.DelayP95Sec, s.DelayP99Sec = delayStats(delays)
 
 	prios := make([]int, 0, len(perPrio))
 	for prio := range perPrio {
@@ -490,30 +473,33 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
 	for _, prio := range prios {
 		ps := perPrio[prio]
-		d := prioDelays[prio]
-		ps.DelayMeanSec = stats.Mean(d)
-		ps.DelayP50Sec = stats.Percentile(d, 50)
-		ps.DelayP95Sec = stats.Percentile(d, 95)
-		ps.DelayP99Sec = stats.Percentile(d, 99)
+		ps.DelayMeanSec, ps.DelayP50Sec, ps.DelayP95Sec, ps.DelayP99Sec = delayStats(prioDelays[prio])
 		s.PerPriority = append(s.PerPriority, *ps)
 	}
 	cfg.Telemetry.finalize(s)
 	return s
 }
 
-// assignmentWriteBytes estimates the physical flash bytes written executing
-// one assignment from its engine report's write accounting: ceil(n/batch)
+// delayStats returns the mean (summed in the given order), p50, p95 and p99
+// of delays, sorting the slice in place once for the percentiles.
+func delayStats(delays []float64) (mean, p50, p95, p99 float64) {
+	mean = stats.Mean(delays)
+	sort.Float64s(delays)
+	return mean, stats.PercentileSorted(delays, 50), stats.PercentileSorted(delays, 95), stats.PercentileSorted(delays, 99)
+}
+
+// batchWriteBytes estimates the physical flash bytes written executing a
+// batch of b's jobs from the engine report's write accounting: ceil(n/batch)
 // passes, each writing the prefill KV spill plus the per-step decode
 // writeback over the class's decode steps. The tail pass is charged at the
 // full-size report's rate, consistent with execSec's pass accounting.
-func assignmentWriteBytes(a Assignment) float64 {
-	rep := a.Report
+func batchWriteBytes(rep *pipeline.Report, b *BatchJob) float64 {
 	if rep.Batch < 1 {
 		return 0
 	}
-	n := len(a.Batch.JobIDs)
+	n := len(b.JobIDs)
 	passes := float64((n + rep.Batch - 1) / rep.Batch)
-	steps := a.Batch.Class.Output - 1
+	steps := b.Class.Output - 1
 	if steps < 0 {
 		steps = 0
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -331,6 +332,14 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := Run(ok, []Request{{ID: 0, Class: workload.Short, ArrivalSec: -2}}); err == nil {
 		t.Error("negative arrival accepted")
+	}
+	dup := []Request{
+		{ID: 7, Class: workload.Short, ArrivalSec: 0},
+		{ID: 3, Class: workload.Short, ArrivalSec: 1},
+		{ID: 7, Class: workload.Medium, ArrivalSec: 2},
+	}
+	if _, err := Run(ok, dup); err == nil || !strings.Contains(err.Error(), "request ID 7") {
+		t.Errorf("duplicate request ID: err %v, want one naming ID 7", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/device"
@@ -137,23 +138,26 @@ func (a Assignment) ExecSec() float64 { return a.FinishSec - a.StartSec }
 // dispatcher's repcache.Group, so an EngineID names an engine only within
 // one fleet and two dispatchers never share (or collide on) reports.
 type repKey struct {
-	eng     string
+	eng     int
 	in, out int
 	size    int
 }
 
 // dispatcher is the policy layer under the event loop (Run): it scores and
 // commits placements for the batches the loop forms. It is
-// single-goroutine after prewarming, which keeps assignment deterministic. Report memoization is delegated to a private
-// repcache.Group, whose per-key singleflight also serializes the prewarm
-// workers on identical shapes.
+// single-goroutine after prewarming, which keeps assignment deterministic.
+// Report memoization is delegated to a private repcache.Group, whose per-key
+// singleflight also serializes the prewarm workers on identical shapes.
 type dispatcher struct {
 	m      model.Config
 	fleet  []Pipeline
 	policy Policy
 	freeAt []float64
-	engKey []string // memo group per fleet index
+	engKey []int // repKey.eng per fleet index: the first index sharing its EngineID
 	group  *repcache.Group
+	// reports fronts group with a plain map only the event loop touches:
+	// no lock, no interface-keyed hashing. prewarm calls the group directly.
+	reports map[repKey]*pipeline.Report
 
 	// Recovery hooks, installed only when a fault injector is active (nil
 	// otherwise, which keeps the fault-free arithmetic bit-identical to a
@@ -179,21 +183,21 @@ func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher
 	if !policy.valid() {
 		return nil, fmt.Errorf("cluster: unknown dispatch policy %q (known: %v)", policy, Policies())
 	}
-	engKey := make([]string, len(fleet))
+	engKey := make([]int, len(fleet))
 	for i, p := range fleet {
+		engKey[i] = i
 		if p.EngineID != "" {
-			engKey[i] = p.EngineID
-		} else {
-			engKey[i] = fmt.Sprintf("#%d", i)
+			engKey[i] = slices.IndexFunc(fleet, func(q Pipeline) bool { return q.EngineID == p.EngineID })
 		}
 	}
 	return &dispatcher{
-		m:      m,
-		fleet:  fleet,
-		policy: policy,
-		freeAt: make([]float64, len(fleet)),
-		engKey: engKey,
-		group:  repcache.NewGroup(),
+		m:       m,
+		fleet:   fleet,
+		policy:  policy,
+		freeAt:  make([]float64, len(fleet)),
+		engKey:  engKey,
+		group:   repcache.NewGroup(),
+		reports: map[repKey]*pipeline.Report{},
 	}, nil
 }
 
@@ -202,7 +206,20 @@ func (d *dispatcher) shapeKey(p int, c workload.Class, size int) repKey {
 	return repKey{eng: d.engKey[p], in: c.Input, out: c.Output, size: size}
 }
 
-func (d *dispatcher) report(p int, c workload.Class, size int) pipeline.Report {
+// report returns the engine report for one batch shape on pipeline p; the
+// report is shared and must not be mutated. Only the event loop calls it.
+func (d *dispatcher) report(p int, c workload.Class, size int) *pipeline.Report {
+	k := d.shapeKey(p, c, size)
+	if rep := d.reports[k]; rep != nil {
+		return rep
+	}
+	rep := d.simulate(p, c, size)
+	d.reports[k] = &rep
+	return &rep
+}
+
+// simulate is report's concurrency-safe path through the group memo.
+func (d *dispatcher) simulate(p int, c workload.Class, size int) pipeline.Report {
 	return d.group.Do(d.shapeKey(p, c, size), func() pipeline.Report {
 		// Scheduling reads only scalar timing/capacity fields; skip the
 		// per-task timeline so prewarming a fleet doesn't retain one
@@ -241,19 +258,14 @@ func (d *dispatcher) prewarm(shapes []prewarmShape) {
 	if len(todo) == 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(todo) {
-		workers = len(todo)
-	}
 	queue := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), len(todo)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range queue {
-				s := todo[i]
-				d.report(s.p, s.c, s.size)
+				d.simulate(todo[i].p, todo[i].c, todo[i].size)
 			}
 		}()
 	}
@@ -271,7 +283,7 @@ func (d *dispatcher) prewarm(shapes []prewarmShape) {
 // item). A tail the engine shrinks again is charged integral passes at the
 // tail report's effective batch; an infeasible tail report (which a
 // monotone engine never produces) falls back to one full-size pass.
-func (d *dispatcher) execSec(p int, c workload.Class, n int, rep pipeline.Report) float64 {
+func (d *dispatcher) execSec(p int, c workload.Class, n int, rep *pipeline.Report) float64 {
 	full := n / rep.Batch
 	tail := n % rep.Batch
 	sec := float64(full) * rep.TotalSec(c.Output)
@@ -293,7 +305,7 @@ func (d *dispatcher) execSec(p int, c workload.Class, n int, rep pipeline.Report
 // exact (non-lossy) candidate was down or quarantined.
 type placement struct {
 	p        int
-	rep      pipeline.Report
+	rep      *pipeline.Report
 	sec      float64
 	start    float64
 	reason   string
@@ -318,24 +330,28 @@ func (d *dispatcher) slow(p int, at float64) float64 {
 	return d.slowAt(p, at)
 }
 
-// pick is the one policy-scoring loop behind plan and planIdle: it ranks
-// every pipeline that can place the batch (and, with idleOnly, is free at
-// now) without committing anything. feasible reports whether any fleet
-// member that has not permanently failed — busy, down, or quarantined
-// included — could ever place the batch. nextAvail is the earliest
-// re-admission instant among capacity-feasible pipelines that are
-// temporarily out of service (+Inf when none is): when pl.p == -1 with
-// feasible == true, retrying the plan at nextAvail makes progress.
-func (d *dispatcher) pick(b BatchJob, idleOnly bool, now float64) (pl placement, feasible bool, nextAvail float64) {
-	n := len(b.JobIDs)
+// plan picks a pipeline per the policy for n jobs of class c released at
+// release, without committing anything: the pipeline clocks are untouched
+// until the event loop commits the slot (commitSlot), which must happen
+// before any further planning. With idleOnly, only pipelines free at now
+// qualify — the continuous-batching variant, where batches never queue
+// ahead on a busy pipeline. A failed plan (p == -1) carries the first
+// engine's refusal reason. feasible reports whether any fleet member that
+// has not permanently failed — busy, down, or quarantined included — could
+// ever place the batch; false means the batch fails as a unit. nextAvail is
+// the earliest re-admission instant among capacity-feasible pipelines that
+// are temporarily out of service (+Inf when none is): when pl.p == -1 with
+// feasible == true, planning again at nextAvail (or, idle-only, at the next
+// pipeline-free or repair event) makes progress.
+func (d *dispatcher) plan(c workload.Class, n int, release float64, idleOnly bool, now float64) (pl placement, feasible bool, nextAvail float64) {
 	best := -1
-	var bestRep pipeline.Report
+	var bestRep *pipeline.Report
 	var bestSec, bestKey, bestTie, bestStart float64
 	var firstReason, deadReason string
 	nextAvail = math.Inf(1)
 	exactCandidate, exactBlocked := false, false
 	for p := range d.fleet {
-		rep := d.report(p, b.Class, n)
+		rep := d.report(p, c, n)
 		if rep.OOM || rep.Batch < 1 {
 			if firstReason == "" {
 				firstReason = rep.Reason
@@ -370,11 +386,11 @@ func (d *dispatcher) pick(b BatchJob, idleOnly bool, now float64) (pl placement,
 		if !d.fleet[p].Lossy {
 			exactCandidate = true
 		}
-		start := b.ReleaseSec
+		start := release
 		if d.freeAt[p] > start {
 			start = d.freeAt[p]
 		}
-		sec := d.execSec(p, b.Class, n, rep) * d.slow(p, start)
+		sec := d.execSec(p, c, n, rep) * d.slow(p, start)
 		var key, tie float64
 		switch d.policy {
 		case LeastLoaded:
@@ -404,21 +420,4 @@ func (d *dispatcher) pick(b BatchJob, idleOnly bool, now float64) (pl placement,
 	// out.
 	pl.degraded = d.fleet[best].Lossy && !exactCandidate && exactBlocked
 	return pl, true, nextAvail
-}
-
-// plan picks a pipeline for the batch per the policy without committing it:
-// the pipeline clocks are untouched until the event loop commits the slot
-// (commitSlot), which must happen before any further planning. Failed plans (p == -1)
-// carry the first engine's refusal reason; feasible and nextAvail follow
-// pick's contract for the recovery layer's deferral decision.
-func (d *dispatcher) plan(b BatchJob, now float64) (placement, bool, float64) {
-	return d.pick(b, false, now)
-}
-
-// planIdle picks a pipeline among those idle at now (freeAt ≤ now) — the
-// continuous-batching variant, where batches are never queued ahead on a
-// busy pipeline. feasible == false means the batch fails as a unit; true
-// with p == -1 means "wait for a pipeline-free (or repair) event".
-func (d *dispatcher) planIdle(b BatchJob, now float64) (placement, bool, float64) {
-	return d.pick(b, true, now)
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/endurance"
@@ -24,7 +26,8 @@ import (
 // work; its batch's retry or terminal failure is recorded separately.
 type slot struct {
 	b       BatchJob
-	rep     placementReport
+	rep     *pipeline.Report // shared with the dispatcher's report table
+	execSec float64          // run time, for re-timing after an eviction
 	pipe    int
 	reason  string
 	start   float64
@@ -36,12 +39,6 @@ type slot struct {
 	done      bool    // completion already processed (evDone dedup)
 	degraded  bool    // served by a lossy tier for lack of a healthy exact one
 	writeFrac float64 // fraction of the attempt's flash writes performed
-}
-
-// placementReport bundles what commit needs to (re)compute a slot's timing.
-type placementReport struct {
-	rep     pipeline.Report
-	execSec float64
 }
 
 // eventLoop is the unified scheduling core behind Run: a simulated-clock
@@ -56,7 +53,14 @@ type eventLoop struct {
 	seq    int
 	now    float64
 
+	// trace is sorted by (ArrivalSec, ID); next indexes its first request
+	// not yet admitted.
+	trace []Request
+	next  int
+
 	queues map[queueKey]*classQueue
+	qlist  []*classQueue // the queues in creation order, for scans
+	ripe   []*classQueue // ripeQueues' reused result
 
 	// chains[p] holds the live slots on pipeline p, in execution order: the
 	// running slot (immovable) and, in close-at-admission mode, an
@@ -70,7 +74,7 @@ type eventLoop struct {
 	// dispatch order of everything else stable.
 	order []*slot
 
-	rejected []int
+	rejected []Request
 	tally    preemptTally
 
 	// Recovery layer, active only with a non-empty fault injector: inj is
@@ -100,10 +104,24 @@ func (l *eventLoop) push(e event) {
 	l.events.push(e)
 }
 
-// run drains the event heap: the whole simulation, arrivals to final flush.
+// nextEvent takes the earliest pending event off the trace or the heap; ok
+// is false once both are drained. Arrivals sort first at equal times, so
+// the next arrival goes first unless the heap holds a strictly earlier one.
+func (l *eventLoop) nextEvent() (e event, ok bool) {
+	switch {
+	case l.next < len(l.trace) && (len(l.events) == 0 || l.trace[l.next].ArrivalSec <= l.events[0].at):
+		l.next++
+		return event{at: l.trace[l.next-1].ArrivalSec, kind: evArrival, idx: l.next - 1}, true
+	case len(l.events) > 0:
+		return l.events.pop(), true
+	}
+	return event{}, false
+}
+
+// run drains the trace and the event heap: the whole simulation, arrivals to
+// final flush.
 func (l *eventLoop) run() {
-	for l.events.Len() > 0 {
-		e := l.events.pop()
+	for e, ok := l.nextEvent(); ok; e, ok = l.nextEvent() {
 		if l.cfg.Pace != nil && e.at > l.now {
 			l.cfg.Pace(e.at)
 		}
@@ -112,7 +130,7 @@ func (l *eventLoop) run() {
 		l.compact()
 		switch e.kind {
 		case evArrival:
-			l.arrive(e.req)
+			l.arrive(l.trace[e.idx])
 		case evTimeout:
 			l.fireTimeout(e)
 		case evDeadline:
@@ -120,11 +138,11 @@ func (l *eventLoop) run() {
 		case evDone:
 			l.fireDone(e)
 		case evFault:
-			l.injectFault(e.pipe, e.fault)
+			l.injectFault(e.fault.Pipeline, *e.fault)
 		case evRepair:
 			l.fireRepair(e)
 		case evRetry:
-			l.redispatch(e.b)
+			l.redispatch(*e.b)
 		case evFree:
 			l.tryDispatch()
 		}
@@ -153,7 +171,7 @@ func (l *eventLoop) compact() {
 // which counts everything — the original backlog-cap semantics.
 func (l *eventLoop) backlog(minPrio int) int {
 	n := 0
-	for _, q := range l.queues {
+	for _, q := range l.qlist {
 		if q.key.priority >= minPrio {
 			n += len(q.reqs)
 		}
@@ -181,7 +199,7 @@ func (l *eventLoop) arrive(r Request) {
 			minPrio = r.Priority
 		}
 		if l.backlog(minPrio) >= cap {
-			l.rejected = append(l.rejected, r.ID)
+			l.rejected = append(l.rejected, r)
 			l.cfg.Telemetry.onReject(r)
 			return
 		}
@@ -191,16 +209,18 @@ func (l *eventLoop) arrive(r Request) {
 	if q == nil {
 		q = &classQueue{key: k}
 		l.queues[k] = q
+		l.qlist = append(l.qlist, q)
 	}
 	if len(q.reqs) == 0 {
-		l.push(event{at: r.ArrivalSec + l.cfg.Admission.MaxWaitSec, kind: evTimeout, key: k,
+		l.push(event{at: r.ArrivalSec + l.cfg.Admission.MaxWaitSec, kind: evTimeout, q: q,
 			dl: r.ArrivalSec + l.cfg.Admission.MaxWaitSec})
 	}
+	pos := q.taken + len(q.reqs)
 	q.reqs = append(q.reqs, r)
 	l.cfg.Telemetry.onArrival(r)
 	l.cfg.Telemetry.onQueueDepth(k, len(q.reqs))
 	if l.cfg.Admission.Preemption && r.DeadlineSec > 0 {
-		l.push(event{at: r.StartDeadline(), kind: evDeadline, req: r})
+		l.push(event{at: r.StartDeadline(), kind: evDeadline, q: q, idx: pos})
 	}
 	if l.cfg.Admission.ContinuousBatching {
 		l.tryDispatch()
@@ -213,53 +233,45 @@ func (l *eventLoop) arrive(r Request) {
 // closed, or refilled with a later head — are skipped: the armed deadline
 // no longer matches.
 func (l *eventLoop) fireTimeout(e event) {
-	q := l.queues[e.key]
-	if q == nil || len(q.reqs) == 0 || q.waitDeadline(l.cfg.Admission.MaxWaitSec) != e.dl {
+	if len(e.q.reqs) == 0 || e.q.waitDeadline(l.cfg.Admission.MaxWaitSec) != e.dl {
 		return
 	}
 	if l.cfg.Admission.ContinuousBatching {
 		l.tryDispatch()
 		return
 	}
-	l.closeQueue(q, e.dl)
+	l.closeQueue(e.q, e.dl)
 }
 
 // fireDeadline handles a start-deadline expiry (preemption mode only): if
 // the request is still waiting in its queue, its partial batch closes right
 // now and dispatches with deadline-aware placement, instead of waiting out
-// the max-wait timer behind offline work.
+// the max-wait timer behind offline work. The queue is FIFO, so the request
+// is still waiting exactly while its admission position has not been taken.
 func (l *eventLoop) fireDeadline(e event) {
-	q := l.queues[queueKey{priority: e.req.Priority, class: e.req.Class}]
-	if q == nil {
-		return
-	}
-	waiting := false
-	for _, r := range q.reqs {
-		if r.ID == e.req.ID {
-			waiting = true
-			break
-		}
-	}
-	if !waiting {
+	if e.idx < e.q.taken {
 		return // already batched (and possibly already running)
 	}
 	if l.cfg.Admission.ContinuousBatching {
 		l.tryDispatch() // the queue is ripe now via its min start deadline
 		return
 	}
-	l.closeQueue(q, l.now)
+	l.closeQueue(e.q, l.now)
 }
 
 // makeBatch forms a BatchJob from requests of one queue.
 func makeBatch(k queueKey, reqs []Request, release float64) BatchJob {
-	b := BatchJob{Class: k.class, Priority: k.priority, ReleaseSec: release}
-	for _, r := range reqs {
-		b.JobIDs = append(b.JobIDs, r.ID)
-		b.Arrivals = append(b.Arrivals, r.ArrivalSec)
+	b := BatchJob{
+		Class: k.class, Priority: k.priority, ReleaseSec: release,
+		JobIDs:    make([]int, len(reqs)),
+		Arrivals:  make([]float64, len(reqs)),
+		Deadlines: make([]float64, len(reqs)),
+	}
+	for i, r := range reqs {
+		b.JobIDs[i] = r.ID
+		b.Arrivals[i] = r.ArrivalSec
 		if r.DeadlineSec > 0 {
-			b.Deadlines = append(b.Deadlines, r.ArrivalSec+r.DeadlineSec)
-		} else {
-			b.Deadlines = append(b.Deadlines, 0)
+			b.Deadlines[i] = r.ArrivalSec + r.DeadlineSec
 		}
 	}
 	return b
@@ -280,9 +292,9 @@ func minDeadline(b BatchJob) float64 {
 // given time, and places it (close-at-admission mode).
 func (l *eventLoop) closeQueue(q *classQueue, release float64) {
 	b := makeBatch(q.key, q.reqs, release)
-	q.reqs = nil
+	q.take(len(q.reqs))
 	l.cfg.Telemetry.onQueueDepth(q.key, 0)
-	l.place(b)
+	l.place(b, true)
 }
 
 // commitSlot materializes a planned placement as a schedule slot. With a
@@ -292,7 +304,7 @@ func (l *eventLoop) closeQueue(q *classQueue, release float64) {
 // armed for, so preemption-shifted slots invalidate stale completions.
 func (l *eventLoop) commitSlot(b BatchJob, pl placement) *slot {
 	s := &slot{
-		b: b, rep: placementReport{rep: pl.rep, execSec: pl.sec},
+		b: b, rep: pl.rep, execSec: pl.sec,
 		pipe: pl.p, start: pl.start, finish: pl.start + pl.sec,
 		degraded: pl.degraded, writeFrac: 1,
 	}
@@ -318,40 +330,29 @@ func (l *eventLoop) failSlot(b BatchJob, reason string) {
 	l.cfg.Telemetry.onFail(l.now, b, reason)
 }
 
-// place dispatches a closed batch (close-at-admission mode). Under
-// preemption, a batch that would miss its earliest member deadline on the
-// policy's pick instead takes the pipeline where it can start soonest after
-// evicting strictly-lower-priority unstarted slots; evicted batches are
-// re-enqueued, never dropped.
-func (l *eventLoop) place(b BatchJob) {
-	pl, feasible, nextAvail := l.d.plan(b, l.now)
-	if pl.p >= 0 && l.cfg.Admission.Preemption && minDeadline(b) < pl.start {
+// place dispatches a closed batch (close-at-admission mode). With mayPreempt
+// under preemption, a batch that would miss its earliest member deadline on
+// the policy's pick instead takes the pipeline where it can start soonest
+// after evicting strictly-lower-priority unstarted slots; evicted batches
+// are re-placed without that escalation, so one eviction cannot cascade.
+// When every pipeline that could serve the batch is temporarily down or
+// quarantined, it defers to the earliest re-admission instant instead of
+// failing work the fleet will soon be able to run; only a batch no pipeline
+// can ever place fails terminally.
+func (l *eventLoop) place(b BatchJob, mayPreempt bool) {
+	pl, feasible, nextAvail := l.d.plan(b.Class, len(b.JobIDs), b.ReleaseSec, false, l.now)
+	if mayPreempt && pl.p >= 0 && l.cfg.Admission.Preemption && minDeadline(b) < pl.start {
 		if p, est := l.bestPreemptive(b); p >= 0 && est < pl.start {
 			l.preemptInto(p, b)
 			return
 		}
 	}
-	l.finishPlacement(b, pl, feasible, nextAvail)
-}
-
-// placePlain dispatches without the preemption escalation — used for
-// re-dispatching evicted batches, so one eviction cannot cascade.
-func (l *eventLoop) placePlain(b BatchJob) {
-	pl, feasible, nextAvail := l.d.plan(b, l.now)
-	l.finishPlacement(b, pl, feasible, nextAvail)
-}
-
-// finishPlacement settles a plan (close-at-admission mode): commit it,
-// or — when every pipeline that could serve the batch is temporarily down
-// or quarantined — defer to the earliest re-admission instant instead of
-// failing work the fleet will soon be able to run. Only a batch no pipeline
-// can ever place fails terminally.
-func (l *eventLoop) finishPlacement(b BatchJob, pl placement, feasible bool, nextAvail float64) {
 	switch {
 	case pl.p >= 0:
 		l.commitSlot(b, pl)
 	case feasible && !math.IsInf(nextAvail, 1):
-		l.push(event{at: nextAvail, kind: evRetry, b: b})
+		deferred := b
+		l.push(event{at: nextAvail, kind: evRetry, b: &deferred})
 	default:
 		l.failSlot(b, pl.reason)
 	}
@@ -379,7 +380,7 @@ func (l *eventLoop) bestPreemptive(b BatchJob) (int, float64) {
 				prevFinish = s.finish // started: immovable
 			case s.b.Priority >= b.Priority:
 				st := math.Max(s.b.ReleaseSec, prevFinish) // survivor, shifted up
-				prevFinish = st + s.rep.execSec
+				prevFinish = st + s.execSec
 			}
 			// Strictly-lower-priority unstarted slots would be evicted.
 		}
@@ -395,18 +396,7 @@ func (l *eventLoop) bestPreemptive(b BatchJob) (int, float64) {
 // chain, and re-dispatches the evicted batches at the current instant —
 // work is displaced, never lost.
 func (l *eventLoop) preemptInto(p int, b BatchJob) {
-	var kept, evicted []*slot
-	for _, s := range l.chains[p] {
-		if s.start > l.now && s.b.Priority < b.Priority {
-			s.evicted = true
-			evicted = append(evicted, s)
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	l.chains[p] = kept
-	l.recompute(p)
-
+	evicted := l.evict(p, func(s *slot) bool { return s.b.Priority < b.Priority })
 	n := len(b.JobIDs)
 	rep := l.d.report(p, b.Class, n)
 	start := math.Max(b.ReleaseSec, l.d.freeAt[p])
@@ -422,8 +412,26 @@ func (l *eventLoop) preemptInto(p int, b BatchJob) {
 	for _, ev := range evicted {
 		nb := ev.b
 		nb.ReleaseSec = l.now
-		l.placePlain(nb)
+		l.place(nb, false)
 	}
+}
+
+// evict removes pipeline p's unstarted slots that match drop from its chain,
+// marks them evicted, re-times the survivors, and returns the evicted slots.
+func (l *eventLoop) evict(p int, drop func(*slot) bool) []*slot {
+	var evicted []*slot
+	kept := l.chains[p][:0]
+	for _, s := range l.chains[p] {
+		if s.start > l.now && drop(s) {
+			s.evicted = true
+			evicted = append(evicted, s)
+		} else {
+			kept = append(kept, s)
+		}
+	}
+	l.chains[p] = kept
+	l.recompute(p)
+	return evicted
 }
 
 // recompute re-times pipeline p's unstarted suffix after an eviction:
@@ -441,30 +449,13 @@ func (l *eventLoop) recompute(p int) {
 		}
 		old := s.finish
 		s.start = math.Max(s.b.ReleaseSec, prevFinish)
-		s.finish = s.start + s.rep.execSec
+		s.finish = s.start + s.execSec
 		prevFinish = s.finish
 		if l.inj != nil && s.finish != old {
 			l.push(event{at: s.finish, kind: evDone, s: s, dl: s.finish})
 		}
 	}
 	l.d.freeAt[p] = prevFinish
-}
-
-// slotWriteBytes is the flash write volume of one attempt at full
-// completion — assignmentWriteBytes' twin on the loop's slot form, used to
-// charge wear budgets as writes land.
-func slotWriteBytes(s *slot) float64 {
-	rep := s.rep.rep
-	if rep.Batch < 1 {
-		return 0
-	}
-	n := len(s.b.JobIDs)
-	passes := float64((n + rep.Batch - 1) / rep.Batch)
-	steps := s.b.Class.Output - 1
-	if steps < 0 {
-		steps = 0
-	}
-	return passes * (rep.PrefillWriteBytes + rep.DecodeWriteBytesPerStep*float64(steps))
 }
 
 // fireDone settles one attempt at its finish (faults active only): charge
@@ -479,7 +470,7 @@ func (l *eventLoop) fireDone(e event) {
 	}
 	s.done = true
 	p := s.pipe
-	if l.health[p].wear.Add(slotWriteBytes(s)) {
+	if l.health[p].wear.Add(batchWriteBytes(s.rep, &s.b)) {
 		// This attempt's writes crossed the endurance budget: the pipeline
 		// retires permanently, effective now (the completion boundary).
 		l.injectFault(p, faults.Event{Kind: faults.WearOut, Pipeline: p, AtSec: l.now})
@@ -512,7 +503,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 			return // overlapping fail-stop: the pipeline is already down
 		}
 		h.downUntil = l.now + fe.DurationSec
-		l.push(event{at: h.downUntil, kind: evRepair, pipe: p})
+		l.push(event{at: h.downUntil, kind: evRepair, idx: p})
 	}
 	h.faults++
 	l.ft.faults++
@@ -529,7 +520,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 		s.writeFrac = frac
 		s.finish = l.now
 		s.reason = "killed by " + string(fe.Kind)
-		if h.wear.Add(frac * slotWriteBytes(s)) {
+		if h.wear.Add(frac * batchWriteBytes(s.rep, &s.b)) {
 			// The partial writes themselves exhausted the budget: the
 			// repair window becomes moot — the device is worn out.
 			h.downUntil = math.Inf(1)
@@ -545,7 +536,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 // for a pipeline that wore out permanently in the meantime — is stale and
 // skipped), then offers it the waiting work.
 func (l *eventLoop) fireRepair(e event) {
-	p := e.pipe
+	p := e.idx
 	h := &l.health[p]
 	if h.downUntil > l.now || h.quarUntil > l.now {
 		return
@@ -571,7 +562,7 @@ func (l *eventLoop) failAttempt(p int, b BatchJob, reason string) {
 	l.ft.retryBatches++
 	l.ft.retryJobs += len(nb.JobIDs)
 	l.cfg.Telemetry.onRetry(l.now, nb, reason, l.cfg.Fleet[p].Name)
-	l.push(event{at: nb.ReleaseSec, kind: evRetry, b: nb})
+	l.push(event{at: nb.ReleaseSec, kind: evRetry, b: &nb})
 }
 
 // noteFailure advances pipeline p's circuit breaker after a failed attempt:
@@ -594,7 +585,7 @@ func (l *eventLoop) noteFailure(p int) {
 	l.ft.quarantines++
 	l.cfg.Telemetry.onQuarantine(l.now, l.cfg.Fleet[p].Name, l.retry.QuarantineSec)
 	l.evictUnstarted(p, "quarantine")
-	l.push(event{at: h.quarUntil, kind: evRepair, pipe: p})
+	l.push(event{at: h.quarUntil, kind: evRepair, idx: p})
 }
 
 // evictUnstarted fails pipeline p's queued-ahead (unstarted) slots over to
@@ -603,17 +594,7 @@ func (l *eventLoop) noteFailure(p int) {
 // chain is re-timed unconditionally, which also rewinds the pipeline clock
 // after a kill truncated the running slot.
 func (l *eventLoop) evictUnstarted(p int, cause string) {
-	var kept, evicted []*slot
-	for _, s := range l.chains[p] {
-		if s.start > l.now {
-			s.evicted = true
-			evicted = append(evicted, s)
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	l.chains[p] = kept
-	l.recompute(p)
+	evicted := l.evict(p, func(*slot) bool { return true })
 	for _, ev := range evicted {
 		l.ft.failedOverB++
 		l.ft.failedOverJ += len(ev.b.JobIDs)
@@ -643,41 +624,36 @@ func (l *eventLoop) redispatch(b BatchJob) {
 		l.tryDispatch()
 		return
 	}
-	l.placePlain(b)
+	l.place(b, false)
 }
 
-// ripe reports whether a queue may dispatch now (continuous mode): a full
+// isRipe reports whether a queue may dispatch now (continuous mode): a full
 // batch is waiting, the oldest member's max wait expired, or — under
 // preemption — a member's start deadline arrived.
-func (l *eventLoop) ripe(q *classQueue) bool {
-	if len(q.reqs) >= l.cfg.Admission.MaxBatch {
-		return true
-	}
-	if q.waitDeadline(l.cfg.Admission.MaxWaitSec) <= l.now {
-		return true
-	}
-	return l.cfg.Admission.Preemption && q.minStartDeadline() <= l.now
+func (l *eventLoop) isRipe(q *classQueue) bool {
+	return len(q.reqs) >= l.cfg.Admission.MaxBatch ||
+		q.waitDeadline(l.cfg.Admission.MaxWaitSec) <= l.now ||
+		l.cfg.Admission.Preemption && q.minStartDeadline() <= l.now
 }
 
 // ripeQueues returns the dispatchable queues in scheduling order: priority
-// first, then oldest waiting head, then class key order.
+// first, then oldest waiting head, then class key order. The slice is valid
+// until the next call.
 func (l *eventLoop) ripeQueues() []*classQueue {
-	var qs []*classQueue
-	for _, q := range l.queues {
-		if len(q.reqs) > 0 && l.ripe(q) {
+	qs := l.ripe[:0]
+	for _, q := range l.qlist {
+		if len(q.reqs) > 0 && l.isRipe(q) {
 			qs = append(qs, q)
 		}
 	}
-	sort.Slice(qs, func(i, j int) bool {
-		a, b := qs[i], qs[j]
-		if a.key.priority != b.key.priority {
-			return a.key.priority > b.key.priority
-		}
-		if a.reqs[0].ArrivalSec != b.reqs[0].ArrivalSec {
-			return a.reqs[0].ArrivalSec < b.reqs[0].ArrivalSec
-		}
-		return a.key.cmp(b.key) < 0
+	slices.SortFunc(qs, func(a, b *classQueue) int {
+		return cmp.Or(
+			cmp.Compare(b.key.priority, a.key.priority),
+			cmp.Compare(a.reqs[0].ArrivalSec, b.reqs[0].ArrivalSec),
+			a.key.cmp(b.key),
+		)
 	})
+	l.ripe = qs
 	return qs
 }
 
@@ -690,37 +666,25 @@ func (l *eventLoop) tryDispatch() {
 	if !l.cfg.Admission.ContinuousBatching {
 		return
 	}
-	for {
-		if l.dispatchRetry() {
-			continue
-		}
-		placed := false
-		for _, q := range l.ripeQueues() {
-			n := len(q.reqs)
-			if n > l.cfg.Admission.MaxBatch {
-				n = l.cfg.Admission.MaxBatch
-			}
-			b := makeBatch(q.key, q.reqs[:n], l.now)
-			pl, feasible, _ := l.d.planIdle(b, l.now)
-			if pl.p < 0 {
-				if feasible {
-					continue // every feasible pipeline is busy or down: wait for a free/repair event
-				}
-				l.takeFromQueue(q, n)
-				l.failSlot(b, pl.reason)
-				placed = true
-				break
-			}
-			l.takeFromQueue(q, n)
-			s := l.commitSlot(b, pl)
-			l.push(event{at: s.finish, kind: evFree})
-			placed = true
-			break
-		}
-		if !placed {
-			return
-		}
+	for l.dispatchRetry() || l.dispatchQueue() {
 	}
+}
+
+// dispatchQueue starts (or fails, if no pipeline ever could take it) one
+// batch off the first ripe queue an idle pipeline can take, if any.
+func (l *eventLoop) dispatchQueue() bool {
+	for _, q := range l.ripeQueues() {
+		n := min(len(q.reqs), l.cfg.Admission.MaxBatch)
+		pl, feasible, _ := l.d.plan(q.key.class, n, l.now, true, l.now)
+		if pl.p < 0 && feasible {
+			continue // every feasible pipeline is busy or down: wait for a free/repair event
+		}
+		b := makeBatch(q.key, q.reqs[:n], l.now)
+		l.takeFromQueue(q, n)
+		l.startIdle(b, pl)
+		return true
+	}
+	return false
 }
 
 // dispatchRetry tries to place one batch off the pendingRetries list
@@ -733,27 +697,32 @@ func (l *eventLoop) dispatchRetry() bool {
 		if b.ReleaseSec < l.now {
 			b.ReleaseSec = l.now // parked since an earlier instant: re-release now
 		}
-		pl, feasible, _ := l.d.planIdle(b, l.now)
-		if pl.p < 0 {
-			if feasible {
-				continue
-			}
-			l.pendingRetries = append(l.pendingRetries[:i], l.pendingRetries[i+1:]...)
-			l.failSlot(b, pl.reason)
-			return true
+		pl, feasible, _ := l.d.plan(b.Class, len(b.JobIDs), b.ReleaseSec, true, l.now)
+		if pl.p < 0 && feasible {
+			continue
 		}
-		l.pendingRetries = append(l.pendingRetries[:i], l.pendingRetries[i+1:]...)
-		s := l.commitSlot(b, pl)
-		l.push(event{at: s.finish, kind: evFree})
+		l.pendingRetries = slices.Delete(l.pendingRetries, i, i+1)
+		l.startIdle(b, pl)
 		return true
 	}
 	return false
 }
 
+// startIdle settles a continuous-mode plan: start the batch and arm its
+// pipeline-free event, or fail it when no pipeline can ever place it.
+func (l *eventLoop) startIdle(b BatchJob, pl placement) {
+	if pl.p < 0 {
+		l.failSlot(b, pl.reason)
+		return
+	}
+	s := l.commitSlot(b, pl)
+	l.push(event{at: s.finish, kind: evFree})
+}
+
 // takeFromQueue removes the queue's n oldest requests and re-arms its
 // max-wait timer for the new head.
 func (l *eventLoop) takeFromQueue(q *classQueue, n int) {
-	q.reqs = append([]Request(nil), q.reqs[n:]...)
+	q.take(n)
 	l.cfg.Telemetry.onQueueDepth(q.key, len(q.reqs))
 	if len(q.reqs) > 0 {
 		dl := q.waitDeadline(l.cfg.Admission.MaxWaitSec)
@@ -761,7 +730,7 @@ func (l *eventLoop) takeFromQueue(q *classQueue, n int) {
 		if at < l.now {
 			at = l.now
 		}
-		l.push(event{at: at, kind: evTimeout, key: q.key, dl: dl})
+		l.push(event{at: at, kind: evTimeout, q: q, dl: dl})
 	}
 }
 
@@ -794,15 +763,16 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		inj = nil
 	}
 
-	sorted := make([]Request, len(reqs))
-	copy(sorted, reqs)
+	sorted := slices.Clone(reqs)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		if sorted[i].ArrivalSec != sorted[j].ArrivalSec {
 			return sorted[i].ArrivalSec < sorted[j].ArrivalSec
 		}
 		return sorted[i].ID < sorted[j].ID
 	})
-	for _, r := range sorted {
+	ids := make([]int, len(sorted))
+	for i, r := range sorted {
+		ids[i] = r.ID
 		if r.ArrivalSec < 0 || math.IsInf(r.ArrivalSec, 0) || math.IsNaN(r.ArrivalSec) {
 			return Summary{}, fmt.Errorf("cluster: arrival time %g for request %d is not finite and ≥ 0", r.ArrivalSec, r.ID)
 		}
@@ -811,6 +781,13 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		}
 		if r.DeadlineSec < 0 || math.IsInf(r.DeadlineSec, 0) || math.IsNaN(r.DeadlineSec) {
 			return Summary{}, fmt.Errorf("cluster: deadline %g for request %d is not finite and ≥ 0", r.DeadlineSec, r.ID)
+		}
+	}
+	// Summary accounting keys on request IDs, so they must be unique.
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return Summary{}, fmt.Errorf("cluster: request ID %d appears more than once in the trace", ids[i])
 		}
 	}
 
@@ -840,9 +817,7 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		inj:    inj,
 		retry:  cfg.Retry,
 		health: make([]pipeHealth, len(cfg.Fleet)),
-	}
-	for _, r := range sorted {
-		l.push(event{at: r.ArrivalSec, kind: evArrival, req: r})
+		trace:  sorted,
 	}
 	if inj != nil {
 		d.availAt = l.availAt
@@ -852,11 +827,12 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 				l.health[p].wear = endurance.NewBudget(budget)
 			}
 		}
-		for _, fe := range inj.FailStops() {
-			if fe.Pipeline >= len(cfg.Fleet) {
-				return Summary{}, fmt.Errorf("cluster: fault schedule targets pipeline %d of a %d-pipeline fleet", fe.Pipeline, len(cfg.Fleet))
+		fs := inj.FailStops()
+		for i := range fs {
+			if fs[i].Pipeline >= len(cfg.Fleet) {
+				return Summary{}, fmt.Errorf("cluster: fault schedule targets pipeline %d of a %d-pipeline fleet", fs[i].Pipeline, len(cfg.Fleet))
 			}
-			l.push(event{at: fe.AtSec, kind: evFault, pipe: fe.Pipeline, fault: fe})
+			l.push(event{at: fs[i].AtSec, kind: evFault, fault: &fs[i]})
 		}
 	}
 	l.run()
@@ -874,18 +850,17 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		if s.evicted {
 			continue
 		}
-		if s.pipe < 0 {
-			asgs = append(asgs, Assignment{Batch: s.b, Pipeline: -1, Reason: s.reason})
-			fracs = append(fracs, 0)
-			continue
-		}
-		asgs = append(asgs, Assignment{
+		// Failed slots (pipe -1) have no report, times or write fraction.
+		a := Assignment{
 			Batch: s.b, Pipeline: s.pipe,
 			StartSec: s.start, FinishSec: s.finish,
-			Report:  s.rep.rep,
 			Aborted: s.aborted, Reason: s.reason,
-		})
+		}
+		if s.rep != nil {
+			a.Report = *s.rep
+		}
+		asgs = append(asgs, a)
 		fracs = append(fracs, s.writeFrac)
 	}
-	return summarize(cfg, sorted, asgs, l.rejected, sorted[0].ArrivalSec, l.tally, l.ft, l.health, fracs), nil
+	return summarize(l, asgs, fracs), nil
 }

@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
+	"strings"
 
 	"repro/internal/faults"
 	"repro/internal/workload"
@@ -21,36 +22,33 @@ type queueKey struct {
 // class name, then shape. With a single priority class this degenerates to
 // the pre-priority ordering (name, input, output).
 func (k queueKey) cmp(o queueKey) int {
-	switch {
-	case k.priority != o.priority:
-		if k.priority > o.priority {
-			return -1
-		}
-		return 1
-	case k.class.Name != o.class.Name:
-		if k.class.Name < o.class.Name {
-			return -1
-		}
-		return 1
-	case k.class.Input != o.class.Input:
-		if k.class.Input < o.class.Input {
-			return -1
-		}
-		return 1
-	case k.class.Output != o.class.Output:
-		if k.class.Output < o.class.Output {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return cmp.Or(
+		cmp.Compare(o.priority, k.priority),
+		strings.Compare(k.class.Name, o.class.Name),
+		cmp.Compare(k.class.Input, o.class.Input),
+		cmp.Compare(k.class.Output, o.class.Output),
+	)
 }
 
 // classQueue is one per-priority-per-shape admission queue, FIFO in arrival
-// order.
+// order and consumed from the head. taken counts every request ever removed,
+// so a request admitted at position pos (taken + len(reqs) when it joined)
+// is still waiting exactly while pos ≥ taken.
 type classQueue struct {
-	key  queueKey
-	reqs []Request
+	key   queueKey
+	reqs  []Request
+	taken int
+}
+
+// take removes the n oldest requests by reslicing; a drained queue rewinds
+// onto its buffer (batches copy what they need out of reqs).
+func (q *classQueue) take(n int) {
+	q.taken += n
+	if n == len(q.reqs) {
+		q.reqs = q.reqs[:0]
+		return
+	}
+	q.reqs = q.reqs[n:]
 }
 
 // waitDeadline is when the oldest member's max-wait timeout fires.
@@ -89,27 +87,26 @@ const (
 	evFree
 )
 
-// event is one entry on the simulated-clock event heap.
+// event is one step of the simulated clock. It holds only scalars and
+// pointers, so sifting it through the heap moves a few words. Arrivals are
+// read off the sorted trace and never enter the heap (see
+// eventLoop.nextEvent).
 type event struct {
 	at   float64
 	kind int
 	seq  int     // creation order: the final deterministic tie-break
-	req  Request // evArrival, evDeadline: the request involved
-	key  queueKey
 	dl   float64 // evTimeout/evDone: the deadline/finish the event was armed for
-
-	pipe  int          // evFault, evRepair: the pipeline involved
-	fault faults.Event // evFault: the injected fault
-	b     BatchJob     // evRetry: the batch to re-place
-	s     *slot        // evDone: the slot whose finish this narrates
+	// idx is the trace index (evArrival), the request's admission position
+	// in q (evDeadline) or the pipeline (evRepair).
+	idx   int
+	q     *classQueue   // evTimeout, evDeadline
+	s     *slot         // evDone: the slot whose finish this narrates
+	b     *BatchJob     // evRetry: the batch to re-place
+	fault *faults.Event // evFault
 }
 
-// eventHeap is a min-heap over (time, kind, queue order, sequence).
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+// lessEvent orders events by (time, kind, queue order, sequence).
+func lessEvent(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -117,16 +114,48 @@ func (h eventHeap) Less(i, j int) bool {
 		return a.kind < b.kind
 	}
 	if a.kind == evTimeout {
-		// Simultaneous timeouts fire in queue order, matching the old
-		// fireExpired tie-break on the class shape key.
-		if c := a.key.cmp(b.key); c != 0 {
+		// Simultaneous timeouts fire in queue key order.
+		if c := a.q.key.cmp(b.q.key); c != 0 {
 			return c < 0
 		}
 	}
 	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *eventHeap) push(e event) { heap.Push(h, e) }
-func (h *eventHeap) pop() event   { return heap.Pop(h).(event) }
+
+// eventHeap is a binary min-heap under lessEvent. seq makes every key
+// distinct, so the pop order is a total order independent of the layout.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for ; i > 0 && lessEvent(&e, &s[(i-1)/2]); i = (i - 1) / 2 {
+		s[i] = s[(i-1)/2]
+	}
+	s[i] = e
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	s[n] = event{} // drop the pointers the vacated slot still holds
+	s = s[:n]
+	*h = s
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && lessEvent(&s[c+1], &s[c]) {
+			c++
+		}
+		if !lessEvent(&s[c], &last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = last
+	}
+	return top
+}

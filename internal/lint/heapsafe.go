@@ -10,11 +10,12 @@ import (
 )
 
 // HeapSafe protects the ordering invariant of internal/sim's indexed
-// min-heaps: once an item sits in a heap, the fields its comparison
-// functions read (Task.ready, Task.id, Resource.free, the candidate keys)
-// must only change on the heap's own maintenance paths — otherwise the heap
-// silently stops being a heap and the scheduler's earliest-start policy
-// decays into an arbitrary one.
+// min-heaps and internal/cluster's event heap: once an item sits in a heap,
+// the fields its comparison functions read (Task.ready, Task.id,
+// Resource.free, the candidate keys; event.at, kind, q and seq) must only
+// change on the heap's own maintenance paths — otherwise the heap silently
+// stops being a heap and the scheduler's earliest-start policy (or the
+// cluster's event order) decays into an arbitrary one.
 //
 // The analyzer discovers the ordering fields from the package itself: every
 // field a comparison function (name starting with "less", or the candidate
@@ -35,7 +36,7 @@ var HeapSafe = &analysis.Analyzer{
 		"Mutating a key field of an item inside an indexed min-heap without\n" +
 		"re-heapifying breaks the heap invariant silently; the scheduler then runs\n" +
 		"tasks in a wrong but plausible order.",
-	Packages: []string{"internal/sim"},
+	Packages: []string{"internal/sim", "internal/cluster"},
 	Run:      runHeapSafe,
 }
 

