@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/backlog_golden.json from the current Backlog")
+var update = flag.Bool("update", false, "rewrite testdata/backlog_golden.json and testdata/report_digests.txt from the current code")
 
 // backlogGolden pins one Backlog summary. Floats are recorded with %.17g, so
 // every value round-trips exactly.
