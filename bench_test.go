@@ -399,7 +399,7 @@ func schedulerWorkload(b *testing.B, run func(e *sim.Engine) sim.Result, timelin
 		e.RecordTimeline(timeline)
 		r1 := e.Resource("a", 10)
 		r2 := e.Resource("b", 5)
-		var prev *sim.Task
+		var prev sim.Task
 		for l := 0; l < 2500; l++ {
 			t1 := e.Task("x", r1, 3, prev)
 			prev = e.Task("y", r2, 2, t1)
@@ -426,20 +426,19 @@ func BenchmarkSchedulerNoTimeline(b *testing.B) {
 }
 
 // BenchmarkScheduler1M pushes the event-driven scheduler to a 1M-task DAG
-// (the per-token granularity of a 1M-token decode timeline): slab-allocated
-// tasks (Engine.Grow), timeline recording off. One op builds and schedules
-// the full graph; completing at all is the point — the O(n²) reference
-// would take hours here.
+// (the per-token granularity of a 1M-token decode timeline), timeline
+// recording off. One op builds and schedules the full graph in a pooled
+// arena; completing at all is the point — the O(n²) reference would take
+// hours here.
 func BenchmarkScheduler1M(b *testing.B) {
 	const pairs = 1 << 19 // 2 tasks per pair = 1,048,576 tasks
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
 		e.RecordTimeline(false)
-		e.Grow(2 * pairs)
 		r1 := e.Resource("a", 10)
 		r2 := e.Resource("b", 5)
-		var prev *sim.Task
+		var prev sim.Task
 		for l := 0; l < pairs; l++ {
 			t1 := e.Task("x", r1, 3, prev)
 			prev = e.Task("y", r2, 2, t1)

@@ -184,21 +184,27 @@
 //
 // Every simulation bottoms out in internal/sim's Engine.Run, which
 // schedules the per-step task graph with a dependency-counting event loop
-// over indexed min-heaps: tasks become ready when their last dependency
-// finishes, each resource keeps its ready tasks in (earliest-start, id)
-// heaps, and a global candidate heap picks the next task — O((n+m)·log n)
-// for n tasks and m edges. The original O(n²) rescanning list scheduler is
+// over min-heaps: tasks become ready when their last dependency finishes,
+// each resource keeps its ready tasks in (earliest-start, id) heaps, and the
+// earliest of the resources' head candidates runs next — O((n+m)·log n +
+// n·R) for n tasks, m edges and R resources (a handful per graph). The original O(n²) rescanning list scheduler is
 // retained as Engine.RunReference; a property test runs random DAGs
 // (barriers, pure-latency delays, fan-in/fan-out) through both and requires
 // bit-identical Results, so the rewrite is a pure speedup (≈17x at 5,000
-// tasks, see BENCH_PR4.json). Simulations whose timelines nobody reads can
-// call Engine.RecordTimeline(false) to skip the per-task TaskRecord append,
-// and graph builders that know their size can call Engine.Grow(n) to draw
-// the next n tasks from one preallocated slab. Together these carry the
-// scheduler to million-task DAGs — the per-token granularity of a 1M-token
-// decode timeline: BenchmarkScheduler1M builds and schedules a
-// 1,048,576-task graph per op (about a second on a laptop core, where the
-// O(n²) reference would take hours).
+// tasks, see BENCH_PR4.json). The graph lives in a pointer-free arena each
+// Engine takes from a sync.Pool: task nodes, dependency edges as int32 ids,
+// successor lists in one compressed-sparse-row array built by Run, per-label
+// busy sums and per-resource ready heaps of int32 ids. A sim.Task is a value
+// handle — the task's id — and schedule times are read back through
+// Result.Start and Result.Finish. Run returns the arena to the pool before
+// it returns, so building and scheduling a decode-step graph allocates
+// little beyond the Result, and the garbage collector has almost nothing to
+// scan. Simulations whose timelines nobody reads can call
+// Engine.RecordTimeline(false) to skip the per-task TaskRecord. The same
+// machinery carries the scheduler to million-task DAGs — the per-token
+// granularity of a 1M-token decode timeline: BenchmarkScheduler1M builds
+// and schedules a 1,048,576-task graph per op, where the O(n²) reference
+// would take hours.
 //
 // The functional attention kernels follow the accelerator's true block
 // dataflow: Blocked/GQA/TopKBlocks reduce each K/V block's local softmax
@@ -440,7 +446,8 @@
 //     `// guarded by <mu>` (repcache's cache and entries, the engine
 //     registry) is only touched with the named mutex held — RLock suffices
 //     for reads, never for writes. Heap-ordering fields of internal/sim's
-//     indexed min-heaps (Task.ready, Task.id, Resource.free) and of
+//     min-heaps (a task node's ready time, a resource queue's free time and
+//     heaps, the candidate keys) and of
 //     internal/cluster's event heap (event.at, kind, q, seq) change only on
 //     the heap's own Fix/Push/Pop paths, or with a re-heapify call following
 //     in the same function. Code with no mutex at all — the experiment

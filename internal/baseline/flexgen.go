@@ -126,13 +126,13 @@ func (v FlexVariant) Run(tb device.Testbed, req pipeline.Request) pipeline.Repor
 	entryChunk := int64(m.HeadDim()) * model.BytesPerElem
 	waf := v.SSD.WriteAmplification(entryChunk)
 
-	var prevMLP, prevAttn *sim.Task
-	var kvWrites []*sim.Task
+	var prevMLP, prevAttn sim.Task
+	var kvWrites []sim.Task
 	for l := 0; l < m.Layers; l++ {
 		// Weight loads (prefetched; resource order pipelines them).
 		wABytes := float64(m.AttnWeightBytesPerLayer())
 		wMBytes := float64(m.MLPActiveWeightBytesPerLayer(l))
-		var wA, wM *sim.Task
+		var wA, wM sim.Task
 		if weightsOnSSD {
 			sA := e.Task(pipeline.LabelLoadWeight, storRead, wABytes)
 			wA = e.Task(pipeline.LabelLoadWeight, gpuLink, wABytes, sA)
@@ -148,7 +148,7 @@ func (v FlexVariant) Run(tb device.Testbed, req pipeline.Request) pipeline.Repor
 			wA, prevMLP)
 
 		// KV path.
-		var attn *sim.Task
+		var attn sim.Task
 		attnSec := kvLayerBytes / tb.CPUAttnBW
 		if v.KV == KVOnSSD {
 			demand := kvLayerBytes / tb.KVReadDerate
@@ -176,11 +176,11 @@ func (v FlexVariant) Run(tb device.Testbed, req pipeline.Request) pipeline.Repor
 				e.Task(pipeline.LabelStoreKV, storWrite, newKVBytes*waf, qkv))
 		}
 	}
-	deps := append([]*sim.Task{prevMLP}, kvWrites...)
+	deps := append([]sim.Task{prevMLP}, kvWrites...)
 	barrier := e.Barrier("step", deps...)
 	res := e.Run()
 
-	rep.StepSec = barrier.Finish()
+	rep.StepSec = res.Finish(barrier)
 	rep.Breakdown = res.ByLabel
 	rep.ResourceBusy = res.ResourceBusy
 	rep.Trace = res.Tasks

@@ -97,12 +97,12 @@ func (e instEngine) Run(req pipeline.Request) pipeline.Report {
 	}
 	storWrite := e2.Resource(pipeline.ResStorWrite, wbw)
 
-	var prevMLP *sim.Task
-	var commits []*sim.Task
+	var prevMLP sim.Task
+	var commits []sim.Task
 	for l := 0; l < m.Layers; l++ {
 		wABytes := float64(m.AttnWeightBytesPerLayer())
 		wMBytes := float64(m.MLPActiveWeightBytesPerLayer(l))
-		var wA, wM *sim.Task
+		var wA, wM sim.Task
 		if weightsOnSSD {
 			sA := e2.Task(pipeline.LabelLoadWeight, uplink, wABytes)
 			wA = e2.Task(pipeline.LabelLoadWeight, gpuLink, wABytes, sA)
@@ -145,10 +145,10 @@ func (e instEngine) Run(req pipeline.Request) pipeline.Report {
 		prevMLP = mlp
 	}
 
-	barrier := e2.Barrier("step", append([]*sim.Task{prevMLP}, commits...)...)
+	barrier := e2.Barrier("step", append([]sim.Task{prevMLP}, commits...)...)
 	res := e2.Run()
 
-	rep.StepSec = barrier.Finish()
+	rep.StepSec = res.Finish(barrier)
 	rep.Breakdown = res.ByLabel
 	rep.ResourceBusy = res.ResourceBusy
 	rep.Trace = res.Tasks

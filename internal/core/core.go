@@ -217,12 +217,12 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 		PageBytes:     tb.SmartSSD.SSD.PageBytes,
 	}
 
-	var prevMLP *sim.Task
-	var commits []*sim.Task
+	var prevMLP sim.Task
+	var commits []sim.Task
 	for l := 0; l < m.Layers; l++ {
 		wABytes := float64(m.AttnWeightBytesPerLayer())
 		wMBytes := float64(m.MLPActiveWeightBytesPerLayer(l))
-		var wA, wM *sim.Task
+		var wA, wM sim.Task
 		if weightsOnSSD {
 			sA := e.Task(pipeline.LabelLoadWeight, uplink, wABytes)
 			wA = e.Task(pipeline.LabelLoadWeight, gpuLink, wABytes, sA)
@@ -273,7 +273,7 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 
 		// Without delayed writeback the committed bytes also occupy the
 		// write path with full sub-page amplification.
-		ansDeps := []*sim.Task{scatter}
+		ansDeps := []sim.Task{scatter}
 		if !opt.DelayedWriteback && (1-alpha) > 0 {
 			phys := (1 - alpha) * newKVBytes * wbCfg.NaiveWAF()
 			commit := e.Task(pipeline.LabelStoreKV, nspWrite, phys, disp)
@@ -282,7 +282,7 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 		}
 
 		// Host CPU precompute of buffered-token partial scores (§4.3).
-		var cpuPartial *sim.Task
+		var cpuPartial sim.Task
 		if opt.DelayedWriteback {
 			flops := (1 - alpha) * float64(bs*m.Heads) * float64(opt.SpillInterval) * 2 * float64(m.HeadDim())
 			cpuPartial = e.Task(pipeline.LabelCompute, cpu, flops/tb.CPU.EffFLOPS, qkv)
@@ -299,7 +299,7 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 		// the GDS path, and is consumed chunk-pipelined by the GPU
 		// regeneration+attention kernel (its latency "effectively hidden",
 		// §4.2). All three run in parallel once the layer is dispatched.
-		var xFlash, xGDS, xTask *sim.Task
+		var xFlash, xGDS, xTask sim.Task
 		if alpha > 0 {
 			xFlash = e.Task(pipeline.LabelXCache, flash, alpha*xLayerBytes, disp)
 			xGDS = e.Task(pipeline.LabelXCache, gds, alpha*xLayerBytes, disp)
@@ -331,9 +331,9 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 		physWrites += alpha * newXBytes * float64(m.Layers)
 	}
 
-	barrier := e.Barrier("step", append([]*sim.Task{prevMLP}, commits...)...)
+	barrier := e.Barrier("step", append([]sim.Task{prevMLP}, commits...)...)
 	res := e.Run()
-	return barrier.Finish(), res.ByLabel, res.ResourceBusy, physWrites, res.Tasks
+	return res.Finish(barrier), res.ByLabel, res.ResourceBusy, physWrites, res.Tasks
 }
 
 func hostDRAMUtil(tb device.Testbed, m model.Config, bs int, opt Options) float64 {

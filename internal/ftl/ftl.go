@@ -112,6 +112,7 @@ type Device struct {
 	openBlock int // block currently receiving writes
 	nextPage  int // next page index within the open block
 	freeBlks  []int
+	live      []int // GC relocation scratch stack (see collect)
 
 	// seqNext tracks, per logical block, the next expected page of an
 	// in-flight sequential rewrite (block-level mapping absorbs sequential
@@ -260,25 +261,31 @@ func (d *Device) collect() {
 		panic("ftl: GC cannot make progress; increase overprovisioning")
 	}
 	// Relocate valid pages: they are appended after the erase returns the
-	// block to the pool, so first gather them.
-	var live []int
+	// block to the pool, so first gather them. Relocation can re-enter
+	// collect (program → advanceBlock → collect), so each call pushes its
+	// pages onto the tail of the device's scratch stack and truncates back
+	// to its entry length on return.
+	base := len(d.live)
 	for i := 0; i < d.pagesPerBlk; i++ {
 		pp := victim*d.pagesPerBlk + i
 		if d.pageState[pp] == 1 {
-			live = append(live, d.owner[pp])
+			d.live = append(d.live, d.owner[pp])
 		}
 		d.pageState[pp] = 0
 		d.owner[pp] = -1
 	}
+	end := len(d.live)
 	d.blockValid[victim] = 0
 	d.programmed[victim] = 0
 	d.erases++
 	d.freeBlks = append(d.freeBlks, victim)
-	for _, lp := range live {
+	for i := base; i < end; i++ {
+		lp := d.live[i]
 		// Relocation writes are flash writes but not host writes.
 		d.l2p[lp] = -1 // avoid double-invalidation (old page already freed)
 		d.program(lp)
 	}
+	d.live = d.live[:base]
 }
 
 // blockRMW rewrites the whole logical block containing lp (block-level

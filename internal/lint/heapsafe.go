@@ -9,10 +9,10 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// HeapSafe protects the ordering invariant of internal/sim's indexed
+// HeapSafe protects the ordering invariant of internal/sim's
 // min-heaps and internal/cluster's event heap: once an item sits in a heap,
-// the fields its comparison functions read (Task.ready, Task.id,
-// Resource.free, the candidate keys; event.at, kind, q and seq) must only
+// the fields its comparison functions read (node.ready, a queue's free time
+// and heaps, the candidate keys; event.at, kind, q and seq) must only
 // change on the heap's own maintenance paths — otherwise the heap silently
 // stops being a heap and the scheduler's earliest-start policy (or the
 // cluster's event order) decays into an arbitrary one.
@@ -27,9 +27,8 @@ import (
 //   - elsewhere, assignments that are re-heapified afterwards in the same
 //     function — a later call to fix/push/pop/enqueue (any case).
 //
-// Everything else is reported. Code that predates the heaps and never
-// stores items in one (e.g. the retained O(n²) reference scheduler)
-// documents that with //lint:allow heapsafe <reason>.
+// Everything else is reported. Code that deliberately mutates a key outside
+// those paths documents that with //lint:allow heapsafe <reason>.
 var HeapSafe = &analysis.Analyzer{
 	Name: "heapsafe",
 	Doc: "forbid mutating heap-ordering fields outside the heap's Fix/Push/Pop paths\n\n" +

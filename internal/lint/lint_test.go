@@ -2,6 +2,10 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/types"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -90,6 +94,44 @@ func TestWorkerPoolFixture(t *testing.T) { checkFixture(t, SimDeterminism, "work
 func TestFloatAccumFixture(t *testing.T) { checkFixture(t, FloatAccum, "floataccum") }
 func TestGuardedByFixture(t *testing.T)  { checkFixture(t, GuardedBy, "guardedby") }
 func TestHeapSafeFixture(t *testing.T)   { checkFixture(t, HeapSafe, "heapsafe") }
+
+// TestHeapSafeGuardsSimNodes checks the rule on the real scheduler rather
+// than a fixture: internal/sim keeps its ready heaps as task ids into an
+// arena of nodes, and a write to a node's ready time outside the heap file
+// must still be reported. The mutation is injected as an extra file,
+// type-checked into the loaded package.
+func TestHeapSafeGuardsSimNodes(t *testing.T) {
+	res, err := load.Load("../..", "./internal/sim")
+	if err != nil {
+		t.Fatalf("load internal/sim: %v", err)
+	}
+	pkg := res.Packages[0]
+	const src = `package sim
+
+func retime(n *node, at Time) {
+	n.ready = at
+}
+`
+	f, err := parser.ParseFile(res.Fset, filepath.Join(pkg.Dir, "injected.go"), src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := types.NewChecker(&types.Config{}, res.Fset, pkg.Types, pkg.TypesInfo).Files([]*ast.File{f}); err != nil {
+		t.Fatalf("type-check injected file: %v", err)
+	}
+	pkg.Files = append(pkg.Files, f)
+	diags, err := Run(res, []*analysis.Analyzer{HeapSafe}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || !strings.HasSuffix(res.Fset.Position(diags[0].Pos).Filename, "injected.go") ||
+		!strings.Contains(diags[0].Message, "field ready mutated") {
+		for _, d := range diags {
+			t.Logf("%s: %s", res.Fset.Position(d.Pos), d.Message)
+		}
+		t.Fatalf("got %d diagnostics, want one for the injected node.ready write", len(diags))
+	}
+}
 
 // TestPackageScopeSuppression checks that a //lint:allow in the package doc
 // silences the whole package: the fixture contains violations but no wants.

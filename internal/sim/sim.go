@@ -13,8 +13,19 @@
 // ready task that can start earliest runs next on its resource. Ties break on
 // creation order, making every simulation fully deterministic.
 //
-// Run implements that policy as a dependency-counting event loop over
-// indexed min-heaps (O((n+m)·log n) for n tasks and m edges); RunReference
+// A Task is a small value handle: its creation id within one Engine. The
+// graph itself lives in a pointer-free arena the Engine takes from a pool —
+// task nodes, dependency edges and per-label sums in flat slices — and Run
+// returns the arena to the pool before it returns, so building and
+// scheduling a graph allocates little beyond the Result. Schedule times are
+// read from the Result (Result.Start, Result.Finish). Handles and resources
+// remember their engine, and using one with another engine panics. Because
+// a dependency must exist before its dependents, every graph is acyclic by
+// construction.
+//
+// Run implements the policy as a dependency-counting event loop over
+// per-resource min-heaps (O((n+m)·log n + n·R) for n tasks, m edges and R
+// resources); RunReference
 // retains the original O(n²) rescanning list scheduler. Both produce
 // bit-identical Results — a property the equivalence tests fuzz on random
 // DAGs — so Run is a pure performance upgrade.
@@ -22,7 +33,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Time is simulated time in seconds.
@@ -32,133 +45,127 @@ type Time = float64
 // channel, a GPU, a CPU, an accelerator. Rate is in units/second.
 type Resource struct {
 	Name string
-	Rate float64 // demand units per second; must be > 0
+	Rate float64 // demand units per second; finite and > 0
 
-	free Time // next instant the resource is available
-	busy Time // accumulated busy time
-
-	// Event-loop scheduling state (see heap.go). waiting holds ready tasks
-	// whose dependency-ready time is still ahead of free, ordered by
-	// (ready, id); runnable holds tasks that could start the moment the
-	// resource frees up, ordered by id. pos is this resource's slot in the
-	// global candidate heap (-1 when absent).
-	waiting  taskHeap
-	runnable taskHeap
-	pos      int
+	eng  uint32 // serial of the owning Engine
+	idx  int32  // registration index
+	busy Time   // accumulated busy time, set by Run
 }
 
 // Busy returns the total time this resource spent executing tasks.
 func (r *Resource) Busy() Time { return r.busy }
 
-// Task is a unit of simulated work.
+// Task is a handle to one unit of simulated work in one Engine. The zero
+// Task means "no task" and is ignored as a dependency, which simplifies
+// conditional pipeline construction.
 type Task struct {
-	Label  string    // breakdown category, e.g. "LoadKVCache"
-	Res    *Resource // nil for pure-latency tasks (unlimited parallelism)
-	Demand float64   // units of Res consumed
-	Fixed  Time      // fixed latency added to the service time
-
-	id            int
-	deps          []*Task
-	start, finish Time
-	done          bool
-
-	// Event-loop scheduling state (see heap.go).
-	succ    []*Task // dependents discovered during Run
-	waiting int     // unfinished dependencies
-	ready   Time    // max finish over completed dependencies
+	eng uint32 // serial of the owning Engine; 0 for the zero Task
+	id  int32  // creation index within the engine
 }
 
-// Start returns the scheduled start time. Valid after Engine.Run.
-func (t *Task) Start() Time { return t.start }
+// serials numbers engines so handles and resources can be traced to the
+// engine that made them; 0 is reserved for the zero Task.
+var serials atomic.Uint32
 
-// Finish returns the scheduled completion time. Valid after Engine.Run.
-func (t *Task) Finish() Time { return t.finish }
-
-// Duration returns the service time of the task.
-func (t *Task) Duration() Time { return t.finish - t.start }
-
-// Engine accumulates resources and tasks and schedules them.
+// Engine accumulates resources and tasks and schedules them once.
 type Engine struct {
+	serial    uint32
 	resources []*Resource
-	tasks     []*Task
-	ran       bool
+	a         *arena // nil once Run has returned it to the pool
 	noRecords bool
 	tel       *Telemetry
-
-	// slab is preallocated task storage (see Grow). Tasks hold pointers into
-	// it, so a slab is never resized — Grow replaces it wholesale and Task
-	// falls back to individual allocation once it is consumed.
-	slab     []Task
-	slabNext int
 }
 
 // NewEngine returns an empty simulation.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	s := serials.Add(1)
+	for s == 0 {
+		s = serials.Add(1)
+	}
+	return &Engine{serial: s, a: arenas.Get().(*arena)}
+}
 
 // RecordTimeline controls whether Run appends a TaskRecord per scheduled
 // task to Result.Tasks (the default). Large simulations whose timelines
-// nobody reads can opt out to skip the per-task allocation; Makespan,
-// ByLabel and ResourceBusy are unaffected.
+// nobody reads can opt out to skip the per-task record; Makespan, ByLabel
+// and ResourceBusy are unaffected.
 func (e *Engine) RecordTimeline(on bool) { e.noRecords = !on }
+
+// live returns the engine's arena, panicking once Run has consumed it.
+func (e *Engine) live(op string) *arena {
+	if e.a == nil {
+		panic(fmt.Sprintf("sim: %s on an engine that already ran", op))
+	}
+	return e.a
+}
+
+// finite reports whether v is a finite number ≥ 0 (false for NaN).
+func finite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Resource registers a resource with the given service rate (units/second).
 func (e *Engine) Resource(name string, rate float64) *Resource {
-	if rate <= 0 {
-		panic(fmt.Sprintf("sim: resource %q rate must be positive, got %g", name, rate))
+	if !finite(rate) || rate == 0 {
+		panic(fmt.Sprintf("sim: resource %q rate must be finite and positive, got %g", name, rate))
 	}
-	r := &Resource{Name: name, Rate: rate}
+	r := &Resource{Name: name, Rate: rate, eng: e.serial, idx: int32(len(e.resources))}
 	e.resources = append(e.resources, r)
 	return r
 }
 
-// Grow preallocates storage for the next n Task/Delay/Barrier calls in one
-// slab, cutting task construction to a slab index bump. Million-task DAGs
-// (the 1M-token decode timelines the scheduler benchmarks exercise) spend
-// more time in the allocator than the scheduler without it. Growing again
-// replaces the slab; tasks already handed out keep pointing into the old
-// one. Scheduling results are identical with or without Grow.
-func (e *Engine) Grow(n int) {
-	if n <= 0 {
-		return
+// Task adds a task that consumes demand units of r (nil for a task that
+// contends with nothing) after all deps finish. Zero deps are ignored.
+func (e *Engine) Task(label string, r *Resource, demand float64, deps ...Task) Task {
+	if !finite(demand) {
+		panic(fmt.Sprintf("sim: task %q demand must be finite and non-negative, got %g", label, demand))
 	}
-	e.slab = make([]Task, n)
-	e.slabNext = 0
-}
-
-// Task adds a task that consumes demand units of r after all deps finish.
-// Nil deps are ignored, which simplifies conditional pipeline construction.
-func (e *Engine) Task(label string, r *Resource, demand float64, deps ...*Task) *Task {
-	if demand < 0 {
-		panic(fmt.Sprintf("sim: negative demand %g for %q", demand, label))
-	}
-	var t *Task
-	if e.slabNext < len(e.slab) {
-		t = &e.slab[e.slabNext]
-		e.slabNext++
-		*t = Task{Label: label, Res: r, Demand: demand, id: len(e.tasks)}
-	} else {
-		t = &Task{Label: label, Res: r, Demand: demand, id: len(e.tasks)}
-	}
-	for _, d := range deps {
-		if d != nil {
-			t.deps = append(t.deps, d)
-		}
-	}
-	e.tasks = append(e.tasks, t)
-	return t
+	return e.add(label, r, demand, 0, deps)
 }
 
 // Delay adds a pure-latency task (no resource contention) of duration d.
-func (e *Engine) Delay(label string, d Time, deps ...*Task) *Task {
-	t := e.Task(label, nil, 0, deps...)
-	t.Fixed = d
-	return t
+func (e *Engine) Delay(label string, d Time, deps ...Task) Task {
+	if !finite(d) {
+		panic(fmt.Sprintf("sim: delay %q must be finite and non-negative, got %g", label, d))
+	}
+	return e.add(label, nil, 0, d, deps)
 }
 
 // Barrier adds a zero-duration task depending on all deps; use it to join
 // fan-out stages.
-func (e *Engine) Barrier(label string, deps ...*Task) *Task {
-	return e.Task(label, nil, 0, deps...)
+func (e *Engine) Barrier(label string, deps ...Task) Task {
+	return e.add(label, nil, 0, 0, deps)
+}
+
+func (e *Engine) add(label string, r *Resource, demand float64, fixed Time, deps []Task) Task {
+	a := e.live("Task")
+	n := node{demand: demand, fixed: fixed, res: -1, label: a.intern(label), dep0: int32(len(a.deps))}
+	if r != nil {
+		if r.eng != e.serial {
+			panic(fmt.Sprintf("sim: task %q uses resource %q of another engine", label, r.Name))
+		}
+		n.res = r.idx
+	}
+	for _, d := range deps {
+		if d.eng != e.serial {
+			if d.eng == 0 {
+				continue
+			}
+			panic(fmt.Sprintf("sim: task %q depends on a task of another engine", label))
+		}
+		a.deps = append(a.deps, d.id)
+	}
+	n.ndep = int32(len(a.deps)) - n.dep0
+	a.nodes = append(a.nodes, n)
+	return Task{eng: e.serial, id: int32(len(a.nodes) - 1)}
+}
+
+// service is a task's service time: its fixed latency plus its demand at
+// its resource's rate.
+func (e *Engine) service(n *node) Time {
+	d := n.fixed
+	if n.res >= 0 {
+		d += n.demand / e.resources[n.res].Rate
+	}
+	return d
 }
 
 // TaskRecord is one scheduled task, for timeline export and debugging.
@@ -179,6 +186,27 @@ type Result struct {
 	ResourceBusy map[string]Time
 	// Tasks records every scheduled task in scheduling order.
 	Tasks []TaskRecord
+
+	eng   uint32
+	spans []span // indexed by task id
+}
+
+// span is one task's scheduled interval.
+type span struct{ start, finish Time }
+
+// Start returns the scheduled start time of t, a task of the engine that
+// produced r.
+func (r Result) Start(t Task) Time { return r.span(t).start }
+
+// Finish returns the scheduled completion time of t, a task of the engine
+// that produced r.
+func (r Result) Finish(t Task) Time { return r.span(t).finish }
+
+func (r Result) span(t Task) span {
+	if t.eng == 0 || t.eng != r.eng {
+		panic("sim: task handle does not belong to the engine that produced this Result")
+	}
+	return r.spans[t.id]
 }
 
 // Utilization returns busy/makespan for the named resource, in [0,1].
@@ -212,135 +240,66 @@ func (r Result) LabelShare(label string) float64 {
 
 // RunReference schedules every task with the original O(n²) list scheduler:
 // every step rescans all pending tasks for the one that can start earliest.
-// It is retained verbatim as the behavioral reference for Run — the
-// equivalence tests assert both produce identical Results on random DAGs —
-// and as the baseline the scheduler benchmarks measure speedups against.
-// Like Run, it may be called once per Engine and panics on cycles.
-//
-//lint:allow heapsafe predates the heaps and never stores tasks in one; Res.free is its own bookkeeping
+// It is retained as the behavioral reference for Run — the equivalence
+// tests assert both produce identical Results on random DAGs — and as the
+// baseline the scheduler benchmarks measure speedups against. Like Run, it
+// may be called once per Engine.
 func (e *Engine) RunReference() Result {
-	if e.ran {
-		panic("sim: Run called twice")
-	}
-	e.ran = true
-	tel := e.telemetrySink()
-
-	pending := make([]*Task, len(e.tasks))
-	copy(pending, e.tasks)
-	// Stable order by id so tie-breaks are deterministic.
-	sort.Slice(pending, func(i, j int) bool { return pending[i].id < pending[j].id })
-
-	res := Result{
-		ByLabel:      make(map[string]Time),
-		ResourceBusy: make(map[string]Time),
-	}
-	remaining := len(pending)
-	for remaining > 0 {
-		best := -1
-		var bestStart Time
-		for i, t := range pending {
-			if t == nil || !depsDone(t) {
+	p := e.begin()
+	nodes, deps, spans := p.a.nodes, p.a.deps, p.res.spans
+	free := make([]Time, len(e.resources))
+	done := make([]bool, len(nodes))
+	for remaining := len(nodes); remaining > 0; remaining-- {
+		pick := -1
+		var pickStart Time
+	scan:
+		for i := range nodes {
+			if done[i] {
 				continue
 			}
-			s := readyTime(t)
-			if t.Res != nil && t.Res.free > s {
-				s = t.Res.free
+			n := &nodes[i]
+			var s Time
+			for _, d := range deps[n.dep0 : n.dep0+n.ndep] {
+				if !done[d] {
+					continue scan
+				}
+				if f := spans[d].finish; f > s {
+					s = f
+				}
 			}
-			if best == -1 || s < bestStart {
-				best, bestStart = i, s
+			if n.res >= 0 && free[n.res] > s {
+				s = free[n.res]
+			}
+			if pick == -1 || s < pickStart {
+				pick, pickStart = i, s
 			}
 		}
-		if best == -1 {
-			panic("sim: dependency cycle or unschedulable task")
-		}
-		t := pending[best]
-		pending[best] = nil
-		remaining--
-
-		dur := t.Fixed
-		if t.Res != nil {
-			dur += t.Demand / t.Res.Rate
-		}
-		t.start = bestStart
-		t.finish = bestStart + dur
-		t.done = true
-		if t.Res != nil {
-			t.Res.free = t.finish
-			t.Res.busy += dur
-		}
-		res.ByLabel[t.Label] += dur
-		if t.finish > res.Makespan {
-			res.Makespan = t.finish
-		}
-		if !e.noRecords {
-			resName := ""
-			if t.Res != nil {
-				resName = t.Res.Name
-			}
-			res.Tasks = append(res.Tasks, TaskRecord{
-				Label: t.Label, Resource: resName, Start: t.start, Finish: t.finish,
-			})
-		}
-		if tel != nil {
-			tel.observeTask(t)
+		done[pick] = true
+		finish := p.place(int32(pick), pickStart)
+		if r := nodes[pick].res; r >= 0 {
+			free[r] = finish
 		}
 	}
-	for _, r := range e.resources {
-		res.ResourceBusy[r.Name] = r.busy
-	}
-	if tel != nil {
-		tel.observeRun(e, res.Makespan)
-	}
-	return res
-}
-
-func depsDone(t *Task) bool {
-	for _, d := range t.deps {
-		if !d.done {
-			return false
-		}
-	}
-	return true
-}
-
-func readyTime(t *Task) Time {
-	var r Time
-	for _, d := range t.deps {
-		if d.finish > r {
-			r = d.finish
-		}
-	}
-	return r
+	return p.end()
 }
 
 // CriticalPath returns the longest dependency-only path length (ignoring
 // resource contention); Run's makespan can never be shorter. Useful as a
-// test invariant.
+// test invariant. It must be called before Run.
 func (e *Engine) CriticalPath() Time {
-	memo := make(map[*Task]Time, len(e.tasks))
-	var longest func(t *Task) Time
-	longest = func(t *Task) Time {
-		if v, ok := memo[t]; ok {
-			return v
-		}
+	a := e.live("CriticalPath")
+	longest := make([]Time, len(a.nodes))
+	var cp Time
+	for i := range a.nodes {
 		var in Time
-		for _, d := range t.deps {
-			if l := longest(d); l > in {
-				in = l
+		for _, d := range a.depsOf(&a.nodes[i]) {
+			if longest[d] > in {
+				in = longest[d]
 			}
 		}
-		dur := t.Fixed
-		if t.Res != nil {
-			dur += t.Demand / t.Res.Rate
-		}
-		v := in + dur
-		memo[t] = v
-		return v
-	}
-	var cp Time
-	for _, t := range e.tasks {
-		if l := longest(t); l > cp {
-			cp = l
+		longest[i] = in + e.service(&a.nodes[i])
+		if longest[i] > cp {
+			cp = longest[i]
 		}
 	}
 	return cp

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -55,8 +57,8 @@ func TestDependencyChain(t *testing.T) {
 	if res.Makespan != 3.5 {
 		t.Errorf("chain makespan = %v, want 3.5", res.Makespan)
 	}
-	if c.Start() != 3 || c.Finish() != 3.5 {
-		t.Errorf("delay scheduled at [%v,%v], want [3,3.5]", c.Start(), c.Finish())
+	if res.Start(c) != 3 || res.Finish(c) != 3.5 {
+		t.Errorf("delay scheduled at [%v,%v], want [3,3.5]", res.Start(c), res.Finish(c))
 	}
 }
 
@@ -66,16 +68,14 @@ func TestPipelineOverlap(t *testing.T) {
 	e := NewEngine()
 	r1 := e.Resource("s1", 1)
 	r2 := e.Resource("s2", 1)
-	var prev *Task
 	for i := 0; i < 3; i++ {
 		a := e.Task("stage1", r1, 1)
-		prev = e.Task("stage2", r2, 1, a)
+		e.Task("stage2", r2, 1, a)
 	}
 	res := e.Run()
 	if res.Makespan != 4 {
 		t.Errorf("pipeline makespan = %v, want 4", res.Makespan)
 	}
-	_ = prev
 }
 
 func TestBarrierJoins(t *testing.T) {
@@ -92,10 +92,13 @@ func TestBarrierJoins(t *testing.T) {
 	}
 }
 
+// TestNilDepsIgnored: the zero Task stands for "no task" and is skipped as a
+// dependency.
 func TestNilDepsIgnored(t *testing.T) {
 	e := NewEngine()
 	r := e.Resource("r", 1)
-	e.Task("a", r, 1, nil, nil)
+	var none Task
+	e.Task("a", r, 1, none, Task{})
 	res := e.Run()
 	if res.Makespan != 1 {
 		t.Errorf("makespan = %v, want 1", res.Makespan)
@@ -113,10 +116,10 @@ func TestMakespanAtLeastCriticalPath(t *testing.T) {
 		for i := range rs {
 			rs[i] = e.Resource("r", 1+rng.Float64()*9)
 		}
-		var tasks []*Task
+		var tasks []Task
 		perRes := make([]float64, nres)
 		for i := 0; i < 40; i++ {
-			var deps []*Task
+			var deps []Task
 			for _, prev := range tasks {
 				if rng.Float64() < 0.05 {
 					deps = append(deps, prev)
@@ -148,7 +151,7 @@ func TestDeterminism(t *testing.T) {
 		e := NewEngine()
 		r1 := e.Resource("a", 2)
 		r2 := e.Resource("b", 3)
-		var last *Task
+		var last Task
 		for i := 0; i < 20; i++ {
 			t1 := e.Task("l1", r1, float64(i%5)+1, last)
 			last = e.Task("l2", r2, float64(i%3)+1, t1)
@@ -188,12 +191,50 @@ func TestRunTwicePanics(t *testing.T) {
 	e.Run()
 }
 
+// TestZeroRatePanics: non-positive or non-finite rates, and non-finite or
+// negative demands and delays, are rejected at construction with a panic
+// naming the offender — NaN slips through plain comparisons and would
+// otherwise schedule NaN or negative finishes.
 func TestZeroRatePanics(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name  string
+		build func(e *Engine)
+	}{
+		{"zero rate", func(e *Engine) { e.Resource("bad", 0) }},
+		{"negative rate", func(e *Engine) { e.Resource("bad", -1) }},
+		{"NaN rate", func(e *Engine) { e.Resource("bad", nan) }},
+		{"infinite rate", func(e *Engine) { e.Resource("bad", inf) }},
+		{"negative demand", func(e *Engine) { e.Task("bad", e.Resource("r", 1), -1) }},
+		{"NaN demand", func(e *Engine) { e.Task("bad", e.Resource("r", 1), nan) }},
+		{"infinite demand", func(e *Engine) { e.Task("bad", e.Resource("r", 1), inf) }},
+		{"NaN demand without resource", func(e *Engine) { e.Task("bad", nil, nan) }},
+		{"negative delay", func(e *Engine) { e.Delay("bad", -5) }},
+		{"NaN delay", func(e *Engine) { e.Delay("bad", nan) }},
+		{"infinite delay", func(e *Engine) { e.Delay("bad", inf) }},
+		{"negative infinite delay", func(e *Engine) { e.Delay("bad", math.Inf(-1)) }},
+	} {
+		if msg := panicMessage(func() { c.build(NewEngine()) }); !strings.Contains(msg, `"bad"`) {
+			t.Errorf("%s: panic %q does not name the offender", c.name, msg)
+		}
+	}
+	// Zero demand and zero delay stay valid.
 	e := NewEngine()
+	e.Task("ok", e.Resource("r", 1), 0)
+	e.Delay("ok", 0)
+	if res := e.Run(); res.Makespan != 0 {
+		t.Errorf("zero-length tasks: makespan %v, want 0", res.Makespan)
+	}
+}
+
+// panicMessage runs f and returns the message it panicked with, or "" if it
+// returned normally.
+func panicMessage(f func()) (msg string) {
 	defer func() {
-		if recover() == nil {
-			t.Error("zero-rate resource not rejected")
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
 		}
 	}()
-	e.Resource("bad", 0)
+	f()
+	return ""
 }

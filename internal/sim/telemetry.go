@@ -61,18 +61,14 @@ func (e *Engine) telemetrySink() *Telemetry {
 }
 
 // observeTask records one scheduled task.
-func (tel *Telemetry) observeTask(t *Task) {
+func (tel *Telemetry) observeTask(label, resName string, start, finish Time) {
 	tel.Tasks.Inc()
 	if tel.Stream == nil {
 		return
 	}
-	resName := ""
-	if t.Res != nil {
-		resName = t.Res.Name
-	}
 	tel.Stream.Publish(telemetry.Event{
-		TSec: float64(t.finish), Kind: "task", Subsystem: tel.Subsystem,
-		Resource: resName, Value: float64(t.finish - t.start), Detail: t.Label,
+		TSec: float64(finish), Kind: "task", Subsystem: tel.Subsystem,
+		Resource: resName, Value: float64(finish - start), Detail: label,
 	})
 }
 
