@@ -91,11 +91,11 @@ type pass struct {
 }
 
 // begin claims the engine's arena for its single scheduling pass.
-func (e *Engine) begin() *pass {
+func (e *Engine) begin() pass {
 	a := e.live("Run")
 	e.a = nil
 	n := len(a.nodes)
-	p := &pass{e: e, a: a, tel: e.telemetrySink(), res: Result{eng: e.serial, spans: make([]span, n)}}
+	p := pass{e: e, a: a, tel: e.telemetrySink(), res: Result{eng: e.serial, spans: make([]span, n)}}
 	if !e.noRecords {
 		p.res.Tasks = make([]TaskRecord, 0, n)
 	}

@@ -196,13 +196,13 @@ type span struct{ start, finish Time }
 
 // Start returns the scheduled start time of t, a task of the engine that
 // produced r.
-func (r Result) Start(t Task) Time { return r.span(t).start }
+func (r Result) Start(t Task) Time { return r.spanOf(t).start }
 
 // Finish returns the scheduled completion time of t, a task of the engine
 // that produced r.
-func (r Result) Finish(t Task) Time { return r.span(t).finish }
+func (r Result) Finish(t Task) Time { return r.spanOf(t).finish }
 
-func (r Result) span(t Task) span {
+func (r Result) spanOf(t Task) span {
 	if t.eng == 0 || t.eng != r.eng {
 		panic("sim: task handle does not belong to the engine that produced this Result")
 	}
