@@ -175,9 +175,11 @@ func TestForeignEngineHandlesPanic(t *testing.T) {
 			t.Errorf("%s: got panic %q, want a foreign-engine panic", c.name, msg)
 		}
 	}
+	// The rejected calls left e2's graph as it was.
 	res1, res2 := e1.Run(), e2.Run()
-	if res1.Finish(a) != 5 || res2.Finish(b) != 3 {
-		t.Fatalf("own handles: finishes %v, %v, want 5, 3", res1.Finish(a), res2.Finish(b))
+	if res1.Finish(a) != 5 || res2.Finish(b) != 3 || len(res2.Tasks) != 1 || len(res2.ByLabel) != 1 {
+		t.Fatalf("own handles: finishes %v, %v, want 5, 3; e2 ran %d tasks under %d labels, want 1, 1",
+			res1.Finish(a), res2.Finish(b), len(res2.Tasks), len(res2.ByLabel))
 	}
 	for _, c := range []struct {
 		name string

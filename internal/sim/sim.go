@@ -137,7 +137,7 @@ func (e *Engine) Barrier(label string, deps ...Task) Task {
 
 func (e *Engine) add(label string, r *Resource, demand float64, fixed Time, deps []Task) Task {
 	a := e.live("Task")
-	n := node{demand: demand, fixed: fixed, res: -1, label: a.intern(label), dep0: int32(len(a.deps))}
+	n := node{demand: demand, fixed: fixed, res: -1, dep0: int32(len(a.deps))}
 	if r != nil {
 		if r.eng != e.serial {
 			panic(fmt.Sprintf("sim: task %q uses resource %q of another engine", label, r.Name))
@@ -149,11 +149,13 @@ func (e *Engine) add(label string, r *Resource, demand float64, fixed Time, deps
 			if d.eng == 0 {
 				continue
 			}
+			a.deps = a.deps[:n.dep0] // leave the graph as it was
 			panic(fmt.Sprintf("sim: task %q depends on a task of another engine", label))
 		}
 		a.deps = append(a.deps, d.id)
 	}
 	n.ndep = int32(len(a.deps)) - n.dep0
+	n.label = a.intern(label)
 	a.nodes = append(a.nodes, n)
 	return Task{eng: e.serial, id: int32(len(a.nodes) - 1)}
 }
