@@ -17,13 +17,12 @@ import (
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/repcache"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
-// --- One benchmark per paper table/figure (DESIGN.md §3 index). Each
+// --- One benchmark per paper table/figure, named by experiment ID. Each
 // regenerates the corresponding experiment end to end; b.N repetitions give
 // stable timings of the full harness.
 
@@ -104,18 +103,25 @@ func BenchmarkBlockedAttention4K(b *testing.B) { benchBlockedAttention(b, 4096) 
 // BenchmarkBlockedAttention64K exposes kernel scaling with context length:
 // ns/op should grow linearly from the 4K case and allocs/op stay flat (all
 // scratch comes from the sync.Pool arenas). Runs with the default worker
-// count; the Serial/Workers4 pair below is the machine-independent gate.
+// count; the Serial/Workers4 pair below measures the parallel speedup.
 func BenchmarkBlockedAttention64K(b *testing.B) { benchBlockedAttention(b, 64*1024) }
+
+// attentionInputs returns a decode-shape query row and a seq-token K/V
+// cache of head dimension dim.
+func attentionInputs(seq, dim int) (q, k, v tensor.Mat) {
+	rng := rand.New(rand.NewSource(1))
+	q = tensor.RandMat(rng, 1, dim, 1)
+	k = tensor.RandMat(rng, seq, dim, 1)
+	v = tensor.RandMat(rng, seq, dim, 1)
+	return q, k, v
+}
 
 // benchBlockedAttentionWorkers pins the worker count explicitly so the
 // Serial/Workers4 ratio is comparable across machines: same shape, same
 // chunk partition, only the concurrency differs (results are bit-identical).
 func benchBlockedAttentionWorkers(b *testing.B, seq, dim, workers int) {
 	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	q := tensor.RandMat(rng, 1, dim, 1)
-	k := tensor.RandMat(rng, seq, dim, 1)
-	v := tensor.RandMat(rng, seq, dim, 1)
+	q, k, v := attentionInputs(seq, dim)
 	b.SetBytes(int64(2 * seq * dim * 2))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -125,8 +131,7 @@ func benchBlockedAttentionWorkers(b *testing.B, seq, dim, workers int) {
 }
 
 // BenchmarkBlockedAttention64KSerial / ...Workers4 are the parallel-kernel
-// regression pair: hilos-bench gates their ns/op ratio at ≥ 2x (decode-shape
-// chunk sharding must actually scale), machine-independently.
+// pair; TestBlockedAttentionParallelSpeedup floors their ratio at 2x.
 func BenchmarkBlockedAttention64KSerial(b *testing.B) {
 	benchBlockedAttentionWorkers(b, 64*1024, 128, 1)
 }
@@ -173,68 +178,29 @@ func BenchmarkTopKBlocksAttention64K(b *testing.B) {
 	}
 }
 
-// BenchmarkDot vs BenchmarkDotRef is the striped-lane regression pair:
-// hilos-bench floors the 8-lane striped Dot at ≥ 1.3x over the retained
-// scalar reference on the head-dimension-scale vectors the kernels feed it.
-func benchDot(b *testing.B, dot func(a, c []float32) float32) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(5))
-	const n = 4096
-	x := make([]float32, n)
-	y := make([]float32, n)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-		y[i] = float32(rng.NormFloat64())
-	}
-	b.SetBytes(int64(2 * n * 4))
-	b.ResetTimer()
-	var sink float32
-	for i := 0; i < b.N; i++ {
-		sink += dot(x, y)
-	}
-	if math.IsNaN(float64(sink)) {
-		b.Fatal("NaN sink")
-	}
-}
-
-func BenchmarkDot(b *testing.B)    { benchDot(b, tensor.Dot) }
-func BenchmarkDotRef(b *testing.B) { benchDot(b, tensor.DotRef) }
-
-// BenchmarkTransposeBlocked vs BenchmarkTransposeRef measures the cache win
-// of the 64×64 tiled transpose on a matrix whose columns stride far past L1
-// (2048×2048 float32 = 16 MiB).
-func benchTranspose(b *testing.B, t func(m tensor.Mat) tensor.Mat) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(6))
-	m := tensor.RandMat(rng, 2048, 2048, 1)
-	b.SetBytes(int64(2048 * 2048 * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := t(m); out.Rows != m.Cols {
-			b.Fatal("bad shape")
-		}
-	}
-}
-
-func BenchmarkTransposeBlocked(b *testing.B) { benchTranspose(b, tensor.Mat.T) }
-func BenchmarkTransposeRef(b *testing.B)     { benchTranspose(b, tensor.Mat.TransposeRef) }
-
-// benchAcceleratorAttentionWorkers pins the worker count for the accel
-// parallel-datapath regression pair: same (group × chunk) grid, only the
-// concurrency differs (results are bit-identical).
-func benchAcceleratorAttentionWorkers(b *testing.B, seq, workers int) {
-	b.Helper()
+// accelInputs returns an 8-query-head accelerator of head dimension 128
+// and a seq-token K/V cache for it.
+func accelInputs(tb testing.TB, seq int) (a *accel.Accelerator, q, k, v tensor.Mat) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(2))
 	const group, dim = 8, 128
 	a, err := accel.New(accel.Config{DGroup: group, HeadDim: dim})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	q := tensor.RandMat(rng, group, dim, 1)
-	k := tensor.RandMat(rng, seq, dim, 1)
-	v := tensor.RandMat(rng, seq, dim, 1)
-	b.SetBytes(int64(2 * seq * dim * 2))
+	q = tensor.RandMat(rng, group, dim, 1)
+	k = tensor.RandMat(rng, seq, dim, 1)
+	v = tensor.RandMat(rng, seq, dim, 1)
+	return a, q, k, v
+}
+
+// benchAcceleratorAttentionWorkers pins the worker count for the accel
+// parallel-datapath pair: same (group × chunk) grid, only the concurrency
+// differs (results are bit-identical).
+func benchAcceleratorAttentionWorkers(b *testing.B, seq, workers int) {
+	b.Helper()
+	a, q, k, v := accelInputs(b, seq)
+	b.SetBytes(int64(2 * seq * k.Cols * 2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -244,9 +210,9 @@ func benchAcceleratorAttentionWorkers(b *testing.B, seq, workers int) {
 	}
 }
 
-// BenchmarkAcceleratorAttention16KSerial / ...Workers4 gate the accel
-// parallel datapath the same way the Blocked 64K pair gates the attention
-// kernels: hilos-bench floors the ns/op ratio at ≥ 4 procs.
+// BenchmarkAcceleratorAttention16KSerial / ...Workers4 are the accel
+// parallel-datapath pair; TestAcceleratorParallelSpeedup floors their
+// ratio at 1.5x.
 func BenchmarkAcceleratorAttention16KSerial(b *testing.B) {
 	benchAcceleratorAttentionWorkers(b, 16*1024, 1)
 }
@@ -388,68 +354,6 @@ func BenchmarkBaselineDecodeStep(b *testing.B) {
 	}
 }
 
-// schedulerWorkload builds the 5000-task two-resource pipeline graph both
-// scheduler benchmarks share; run selects the heap event loop or the
-// retained O(n²) reference, and timeline toggles the TaskRecord opt-out.
-func schedulerWorkload(b *testing.B, run func(e *sim.Engine) sim.Result, timeline bool) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := sim.NewEngine()
-		e.RecordTimeline(timeline)
-		r1 := e.Resource("a", 10)
-		r2 := e.Resource("b", 5)
-		var prev sim.Task
-		for l := 0; l < 2500; l++ {
-			t1 := e.Task("x", r1, 3, prev)
-			prev = e.Task("y", r2, 2, t1)
-		}
-		run(e)
-	}
-}
-
-func BenchmarkSchedulerListScheduling(b *testing.B) {
-	schedulerWorkload(b, func(e *sim.Engine) sim.Result { return e.Run() }, true)
-}
-
-// BenchmarkSchedulerListSchedulingReference measures the retained O(n²)
-// scheduler on the same graph; the ratio to BenchmarkSchedulerListScheduling
-// is the machine-independent speedup cmd/hilos-bench -bench-check guards.
-func BenchmarkSchedulerListSchedulingReference(b *testing.B) {
-	schedulerWorkload(b, func(e *sim.Engine) sim.Result { return e.RunReference() }, true)
-}
-
-// BenchmarkSchedulerNoTimeline measures the heap scheduler with the
-// per-task TaskRecord append opted out.
-func BenchmarkSchedulerNoTimeline(b *testing.B) {
-	schedulerWorkload(b, func(e *sim.Engine) sim.Result { return e.Run() }, false)
-}
-
-// BenchmarkScheduler1M pushes the event-driven scheduler to a 1M-task DAG
-// (the per-token granularity of a 1M-token decode timeline), timeline
-// recording off. One op builds and schedules the full graph in a pooled
-// arena; completing at all is the point — the O(n²) reference would take
-// hours here.
-func BenchmarkScheduler1M(b *testing.B) {
-	const pairs = 1 << 19 // 2 tasks per pair = 1,048,576 tasks
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := sim.NewEngine()
-		e.RecordTimeline(false)
-		r1 := e.Resource("a", 10)
-		r2 := e.Resource("b", 5)
-		var prev sim.Task
-		for l := 0; l < pairs; l++ {
-			t1 := e.Task("x", r1, 3, prev)
-			prev = e.Task("y", r2, 2, t1)
-		}
-		res := e.Run()
-		if res.Makespan <= 0 {
-			b.Fatal("empty schedule")
-		}
-	}
-}
-
 func BenchmarkEstimatorSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -472,12 +376,14 @@ func BenchmarkCycleModelKernelTime(b *testing.B) {
 
 // --- Cluster scheduling loop with and without the telemetry layer.
 // Synthetic constant-cost fleet so the measurement is the event loop and
-// instrumentation, not pipeline math. The Off variant is the regression
-// gate: telemetry must stay opt-in with near-zero disabled cost, and the
-// On/Off ratio is capped by hilos-bench.
+// instrumentation, not pipeline math. Telemetry must stay opt-in with
+// near-zero disabled cost; TestTelemetryOverhead caps the On/Off ratio.
 
-func clusterBenchInput(b *testing.B) (cluster.Config, []cluster.Request) {
-	b.Helper()
+// clusterBenchInput returns a bursty two-class trace over a constant-cost
+// fleet. With instrument set, the config carries a registry and a stream
+// with one subscriber, closed when tb ends.
+func clusterBenchInput(tb testing.TB, instrument bool) (cluster.Config, []cluster.Request) {
+	tb.Helper()
 	constRun := func(totalSec float64) cluster.RunFunc {
 		return func(req pipeline.Request) pipeline.Report {
 			return pipeline.Report{Batch: req.Batch, PrefillSec: totalSec, StepSec: 0}
@@ -496,7 +402,7 @@ func clusterBenchInput(b *testing.B) (cluster.Config, []cluster.Request) {
 	}
 	arrivals, err := workload.BurstyArrivals(11, 4, 512)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	reqs := make([]cluster.Request, len(arrivals))
 	for i, at := range arrivals {
@@ -508,29 +414,32 @@ func clusterBenchInput(b *testing.B) (cluster.Config, []cluster.Request) {
 		}
 		reqs[i] = r
 	}
+	if instrument {
+		stream := telemetry.NewStream()
+		tb.Cleanup(stream.Close)
+		stream.Subscribe(1024)
+		cfg.Telemetry = cluster.NewTelemetry(telemetry.NewRegistry(), stream)
+	}
 	return cfg, reqs
 }
 
-func benchCluster(b *testing.B, instrument bool) {
-	cfg, reqs := clusterBenchInput(b)
-	if instrument {
-		reg := telemetry.NewRegistry()
-		stream := telemetry.NewStream()
-		defer stream.Close()
-		sub := stream.Subscribe(1024)
-		_ = sub
-		cfg.Telemetry = cluster.NewTelemetry(reg, stream)
+// runCluster replays reqs once and checks something completed.
+func runCluster(tb testing.TB, cfg cluster.Config, reqs []cluster.Request) {
+	s, err := cluster.Run(cfg, reqs)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	if s.Completed == 0 {
+		tb.Fatal("no completions")
+	}
+}
+
+func benchCluster(b *testing.B, instrument bool) {
+	cfg, reqs := clusterBenchInput(b, instrument)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := cluster.Run(cfg, reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Completed == 0 {
-			b.Fatal("no completions")
-		}
+		runCluster(b, cfg, reqs)
 	}
 }
 

@@ -1,161 +1,39 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
 
-const sampleOutput = `goos: linux
-goarch: amd64
-pkg: repro
-cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
-BenchmarkBlockedAttention4K 	     200	    798511 ns/op	2626.33 MB/s	    1536 B/op	       3 allocs/op
-BenchmarkSchedulerListScheduling-8          	      20	   1699564 ns/op	 1905304 B/op	   15048 allocs/op
-BenchmarkSchedulerListSchedulingReference-8 	      20	  28862819 ns/op	 1906128 B/op	   10043 allocs/op
-BenchmarkCycleModelKernelTime 	35726197	        33.64 ns/op	       0 B/op	       0 allocs/op
-PASS
-ok  	repro	12.3s
-`
+// TestRunTuneRejectsBadShapes: a context too short for the smallest swept
+// span used to index an empty sweep, and a non-positive head dimension
+// printed a meaningless budget. Both are errors now.
+func TestRunTuneRejectsBadShapes(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		seq, dim int
+		want     string
+	}{
+		{"short context", 100, 128, "-tune-seq"},
+		{"zero dim", 64 * 1024, 0, "-tune-dim"},
+		{"negative dim", 64 * 1024, -8, "-tune-dim"},
+	} {
+		err := runTune(io.Discard, c.seq, c.dim, 1)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: runTune(seq=%d, dim=%d) = %v, want an error naming %s", c.name, c.seq, c.dim, err, c.want)
+		}
+	}
+}
 
-func TestParseBench(t *testing.T) {
-	f, err := parseBench(strings.NewReader(sampleOutput))
-	if err != nil {
+// TestRunTuneShortestContext runs the one-point sweep at the shortest
+// accepted context and checks it reports a budget.
+func TestRunTuneShortestContext(t *testing.T) {
+	var out strings.Builder
+	if err := runTune(&out, minTuneSpan/2, 8, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Benchmarks) != 4 {
-		t.Fatalf("parsed %d benchmarks, want 4", len(f.Benchmarks))
-	}
-	attn := f.Benchmarks["BenchmarkBlockedAttention4K"]
-	if attn.NsPerOp != 798511 || attn.BytesPerOp != 1536 || attn.AllocsPerOp != 3 {
-		t.Errorf("attention parse: %+v", attn)
-	}
-	// The GOMAXPROCS suffix must be stripped from the name but recorded.
-	sched, ok := f.Benchmarks["BenchmarkSchedulerListScheduling"]
-	if !ok {
-		t.Error("suffixed benchmark name not normalized")
-	}
-	if sched.Procs != 8 {
-		t.Errorf("suffixed benchmark procs = %d, want 8", sched.Procs)
-	}
-	if attn.Procs != 1 {
-		t.Errorf("unsuffixed benchmark procs = %d, want 1", attn.Procs)
-	}
-	// Fractional ns/op parses.
-	if cm := f.Benchmarks["BenchmarkCycleModelKernelTime"]; cm.NsPerOp != 33.64 {
-		t.Errorf("fractional ns/op = %v", cm.NsPerOp)
-	}
-}
-
-func TestParseBenchEmpty(t *testing.T) {
-	if _, err := parseBench(strings.NewReader("PASS\nok repro 1s\n")); err == nil {
-		t.Error("empty benchmark output accepted")
-	}
-}
-
-func TestParseBenchLaterOverrides(t *testing.T) {
-	in := "BenchmarkX 	 1	 100 ns/op\nBenchmarkX-8 	 50	 200 ns/op\n"
-	f, err := parseBench(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Benchmarks["BenchmarkX"].NsPerOp != 200 {
-		t.Errorf("later run did not override: %v", f.Benchmarks["BenchmarkX"].NsPerOp)
-	}
-}
-
-func snapshot(sched, ref float64) benchFile {
-	return benchFile{Benchmarks: map[string]benchResult{
-		schedBench:    {NsPerOp: sched},
-		schedRefBench: {NsPerOp: ref},
-	}}
-}
-
-func TestCheckRegression(t *testing.T) {
-	base := snapshot(1e6, 17e6) // baseline ratio ≈ 0.0588
-	cases := []struct {
-		name    string
-		current benchFile
-		ok      bool
-	}{
-		{"same speed", snapshot(1e6, 17e6), true},
-		{"faster", snapshot(0.5e6, 17e6), true},
-		{"within 20%", snapshot(1.1e6, 17e6), true},
-		{"regressed 50%", snapshot(1.5e6, 17e6), false},
-		{"below 5x floor", snapshot(5e6, 17e6), false},
-		{"reference missing", benchFile{Benchmarks: map[string]benchResult{schedBench: {NsPerOp: 1}}}, false},
-	}
-	for _, c := range cases {
-		err := checkRegression(c.current, base, 0.20)
-		if (err == nil) != c.ok {
-			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
-		}
-	}
-}
-
-func telSnapshot(sched, ref, on, off float64) benchFile {
-	f := snapshot(sched, ref)
-	if on > 0 {
-		f.Benchmarks[telOnBench] = benchResult{NsPerOp: on}
-	}
-	if off > 0 {
-		f.Benchmarks[telOffBench] = benchResult{NsPerOp: off}
-	}
-	return f
-}
-
-func TestCheckTelemetryOverhead(t *testing.T) {
-	preTelemetryBase := snapshot(1e6, 17e6) // e.g. BENCH_PR4.json: no cluster entries
-	telBase := telSnapshot(1e6, 17e6, 1.1e6, 1e6)
-	cases := []struct {
-		name     string
-		current  benchFile
-		baseline benchFile
-		ok       bool
-	}{
-		{"benches absent: skip", snapshot(1e6, 17e6), preTelemetryBase, true},
-		{"under cap, no baseline ratio", telSnapshot(1e6, 17e6, 1.5e6, 1e6), preTelemetryBase, true},
-		{"over hard cap", telSnapshot(1e6, 17e6, 2.5e6, 1e6), preTelemetryBase, false},
-		{"within 20% of baseline ratio", telSnapshot(1e6, 17e6, 1.2e6, 1e6), telBase, true},
-		{"regressed vs baseline ratio", telSnapshot(1e6, 17e6, 1.9e6, 1e6), telBase, false},
-	}
-	for _, c := range cases {
-		err := checkRegression(c.current, c.baseline, 0.20)
-		if (err == nil) != c.ok {
-			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
-		}
-	}
-}
-
-// kernelSnapshot extends a passing scheduler snapshot with the parallel
-// attention pair at the given serial/parallel timings and parallel-run
-// GOMAXPROCS.
-func kernelSnapshot(serial, par float64, procs int) benchFile {
-	f := snapshot(1e6, 17e6)
-	f.Benchmarks[kernelSerialBench] = benchResult{NsPerOp: serial, Procs: 1}
-	f.Benchmarks[kernelParBench] = benchResult{NsPerOp: par, Procs: procs}
-	return f
-}
-
-func TestCheckKernelParallel(t *testing.T) {
-	base := snapshot(1e6, 17e6) // no kernel pair recorded
-	kernelBase := kernelSnapshot(12e6, 4e6, 4)
-	cases := []struct {
-		name     string
-		current  benchFile
-		baseline benchFile
-		ok       bool
-	}{
-		{"pair absent: skip", snapshot(1e6, 17e6), base, true},
-		{"GOMAXPROCS 1: skip", kernelSnapshot(12e6, 11e6, 1), base, true},
-		{"3x speedup at 4 procs", kernelSnapshot(12e6, 4e6, 4), base, true},
-		{"below 2x floor", kernelSnapshot(12e6, 7e6, 4), base, false},
-		{"within regress headroom of baseline", kernelSnapshot(12e6, 4.6e6, 4), kernelBase, true},
-		{"regressed vs baseline 3x", kernelSnapshot(12e6, 5.8e6, 8), kernelBase, false},
-	}
-	for _, c := range cases {
-		err := checkRegression(c.current, c.baseline, 0.20)
-		if (err == nil) != c.ok {
-			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
-		}
+	if want := "knee span 256 → hilos.SetKernelCacheBudget(16384)"; !strings.Contains(out.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, out.String())
 	}
 }

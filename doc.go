@@ -187,11 +187,12 @@
 // over min-heaps: tasks become ready when their last dependency finishes,
 // each resource keeps its ready tasks in (earliest-start, id) heaps, and the
 // earliest of the resources' head candidates runs next — O((n+m)·log n +
-// n·R) for n tasks, m edges and R resources (a handful per graph). The original O(n²) rescanning list scheduler is
-// retained as Engine.RunReference; a property test runs random DAGs
-// (barriers, pure-latency delays, fan-in/fan-out) through both and requires
-// bit-identical Results, so the rewrite is a pure speedup (≈17x at 5,000
-// tasks, see BENCH_PR4.json). The graph lives in a pointer-free arena each
+// n·R) for n tasks, m edges and R resources (a handful per graph). The
+// original O(n²) rescanning list scheduler survives in internal/sim's tests
+// as the oracle: a property test runs random DAGs (barriers, pure-latency
+// delays, fan-in/fan-out) through both and requires bit-identical Results,
+// so the rewrite is a pure speedup. TestSchedulerSpeedup floors it at 5x on
+// a 5,000-task graph; it measures about 140x on a 2-vCPU Xeon. The graph lives in a pointer-free arena each
 // Engine takes from a sync.Pool: task nodes, dependency edges as int32 ids,
 // successor lists in one compressed-sparse-row array built by Run, per-label
 // busy sums and per-resource ready heaps of int32 ids. A sim.Task is a value
@@ -224,12 +225,11 @@
 // fewer-than-8 tail folds sequentially into lane 0 (so lengths < 8 are
 // exactly the scalar sequential sum), and the lanes reduce as
 // ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)). The scalar single-accumulator
-// loop is retained as tensor.DotRef; equivalence is property- and
-// fuzz-tested (bitwise below one stripe, FP32 tolerance for finite data,
-// NaN-for-NaN, bitwise determinism for all inputs including Inf), and
-// cmd/hilos-bench floors the striped speedup over DotRef at 1.3x.
+// loop is the oracle in internal/tensor's tests; equivalence is property-
+// and fuzz-tested (bitwise below one stripe, FP32 tolerance for finite
+// data, NaN-for-NaN, bitwise determinism for all inputs including Inf).
 // Mat.T transposes through 64×64 cache tiles (bit-identical to the naive
-// TransposeRef — transposition is pure data movement); large MatMuls
+// row-by-row loop — transposition is pure data movement); large MatMuls
 // transpose the right operand once and stream both operands contiguously
 // through the striped Dot, while small products keep the original exact
 // axpy loop.
@@ -331,35 +331,24 @@
 // 100k-request close-at-admission replay (the bench module's
 // replay-offline) takes about 45 ms, down from about 400 ms.
 //
-// BENCH_PR10.json records the whole benchmark suite (ns/op, allocs/op,
-// bytes/op, and the GOMAXPROCS each benchmark ran under), including the
-// 1M-scale entries (BenchmarkBlockedAttention1M, BenchmarkScheduler1M), the
-// serial/4-worker attention and accelerator pairs, and the single-thread ILP
-// pairs (BenchmarkDot/DotRef, BenchmarkTransposeBlocked/TransposeRef). To
-// regenerate it, pipe `go test -bench` output through cmd/hilos-bench
-// (later lines refine earlier ones, so append longer runs of the gated
-// pairs after the 1x full sweep):
+// The bench module (bench/, declared by BENCHMARK.json) is the performance
+// ledger: it times whole workloads — the figures, three cluster replays and
+// one accelerator decode step — on the host it runs on, checks every op
+// against golden digests, and compares a change with its parent commit on
+// the same host. Ratios between two code paths in one process are plain
+// tests next to the code they time, each timing its two sides alternately
+// (skipped under -race, which distorts them):
 //
-//	go test -run '^$' -bench . -benchtime 1x -benchmem . > bench.out
-//	go test -run '^$' -bench Scheduler -benchtime 20x -benchmem . >> bench.out
-//	go test -run '^$' -bench 'BlockedAttention64K(Serial|Workers4)$' -benchtime 20x -benchmem . >> bench.out
-//	go test -run '^$' -bench 'BenchmarkDot(Ref)?$|Transpose(Blocked|Ref)$' -benchtime 300ms -benchmem . >> bench.out
-//	go test -run '^$' -bench 'AcceleratorAttention16K(Serial|Workers4)$' -benchtime 3x -benchmem . >> bench.out
-//	go run ./cmd/hilos-bench -bench-json BENCH_PR10.json < bench.out
-//
-// CI replays that recipe and fails if BenchmarkSchedulerListScheduling
-// regresses against the checked-in baseline (measured as the
-// machine-independent ratio to BenchmarkSchedulerListSchedulingReference;
-// 20% headroom by default, widened to 50% in CI for cross-runner
-// variance), or if the speedup falls below the hard 5x acceptance floor.
-// On runners with GOMAXPROCS ≥ 4 it additionally floors the
-// BenchmarkBlockedAttention64KSerial / ...Workers4 speedup at 2x and the
-// BenchmarkAcceleratorAttention16KSerial / ...Workers4 speedup at 1.5x;
-// below 4 procs those gates report themselves skipped rather than passing
-// vacuously. The ILP gates apply at any proc count: the striped Dot must
-// beat the scalar DotRef by 1.3x and the blocked transpose must beat
-// TransposeRef by 1.2x. Every gated pair is also compared against the
-// baseline's recorded ratio with the same regression headroom.
+//   - internal/sim TestSchedulerSpeedup: Run at least 5x faster than the
+//     O(n²) reference scheduler on a 5,000-task graph;
+//   - internal/tensor TestDotSpeedup and TestTransposeSpeedup: the striped
+//     Dot at least 1.3x over the scalar loop, the blocked transpose at
+//     least 1.2x over the naive one;
+//   - TestTelemetryOverhead: the cluster loop with telemetry on at most 2x
+//     its cost with telemetry off;
+//   - TestBlockedAttentionParallelSpeedup and TestAcceleratorParallelSpeedup:
+//     4 workers at least 2x (attention) and 1.5x (accelerator) over one.
+//     Below GOMAXPROCS 4 no such speedup is measurable, and they skip.
 //
 // # Observability
 //
@@ -379,7 +368,7 @@
 //   - Zero disabled cost: a nil registry, stream, or sink is a no-op on
 //     every method, so uninstrumented runs pay one nil check per event.
 //     BenchmarkClusterTelemetryOff/On measure the cluster loop both ways,
-//     and hilos-bench caps the enabled overhead ratio at 2x.
+//     and TestTelemetryOverhead caps the enabled overhead ratio at 2x.
 //
 // Metric names are dot-separated subsystem prefixes. The cluster scheduler
 // (WithClusterTelemetry) emits cluster.arrivals, cluster.rejections,
@@ -463,6 +452,6 @@
 // internal/lint/testdata/src pin each analyzer's catch and no-false-positive
 // behavior.
 //
-// See the examples directory for runnable walkthroughs and
-// DESIGN.md/EXPERIMENTS.md for the reproduction methodology.
+// See the examples directory for runnable walkthroughs and bench/README.md
+// for how performance is measured.
 package hilos

@@ -1,15 +1,9 @@
-// Offline-backlog accounting tests. A backlog is the degenerate trace that
-// Simulator.Backlog issues: every request arrives at t=0, batches close at
-// MaxBatch, a zero MaxWaitSec releases partial tails at t=0, and one
-// cluster.Run call drains it. The directory holds tests only; the scheduler
-// they exercise is cluster.Run.
-package serving
+package cluster
 
 import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/model"
@@ -17,19 +11,24 @@ import (
 	"repro/internal/workload"
 )
 
-// backlog drains classes, all arriving at t=0, through one pipeline running
+// Offline-backlog accounting tests. A backlog is the degenerate trace that
+// Simulator.Backlog issues: every request arrives at t=0, batches close at
+// MaxBatch, a zero MaxWaitSec releases partial tails at t=0, and one Run
+// call drains it.
+
+// drainBacklog drains classes, all arriving at t=0, through one pipeline running
 // run, in batches of up to batch requests.
-func backlog(t *testing.T, m model.Config, run cluster.RunFunc, batch int, classes ...workload.Class) cluster.Summary {
+func drainBacklog(t *testing.T, m model.Config, run RunFunc, batch int, classes ...workload.Class) Summary {
 	t.Helper()
-	reqs := make([]cluster.Request, len(classes))
+	reqs := make([]Request, len(classes))
 	for i, c := range classes {
-		reqs[i] = cluster.Request{ID: i, Class: c}
+		reqs[i] = Request{ID: i, Class: c}
 	}
-	s, err := cluster.Run(cluster.Config{
+	s, err := Run(Config{
 		Model:     m,
-		Fleet:     []cluster.Pipeline{{Name: "p", Run: run}},
-		Policy:    cluster.LeastLoaded,
-		Admission: cluster.Admission{MaxBatch: batch},
+		Fleet:     []Pipeline{{Name: "p", Run: run}},
+		Policy:    LeastLoaded,
+		Admission: Admission{MaxBatch: batch},
 	}, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +53,8 @@ func TestEvaluateShrunkBatchNeedsMorePasses(t *testing.T) {
 	full := func(req pipeline.Request) pipeline.Report {
 		return pipeline.Report{Batch: req.Batch, StepSec: 1, PrefillSec: 0}
 	}
-	s := backlog(t, model.OPT30B, half, 4, jobs...)
-	s2 := backlog(t, model.OPT30B, full, 4, jobs...)
+	s := drainBacklog(t, model.OPT30B, half, 4, jobs...)
+	s2 := drainBacklog(t, model.OPT30B, full, 4, jobs...)
 	if s.MakespanSec != 2*s2.MakespanSec {
 		t.Errorf("shrunk batch makespan %v, want 2× %v", s.MakespanSec, s2.MakespanSec)
 	}
@@ -67,21 +66,21 @@ func TestEvaluateShrunkBatchNeedsMorePasses(t *testing.T) {
 // An OOM batch fails as a unit: no time, no tokens, no completions.
 func TestEvaluateOOM(t *testing.T) {
 	oom := func(pipeline.Request) pipeline.Report { return pipeline.Report{OOM: true} }
-	s := backlog(t, model.OPT30B, oom, 1, workload.Long)
+	s := drainBacklog(t, model.OPT30B, oom, 1, workload.Long)
 	if s.FailedBatches != 1 || s.Completed != 0 || s.MakespanSec != 0 || s.OutputTokens != 0 {
 		t.Errorf("OOM summary %+v", s)
 	}
-	cfg := cluster.Config{
+	cfg := Config{
 		Model:     model.OPT30B,
-		Fleet:     []cluster.Pipeline{{Name: "p", Run: oom}},
-		Policy:    cluster.LeastLoaded,
-		Admission: cluster.Admission{MaxBatch: 1},
+		Fleet:     []Pipeline{{Name: "p", Run: oom}},
+		Policy:    LeastLoaded,
+		Admission: Admission{MaxBatch: 1},
 	}
-	if _, err := cluster.Run(cfg, nil); err == nil {
+	if _, err := Run(cfg, nil); err == nil {
 		t.Error("empty backlog accepted")
 	}
 	cfg.Fleet[0].Run = nil
-	if _, err := cluster.Run(cfg, []cluster.Request{{ID: 0, Class: workload.Long}}); err == nil {
+	if _, err := Run(cfg, []Request{{ID: 0, Class: workload.Long}}); err == nil {
 		t.Error("nil engine accepted")
 	}
 }
@@ -94,7 +93,7 @@ func TestEvaluateIntegerPasses(t *testing.T) {
 	shrink := func(pipeline.Request) pipeline.Report {
 		return pipeline.Report{Batch: 2, StepSec: 1, PrefillSec: 10}
 	}
-	s := backlog(t, model.OPT30B, shrink, 3, repeat(workload.Short, 3)...)
+	s := drainBacklog(t, model.OPT30B, shrink, 3, repeat(workload.Short, 3)...)
 	// One pass: 10 + 99×1 = 109 s. Two passes: 218 s. Fractional 1.5 passes
 	// would give 163.5 s and undercharge the second prefill.
 	if want := 2 * 109.0; s.MakespanSec != want {
@@ -111,7 +110,7 @@ func TestEvaluateExactTailPass(t *testing.T) {
 		b := min(req.Batch, 2)
 		return pipeline.Report{Batch: b, StepSec: float64(b), PrefillSec: 10}
 	}
-	s := backlog(t, model.OPT30B, shrink, 3, repeat(workload.Short, 3)...)
+	s := drainBacklog(t, model.OPT30B, shrink, 3, repeat(workload.Short, 3)...)
 	// Full pass at batch 2: 10 + 99×2 = 208 s; tail pass at batch 1:
 	// 10 + 99×1 = 109 s. Ceil accounting would charge 2×208 = 416 s.
 	const want = 208.0 + 109
@@ -136,7 +135,7 @@ func TestEvaluateFailedJobs(t *testing.T) {
 		}
 		return pipeline.Report{Batch: req.Batch, StepSec: 1, PrefillSec: 1}
 	}
-	s := backlog(t, model.OPT30B, longOOM, 2, jobs...)
+	s := drainBacklog(t, model.OPT30B, longOOM, 2, jobs...)
 	if s.Requests != 3 || s.FailedJobs != 1 || s.Completed != 2 {
 		t.Errorf("job accounting %+v", s)
 	}
@@ -148,7 +147,7 @@ func TestEvaluateFailedJobs(t *testing.T) {
 	}
 	// An engine reporting a non-OOM zero batch is equally unrunnable.
 	zero := func(pipeline.Request) pipeline.Report { return pipeline.Report{Batch: 0, StepSec: 1} }
-	s = backlog(t, model.OPT30B, zero, 2, jobs...)
+	s = drainBacklog(t, model.OPT30B, zero, 2, jobs...)
 	if s.FailedJobs != 3 || s.FailedBatches != 2 {
 		t.Errorf("zero-batch reports not treated as failures: %+v", s)
 	}
@@ -165,8 +164,8 @@ func TestHILOSFinishesBacklogFaster(t *testing.T) {
 	trace := gen.Trace(64)
 	m := model.OPT66B
 	flex := baseline.FlexSSD(tb)
-	sFlex := backlog(t, m, func(req pipeline.Request) pipeline.Report { return flex.Run(tb, req) }, 16, trace...)
-	sHil := backlog(t, m, func(req pipeline.Request) pipeline.Report { return core.Run(tb, req, core.DefaultOptions(16)) }, 16, trace...)
+	sFlex := drainBacklog(t, m, func(req pipeline.Request) pipeline.Report { return flex.Run(tb, req) }, 16, trace...)
+	sHil := drainBacklog(t, m, func(req pipeline.Request) pipeline.Report { return core.Run(tb, req, core.DefaultOptions(16)) }, 16, trace...)
 	if sFlex.FailedBatches != 0 || sHil.FailedBatches != 0 {
 		t.Fatalf("unexpected failed batches: %d / %d", sFlex.FailedBatches, sHil.FailedBatches)
 	}

@@ -346,7 +346,7 @@ func TestRunErrors(t *testing.T) {
 // The exact-tail-pass accounting: 5 jobs on an engine that fits 2 run two
 // full passes plus one batch-1 tail pass at the tail's own (cheaper) cost.
 // The backlog-level pass tests (batch-independent integer passes, busy and
-// per-class seconds) live in the internal/serving tests.
+// per-class seconds) live in backlog_test.go.
 func TestDispatchExactTailPass(t *testing.T) {
 	shrink := func(req pipeline.Request) pipeline.Report {
 		// Step time scales with the running batch.

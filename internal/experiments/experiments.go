@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§3, §6, §7). Each generator returns a Table whose rows mirror
-// the series the paper plots; cmd/hilos-bench prints them and
-// EXPERIMENTS.md records paper-vs-measured shape comparisons.
+// the series the paper plots, and its Notes state the shapes the paper
+// reports; cmd/hilos-bench prints them.
 package experiments
 
 import (

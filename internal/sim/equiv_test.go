@@ -6,6 +6,50 @@ import (
 	"testing"
 )
 
+// RunReference schedules every task with the original O(n²) list scheduler:
+// every step rescans all pending tasks for the one that can start earliest.
+// It is the oracle for Run: the equivalence tests require both to produce
+// identical Results on random DAGs. Like Run, it may be called once per
+// Engine.
+func (e *Engine) RunReference() Result {
+	p := e.begin()
+	nodes, deps, spans := p.a.nodes, p.a.deps, p.res.spans
+	free := make([]Time, len(e.resources))
+	done := make([]bool, len(nodes))
+	for remaining := len(nodes); remaining > 0; remaining-- {
+		pick := -1
+		var pickStart Time
+	scan:
+		for i := range nodes {
+			if done[i] {
+				continue
+			}
+			n := &nodes[i]
+			var s Time
+			for _, d := range deps[n.dep0 : n.dep0+n.ndep] {
+				if !done[d] {
+					continue scan
+				}
+				if f := spans[d].finish; f > s {
+					s = f
+				}
+			}
+			if n.res >= 0 && free[n.res] > s {
+				s = free[n.res]
+			}
+			if pick == -1 || s < pickStart {
+				pick, pickStart = i, s
+			}
+		}
+		done[pick] = true
+		finish := p.place(int32(pick), pickStart)
+		if r := nodes[pick].res; r >= 0 {
+			free[r] = finish
+		}
+	}
+	return p.end()
+}
+
 // buildRandomDAG constructs one random simulation on e, exercising every
 // task flavor the engines use: resource tasks with fixed latency adders,
 // zero-duration barriers, nil-resource delays, nil deps, and fan-in/fan-out

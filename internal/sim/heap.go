@@ -6,8 +6,8 @@ import (
 )
 
 // This file holds the engine's arena and Run, the event-driven replacement
-// for the O(n²) rescanning list scheduler retained as RunReference. The
-// policy is identical — among all ready tasks, run the one with the
+// for the original O(n²) rescanning list scheduler, which the equivalence
+// tests keep as their oracle. The policy is identical — among all ready tasks, run the one with the
 // earliest possible start time, ties broken by creation id — but the ready
 // set is maintained incrementally:
 //
@@ -21,8 +21,8 @@ import (
 //     task is the earliest of those R candidates.
 //
 // Whenever a resource's free time advances, its waiting heap drains into
-// runnable. All start/finish arithmetic matches RunReference operation for
-// operation, so the two schedulers produce bit-identical Results.
+// runnable. All start/finish arithmetic matches the rescanning scheduler
+// operation for operation, so the two produce bit-identical Results.
 
 // node is one task in the arena; its index is the task's id. It holds no
 // pointers, so building and scheduling a graph pays no write barriers.
@@ -81,8 +81,8 @@ type queue struct {
 }
 
 // pass is one scheduling pass over an arena: the Result it fills in
-// schedule order and the telemetry sink it reports to. Run and RunReference
-// differ only in how they pick the next task.
+// schedule order and the telemetry sink it reports to. Run and the test
+// oracle differ only in how they pick the next task.
 type pass struct {
 	e   *Engine
 	a   *arena
@@ -269,8 +269,8 @@ func (a *arena) enqueue(t int32) {
 // Run schedules every task and returns the simulation result. Run may be
 // called once per Engine and returns the engine's arena to the pool, so
 // Task after Run panics. It implements the same earliest-start policy as
-// RunReference (bit-identical Results) in O((n+m)·log n + n·R) for n tasks,
-// m dependency edges and R resources.
+// the original O(n²) rescanning scheduler (bit-identical Results) in
+// O((n+m)·log n + n·R) for n tasks, m dependency edges and R resources.
 func (e *Engine) Run() Result {
 	p := e.begin()
 	a := p.a

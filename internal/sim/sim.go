@@ -25,10 +25,9 @@
 //
 // Run implements the policy as a dependency-counting event loop over
 // per-resource min-heaps (O((n+m)·log n + n·R) for n tasks, m edges and R
-// resources); RunReference
-// retains the original O(n²) rescanning list scheduler. Both produce
-// bit-identical Results — a property the equivalence tests fuzz on random
-// DAGs — so Run is a pure performance upgrade.
+// resources). The equivalence tests keep the original O(n²) rescanning list
+// scheduler as an oracle and fuzz both on random DAGs for bit-identical
+// Results, so Run is a pure performance upgrade.
 package sim
 
 import (
@@ -238,51 +237,6 @@ func (r Result) LabelShare(label string) float64 {
 		return 0
 	}
 	return r.ByLabel[label] / total
-}
-
-// RunReference schedules every task with the original O(n²) list scheduler:
-// every step rescans all pending tasks for the one that can start earliest.
-// It is retained as the behavioral reference for Run — the equivalence
-// tests assert both produce identical Results on random DAGs — and as the
-// baseline the scheduler benchmarks measure speedups against. Like Run, it
-// may be called once per Engine.
-func (e *Engine) RunReference() Result {
-	p := e.begin()
-	nodes, deps, spans := p.a.nodes, p.a.deps, p.res.spans
-	free := make([]Time, len(e.resources))
-	done := make([]bool, len(nodes))
-	for remaining := len(nodes); remaining > 0; remaining-- {
-		pick := -1
-		var pickStart Time
-	scan:
-		for i := range nodes {
-			if done[i] {
-				continue
-			}
-			n := &nodes[i]
-			var s Time
-			for _, d := range deps[n.dep0 : n.dep0+n.ndep] {
-				if !done[d] {
-					continue scan
-				}
-				if f := spans[d].finish; f > s {
-					s = f
-				}
-			}
-			if n.res >= 0 && free[n.res] > s {
-				s = free[n.res]
-			}
-			if pick == -1 || s < pickStart {
-				pick, pickStart = i, s
-			}
-		}
-		done[pick] = true
-		finish := p.place(int32(pick), pickStart)
-		if r := nodes[pick].res; r >= 0 {
-			free[r] = finish
-		}
-	}
-	return p.end()
 }
 
 // CriticalPath returns the longest dependency-only path length (ignoring

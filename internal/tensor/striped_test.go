@@ -16,6 +16,30 @@ func randVec(rng *rand.Rand, n int) []float32 {
 	return v
 }
 
+// DotRef is the scalar reference for the striped Dot: one accumulator,
+// strict index order. The striped Dot equals it bitwise for lengths < 8,
+// where the striped tail degenerates to exactly this loop, and within FP32
+// reassociation tolerance otherwise.
+func DotRef(a, b []float32) float32 {
+	var s float32
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+// TransposeRef is the naive row-by-row transpose the blocked T must equal
+// bit for bit.
+func (m Mat) TransposeRef() Mat {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
 // TestDotStripedMatchesRefEdgeLanes pins the striped Dot against the
 // retained scalar DotRef for every length 0..17 — both remainder classes of
 // the 8-wide stripe plus full groups. Lengths below 8 never enter the

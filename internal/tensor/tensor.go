@@ -69,7 +69,7 @@ const transposeTile = 64
 // T returns the transpose of m as a new matrix. Large matrices transpose
 // tile by tile (transposeTile² elements at a time) so both the row-major
 // reads and the column-strided writes stay inside one cache tile; the
-// result is bit-identical to TransposeRef for every shape.
+// result is bit-identical to the naive row-by-row loop for every shape.
 func (m Mat) T() Mat {
 	out := New(m.Cols, m.Rows)
 	if m.Rows*m.Cols < transposeTile*transposeTile {
@@ -97,18 +97,6 @@ func (m Mat) T() Mat {
 					out.Data[(jj+j)*m.Rows+i] = v
 				}
 			}
-		}
-	}
-	return out
-}
-
-// TransposeRef is the naive row-by-row transpose retained as the golden
-// reference for the blocked T; tests pin bit-identity between the two.
-func (m Mat) TransposeRef() Mat {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
 		}
 	}
 	return out
@@ -187,7 +175,7 @@ func MatVec(m Mat, x []float32) []float32 {
 // and the loop retires more than one element per add-latency cycle.
 //
 // Canonical reduction order (part of the numeric contract, documented here
-// and tested against DotRef): lane L accumulates the products at indices
+// and tested against a scalar single-accumulator loop): lane L accumulates the products at indices
 // i+L over full 8-element groups in index order; the final fewer-than-8
 // tail elements fold sequentially into lane 0 (so lengths < 8 are exactly
 // the scalar sequential sum); the lanes then reduce as
@@ -217,25 +205,6 @@ func Dot(a, b []float32) float32 {
 		s0 += a[i] * b[i]
 	}
 	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-}
-
-// DotRef is the retained scalar reference for the striped Dot: one
-// accumulator, strict index order. Every optimized dot path is
-// equivalence-tested against it (bitwise for lengths < 8, where the striped
-// tail degenerates to exactly this loop; within FP32 reassociation
-// tolerance otherwise), and cmd/hilos-bench floors the striped speedup over
-// it.
-//
-//lint:allow floataccum scalar FP32 chain is the reference the striped lanes are tested against
-func DotRef(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: dot length %d != %d", len(a), len(b)))
-	}
-	var s float32
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // Scale multiplies every element of m by f in place and returns m.
