@@ -156,9 +156,15 @@
 // work degrades there and is counted as degraded service. Only a batch no
 // fleet member can ever place fails for infeasibility.
 //
-// Two property tests pin the contracts under fuzzing with -race, on
+// Four property tests pin the contracts under fuzzing with -race, on
 // checked-in corpora (internal/cluster/testdata/fuzz):
 //
+//   - Reference schedule (FuzzEventLoopMatchesReference): without faults,
+//     Run's assignments, rejections and preemption counts are bit-identical
+//     to a deliberately naive reference scheduler in the tests, which
+//     rescans every queue, deadline and pipeline at each instant instead of
+//     keeping an event heap — across close-at-admission and continuous
+//     batching, preemption, every policy and backlog caps.
 //   - Fault parity (FuzzFaultParity): an injector with nothing scheduled
 //     produces a Summary bit-identical (reflect.DeepEqual) to no injector
 //     at all — the fault machinery costs nothing and changes nothing until
@@ -168,6 +174,11 @@
 //     admitted job completes, fails terminally, or is rejected exactly
 //     once. Nothing is lost, nothing double-counted, and
 //     Admitted == Completed + FailedJobs always balances.
+//   - All modes at once (FuzzClusterAllModes): with preemption, continuous
+//     batching, faults and telemetry all on, jobs are conserved, the
+//     Summary is bit-identical with telemetry off, rejected and failed IDs
+//     come out sorted, and the delay histogram counts exactly the
+//     completed jobs.
 //
 // The Summary reports the whole story — FaultsInjected, RetriedBatches/
 // RetriedJobs, FailedOverBatches/FailedOverJobs, Quarantines,

@@ -8,15 +8,21 @@
 // The core is one discrete-event loop (events.go) over request arrival,
 // batch wait-timeout, request start-deadline, and pipeline-free events —
 // layered over per-priority queues (queue.go) and the policy/placement
-// layer (dispatch.go). A deterministic fault injector (Config.Faults, see
-// internal/faults) adds completion, fault, repair, and retry events plus a
-// self-healing recovery layer (health.go): bounded retries with
-// exponential backoff, per-pipeline circuit breakers, failover of queued
-// work, and graceful degradation to lossy tiers. Two admission extensions
-// change how batches meet pipelines:
+// layer (dispatch.go). Work takes one path through the loop: a queue
+// ripens when it fills, when its oldest member has waited MaxWaitSec, or
+// (under preemption) when a member's start deadline arrives; each batch
+// that ripening forms is planned by the policy and then settled —
+// committed to a pipeline, deferred while every pipeline that could serve
+// it is out of service, or failed when none ever can. A deterministic fault
+// injector (Config.Faults, see internal/faults) adds completion, fault,
+// repair, and retry events plus a self-healing recovery layer (health.go):
+// bounded retries with exponential backoff, per-pipeline circuit breakers,
+// failover of queued work, and graceful degradation to lossy tiers. Two
+// admission extensions change what ripening does:
 //
-//   - Continuous batching re-forms batches at dispatch time: work waits in
-//     its queue until a pipeline is actually free, and the freed pipeline
+//   - Continuous batching re-forms batches at dispatch time: ripening
+//     offers every ripe queue to the idle pipelines, so work waits in its
+//     queue until a pipeline is actually free, and the freed pipeline
 //     re-packs up to MaxBatch of the oldest waiting requests — not the
 //     stale batch that happened to close at admission.
 //   - Deadline-aware preemption lets online priority classes displace
@@ -26,9 +32,12 @@
 //     and re-run — never dropped. Preemption acts only at batch boundaries;
 //     running work always completes.
 //
-// With both extensions disabled the loop reproduces the original
-// close-at-admission, run-to-completion scheduler event for event, so pure
-// offline studies are unchanged. The facade's offline backlog
+// With both extensions disabled, ripening closes the whole queue into one
+// batch and the loop is the classic close-at-admission, run-to-completion
+// scheduler, so pure offline studies are unchanged. A deliberately naive
+// reference scheduler in the tests (reference_test.go) re-derives the
+// fault-free schedule from these rules and is fuzzed against Run for
+// bit-identical assignments. The facade's offline backlog
 // (Simulator.Backlog) is the degenerate trace — every request arrives at
 // time zero, priority 0, zero max wait, over identical pipelines — and runs
 // through Run like every other trace: there is one scheduling
@@ -315,37 +324,22 @@ func (s Summary) PriorityByClass(priority int) (PriorityStats, bool) {
 	return PriorityStats{}, false
 }
 
-// summarize folds a drained loop's assignments into the Summary,
-// attributing time, tokens, cost and energy per pipeline and queueing delay
-// per priority class. The makespan measures from the trace's first arrival.
-// fracs parallels asgs with each attempt's performed-write fraction (1
-// except for attempts a fail-stop killed mid-run).
+// summarize folds a drained loop's assignments into the Summary the loop
+// counted into, attributing time, tokens, cost and energy per pipeline and
+// queueing delay per priority class. The makespan measures from the trace's
+// first arrival. fracs parallels asgs with each attempt's performed-write
+// fraction (1 except for attempts a fail-stop killed mid-run).
 func summarize(l *eventLoop, asgs []Assignment, fracs []float64) Summary {
-	cfg, reqs, tally, ft := l.cfg, l.trace, l.tally, l.ft
+	cfg, reqs, s := l.cfg, l.trace, l.sum
 	startSec := reqs[0].ArrivalSec
-	s := Summary{
-		Policy:            cfg.Policy,
-		Requests:          len(reqs),
-		RejectedJobs:      len(l.rejected),
-		PreemptedBatches:  tally.batches,
-		PreemptedJobs:     tally.jobs,
-		RetriedBatches:    ft.retryBatches,
-		RetriedJobs:       ft.retryJobs,
-		FailedOverBatches: ft.failedOverB,
-		FailedOverJobs:    ft.failedOverJ,
-		FaultsInjected:    ft.faults,
-		Quarantines:       ft.quarantines,
-		DegradedBatches:   ft.degradedB,
-		DegradedJobs:      ft.degradedJ,
-		PerClassSec:       map[string]float64{},
-		Pipelines:         make([]PipelineStats, len(cfg.Fleet)),
-		Assignments:       asgs,
-	}
+	s.RejectedJobs = len(l.rejected)
+	s.Assignments = asgs
 	for i, p := range cfg.Fleet {
-		s.Pipelines[i].Name = p.Name
-		s.Pipelines[i].Faults = l.health[i].faults
-		s.Pipelines[i].Quarantines = l.health[i].quarantines
-		s.Pipelines[i].WearOut = l.health[i].wearOut
+		ps := &s.Pipelines[i]
+		ps.Name = p.Name
+		ps.WearOut = math.IsInf(l.d.health[i].downUntil, 1)
+		s.FaultsInjected += ps.Faults
+		s.Quarantines += ps.Quarantines
 	}
 
 	perPrio := map[int]*PriorityStats{}
@@ -366,7 +360,7 @@ func summarize(l *eventLoop, asgs []Assignment, fracs []float64) Summary {
 		prioStats(r.Priority).Admitted--
 		s.RejectedJobIDs = append(s.RejectedJobIDs, r.ID)
 	}
-	for prio, jobs := range tally.byPrio {
+	for prio, jobs := range l.preempted {
 		prioStats(prio).PreemptedJobs = jobs
 	}
 
@@ -464,6 +458,7 @@ func summarize(l *eventLoop, asgs []Assignment, fracs []float64) Summary {
 		s.TotalEnergyJ += ps.EnergyJ
 		s.TotalWriteBytes += ps.WriteBytes
 	}
+	cfg.Telemetry.finalize(s, delays) // before delayStats sorts delays in place
 	s.DelayMeanSec, s.DelayP50Sec, s.DelayP95Sec, s.DelayP99Sec = delayStats(delays)
 
 	prios := make([]int, 0, len(perPrio))
@@ -476,7 +471,6 @@ func summarize(l *eventLoop, asgs []Assignment, fracs []float64) Summary {
 		ps.DelayMeanSec, ps.DelayP50Sec, ps.DelayP95Sec, ps.DelayP99Sec = delayStats(prioDelays[prio])
 		s.PerPriority = append(s.PerPriority, *ps)
 	}
-	cfg.Telemetry.finalize(s)
 	return s
 }
 

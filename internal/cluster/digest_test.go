@@ -79,6 +79,22 @@ const digestRequests = 1200
 // run replays the case's trace and returns its Summary.
 func (c digestCase) run(t *testing.T) Summary {
 	t.Helper()
+	cfg, reqs := c.config(t)
+	if c.telemetry {
+		stream := telemetry.NewStream()
+		defer stream.Close()
+		cfg.Telemetry = NewTelemetry(telemetry.NewRegistry(), stream)
+	}
+	s, err := Run(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// config returns the case's telemetry-free configuration and trace.
+func (c digestCase) config(t *testing.T) (Config, []Request) {
+	t.Helper()
 	reqs := digestTrace(5, digestRequests)
 	fleet := faultFleet()
 	cfg := Config{
@@ -110,16 +126,7 @@ func (c digestCase) run(t *testing.T) Summary {
 		}, len(fleet))
 		cfg.Retry = DefaultRetryPolicy()
 	}
-	if c.telemetry {
-		stream := telemetry.NewStream()
-		defer stream.Close()
-		cfg.Telemetry = NewTelemetry(telemetry.NewRegistry(), stream)
-	}
-	s, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return cfg, reqs
 }
 
 func summaryDigest(t *testing.T, s Summary) string {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/energy"
+	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/repcache"
@@ -159,13 +160,12 @@ type dispatcher struct {
 	// no lock, no interface-keyed hashing. prewarm calls the group directly.
 	reports map[repKey]*pipeline.Report
 
-	// Recovery hooks, installed only when a fault injector is active (nil
-	// otherwise, which keeps the fault-free arithmetic bit-identical to a
-	// build without them). availAt returns the earliest instant a pipeline
-	// accepts new work (+Inf = permanently failed); slowAt returns the
-	// straggler service-time multiplier in effect at a given instant.
-	availAt func(p int) float64
-	slowAt  func(p int, at float64) float64
+	// Recovery state, which the event loop maintains. inj is nil without a
+	// non-empty fault injector: every pipeline is then always available at
+	// native speed, which keeps the fault-free arithmetic bit-identical to
+	// a build without faults.
+	inj    *faults.Injector
+	health []pipeHealth
 }
 
 func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher, error) {
@@ -198,6 +198,7 @@ func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher
 		engKey:  engKey,
 		group:   repcache.NewGroup(),
 		reports: map[repKey]*pipeline.Report{},
+		health:  make([]pipeHealth, len(fleet)),
 	}, nil
 }
 
@@ -213,50 +214,45 @@ func (d *dispatcher) report(p int, c workload.Class, size int) *pipeline.Report 
 	if rep := d.reports[k]; rep != nil {
 		return rep
 	}
-	rep := d.simulate(p, c, size)
+	rep := d.simulate(k)
 	d.reports[k] = &rep
 	return &rep
 }
 
-// simulate is report's concurrency-safe path through the group memo.
-func (d *dispatcher) simulate(p int, c workload.Class, size int) pipeline.Report {
-	return d.group.Do(d.shapeKey(p, c, size), func() pipeline.Report {
+// simulate is report's concurrency-safe path through the group memo. It
+// runs the engine of k.eng, the first fleet member sharing the engine.
+func (d *dispatcher) simulate(k repKey) pipeline.Report {
+	return d.group.Do(k, func() pipeline.Report {
 		// Scheduling reads only scalar timing/capacity fields; skip the
 		// per-task timeline so prewarming a fleet doesn't retain one
 		// timeline per (pipeline, class, size) shape.
-		return d.fleet[p].Run(pipeline.Request{Model: d.m, Batch: size, Context: c.Input, OutputLen: c.Output, NoTrace: true})
+		return d.fleet[k.eng].Run(pipeline.Request{Model: d.m, Batch: k.size, Context: k.in, OutputLen: k.out, NoTrace: true})
 	})
 }
 
-// prewarmShape names one (pipeline, class, size) combination to simulate.
-type prewarmShape struct {
-	p    int
-	c    workload.Class
-	size int
-}
-
-// prewarm simulates the given combinations on a worker pool before the
-// sequential event loop starts; the loop then runs entirely on memoized
-// reports for those shapes. Shapes deduplicate by memo key, so pipelines
-// sharing an EngineID simulate each shape once; the group's singleflight
-// makes a concurrent duplicate harmless anyway. Results are identical with
-// or without prewarming — it only moves pure computations off the loop.
-func (d *dispatcher) prewarm(shapes []prewarmShape) {
-	var todo []prewarmShape
+// prewarm simulates every distinct request shape in trace at the target
+// batch size on every pipeline, on a worker pool before the sequential
+// event loop starts; the loop then runs on memoized reports for those
+// dominant shapes, and odd tail sizes simulate lazily on the loop. Shapes
+// deduplicate before crossing the fleet (a trace has few shapes and many
+// requests), and by memo key after, so pipelines sharing an EngineID
+// simulate each shape once. Results are identical with or without
+// prewarming — it only moves pure computations off the loop.
+func (d *dispatcher) prewarm(trace []Request, size int) {
+	var todo []repKey
 	seen := map[repKey]bool{}
-	for _, s := range shapes {
-		if s.size < 1 {
-			continue
+	for _, r := range trace {
+		shape := repKey{eng: -1, in: r.Class.Input, out: r.Class.Output, size: size}
+		if seen[shape] {
+			continue // eng -1 marks a shape already crossed with the fleet
 		}
-		k := d.shapeKey(s.p, s.c, s.size)
-		if seen[k] {
-			continue
+		seen[shape] = true
+		for p := range d.fleet {
+			if k := d.shapeKey(p, r.Class, size); !seen[k] {
+				seen[k] = true
+				todo = append(todo, k)
+			}
 		}
-		seen[k] = true
-		todo = append(todo, s)
-	}
-	if len(todo) == 0 {
-		return
 	}
 	queue := make(chan int)
 	var wg sync.WaitGroup
@@ -265,7 +261,7 @@ func (d *dispatcher) prewarm(shapes []prewarmShape) {
 		go func() {
 			defer wg.Done()
 			for i := range queue {
-				d.simulate(todo[i].p, todo[i].c, todo[i].size)
+				d.simulate(todo[i])
 			}
 		}()
 	}
@@ -312,22 +308,23 @@ type placement struct {
 	degraded bool
 }
 
-// avail returns when pipeline p next accepts work (0 without recovery
-// hooks: always available).
+// avail returns when pipeline p next accepts work: always (0) without
+// faults, else the later of its downtime and quarantine ends (+Inf once
+// permanently worn out).
 func (d *dispatcher) avail(p int) float64 {
-	if d.availAt == nil {
+	if d.inj == nil {
 		return 0
 	}
-	return d.availAt(p)
+	return max(d.health[p].downUntil, d.health[p].quarUntil)
 }
 
 // slow returns the straggler multiplier for pipeline p at the given instant
-// (1 without recovery hooks).
+// (1 without faults).
 func (d *dispatcher) slow(p int, at float64) float64 {
-	if d.slowAt == nil {
+	if d.inj == nil {
 		return 1
 	}
-	return d.slowAt(p, at)
+	return d.inj.SlowFactor(p, at)
 }
 
 // plan picks a pipeline per the policy for n jobs of class c released at

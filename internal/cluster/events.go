@@ -10,7 +10,6 @@ import (
 	"repro/internal/endurance"
 	"repro/internal/faults"
 	"repro/internal/pipeline"
-	"repro/internal/workload"
 )
 
 // slot is one dispatched batch on the event loop's schedule. In
@@ -41,11 +40,10 @@ type slot struct {
 	writeFrac float64 // fraction of the attempt's flash writes performed
 }
 
-// eventLoop is the unified scheduling core behind Run: a simulated-clock
+// eventLoop is the scheduling core behind Run: a simulated-clock
 // discrete-event loop over arrival / wait-timeout / deadline /
-// pipeline-free events and per-priority-class queues. With every extension
-// disabled it reproduces the close-at-admission, run-to-completion
-// scheduler exactly, event for event.
+// pipeline-free events and per-priority-class queues. Queues release work
+// only through ripen, and every planned batch settles only through settle.
 type eventLoop struct {
 	cfg    Config
 	d      *dispatcher
@@ -75,27 +73,18 @@ type eventLoop struct {
 	order []*slot
 
 	rejected []Request
-	tally    preemptTally
+	// sum is the Summary under construction: preemption and recovery
+	// counters go straight into it (per pipeline where they have one), and
+	// summarize folds the drained schedule in at the end. preempted counts
+	// evicted jobs per priority class.
+	sum       Summary
+	preempted map[int]int
 
-	// Recovery layer, active only with a non-empty fault injector: inj is
-	// nil otherwise and every fault path below is skipped, leaving the
-	// loop's behavior bit-identical to a fault-free build.
-	inj    *faults.Injector
-	retry  RetryPolicy
-	health []pipeHealth
-	ft     faultTally
 	// pendingRetries holds failed-over and retried batches awaiting an
 	// idle pipeline in continuous mode; they dispatch ahead of the queues
 	// (they are the oldest admitted work). Whatever is still here when the
 	// event heap drains fails terminally — no batch is silently lost.
 	pendingRetries []BatchJob
-}
-
-// preemptTally counts batch-boundary evictions.
-type preemptTally struct {
-	batches int
-	jobs    int
-	byPrio  map[int]int
 }
 
 func (l *eventLoop) push(e event) {
@@ -186,8 +175,8 @@ func (l *eventLoop) backlog(minPrio int) int {
 	return n
 }
 
-// arrive admits one request: backlog cap, queue insertion, batch closure on
-// fill (close-at-admission mode) or a dispatch attempt (continuous mode).
+// arrive admits one request: backlog cap, queue insertion, and ripening
+// when the queue fills (close-at-admission) or at once (continuous).
 func (l *eventLoop) arrive(r Request) {
 	if cap := l.cfg.Admission.MaxBacklog; cap > 0 {
 		// With preemption, a request only competes for backlog space with
@@ -222,10 +211,8 @@ func (l *eventLoop) arrive(r Request) {
 	if l.cfg.Admission.Preemption && r.DeadlineSec > 0 {
 		l.push(event{at: r.StartDeadline(), kind: evDeadline, q: q, idx: pos})
 	}
-	if l.cfg.Admission.ContinuousBatching {
-		l.tryDispatch()
-	} else if len(q.reqs) >= l.cfg.Admission.MaxBatch {
-		l.closeQueue(q, r.ArrivalSec)
+	if l.cfg.Admission.ContinuousBatching || len(q.reqs) >= l.cfg.Admission.MaxBatch {
+		l.ripen(q)
 	}
 }
 
@@ -233,30 +220,31 @@ func (l *eventLoop) arrive(r Request) {
 // closed, or refilled with a later head — are skipped: the armed deadline
 // no longer matches.
 func (l *eventLoop) fireTimeout(e event) {
-	if len(e.q.reqs) == 0 || e.q.waitDeadline(l.cfg.Admission.MaxWaitSec) != e.dl {
-		return
+	if len(e.q.reqs) > 0 && e.q.waitDeadline(l.cfg.Admission.MaxWaitSec) == e.dl {
+		l.ripen(e.q)
 	}
+}
+
+// fireDeadline handles a start-deadline expiry (preemption mode only): a
+// request still waiting ripens its queue now, instead of waiting out the
+// max-wait timer behind offline work. The queue is FIFO, so the request is
+// still waiting exactly while its admission position has not been taken.
+func (l *eventLoop) fireDeadline(e event) {
+	if e.idx >= e.q.taken {
+		l.ripen(e.q)
+	}
+}
+
+// ripen releases work from queue q, which just filled, timed out, or reached
+// a member's start deadline. Continuous batching offers every ripe queue to
+// the idle pipelines; close-at-admission closes all of q into one batch
+// released now and places it, with deadline-aware preemption.
+func (l *eventLoop) ripen(q *classQueue) {
 	if l.cfg.Admission.ContinuousBatching {
 		l.tryDispatch()
 		return
 	}
-	l.closeQueue(e.q, e.dl)
-}
-
-// fireDeadline handles a start-deadline expiry (preemption mode only): if
-// the request is still waiting in its queue, its partial batch closes right
-// now and dispatches with deadline-aware placement, instead of waiting out
-// the max-wait timer behind offline work. The queue is FIFO, so the request
-// is still waiting exactly while its admission position has not been taken.
-func (l *eventLoop) fireDeadline(e event) {
-	if e.idx < e.q.taken {
-		return // already batched (and possibly already running)
-	}
-	if l.cfg.Admission.ContinuousBatching {
-		l.tryDispatch() // the queue is ripe now via its min start deadline
-		return
-	}
-	l.closeQueue(e.q, l.now)
+	l.place(l.takeBatch(q, len(q.reqs)), true)
 }
 
 // makeBatch forms a BatchJob from requests of one queue.
@@ -288,21 +276,26 @@ func minDeadline(b BatchJob) float64 {
 	return min
 }
 
-// closeQueue forms a batch from everything waiting in q, releases it at the
-// given time, and places it (close-at-admission mode).
-func (l *eventLoop) closeQueue(q *classQueue, release float64) {
-	b := makeBatch(q.key, q.reqs, release)
-	q.take(len(q.reqs))
-	l.cfg.Telemetry.onQueueDepth(q.key, 0)
-	l.place(b, true)
+// takeBatch removes q's n oldest requests as a batch released now, and
+// re-arms the max-wait timer for the queue's new head.
+func (l *eventLoop) takeBatch(q *classQueue, n int) BatchJob {
+	b := makeBatch(q.key, q.reqs[:n], l.now)
+	q.take(n)
+	l.cfg.Telemetry.onQueueDepth(q.key, len(q.reqs))
+	if len(q.reqs) > 0 {
+		dl := q.waitDeadline(l.cfg.Admission.MaxWaitSec)
+		l.push(event{at: max(dl, l.now), kind: evTimeout, q: q, dl: dl})
+	}
+	return b
 }
 
 // commitSlot materializes a planned placement as a schedule slot. With a
 // fault injector active it also draws the attempt's transient-error fate
 // (at commit, in dispatch order — single-goroutine, so the PRNG stream is
 // deterministic) and arms a completion event carrying the finish it was
-// armed for, so preemption-shifted slots invalidate stale completions.
-func (l *eventLoop) commitSlot(b BatchJob, pl placement) *slot {
+// armed for, so preemption-shifted slots invalidate stale completions. In
+// continuous mode it arms the pipeline-free event that re-packs the queues.
+func (l *eventLoop) commitSlot(b BatchJob, pl placement) {
 	s := &slot{
 		b: b, rep: pl.rep, execSec: pl.sec,
 		pipe: pl.p, start: pl.start, finish: pl.start + pl.sec,
@@ -311,17 +304,21 @@ func (l *eventLoop) commitSlot(b BatchJob, pl placement) *slot {
 	l.d.freeAt[pl.p] = s.finish
 	l.chains[pl.p] = append(l.chains[pl.p], s)
 	l.order = append(l.order, s)
-	l.cfg.Telemetry.onDispatch(l.now, s, l.cfg.Fleet[pl.p].Name)
-	if l.inj != nil {
-		s.transient = l.inj.BatchFails(pl.p)
+	name := l.cfg.Fleet[pl.p].Name
+	l.cfg.Telemetry.onBatch("dispatch", l.now, &s.b, name, s.finish-s.start,
+		func() string { return fmt.Sprintf("start=%g", s.start) })
+	if l.d.inj != nil {
+		s.transient = l.d.inj.BatchFails(pl.p)
 		if pl.degraded {
-			l.ft.degradedB++
-			l.ft.degradedJ += len(b.JobIDs)
-			l.cfg.Telemetry.onDegrade(l.now, s, l.cfg.Fleet[pl.p].Name)
+			l.sum.DegradedBatches++
+			l.sum.DegradedJobs += len(b.JobIDs)
+			l.cfg.Telemetry.onBatch("degrade", l.now, &s.b, name, 0, nil)
 		}
 		l.push(event{at: s.finish, kind: evDone, s: s, dl: s.finish})
 	}
-	return s
+	if l.cfg.Admission.ContinuousBatching {
+		l.push(event{at: s.finish, kind: evFree})
+	}
 }
 
 // failSlot records a batch no pipeline could place.
@@ -335,10 +332,6 @@ func (l *eventLoop) failSlot(b BatchJob, reason string) {
 // the policy's pick instead takes the pipeline where it can start soonest
 // after evicting strictly-lower-priority unstarted slots; evicted batches
 // are re-placed without that escalation, so one eviction cannot cascade.
-// When every pipeline that could serve the batch is temporarily down or
-// quarantined, it defers to the earliest re-admission instant instead of
-// failing work the fleet will soon be able to run; only a batch no pipeline
-// can ever place fails terminally.
 func (l *eventLoop) place(b BatchJob, mayPreempt bool) {
 	pl, feasible, nextAvail := l.d.plan(b.Class, len(b.JobIDs), b.ReleaseSec, false, l.now)
 	if mayPreempt && pl.p >= 0 && l.cfg.Admission.Preemption && minDeadline(b) < pl.start {
@@ -347,11 +340,20 @@ func (l *eventLoop) place(b BatchJob, mayPreempt bool) {
 			return
 		}
 	}
+	l.settle(b, pl, feasible, nextAvail)
+}
+
+// settle carries out a plan: commit the batch to the chosen pipeline; when
+// every pipeline that could serve it is temporarily down or quarantined,
+// defer it to the earliest re-admission instant instead of failing work the
+// fleet will soon be able to run; fail it only when no pipeline can ever
+// place it.
+func (l *eventLoop) settle(b BatchJob, pl placement, feasible bool, nextAvail float64) {
 	switch {
 	case pl.p >= 0:
 		l.commitSlot(b, pl)
 	case feasible && !math.IsInf(nextAvail, 1):
-		deferred := b
+		deferred := b // a copy, so only this branch allocates
 		l.push(event{at: nextAvail, kind: evRetry, b: &deferred})
 	default:
 		l.failSlot(b, pl.reason)
@@ -404,10 +406,11 @@ func (l *eventLoop) preemptInto(p int, b BatchJob) {
 	l.commitSlot(b, placement{p: p, rep: rep, sec: sec, start: start})
 
 	for _, ev := range evicted {
-		l.tally.batches++
-		l.tally.jobs += len(ev.b.JobIDs)
-		l.tally.byPrio[ev.b.Priority] += len(ev.b.JobIDs)
-		l.cfg.Telemetry.onPreempt(l.now, ev, b.Priority, l.cfg.Fleet[p].Name)
+		l.sum.PreemptedBatches++
+		l.sum.PreemptedJobs += len(ev.b.JobIDs)
+		l.preempted[ev.b.Priority] += len(ev.b.JobIDs)
+		l.cfg.Telemetry.onBatch("preempt", l.now, &ev.b, l.cfg.Fleet[p].Name, 0,
+			func() string { return fmt.Sprintf("by_priority=%d", b.Priority) })
 	}
 	for _, ev := range evicted {
 		nb := ev.b
@@ -451,7 +454,7 @@ func (l *eventLoop) recompute(p int) {
 		s.start = math.Max(s.b.ReleaseSec, prevFinish)
 		s.finish = s.start + s.execSec
 		prevFinish = s.finish
-		if l.inj != nil && s.finish != old {
+		if l.d.inj != nil && s.finish != old {
 			l.push(event{at: s.finish, kind: evDone, s: s, dl: s.finish})
 		}
 	}
@@ -470,7 +473,7 @@ func (l *eventLoop) fireDone(e event) {
 	}
 	s.done = true
 	p := s.pipe
-	if l.health[p].wear.Add(batchWriteBytes(s.rep, &s.b)) {
+	if l.d.health[p].wear.Add(batchWriteBytes(s.rep, &s.b)) {
 		// This attempt's writes crossed the endurance budget: the pipeline
 		// retires permanently, effective now (the completion boundary).
 		l.injectFault(p, faults.Event{Kind: faults.WearOut, Pipeline: p, AtSec: l.now})
@@ -482,7 +485,7 @@ func (l *eventLoop) fireDone(e event) {
 		l.failAttempt(p, s.b, "transient batch error")
 		return
 	}
-	l.health[p].consecFails = 0
+	l.d.health[p].consecFails = 0
 }
 
 // injectFault applies one injected fault to pipeline p: a wear-out retires
@@ -491,13 +494,12 @@ func (l *eventLoop) fireDone(e event) {
 // spot — its flash writes prorated by run fraction, its batch routed into
 // the retry path — and queued-ahead work fails over immediately.
 func (l *eventLoop) injectFault(p int, fe faults.Event) {
-	h := &l.health[p]
+	h := &l.d.health[p]
 	if math.IsInf(h.downUntil, 1) {
 		return // already permanently retired
 	}
 	if fe.Kind == faults.WearOut {
 		h.downUntil = math.Inf(1)
-		h.wearOut = true
 	} else {
 		if h.downUntil > l.now {
 			return // overlapping fail-stop: the pipeline is already down
@@ -505,8 +507,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 		h.downUntil = l.now + fe.DurationSec
 		l.push(event{at: h.downUntil, kind: evRepair, idx: p})
 	}
-	h.faults++
-	l.ft.faults++
+	l.sum.Pipelines[p].Faults++
 	l.cfg.Telemetry.onFault(l.now, l.cfg.Fleet[p].Name, fe)
 	for _, s := range l.chains[p] {
 		if s.aborted || s.evicted || s.start > l.now || s.finish <= l.now {
@@ -524,7 +525,6 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 			// The partial writes themselves exhausted the budget: the
 			// repair window becomes moot — the device is worn out.
 			h.downUntil = math.Inf(1)
-			h.wearOut = true
 		}
 		l.failAttempt(p, s.b, "killed by "+string(fe.Kind))
 	}
@@ -537,7 +537,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 // skipped), then offers it the waiting work.
 func (l *eventLoop) fireRepair(e event) {
 	p := e.idx
-	h := &l.health[p]
+	h := &l.d.health[p]
 	if h.downUntil > l.now || h.quarUntil > l.now {
 		return
 	}
@@ -552,16 +552,17 @@ func (l *eventLoop) fireRepair(e event) {
 // bit-identical.
 func (l *eventLoop) failAttempt(p int, b BatchJob, reason string) {
 	attempt := b.Attempt + 1
-	if attempt > l.retry.MaxRetries {
+	if attempt > l.cfg.Retry.MaxRetries {
 		l.failSlot(b, reason+" (retries exhausted)")
 		return
 	}
 	nb := b
 	nb.Attempt = attempt
-	nb.ReleaseSec = l.now + l.retry.backoffSec(attempt)
-	l.ft.retryBatches++
-	l.ft.retryJobs += len(nb.JobIDs)
-	l.cfg.Telemetry.onRetry(l.now, nb, reason, l.cfg.Fleet[p].Name)
+	nb.ReleaseSec = l.now + l.cfg.Retry.backoffSec(attempt)
+	l.sum.RetriedBatches++
+	l.sum.RetriedJobs += len(nb.JobIDs)
+	l.cfg.Telemetry.onBatch("retry", l.now, &nb, l.cfg.Fleet[p].Name, nb.ReleaseSec-l.now,
+		func() string { return fmt.Sprintf("attempt=%d %s", nb.Attempt, reason) })
 	l.push(event{at: nb.ReleaseSec, kind: evRetry, b: &nb})
 }
 
@@ -571,19 +572,18 @@ func (l *eventLoop) failAttempt(p int, b BatchJob, reason string) {
 // scheduled. Runs before the failed batch's own retry is armed, so even a
 // zero-backoff retry sees the quarantine.
 func (l *eventLoop) noteFailure(p int) {
-	h := &l.health[p]
+	h := &l.d.health[p]
 	h.consecFails++
-	if l.retry.FailureThreshold <= 0 || h.consecFails < l.retry.FailureThreshold {
+	if l.cfg.Retry.FailureThreshold <= 0 || h.consecFails < l.cfg.Retry.FailureThreshold {
 		return
 	}
 	if h.downUntil > l.now || h.quarUntil > l.now {
 		return // already out of service
 	}
 	h.consecFails = 0
-	h.quarUntil = l.now + l.retry.QuarantineSec
-	h.quarantines++
-	l.ft.quarantines++
-	l.cfg.Telemetry.onQuarantine(l.now, l.cfg.Fleet[p].Name, l.retry.QuarantineSec)
+	h.quarUntil = l.now + l.cfg.Retry.QuarantineSec
+	l.sum.Pipelines[p].Quarantines++
+	l.cfg.Telemetry.onQuarantine(l.now, l.cfg.Fleet[p].Name, l.cfg.Retry.QuarantineSec)
 	l.evictUnstarted(p, "quarantine")
 	l.push(event{at: h.quarUntil, kind: evRepair, idx: p})
 }
@@ -596,9 +596,9 @@ func (l *eventLoop) noteFailure(p int) {
 func (l *eventLoop) evictUnstarted(p int, cause string) {
 	evicted := l.evict(p, func(*slot) bool { return true })
 	for _, ev := range evicted {
-		l.ft.failedOverB++
-		l.ft.failedOverJ += len(ev.b.JobIDs)
-		l.cfg.Telemetry.onFailover(l.now, ev, cause, l.cfg.Fleet[p].Name)
+		l.sum.FailedOverBatches++
+		l.sum.FailedOverJobs += len(ev.b.JobIDs)
+		l.cfg.Telemetry.onBatch("failover", l.now, &ev.b, l.cfg.Fleet[p].Name, 0, func() string { return cause })
 	}
 	for _, ev := range evicted {
 		nb := ev.b
@@ -675,13 +675,11 @@ func (l *eventLoop) tryDispatch() {
 func (l *eventLoop) dispatchQueue() bool {
 	for _, q := range l.ripeQueues() {
 		n := min(len(q.reqs), l.cfg.Admission.MaxBatch)
-		pl, feasible, _ := l.d.plan(q.key.class, n, l.now, true, l.now)
+		pl, feasible, nextAvail := l.d.plan(q.key.class, n, l.now, true, l.now)
 		if pl.p < 0 && feasible {
 			continue // every feasible pipeline is busy or down: wait for a free/repair event
 		}
-		b := makeBatch(q.key, q.reqs[:n], l.now)
-		l.takeFromQueue(q, n)
-		l.startIdle(b, pl)
+		l.settle(l.takeBatch(q, n), pl, feasible, nextAvail)
 		return true
 	}
 	return false
@@ -697,41 +695,15 @@ func (l *eventLoop) dispatchRetry() bool {
 		if b.ReleaseSec < l.now {
 			b.ReleaseSec = l.now // parked since an earlier instant: re-release now
 		}
-		pl, feasible, _ := l.d.plan(b.Class, len(b.JobIDs), b.ReleaseSec, true, l.now)
+		pl, feasible, nextAvail := l.d.plan(b.Class, len(b.JobIDs), b.ReleaseSec, true, l.now)
 		if pl.p < 0 && feasible {
 			continue
 		}
 		l.pendingRetries = slices.Delete(l.pendingRetries, i, i+1)
-		l.startIdle(b, pl)
+		l.settle(b, pl, feasible, nextAvail)
 		return true
 	}
 	return false
-}
-
-// startIdle settles a continuous-mode plan: start the batch and arm its
-// pipeline-free event, or fail it when no pipeline can ever place it.
-func (l *eventLoop) startIdle(b BatchJob, pl placement) {
-	if pl.p < 0 {
-		l.failSlot(b, pl.reason)
-		return
-	}
-	s := l.commitSlot(b, pl)
-	l.push(event{at: s.finish, kind: evFree})
-}
-
-// takeFromQueue removes the queue's n oldest requests and re-arms its
-// max-wait timer for the new head.
-func (l *eventLoop) takeFromQueue(q *classQueue, n int) {
-	q.take(n)
-	l.cfg.Telemetry.onQueueDepth(q.key, len(q.reqs))
-	if len(q.reqs) > 0 {
-		dl := q.waitDeadline(l.cfg.Admission.MaxWaitSec)
-		at := dl
-		if at < l.now {
-			at = l.now
-		}
-		l.push(event{at: at, kind: evTimeout, q: q, dl: dl})
-	}
 }
 
 // Run drains a timestamped trace through the fleet: the full discrete-event
@@ -754,13 +726,6 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 	d, err := newDispatcher(cfg.Model, cfg.Fleet, cfg.Policy)
 	if err != nil {
 		return Summary{}, err
-	}
-	// An injector with nothing to inject is dropped entirely: every fault
-	// path below keys off inj != nil, so the empty-injector run is the
-	// fault-free run, bit for bit.
-	inj := cfg.Faults
-	if inj.Empty() {
-		inj = nil
 	}
 
 	sorted := slices.Clone(reqs)
@@ -791,21 +756,7 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		}
 	}
 
-	// Prewarm the dominant shapes (every distinct class shape at the target
-	// batch size on every pipeline) concurrently; odd tail sizes simulate
-	// lazily on the event loop.
-	var shapes []prewarmShape
-	seenClass := map[workload.Class]bool{}
-	for _, r := range sorted {
-		if seenClass[r.Class] {
-			continue
-		}
-		seenClass[r.Class] = true
-		for p := range cfg.Fleet {
-			shapes = append(shapes, prewarmShape{p: p, c: r.Class, size: cfg.Admission.MaxBatch})
-		}
-	}
-	d.prewarm(shapes)
+	d.prewarm(sorted, cfg.Admission.MaxBatch)
 
 	l := &eventLoop{
 		cfg:    cfg,
@@ -813,18 +764,21 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		queues: map[queueKey]*classQueue{},
 		chains: make([][]*slot, len(cfg.Fleet)),
 		floors: make([]float64, len(cfg.Fleet)),
-		tally:  preemptTally{byPrio: map[int]int{}},
-		inj:    inj,
-		retry:  cfg.Retry,
-		health: make([]pipeHealth, len(cfg.Fleet)),
 		trace:  sorted,
+		sum: Summary{
+			Policy: cfg.Policy, Requests: len(reqs),
+			PerClassSec: map[string]float64{}, Pipelines: make([]PipelineStats, len(cfg.Fleet)),
+		},
+		preempted: map[int]int{},
 	}
-	if inj != nil {
-		d.availAt = l.availAt
-		d.slowAt = inj.SlowFactor
-		for p := range l.health {
+	// An injector with nothing to inject is dropped entirely: every fault
+	// path keys off d.inj != nil, so the empty-injector run is the
+	// fault-free run, bit for bit.
+	if inj := cfg.Faults; !inj.Empty() {
+		d.inj = inj
+		for p := range d.health {
 			if budget := inj.WearBudgetBytes(p); budget > 0 {
-				l.health[p].wear = endurance.NewBudget(budget)
+				d.health[p].wear = endurance.NewBudget(budget)
 			}
 		}
 		fs := inj.FailStops()
@@ -842,7 +796,6 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 	for _, b := range l.pendingRetries {
 		l.failSlot(b, "no healthy pipeline before trace end")
 	}
-	l.pendingRetries = nil
 
 	asgs := make([]Assignment, 0, len(l.order))
 	fracs := make([]float64, 0, len(l.order))

@@ -3,10 +3,12 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/telemetry"
 )
 
 // faultFleet is telemetryFleet plus a lossy InstInfer-style backup tier —
@@ -409,45 +411,113 @@ func FuzzJobConservation(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkConservation(t, s, reqs)
+	})
+}
 
-		if s.Requests != n || s.Admitted != s.Requests-s.RejectedJobs {
-			t.Fatalf("admission bookkeeping: %+v", s)
-		}
-		if s.Completed != s.Admitted-s.FailedJobs {
-			t.Fatalf("completion bookkeeping: %+v", s)
-		}
+// checkConservation asserts job conservation: the Summary's bookkeeping
+// balances, and every trace job settles exactly once — completed, failed
+// terminally, or rejected. No job is lost, none is double-counted.
+func checkConservation(t *testing.T, s Summary, reqs []Request) {
+	t.Helper()
+	if s.Requests != len(reqs) || s.Admitted != s.Requests-s.RejectedJobs {
+		t.Fatalf("admission bookkeeping: %+v", s)
+	}
+	if s.Completed != s.Admitted-s.FailedJobs {
+		t.Fatalf("completion bookkeeping: %+v", s)
+	}
 
-		// Every trace job settles exactly once across the three outcomes.
-		settled := map[int]int{}
-		for _, a := range s.Assignments {
-			if a.Pipeline < 0 || a.Aborted {
-				continue
-			}
-			for _, id := range a.Batch.JobIDs {
-				settled[id]++
-			}
+	// Every trace job settles exactly once across the three outcomes.
+	settled := map[int]int{}
+	for _, a := range s.Assignments {
+		if a.Pipeline < 0 || a.Aborted {
+			continue
 		}
-		if len(settled) != s.Completed {
-			t.Fatalf("completed assignments cover %d jobs, Summary says %d", len(settled), s.Completed)
-		}
-		for _, id := range s.FailedJobIDs {
+		for _, id := range a.Batch.JobIDs {
 			settled[id]++
 		}
-		for _, id := range s.RejectedJobIDs {
-			settled[id]++
+	}
+	if len(settled) != s.Completed {
+		t.Fatalf("completed assignments cover %d jobs, Summary says %d", len(settled), s.Completed)
+	}
+	for _, id := range s.FailedJobIDs {
+		settled[id]++
+	}
+	for _, id := range s.RejectedJobIDs {
+		settled[id]++
+	}
+	for _, r := range reqs {
+		switch settled[r.ID] {
+		case 0:
+			t.Fatalf("job %d lost: neither completed, failed, nor rejected\n%+v", r.ID, s)
+		case 1:
+			// settled exactly once
+		default:
+			t.Fatalf("job %d settled %d times\n%+v", r.ID, settled[r.ID], s)
 		}
-		for _, r := range reqs {
-			switch settled[r.ID] {
-			case 0:
-				t.Fatalf("job %d lost: neither completed, failed, nor rejected\n%+v", r.ID, s)
-			case 1:
-				// settled exactly once
-			default:
-				t.Fatalf("job %d settled %d times\n%+v", r.ID, settled[r.ID], s)
+	}
+	if !(s.MakespanSec >= 0) || math.IsInf(s.MakespanSec, 0) {
+		t.Fatalf("makespan %g not finite", s.MakespanSec)
+	}
+}
+
+// FuzzClusterAllModes drives every scheduling extension at once —
+// preemption, continuous batching, fault injection with retries, and
+// telemetry — and checks the contracts that must hold together: job
+// conservation, a Summary bit-identical with telemetry off, sorted
+// rejected/failed IDs, and a delay histogram counting exactly the
+// completed jobs.
+func FuzzClusterAllModes(f *testing.F) {
+	f.Add(int64(1), 32, 3, 0, 120.0, 0.2)
+	f.Add(int64(7), 48, 4, 1, 60.0, 0.5)
+	f.Add(int64(-4), 12, 1, 2, 400.0, 0.0)
+	f.Fuzz(func(t *testing.T, seed int64, n, maxBatch, policy int, mtbf, transProb float64) {
+		n = 1 + mod(n, 48)
+		maxBatch = 1 + mod(maxBatch, 6)
+		if !(mtbf >= 30 && mtbf <= 1e4) {
+			mtbf = 200
+		}
+		if !(transProb >= 0 && transProb <= 0.9) {
+			transProb = 0.25
+		}
+		fleet := faultFleet()
+		reqs := digestTrace(seed, n)
+		events, err := faults.GenerateFailStops(seed, len(fleet), reqs[len(reqs)-1].ArrivalSec+100, mtbf, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := faults.Plan{Seed: seed, Events: events, TransientProb: transProb, WearBudgetBytes: 20e9}
+		run := func(tel *Telemetry) Summary {
+			t.Helper()
+			s, err := Run(Config{
+				Model:  model.OPT30B,
+				Fleet:  fleet,
+				Policy: Policies()[mod(policy, 3)],
+				Admission: Admission{
+					MaxBatch: maxBatch, MaxWaitSec: 2, MaxBacklog: 24,
+					Preemption: true, ContinuousBatching: true,
+				},
+				Faults:    mustInjector(t, plan, len(fleet)), // fresh: the injector's draws are stateful
+				Retry:     DefaultRetryPolicy(),
+				Telemetry: tel,
+			}, reqs)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return s
 		}
-		if !(s.MakespanSec >= 0) || math.IsInf(s.MakespanSec, 0) {
-			t.Fatalf("makespan %g not finite", s.MakespanSec)
+		reg, stream := telemetry.NewRegistry(), telemetry.NewStream()
+		defer stream.Close()
+		s := run(NewTelemetry(reg, stream))
+		checkConservation(t, s, reqs)
+		if plain := run(nil); !reflect.DeepEqual(s, plain) {
+			t.Fatalf("telemetry changed the Summary:\non:  %+v\noff: %+v", s, plain)
+		}
+		if !sort.IntsAreSorted(s.RejectedJobIDs) || !sort.IntsAreSorted(s.FailedJobIDs) {
+			t.Fatalf("IDs not sorted: rejected %v, failed %v", s.RejectedJobIDs, s.FailedJobIDs)
+		}
+		if h := reg.Snapshot().Histograms["cluster.delay_sec"]; h.Count != int64(s.Completed) {
+			t.Fatalf("delay histogram counts %d jobs, Summary completed %d", h.Count, s.Completed)
 		}
 	})
 }

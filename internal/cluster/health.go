@@ -101,32 +101,4 @@ type pipeHealth struct {
 	consecFails int
 	// wear is the pipeline's endurance allowance (nil = unlimited).
 	wear *endurance.Budget
-
-	faults      int
-	quarantines int
-	wearOut     bool
-}
-
-// availAt returns the earliest instant pipeline p accepts new work: now (or
-// earlier) when healthy, the later of its downtime/quarantine ends while out
-// of service, +Inf once permanently worn out.
-func (l *eventLoop) availAt(p int) float64 {
-	h := &l.health[p]
-	a := h.downUntil
-	if h.quarUntil > a {
-		a = h.quarUntil
-	}
-	return a
-}
-
-// faultTally accumulates the recovery layer's run-wide counters.
-type faultTally struct {
-	faults       int // injected faults that fired (fail-stop + wear-out)
-	retryBatches int
-	retryJobs    int
-	failedOverB  int // batches evicted from a failing pipeline and re-dispatched
-	failedOverJ  int
-	quarantines  int
-	degradedB    int // batches served lossily for lack of a healthy exact tier
-	degradedJ    int
 }

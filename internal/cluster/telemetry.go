@@ -32,22 +32,20 @@ type Telemetry struct {
 
 	arrivals   *telemetry.Counter
 	rejections *telemetry.Counter
-	dispBatch  *telemetry.Counter
-	dispJobs   *telemetry.Counter
-	preBatch   *telemetry.Counter
-	preJobs    *telemetry.Counter
 	faultsC    *telemetry.Counter
 	repairs    *telemetry.Counter
-	retryBatch *telemetry.Counter
-	retryJobs  *telemetry.Counter
 	quarC      *telemetry.Counter
-	foBatch    *telemetry.Counter
-	foJobs     *telemetry.Counter
-	degBatch   *telemetry.Counter
-	degJobs    *telemetry.Counter
 	clock      *telemetry.Gauge
+	// batchC holds the batch and job counters of each batch event kind.
+	batchC map[string][2]*telemetry.Counter
 
 	queueDepth map[queueKey]*telemetry.Gauge
+}
+
+// batchKinds maps each batch event kind to its counters' name stem.
+var batchKinds = map[string]string{
+	"dispatch": "dispatched", "preempt": "preempted", "retry": "retried",
+	"failover": "failed_over", "degrade": "degraded",
 }
 
 // NewTelemetry binds a cluster telemetry sink to a registry and/or an event
@@ -57,43 +55,22 @@ func NewTelemetry(reg *telemetry.Registry, stream *telemetry.Stream) *Telemetry 
 	if reg == nil && stream == nil {
 		return nil
 	}
-	return &Telemetry{
+	t := &Telemetry{
 		reg:        reg,
 		stream:     stream,
 		arrivals:   reg.Counter("cluster.arrivals"),
 		rejections: reg.Counter("cluster.rejections"),
-		dispBatch:  reg.Counter("cluster.dispatched_batches"),
-		dispJobs:   reg.Counter("cluster.dispatched_jobs"),
-		preBatch:   reg.Counter("cluster.preempted_batches"),
-		preJobs:    reg.Counter("cluster.preempted_jobs"),
 		faultsC:    reg.Counter("cluster.faults_injected"),
 		repairs:    reg.Counter("cluster.repairs"),
-		retryBatch: reg.Counter("cluster.retried_batches"),
-		retryJobs:  reg.Counter("cluster.retried_jobs"),
 		quarC:      reg.Counter("cluster.quarantines"),
-		foBatch:    reg.Counter("cluster.failed_over_batches"),
-		foJobs:     reg.Counter("cluster.failed_over_jobs"),
-		degBatch:   reg.Counter("cluster.degraded_batches"),
-		degJobs:    reg.Counter("cluster.degraded_jobs"),
 		clock:      reg.Gauge("cluster.sim_clock_sec"),
+		batchC:     map[string][2]*telemetry.Counter{},
 		queueDepth: map[queueKey]*telemetry.Gauge{},
 	}
-}
-
-// Registry returns the bound metrics registry (nil when disabled).
-func (t *Telemetry) Registry() *telemetry.Registry {
-	if t == nil {
-		return nil
+	for kind, stem := range batchKinds {
+		t.batchC[kind] = [2]*telemetry.Counter{reg.Counter("cluster." + stem + "_batches"), reg.Counter("cluster." + stem + "_jobs")}
 	}
-	return t.reg
-}
-
-// Stream returns the bound event stream (nil when disabled).
-func (t *Telemetry) Stream() *telemetry.Stream {
-	if t == nil {
-		return nil
-	}
-	return t.stream
+	return t
 }
 
 // tick records the simulated clock advancing to now.
@@ -141,21 +118,29 @@ func (t *Telemetry) onQueueDepth(k queueKey, depth int) {
 	g.Set(float64(depth))
 }
 
-// onDispatch records a slot committed onto a pipeline's chain. The slot may
-// later be evicted by preemption; dispatch counters narrate scheduling
-// decisions, not completions.
-func (t *Telemetry) onDispatch(now float64, s *slot, pipeName string) {
+// onBatch counts one batch event on a pipeline and publishes it. kind is one
+// of batchKinds: a dispatch (a slot committed to a pipeline, which
+// preemption may later evict — dispatch counters narrate scheduling
+// decisions, not completions), a preemption eviction, a retry after
+// backoff, a failover off a failing pipeline, or degraded service on a
+// lossy tier. detail, when non-nil, renders the event's detail; it runs
+// only past the nil check, so nothing is formatted with telemetry off.
+func (t *Telemetry) onBatch(kind string, now float64, b *BatchJob, pipeName string, value float64, detail func() string) {
 	if t == nil {
 		return
 	}
-	t.dispBatch.Inc()
-	t.dispJobs.Add(int64(len(s.b.JobIDs)))
-	t.stream.Publish(telemetry.Event{
-		TSec: now, Kind: "dispatch", Subsystem: "cluster",
-		Pipeline: pipeName, Class: s.b.Class.Name, Priority: s.b.Priority,
-		Jobs: len(s.b.JobIDs), Value: s.finish - s.start,
-		Detail: fmt.Sprintf("start=%g", s.start),
-	})
+	c := t.batchC[kind]
+	c[0].Inc()
+	c[1].Add(int64(len(b.JobIDs)))
+	e := telemetry.Event{
+		TSec: now, Kind: kind, Subsystem: "cluster",
+		Pipeline: pipeName, Class: b.Class.Name, Priority: b.Priority,
+		Jobs: len(b.JobIDs), Value: value,
+	}
+	if detail != nil {
+		e.Detail = detail()
+	}
+	t.stream.Publish(e)
 }
 
 // onFail records a batch no pipeline could place.
@@ -167,20 +152,6 @@ func (t *Telemetry) onFail(now float64, b BatchJob, reason string) {
 		TSec: now, Kind: "fail", Subsystem: "cluster",
 		Class: b.Class.Name, Priority: b.Priority, Jobs: len(b.JobIDs),
 		Detail: reason,
-	})
-}
-
-// onPreempt records one evicted (and re-enqueued) slot.
-func (t *Telemetry) onPreempt(now float64, ev *slot, byPriority int, pipeName string) {
-	if t == nil {
-		return
-	}
-	t.preBatch.Inc()
-	t.preJobs.Add(int64(len(ev.b.JobIDs)))
-	t.stream.Publish(telemetry.Event{
-		TSec: now, Kind: "preempt", Subsystem: "cluster",
-		Pipeline: pipeName, Class: ev.b.Class.Name, Priority: ev.b.Priority,
-		Jobs: len(ev.b.JobIDs), Detail: fmt.Sprintf("by_priority=%d", byPriority),
 	})
 }
 
@@ -208,21 +179,6 @@ func (t *Telemetry) onRepair(now float64, pipeName string) {
 	})
 }
 
-// onRetry records one failed attempt re-entering dispatch after backoff.
-func (t *Telemetry) onRetry(now float64, b BatchJob, reason, pipeName string) {
-	if t == nil {
-		return
-	}
-	t.retryBatch.Inc()
-	t.retryJobs.Add(int64(len(b.JobIDs)))
-	t.stream.Publish(telemetry.Event{
-		TSec: now, Kind: "retry", Subsystem: "cluster",
-		Pipeline: pipeName, Class: b.Class.Name, Priority: b.Priority,
-		Jobs: len(b.JobIDs), Value: b.ReleaseSec - now,
-		Detail: fmt.Sprintf("attempt=%d %s", b.Attempt, reason),
-	})
-}
-
 // onQuarantine records a circuit-breaker trip.
 func (t *Telemetry) onQuarantine(now float64, pipeName string, durSec float64) {
 	if t == nil {
@@ -235,36 +191,6 @@ func (t *Telemetry) onQuarantine(now float64, pipeName string, durSec float64) {
 	})
 }
 
-// onFailover records one queued-ahead slot evicted from a failing pipeline
-// and re-dispatched elsewhere.
-func (t *Telemetry) onFailover(now float64, ev *slot, cause, pipeName string) {
-	if t == nil {
-		return
-	}
-	t.foBatch.Inc()
-	t.foJobs.Add(int64(len(ev.b.JobIDs)))
-	t.stream.Publish(telemetry.Event{
-		TSec: now, Kind: "failover", Subsystem: "cluster",
-		Pipeline: pipeName, Class: ev.b.Class.Name, Priority: ev.b.Priority,
-		Jobs: len(ev.b.JobIDs), Detail: cause,
-	})
-}
-
-// onDegrade records a batch landing on a lossy tier because every exact
-// pipeline was out of service.
-func (t *Telemetry) onDegrade(now float64, s *slot, pipeName string) {
-	if t == nil {
-		return
-	}
-	t.degBatch.Inc()
-	t.degJobs.Add(int64(len(s.b.JobIDs)))
-	t.stream.Publish(telemetry.Event{
-		TSec: now, Kind: "degrade", Subsystem: "cluster",
-		Pipeline: pipeName, Class: s.b.Class.Name, Priority: s.b.Priority,
-		Jobs: len(s.b.JobIDs),
-	})
-}
-
 // delayBounds buckets queueing delay in seconds, log-spaced from sub-second
 // to hours.
 var delayBounds = []float64{0.1, 0.5, 1, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
@@ -272,8 +198,9 @@ var delayBounds = []float64{0.1, 0.5, 1, 5, 10, 30, 60, 120, 300, 600, 1800, 360
 // finalize publishes the settled end-state of a run: counters and gauges
 // whose exact values depend on the final schedule (preemption shifts
 // unstarted slot starts after dispatch). Every value is copied from the
-// Summary, so metrics and Summary can never disagree.
-func (t *Telemetry) finalize(s Summary) {
+// Summary, and the delay histogram observes summarize's per-completed-job
+// delays, so metrics and Summary can never disagree.
+func (t *Telemetry) finalize(s Summary, delays []float64) {
 	if t == nil {
 		return
 	}
@@ -285,17 +212,8 @@ func (t *Telemetry) finalize(s Summary) {
 	t.reg.Gauge("cluster.total_write_bytes").Add(s.TotalWriteBytes)
 
 	h := t.reg.Histogram("cluster.delay_sec", delayBounds)
-	for _, a := range s.Assignments {
-		if a.Pipeline < 0 {
-			continue
-		}
-		for i := range a.Batch.JobIDs {
-			arr := a.Batch.ReleaseSec
-			if a.Batch.Arrivals != nil {
-				arr = a.Batch.Arrivals[i]
-			}
-			h.Observe(a.StartSec - arr)
-		}
+	for _, d := range delays {
+		h.Observe(d)
 	}
 
 	for _, ps := range s.Pipelines {

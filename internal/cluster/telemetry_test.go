@@ -119,19 +119,30 @@ func FuzzClusterTelemetryParity(f *testing.F) {
 }
 
 // Live counters must agree with the Summary where the schedule cannot shift
-// them, and finalize must copy the settled end-state exactly.
+// them, and finalize must copy the settled end-state exactly — under faults
+// too, where fault-aborted attempts must not reach the delay histogram.
 func TestTelemetryCountersMatchSummary(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		checkTelemetryMatchesSummary(t, Config{
+			Model:     model.OPT30B,
+			Fleet:     telemetryFleet(),
+			Policy:    LeastLoaded,
+			Admission: Admission{MaxBatch: 4, MaxWaitSec: 5, MaxBacklog: 6},
+		}, parityTrace(3, 40))
+	})
+	for _, mode := range []string{"close", "continuous", "preempt"} {
+		t.Run("faulted-"+mode, func(t *testing.T) {
+			cfg, reqs := digestCase{mode: mode, faults: true, policy: LeastLoaded}.config(t)
+			checkTelemetryMatchesSummary(t, cfg, reqs)
+		})
+	}
+}
+
+func checkTelemetryMatchesSummary(t *testing.T, cfg Config, reqs []Request) {
 	reg := telemetry.NewRegistry()
 	stream := telemetry.NewStream()
 	sub := stream.Subscribe(1024)
-	cfg := Config{
-		Model:     model.OPT30B,
-		Fleet:     telemetryFleet(),
-		Policy:    LeastLoaded,
-		Admission: Admission{MaxBatch: 4, MaxWaitSec: 5, MaxBacklog: 6},
-		Telemetry: NewTelemetry(reg, stream),
-	}
-	reqs := parityTrace(3, 40)
+	cfg.Telemetry = NewTelemetry(reg, stream)
 	s, err := Run(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)

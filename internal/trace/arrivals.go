@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 
 	"repro/internal/workload"
 )
@@ -20,8 +21,8 @@ import (
 // six-column form adds the scheduling columns — an integer priority class
 // (higher is more urgent, 0 is the offline default) and a start deadline in
 // seconds after arrival (0 = none). Legacy two- and four-column traces parse
-// unchanged as priority-0, no-deadline requests. A header row is skipped
-// when the first field is not numeric.
+// unchanged as priority-0, no-deadline requests. The header row
+// WriteArrivalsCSV emits is skipped; class names span one line.
 
 // ReadArrivalsCSV parses an arrival-trace CSV into timestamped requests,
 // sorted by arrival with IDs in file order.
@@ -66,6 +67,11 @@ func ReadArrivalsCSV(r io.Reader) ([]workload.TimedRequest, error) {
 			out, err2 := strconv.Atoi(rec[3])
 			if err1 != nil || err2 != nil || in < 1 || out < 1 {
 				return nil, fmt.Errorf("trace: record %d: bad request shape %q/%q", line, rec[2], rec[3])
+			}
+			// The CSV reader folds a quoted \r\n into \n, so a multi-line
+			// name would not survive a write and re-read.
+			if strings.ContainsAny(rec[1], "\r\n") {
+				return nil, fmt.Errorf("trace: record %d: class name %q spans lines", line, rec[1])
 			}
 			c = workload.Class{Name: rec[1], Input: in, Output: out}
 		}

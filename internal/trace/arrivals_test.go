@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -125,6 +126,7 @@ func TestReadArrivalsCSVErrors(t *testing.T) {
 		"unknown class":   "0.5,Gigantic\n",
 		"bad arrival":     "0.5,Short\nx,Short\n",
 		"bad shape":       "0.5,c,0,10\n",
+		"multi-line name": "0.5,\"a\nb\",256,100\n",
 		"field count":     "0.5,Short,256\n",
 		"five fields":     "0.5,c,256,100,1\n",
 		"bad priority":    "0.5,c,256,100,x,0\n",
@@ -187,4 +189,44 @@ func TestReadArrivalsCSVCorruptFirstRecord(t *testing.T) {
 	if _, err := ReadArrivalsCSV(strings.NewReader("NaN,Short\n")); err == nil {
 		t.Error("NaN arrival accepted")
 	}
+}
+
+// FuzzReadArrivalsCSV pins the reader's contract on arbitrary input: it
+// returns an error or valid requests (finite arrival ≥ 0, shape ≥ 1,
+// priority ≥ 0, finite deadline ≥ 0) and never panics; and writing what it
+// read with WriteArrivalsCSV and reading that back returns the same
+// requests, apart from IDs.
+func FuzzReadArrivalsCSV(f *testing.F) {
+	f.Add("0.5,Short\n1,Long\n")
+	f.Add("arrival_sec,class,input_tokens,output_tokens,priority,deadline_sec\n0,c,256,100,1,5\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		reqs, err := ReadArrivalsCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, r := range reqs {
+			if !(r.ArrivalSec >= 0) || math.IsInf(r.ArrivalSec, 0) || r.Class.Input < 1 || r.Class.Output < 1 ||
+				r.Priority < 0 || !(r.DeadlineSec >= 0) || math.IsInf(r.DeadlineSec, 0) {
+				t.Fatalf("invalid request %+v read from %q", r, in)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteArrivalsCSV(&buf, reqs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadArrivalsCSV(strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", buf.String(), err)
+		}
+		if len(back) != len(reqs) {
+			t.Fatalf("round trip %d → %d requests", len(reqs), len(back))
+		}
+		for i := range reqs {
+			a, b := reqs[i], back[i]
+			a.ID, b.ID = 0, 0
+			if a != b {
+				t.Fatalf("request %d changed in round trip: %+v → %+v (written %q)", i, a, b, buf.String())
+			}
+		}
+	})
 }
