@@ -126,7 +126,7 @@ func benchBlockedAttentionWorkers(b *testing.B, seq, dim, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		attention.BlockedWorkers(q, k, v, nil, 128, workers)
+		attention.BlockedWorkers(q, k, v, nil, 128, workers, 0)
 	}
 }
 
@@ -157,7 +157,7 @@ func BenchmarkGQAAttention64K(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		attention.GQAWorkers(q, k, v, nil, 128, 4)
+		attention.GQAWorkers(q, k, v, nil, 128, 4, 0)
 	}
 }
 
@@ -174,7 +174,7 @@ func BenchmarkTopKBlocksAttention64K(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		attention.TopKBlocksWorkers(q, k, v, nil, 64, 128, 4)
+		attention.TopKBlocksWorkers(q, k, v, nil, 64, 128, 4, 0)
 	}
 }
 
@@ -204,7 +204,7 @@ func benchAcceleratorAttentionWorkers(b *testing.B, seq, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, workers); err != nil {
+		if _, err := a.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, workers, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package hilos
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -62,7 +63,6 @@ const amortHours = 3 * 365 * 24
 
 // clusterConfig collects ClusterOption state.
 type clusterConfig struct {
-	tb         Testbed
 	fleet      []fleetSpec
 	policy     DispatchPolicy
 	maxBatch   int
@@ -168,8 +168,8 @@ func WithPriorityClasses(rules ...PriorityClass) ClusterOption {
 			if r.Priority < 0 {
 				return errorf("priority for class %s must be ≥ 0, got %d", r.Class, r.Priority)
 			}
-			if r.DeadlineSec < 0 {
-				return errorf("deadline for class %s must be ≥ 0, got %g", r.Class, r.DeadlineSec)
+			if !(r.DeadlineSec >= 0) || math.IsInf(r.DeadlineSec, 1) {
+				return errorf("deadline for class %s must be finite and ≥ 0, got %g", r.Class, r.DeadlineSec)
 			}
 		}
 		c.priorities = append(c.priorities, rules...)
@@ -230,18 +230,6 @@ func WithClusterPace(pace func(simSec float64)) ClusterOption {
 	}
 }
 
-// WithClusterTestbed replaces the default Table 1 testbed for every fleet
-// member (engine timing, pricing and energy attribution).
-func WithClusterTestbed(tb Testbed) ClusterOption {
-	return func(c *clusterConfig) error {
-		if err := tb.Validate(); err != nil {
-			return err
-		}
-		c.tb = tb
-		return nil
-	}
-}
-
 // Cluster drains a timestamped request trace through a heterogeneous fleet:
 // the trace-driven generalization of Backlog. Requests are admitted into
 // per-class queues, packed into batches under the admission policy, and
@@ -252,7 +240,6 @@ func WithClusterTestbed(tb Testbed) ClusterOption {
 // configuration.
 func Cluster(m Model, reqs []TimedRequest, opts ...ClusterOption) (ClusterSummary, error) {
 	cfg := clusterConfig{
-		tb:         device.DefaultTestbed(),
 		policy:     DispatchLeastLoaded,
 		maxBatch:   16,
 		maxWaitSec: 60,
@@ -269,6 +256,7 @@ func Cluster(m Model, reqs []TimedRequest, opts ...ClusterOption) (ClusterSummar
 		}
 	}
 
+	tb := device.DefaultTestbed()
 	var fleet []cluster.Pipeline
 	for _, fs := range cfg.fleet {
 		devices := fs.devices
@@ -276,12 +264,12 @@ func Cluster(m Model, reqs []TimedRequest, opts ...ClusterOption) (ClusterSummar
 			devices = 8
 		}
 		eng, err := engine.New(fs.sys, engine.Config{
-			Testbed: cfg.tb, Devices: devices, Alpha: AlphaAuto, SpillInterval: 16,
+			Testbed: tb, Devices: devices, Alpha: AlphaAuto, SpillInterval: 16,
 		})
 		if err != nil {
 			return ClusterSummary{}, err
 		}
-		usdPerHour, ec := pipelineEconomics(fs.sys, devices, cfg.tb)
+		usdPerHour, ec := pipelineEconomics(fs.sys, devices, tb)
 		for i := 0; i < fs.count; i++ {
 			fleet = append(fleet, cluster.Pipeline{
 				Name:       fmt.Sprintf("%s/%d", fs.sys, len(fleet)),
@@ -438,8 +426,8 @@ func arrivalTimes(seed int64, n int, ratePerSec float64, p ArrivalProcess) ([]fl
 // (priority 1, the given start-deadline budget) at onlineRate. IDs are
 // reassigned in arrival order; the result is deterministic per seed.
 func NewOnlineOfflineTrace(seed int64, nOnline, nOffline int, onlineRate, offlineRate, deadlineSec float64) ([]TimedRequest, error) {
-	if deadlineSec < 0 {
-		return nil, errorf("online deadline must be ≥ 0, got %g", deadlineSec)
+	if !(deadlineSec >= 0) || math.IsInf(deadlineSec, 1) {
+		return nil, errorf("online deadline must be finite and ≥ 0, got %g", deadlineSec)
 	}
 	offMix := []workload.Mix{{Class: workload.Medium, Weight: 0.75}, {Class: workload.Long, Weight: 0.25}}
 	g, err := workload.NewGenerator(seed, offMix)

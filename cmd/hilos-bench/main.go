@@ -8,12 +8,11 @@
 //	hilos-bench -only fig10     # run one experiment
 //	hilos-bench -list           # list experiment identifiers
 //
-// `hilos-bench -tune` calibrates the kernel chunk span for the current
-// machine: it sweeps K/V chunk spans over a decode-shape attention call and
-// reports the knee as a hilos.SetKernelCacheBudget value. The default budget
-// is a fixed constant (never probed from the host), so chunk geometry — part
-// of the numeric contract — only changes when a user applies the reported
-// knob explicitly.
+// `hilos-bench -tune` measures the kernel chunk span on the current machine:
+// it sweeps K/V chunk spans over a decode-shape attention call and prints
+// the knee next to the built-in span. The built-in span derives from a
+// fixed cache budget (never probed from the host), because chunk geometry
+// is part of the numeric contract; the sweep only reports, it sets nothing.
 package main
 
 import (
@@ -22,6 +21,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -38,10 +38,9 @@ const minTuneSpan = 256
 // runTune sweeps K/V chunk spans on a decode-shape Blocked attention call
 // and reports the knee: the smallest span within 5% of the fastest — smaller
 // chunks balance better across workers, so prefer them when the cache stops
-// mattering. It prints the SetKernelCacheBudget value that reproduces the
-// knee span for this head dimension. Tuning is an explicit act: nothing is
-// persisted, and untuned runs keep the fixed default budget so results
-// replay identically across machines.
+// mattering. It prints the knee next to the built-in span for this head
+// dimension. Each swept span goes to the kernel as its chunkTokens argument;
+// nothing is persisted.
 func runTune(w io.Writer, seq, dim, workers int) error {
 	if seq < minTuneSpan/2 {
 		return fmt.Errorf("hilos-bench: -tune-seq must be at least %d, got %d", minTuneSpan/2, seq)
@@ -54,23 +53,22 @@ func runTune(w io.Writer, seq, dim, workers int) error {
 	k := tensor.RandMat(rng, seq, dim, 1)
 	v := tensor.RandMat(rng, seq, dim, 1)
 	if workers <= 0 {
-		workers = tensor.DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
-	defer tensor.SetChunkTokens(0)
-	fmt.Fprintf(w, "chunk-span sweep: seq=%d dim=%d workers=%d (current budget %d B → span %d)\n",
-		seq, dim, workers, tensor.CacheBudget(), attention.ChunkSpan(dim, 128))
+	builtin := attention.ChunkSpan(dim, 128, 0)
+	fmt.Fprintf(w, "chunk-span sweep: seq=%d dim=%d workers=%d (built-in span %d)\n",
+		seq, dim, workers, builtin)
 	type point struct {
 		span int
 		sec  float64
 	}
 	var pts []point
 	for span := minTuneSpan; span <= 65536 && span <= 2*seq; span *= 2 {
-		tensor.SetChunkTokens(span)
-		attention.BlockedWorkers(q, k, v, nil, 128, workers) // warm-up
+		attention.BlockedWorkers(q, k, v, nil, 128, workers, span) // warm-up
 		const reps = 3
 		t0 := time.Now()
 		for r := 0; r < reps; r++ {
-			attention.BlockedWorkers(q, k, v, nil, 128, workers)
+			attention.BlockedWorkers(q, k, v, nil, 128, workers, span)
 		}
 		sec := time.Since(t0).Seconds() / reps
 		pts = append(pts, point{span, sec})
@@ -89,19 +87,18 @@ func runTune(w io.Writer, seq, dim, workers int) error {
 			break
 		}
 	}
-	budget := knee.span * 2 * dim * 4
-	fmt.Fprintf(w, "fastest span %d (%.2f ms/op); knee span %d → hilos.SetKernelCacheBudget(%d)\n",
-		best.span, best.sec*1e3, knee.span, budget)
+	fmt.Fprintf(w, "fastest span %d (%.2f ms/op); knee span %d, built-in span %d\n",
+		best.span, best.sec*1e3, knee.span, builtin)
 	return nil
 }
 
 func main() {
 	only := flag.String("only", "", "run a single experiment by ID (e.g. fig10)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	tune := flag.Bool("tune", false, "sweep kernel K/V chunk spans and report the knee as a SetKernelCacheBudget value")
+	tune := flag.Bool("tune", false, "sweep kernel K/V chunk spans and report the knee next to the built-in span")
 	tuneSeq := flag.Int("tune-seq", 64*1024, "context length (tokens) for the -tune sweep")
 	tuneDim := flag.Int("tune-dim", 128, "head dimension for the -tune sweep")
-	tuneWorkers := flag.Int("tune-workers", 0, "worker count for the -tune sweep (0 = pool default)")
+	tuneWorkers := flag.Int("tune-workers", 0, "worker count for the -tune sweep (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *tune {

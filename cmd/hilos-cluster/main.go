@@ -77,6 +77,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -129,7 +130,7 @@ func main() {
 	check(err)
 	process, err := parseArrivals(*arrivals)
 	check(err)
-	prioOpts, err := parsePriorities(*priority)
+	priorities, err := parsePriorities(*priority)
 	check(err)
 	basePlan, err := parseFaults(*faultSpec)
 	check(err)
@@ -217,7 +218,9 @@ func main() {
 				hilos.WithMaxBacklog(*backlog),
 				hilos.WithDispatchPolicy(p),
 			)
-			opts = append(opts, prioOpts...)
+			if len(priorities) > 0 {
+				opts = append(opts, hilos.WithPriorityClasses(priorities...))
+			}
 			opts = append(opts, telOpts...)
 			opts = append(opts, faultOpts...)
 			if *preempt {
@@ -282,6 +285,11 @@ func newPacer(speed float64) func(simSec float64) {
 	}
 }
 
+// maxFleetPipelines bounds the total pipeline count a -fleet spec may ask
+// for, so a typo'd count cannot overflow the total or allocate a fleet no
+// host could simulate.
+const maxFleetPipelines = 1 << 16
+
 // parseFleet turns "hilos:2x16,flex-dram:1" into fleet options, rejecting
 // unregistered system names up front with the registry listing. It also
 // returns the total pipeline count, which fault plans are sized against.
@@ -302,14 +310,17 @@ func parseFleet(spec string) ([]hilos.ClusterOption, int, error) {
 		if rest != "" {
 			c, d, hasDev := strings.Cut(rest, "x")
 			var err error
-			if count, err = strconv.Atoi(c); err != nil {
-				return nil, 0, fmt.Errorf("bad fleet term %q: count %q", term, c)
+			if count, err = strconv.Atoi(c); err != nil || count < 1 {
+				return nil, 0, fmt.Errorf("bad fleet term %q: count %q (want integer ≥ 1)", term, c)
 			}
 			if hasDev {
-				if devices, err = strconv.Atoi(d); err != nil {
-					return nil, 0, fmt.Errorf("bad fleet term %q: devices %q", term, d)
+				if devices, err = strconv.Atoi(d); err != nil || devices < 0 {
+					return nil, 0, fmt.Errorf("bad fleet term %q: devices %q (want integer ≥ 0)", term, d)
 				}
 			}
+		}
+		if count > maxFleetPipelines-pipes {
+			return nil, 0, fmt.Errorf("fleet term %q takes the fleet past %d pipelines", term, maxFleetPipelines)
 		}
 		opts = append(opts, hilos.WithFleet(hilos.System(sys), count, devices))
 		pipes += count
@@ -360,8 +371,11 @@ func parseFaults(spec string) (*hilos.FaultPlan, error) {
 					term, field, faultKeys[kind])
 			}
 			x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad fault term %q: %s=%q is not a number", term, k, v)
+			if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("bad fault term %q: %s=%q is not a finite number", term, k, v)
+			}
+			if k == "pipe" && (x < 0 || x != math.Trunc(x) || x >= maxFleetPipelines) {
+				return nil, fmt.Errorf("bad fault term %q: pipe=%q is not a pipeline index", term, v)
 			}
 			kv[k] = x
 		}
@@ -455,8 +469,8 @@ func parseArrivals(spec string) (hilos.ArrivalProcess, error) {
 		spec, strings.Join(names, ", "))
 }
 
-// parsePriorities turns "Short=1@15,Medium=0" into priority-class options.
-func parsePriorities(spec string) ([]hilos.ClusterOption, error) {
+// parsePriorities turns "Short=1@15,Medium=0" into priority-class rules.
+func parsePriorities(spec string) ([]hilos.PriorityClass, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -477,8 +491,8 @@ func parsePriorities(spec string) ([]hilos.ClusterOption, error) {
 		}
 		dl := 0.0
 		if hasDl {
-			if dl, err = strconv.ParseFloat(dlStr, 64); err != nil || dl < 0 {
-				return nil, fmt.Errorf("bad priority term %q: deadline %q (want seconds ≥ 0)", term, dlStr)
+			if dl, err = strconv.ParseFloat(dlStr, 64); err != nil || !(dl >= 0) || math.IsInf(dl, 1) {
+				return nil, fmt.Errorf("bad priority term %q: deadline %q (want finite seconds ≥ 0)", term, dlStr)
 			}
 		}
 		rules = append(rules, hilos.PriorityClass{Class: class, Priority: prio, DeadlineSec: dl})
@@ -486,7 +500,7 @@ func parsePriorities(spec string) ([]hilos.ClusterOption, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("empty priority spec")
 	}
-	return []hilos.ClusterOption{hilos.WithPriorityClasses(rules...)}, nil
+	return rules, nil
 }
 
 func loadTrace(path string, seed int64, n int, rate float64, p hilos.ArrivalProcess) ([]hilos.TimedRequest, string, error) {

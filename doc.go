@@ -51,7 +51,7 @@
 //
 // Energy integrates the Fig. 17(a) model and returns an EnergyBreakdown;
 // the experiments behind every figure and table of the paper are available
-// via Experiments and ExperimentByID, and the accuracy harness via
+// via ExperimentIDs and ExperimentByID, and the accuracy harness via
 // AccuracySuite.
 //
 // # Serving: the event-driven cluster scheduler
@@ -245,18 +245,18 @@
 // through the striped Dot, while small products keep the original exact
 // axpy loop.
 //
-// Chunk geometry is cache-budget-derived: the attention and accelerator
-// kernels size their block-aligned K/V chunk spans so one chunk's K and V
-// rows at FP32 fit a process-wide per-worker budget
-// (attention.ChunkSpan(headDim, blockSize); hilos.SetKernelCacheBudget /
-// KernelCacheBudget, with hilos.SetKernelChunkTokens pinning the span
-// outright). The default budget is a fixed 1 MiB constant — deliberately
-// never probed from the host CPU — because the chunk partition shapes the
-// fixed reduction tree and is therefore part of the numeric contract:
-// results are bit-identical across worker counts for any budget, and
-// bit-identical across machines exactly when budgets agree. Tuning is an
-// explicit act: `hilos-bench -tune` sweeps spans over a decode-shape call
-// and reports the knee as a SetKernelCacheBudget value to apply by hand.
+// Chunk geometry has no process-wide setting. The attention and
+// accelerator kernels split K/V into block-aligned chunks of
+// attention.ChunkSpan(headDim, blockSize, chunkTokens) tokens: a positive
+// chunkTokens pins the span, and the default entry points pass 0, which
+// sizes one chunk's K and V rows at FP32 to a fixed 1 MiB per-worker cache
+// budget. The budget is a constant — deliberately never probed from the
+// host CPU — because the chunk partition shapes the fixed reduction tree
+// and is therefore part of the numeric contract: results are bit-identical
+// across worker counts for any span, and across machines because every
+// machine derives the same span. `hilos-bench -tune` sweeps spans over a
+// decode-shape call and prints the knee next to the built-in span; it
+// reports and changes nothing.
 //
 // Within one attention call the kernels are parallel: a process-wide worker
 // pool (tensor.ParallelFor — long-lived goroutines, a shared atomic item
@@ -266,7 +266,7 @@
 // calls allocate only the output. Parallel results are bit-identical to a
 // one-worker run for every worker count, by construction rather than by
 // tolerance: the K/V range is split into block-aligned chunks as a pure
-// function of shape + settings (never of the worker count), every work
+// function of shape and chunk span (never of the worker count), every work
 // item writes only its own index-owned Partial, and each row's chunk
 // partials reduce
 // through a fixed-shape binary tree of Merge calls (stride 1, 2, 4, …) whose
@@ -306,12 +306,11 @@
 // `go test ./internal/fp16 -run TestRoundExhaustive -exhaustive` checks all
 // 2^32 float32 patterns (about 30 s on 2 CPUs).
 //
-// Picking Workers: the default (tensor.DefaultWorkers, overridable
-// process-wide with tensor.SetWorkers or hilos.SetKernelWorkers) is
-// GOMAXPROCS, right for latency-sensitive single-call workloads; cap it at
-// 1–2 when many attention calls already run concurrently (e.g. under the
-// experiment sweep pool) so the pool isn't oversubscribed; the explicit
-// *Workers kernel variants pin a count per call for benchmarking. Worker
+// Picking Workers: the default entry points (Blocked, GQA, TopKBlocks,
+// accel.Attention, MatMul) run runtime.GOMAXPROCS(0) workers, right for
+// latency-sensitive single-call workloads; when many attention calls
+// already run concurrently, the *Workers kernel variants take a per-call
+// count (and chunk span), and lowering GOMAXPROCS caps the rest. Worker
 // count never changes results — only latency versus CPU.
 //
 // Experiment tables evaluate their sweep points concurrently on a bounded

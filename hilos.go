@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/accel"
-	"repro/internal/attention"
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/longbench"
 	"repro/internal/model"
 	"repro/internal/pipeline"
-	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -37,8 +35,6 @@ type (
 	// Name, Describe, and Run. Engines resolve through the system registry,
 	// so a new backend is one self-registering file in its own package.
 	Engine = engine.Engine
-	// HILOSOptions selects device count and the §4.2/§4.3 optimizations.
-	HILOSOptions = core.Options
 	// EnergyBreakdown is the per-token CPU/DRAM/GPU/SSD energy split of
 	// Fig. 17(a), in joules.
 	EnergyBreakdown = energy.Breakdown
@@ -212,12 +208,6 @@ func (s *Simulator) Simulate(sys System, req Request) (Report, error) {
 	return eng.Run(req), nil
 }
 
-// RunHILOS simulates HILOS with explicit low-level options (ablations,
-// fixed α, custom spill intervals) — the escape hatch below the registry.
-func (s *Simulator) RunHILOS(req Request, opt HILOSOptions) Report {
-	return core.Run(s.tb, req, opt)
-}
-
 // ChooseAlpha runs the §4.2 cache scheduler for a workload point.
 func (s *Simulator) ChooseAlpha(m Model, batch, context, devices int) (float64, error) {
 	return core.ChooseAlpha(s.tb, m, batch, context, devices)
@@ -232,17 +222,6 @@ func (s *Simulator) Energy(rep Report, smartSSDs int) (EnergyBreakdown, error) {
 		cfg = energy.Config{Storage: energy.SmartSSDs, Devices: smartSSDs, AccelPowerW: s.tb.SmartSSD.AccelPowerW}
 	}
 	return energy.PerToken(s.tb, rep, cfg)
-}
-
-// Experiments regenerates every table and figure of the paper's evaluation,
-// in paper order.
-func (s *Simulator) Experiments() []ExperimentTable {
-	r := experiments.Runner{TB: s.tb}
-	var out []ExperimentTable
-	for _, g := range experiments.Registry() {
-		out = append(out, g.Run(r))
-	}
-	return out
 }
 
 // ExperimentByID regenerates a single experiment ("fig10", "table3", ...).
@@ -281,44 +260,6 @@ func NewWorkloadTrace(seed int64, n int) ([]RequestClass, error) {
 // the given head dimension (Table 3 uses 128).
 func AcceleratorTable3(headDim int) ([]accel.Utilization, error) {
 	return accel.Table3(headDim)
-}
-
-// SetKernelWorkers overrides the process-wide worker count the functional
-// attention kernels and large MatMuls shard across (n ≤ 0 restores the
-// GOMAXPROCS default). Worker count never changes results — parallel runs
-// are bit-identical to serial — only latency versus CPU; cap it at 1–2 when
-// many kernel calls already run concurrently so the pool isn't
-// oversubscribed.
-func SetKernelWorkers(n int) { tensor.SetWorkers(n) }
-
-// KernelWorkers reports the worker count kernels currently shard across.
-func KernelWorkers() int { return tensor.DefaultWorkers() }
-
-// SetKernelCacheBudget sets the per-worker cache budget (bytes) the
-// attention and accelerator kernels size their K/V chunk spans against
-// (n ≤ 0 restores the fixed 1 MiB default). Unlike worker count, the budget
-// IS part of the numeric contract: it shapes the chunk partition and thus
-// the fixed reduction tree, so results stay bit-identical across worker
-// counts for any budget, but replaying a run bit-for-bit requires the same
-// budget. The default is deliberately a constant — never probed from the
-// host — so untuned runs reproduce identically across machines; use
-// `hilos-bench -tune` to find the knee for a given box, then set it here
-// explicitly.
-func SetKernelCacheBudget(n int) { tensor.SetCacheBudget(n) }
-
-// KernelCacheBudget reports the active per-worker cache budget in bytes.
-func KernelCacheBudget() int { return tensor.CacheBudget() }
-
-// SetKernelChunkTokens pins the kernel K/V chunk span directly in tokens,
-// bypassing the cache-budget sizing (n ≤ 0 restores adaptive sizing). Used
-// by calibration sweeps; like the budget, the pin is part of the numeric
-// contract.
-func SetKernelChunkTokens(n int) { tensor.SetChunkTokens(n) }
-
-// KernelChunkSpan reports the K/V chunk span (tokens) the kernels would use
-// for the given head dimension and block size under the current settings.
-func KernelChunkSpan(headDim, blockSize int) int {
-	return attention.ChunkSpan(headDim, blockSize)
 }
 
 // Backlog drains a request trace through the selected system over the

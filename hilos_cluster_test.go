@@ -2,6 +2,7 @@ package hilos
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -242,6 +243,9 @@ func TestClusterPriorityClassStamping(t *testing.T) {
 	if _, err := Cluster(m, reqs, WithPriorityClasses(PriorityClass{Class: "Short", DeadlineSec: -2})); err == nil {
 		t.Error("negative deadline accepted")
 	}
+	if _, err := Cluster(m, reqs, WithPriorityClasses(PriorityClass{Class: "Short", DeadlineSec: math.NaN()})); err == nil {
+		t.Error("NaN deadline accepted")
+	}
 }
 
 // The bursty generator wires through the facade and produces a valid,
@@ -265,6 +269,21 @@ func TestWorkloadTraceArrivalProcesses(t *testing.T) {
 	}
 	if _, err := NewWorkloadTraceWithArrivals(3, 16, 2, "sawtooth"); err == nil {
 		t.Error("unknown arrival process accepted")
+	}
+}
+
+// Non-finite rates and deadlines are errors, not NaN timestamps: NaN fails
+// every comparison, so a plain "≤ 0" guard used to let it through.
+func TestOnlineOfflineTraceRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct{ online, offline, deadline float64 }{
+		{nan, 1, 10}, {1, nan, 10}, {inf, 1, 10}, {1, inf, 10},
+		{1, 1, nan}, {1, 1, inf},
+	} {
+		if reqs, err := NewOnlineOfflineTrace(1, 3, 3, c.online, c.offline, c.deadline); err == nil {
+			t.Errorf("rates %g/%g, deadline %g accepted: %d requests, first at %g s",
+				c.online, c.offline, c.deadline, len(reqs), reqs[0].ArrivalSec)
+		}
 	}
 }
 

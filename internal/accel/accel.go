@@ -13,6 +13,7 @@ package accel
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/tensor"
 )
@@ -88,7 +89,7 @@ func PadSequence(s int) int {
 // per-block qk/softmax/sv stages shard across the kernel worker pool (see
 // AttentionWorkers); results are bit-identical for every worker count.
 func (a *Accelerator) Attention(q, k, v tensor.Mat, mask []bool, hostScores tensor.Mat, hostV tensor.Mat) (tensor.Mat, error) {
-	return a.AttentionWorkers(q, k, v, mask, hostScores, hostV, tensor.DefaultWorkers())
+	return a.AttentionWorkers(q, k, v, mask, hostScores, hostV, runtime.GOMAXPROCS(0), 0)
 }
 
 // validateAttention checks the shared shape contract of the attention entry

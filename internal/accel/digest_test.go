@@ -79,9 +79,7 @@ func (c digestCase) digest(t *testing.T, workers int) string {
 		hostScores = tensor.RandMat(rng, c.dg, c.hostRows, 1)
 		hostV = tensor.RandMat(rng, c.hostRows, c.d, 1)
 	}
-	tensor.SetChunkTokens(c.span)
-	defer tensor.SetChunkTokens(0)
-	out, err := a.AttentionWorkers(q, k, v, mask, hostScores, hostV, workers)
+	out, err := a.AttentionWorkers(q, k, v, mask, hostScores, hostV, workers, c.span)
 	if err != nil {
 		t.Fatal(err)
 	}

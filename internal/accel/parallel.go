@@ -15,10 +15,10 @@ import (
 // kernel worker pool (tensor.ParallelFor) while staying bit-identical to a
 // one-worker run, mirroring the internal/attention dataflow:
 //
-//   - The chunk partition is a pure function of shape + settings
-//     (attention.ChunkSpan at the hardware block size), never of worker
-//     count, and every chunk work item owns its score slices, its per-block
-//     stat slots and its per-group chunk accumulators.
+//   - The chunk partition is a pure function of shape and the chunkTokens
+//     argument (attention.ChunkSpan at the hardware block size), never of
+//     worker count, and every chunk work item owns its score slices, its
+//     per-block stat slots and its per-group chunk accumulators.
 //   - Each block is copied into per-worker lane scratch and quantized to
 //     FP16 there, so the caller's K/V are never cloned or written, and one
 //     traversal of the block serves all d_group query rows.
@@ -129,20 +129,21 @@ func treeAddVec(parts [][]float32) []float32 {
 	return parts[0]
 }
 
-// AttentionWorkers computes Attention with an explicit worker count. The
-// padded sequence splits into block-aligned chunks of
-// attention.ChunkSpan(HeadDim, BlockTokens) tokens, one work item each.
+// AttentionWorkers computes Attention with an explicit worker count and
+// chunk span. The padded sequence splits into block-aligned chunks of
+// attention.ChunkSpan(HeadDim, BlockTokens, chunkTokens) tokens, one work
+// item each; chunkTokens ≤ 0 derives the span from the cache budget.
 // Phase 1 quantizes each K block into lane scratch and fills every group
 // row's index-owned score slice and block-stat slot from it (query-key
 // product + per-block softmax statistics); the per-group statistics then
 // fold serially in block order. Phase 2 quantizes each V block once and adds
 // every V row, in token order, into each group row's chunk accumulator;
 // the accumulators reduce through the fixed tree. Results are bit-identical
-// for every workers value, 1 included; Attention delegates here with the
-// default worker count.
+// for every workers value, 1 included; Attention delegates here with
+// GOMAXPROCS workers and a derived span.
 //
 //lint:allow floataccum per-chunk score·V slots model the hardware's FP32 accumulators
-func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScores, hostV tensor.Mat, workers int) (tensor.Mat, error) {
+func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScores, hostV tensor.Mat, workers, chunkTokens int) (tensor.Mat, error) {
 	if err := a.validateAttention(q, k, v, hostScores, hostV); err != nil {
 		return tensor.Mat{}, err
 	}
@@ -152,7 +153,7 @@ func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScor
 	sPad := PadSequence(s)
 	scale := float32(1 / math.Sqrt(float64(a.cfg.HeadDim)))
 	nb := (sPad + BlockTokens - 1) / BlockTokens
-	span := attention.ChunkSpan(a.cfg.HeadDim, BlockTokens)
+	span := attention.ChunkSpan(a.cfg.HeadDim, BlockTokens, chunkTokens)
 	nChunks := (sPad + span - 1) / span
 	dg, dv := a.cfg.DGroup, v.Cols
 	if dg*sPad < accelMinParallelWork {

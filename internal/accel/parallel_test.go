@@ -8,15 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// pinChunk pins the kernel chunk span for the duration of a test body; the
-// pin is an atomic, so concurrent parallel tests under -race are safe.
-func pinChunk(t *testing.T, tokens int, body func()) {
-	t.Helper()
-	tensor.SetChunkTokens(tokens)
-	defer tensor.SetChunkTokens(0)
-	body()
-}
-
 func accelEqual(a, b tensor.Mat) bool {
 	return a.Rows == b.Rows && a.Cols == b.Cols && reflect.DeepEqual(a.Data, b.Data)
 }
@@ -35,37 +26,36 @@ func TestAttentionWorkersBitIdentical(t *testing.T) {
 		{8, 4096, 16}, // above accelMinParallelWork: pool actually engaged
 		{3, 513, 128}, // max head dim, ragged
 	}
-	pinChunk(t, 2*BlockTokens, func() {
-		for _, sh := range shapes {
-			acc, err := New(Config{DGroup: sh.dg, HeadDim: sh.d})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := tensor.RandMat(rng, sh.dg, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			var mask []bool
-			if sh.s > 200 {
-				mask = make([]bool, sh.s)
-				for i := range mask {
-					mask[i] = rng.Intn(8) != 0
-				}
-			}
-			base, err := acc.AttentionWorkers(q, k, v, mask, tensor.Mat{}, tensor.Mat{}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, 3, 8} {
-				got, err := acc.AttentionWorkers(q, k, v, mask, tensor.Mat{}, tensor.Mat{}, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !accelEqual(base, got) {
-					t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
-				}
+	const chunk = 2 * BlockTokens
+	for _, sh := range shapes {
+		acc, err := New(Config{DGroup: sh.dg, HeadDim: sh.d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := tensor.RandMat(rng, sh.dg, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		var mask []bool
+		if sh.s > 200 {
+			mask = make([]bool, sh.s)
+			for i := range mask {
+				mask[i] = rng.Intn(8) != 0
 			}
 		}
-	})
+		base, err := acc.AttentionWorkers(q, k, v, mask, tensor.Mat{}, tensor.Mat{}, 1, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 3, 8} {
+			got, err := acc.AttentionWorkers(q, k, v, mask, tensor.Mat{}, tensor.Mat{}, w, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !accelEqual(base, got) {
+				t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
+			}
+		}
+	}
 }
 
 // TestAttentionWorkersHostPartialBitIdentical: the delayed-writeback merge
@@ -82,21 +72,20 @@ func TestAttentionWorkersHostPartialBitIdentical(t *testing.T) {
 	v := tensor.RandMat(rng, 700, 32, 1)
 	hostV := tensor.RandMat(rng, 9, 32, 1)
 	hostScores := tensor.RandMat(rng, 4, 9, 1)
-	pinChunk(t, 2*BlockTokens, func() {
-		base, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, 1)
+	const chunk = 2 * BlockTokens
+	base, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, 1, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 3, 8} {
+		got, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, w, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{2, 3, 8} {
-			got, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !accelEqual(base, got) {
-				t.Fatalf("host partial: workers=%d differs from workers=1", w)
-			}
+		if !accelEqual(base, got) {
+			t.Fatalf("host partial: workers=%d differs from workers=1", w)
 		}
-	})
+	}
 }
 
 // TestAttentionWorkersOneChunkMatchesSerial: with the span pinned past the
@@ -105,32 +94,31 @@ func TestAttentionWorkersHostPartialBitIdentical(t *testing.T) {
 // same block fold order, the same single accumulator.
 func TestAttentionWorkersOneChunkMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	pinChunk(t, 1<<20, func() {
-		for _, sh := range []struct{ dg, s, d int }{
-			{1, 300, 64}, {4, 513, 32}, {2, 64, 16},
-		} {
-			acc, err := New(Config{DGroup: sh.dg, HeadDim: sh.d})
+	const chunk = 1 << 20
+	for _, sh := range []struct{ dg, s, d int }{
+		{1, 300, 64}, {4, 513, 32}, {2, 64, 16},
+	} {
+		acc, err := New(Config{DGroup: sh.dg, HeadDim: sh.d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := tensor.RandMat(rng, sh.dg, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		want, err := acc.attentionSerial(q, k, v, nil, tensor.Mat{}, tensor.Mat{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 8} {
+			got, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, w, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := tensor.RandMat(rng, sh.dg, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			want, err := acc.attentionSerial(q, k, v, nil, tensor.Mat{}, tensor.Mat{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{1, 8} {
-				got, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !accelEqual(want, got) {
-					t.Fatalf("shape %+v workers=%d: one-chunk parallel differs from serial reference", sh, w)
-				}
+			if !accelEqual(want, got) {
+				t.Fatalf("shape %+v workers=%d: one-chunk parallel differs from serial reference", sh, w)
 			}
 		}
-	})
+	}
 }
 
 // TestAttentionWorkersLeavesInputs: K/V are quantized block by block in lane
@@ -153,7 +141,7 @@ func TestAttentionWorkersLeavesInputs(t *testing.T) {
 		t.Fatal("inputs are already FP16; the test would prove nothing")
 	}
 	for _, w := range []int{1, 3} {
-		if _, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, w); err != nil {
+		if _, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, w, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i, m := range ins {
@@ -251,14 +239,12 @@ func FuzzAccelParallelEquivalence(f *testing.F) {
 		q := tensor.RandMat(rng, dg, d, 1)
 		k := tensor.RandMat(rng, s, d, 1)
 		v := tensor.RandMat(rng, s, d, 1)
-		tensor.SetChunkTokens(chunk)
-		defer tensor.SetChunkTokens(0)
-		base, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, 1)
+		base, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, 1, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{3, 8} {
-			got, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, w)
+			got, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, w, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}

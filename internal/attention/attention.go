@@ -3,6 +3,7 @@ package attention
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/tensor"
@@ -242,7 +243,7 @@ func PartialFromScores(scores []float32, v tensor.Mat) Partial {
 // (see parallel.go). Output matches Ref within FP32 tolerance for any
 // blockSize ≥ 1.
 func Blocked(q, k, v tensor.Mat, mask []bool, blockSize int) tensor.Mat {
-	return BlockedWorkers(q, k, v, mask, blockSize, tensor.DefaultWorkers())
+	return BlockedWorkers(q, k, v, mask, blockSize, runtime.GOMAXPROCS(0), 0)
 }
 
 // GQA computes grouped-query attention: dGroup query heads share one K/V
@@ -251,7 +252,7 @@ func Blocked(q, k, v tensor.Mat, mask []bool, blockSize int) tensor.Mat {
 // the accelerator's broadcast to dGroup×128 MAC units. Output has dGroup
 // rows, bit-identical to per-head Blocked calls.
 func GQA(q, k, v tensor.Mat, mask []bool, blockSize int) tensor.Mat {
-	return GQAWorkers(q, k, v, mask, blockSize, tensor.DefaultWorkers())
+	return GQAWorkers(q, k, v, mask, blockSize, runtime.GOMAXPROCS(0), 0)
 }
 
 // TopK computes lossy sparse attention retaining only the kTop
@@ -289,7 +290,7 @@ func TopK(q, k, v tensor.Mat, mask []bool, kTop int) tensor.Mat {
 // worker pool; block selection stays serial and deterministic, and results
 // are bit-identical for every worker count (see parallel.go).
 func TopKBlocks(q, k, v tensor.Mat, mask []bool, keepBlocks, blockSize int) tensor.Mat {
-	return TopKBlocksWorkers(q, k, v, mask, keepBlocks, blockSize, tensor.DefaultWorkers())
+	return TopKBlocksWorkers(q, k, v, mask, keepBlocks, blockSize, runtime.GOMAXPROCS(0), 0)
 }
 
 // topKIndices returns the indices of the k largest scores (k clamped to

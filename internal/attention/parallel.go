@@ -12,10 +12,10 @@ import (
 // (tensor.ParallelFor) while staying bit-identical to a serial run for every
 // worker count. Two invariants make that hold:
 //
-//   - Partitioning is a pure function of shape + settings. The K/V range is
-//     split into block-aligned chunks of ChunkSpan(headDim, blockSize)
-//     tokens regardless of how many workers will run them, and the
-//     (query row × chunk) work items each own one Partial slot —
+//   - Partitioning is a pure function of the call's arguments. The K/V range
+//     is split into block-aligned chunks of ChunkSpan(headDim, blockSize,
+//     chunkTokens) tokens regardless of how many workers will run them, and
+//     the (query row × chunk) work items each own one Partial slot —
 //     index-ordered assembly, never a shared accumulator.
 //   - Reduction order is fixed. Chunk partials merge through a fixed-shape
 //     binary tree (treeMerge): parts[i] absorbs parts[i+stride] for stride
@@ -32,49 +32,38 @@ import (
 // pure function of shape, so it cannot perturb results.
 const minParallelWork = 16 * 1024
 
-// Chunk-span clamp. Below minChunkTokens the merge tree is deeper than the
+// Chunk-span sizing. cacheBudgetBytes is the per-worker cache budget a
+// budget-derived span fits: a typical per-core L2 slice (1 MiB), so one K/V
+// chunk (K rows + V rows at FP32) stays resident while a work item folds it.
+// It is a constant, not probed from the host, so results replay identically
+// across machines. Below minChunkTokens the merge tree is deeper than the
 // fold work it saves; above maxChunkTokens the (row × chunk) grid stops
 // load-balancing long contexts.
 const (
-	minChunkTokens = 256
-	maxChunkTokens = 65536
+	cacheBudgetBytes = 1 << 20
+	minChunkTokens   = 256
+	maxChunkTokens   = 65536
 )
 
 // ChunkSpan returns the K/V chunk length, in tokens, used for range
-// sharding: the largest block-aligned span whose K rows plus V rows at FP32
-// fit the process-wide cache budget (tensor.CacheBudget), clamped to
-// [minChunkTokens, maxChunkTokens] and rounded down to a blockSize multiple
-// (at least one block). A positive tensor.SetChunkTokens pin bypasses the
-// budget-derived sizing — tests and cmd/hilos-bench -tune use it to sweep
-// spans directly.
+// sharding. A positive tokens pins the span; tokens ≤ 0 derives it as the
+// largest span whose K rows plus V rows at FP32 fit cacheBudgetBytes,
+// clamped to [minChunkTokens, maxChunkTokens]. Either way the span is
+// rounded down to a blockSize multiple (at least one block).
 //
-// The span is a pure function of (headDim, blockSize) and the two settings.
 // Worker count is deliberately NOT an input: the chunk partition shapes the
 // fixed merge tree, so admitting workers would break the bit-identity of
 // parallel results across worker counts — the invariant the whole dataflow
 // is built around.
-func ChunkSpan(headDim, blockSize int) int {
+func ChunkSpan(headDim, blockSize, tokens int) int {
 	if blockSize <= 0 {
 		blockSize = 128
 	}
-	target := tensor.ChunkTokensOverride()
-	if target <= 0 {
-		if headDim <= 0 {
-			headDim = 1
-		}
+	if tokens <= 0 {
 		// Per token resident per fold: one K row + one V row at FP32.
-		target = tensor.CacheBudget() / (2 * headDim * 4)
-		if target < minChunkTokens {
-			target = minChunkTokens
-		}
-		if target > maxChunkTokens {
-			target = maxChunkTokens
-		}
+		tokens = min(max(cacheBudgetBytes/(2*4*max(headDim, 1)), minChunkTokens), maxChunkTokens)
 	}
-	if blockSize >= target {
-		return blockSize
-	}
-	return target / blockSize * blockSize
+	return max(tokens/blockSize, 1) * blockSize
 }
 
 // chunkCountFor returns the number of K/V range chunks for kRows tokens at
@@ -167,12 +156,14 @@ func chunkPartial(p *Partial, qrow []float32, k, v tensor.Mat, mask []bool, scal
 	}
 }
 
-// BlockedWorkers computes Blocked attention with an explicit worker count.
-// Query rows and block-aligned K/V chunks form a (row × chunk) work grid;
-// each item computes one chunk partial, and each row's partials reduce
-// through the fixed tree. Results are bit-identical for every workers value
-// (1 included); Blocked delegates here with the default worker count.
-func BlockedWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers int) tensor.Mat {
+// BlockedWorkers computes Blocked attention with an explicit worker count
+// and chunk span (chunkTokens, as in ChunkSpan; ≤ 0 derives it). Query rows
+// and block-aligned K/V chunks form a (row × chunk) work grid; each item
+// computes one chunk partial, and each row's partials reduce through the
+// fixed tree. Results are bit-identical for every workers value (1
+// included); Blocked delegates here with GOMAXPROCS workers and a derived
+// span.
+func BlockedWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers, chunkTokens int) tensor.Mat {
 	if blockSize <= 0 {
 		blockSize = 128
 	}
@@ -181,9 +172,7 @@ func BlockedWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers int) ten
 	if k.Rows == 0 || q.Rows == 0 {
 		return out
 	}
-	// Read the span once per call: the partition must stay coherent even if
-	// a knob changes concurrently (both knob reads happen inside ChunkSpan).
-	span := ChunkSpan(q.Cols, blockSize)
+	span := ChunkSpan(q.Cols, blockSize, chunkTokens)
 	nChunks := chunkCountFor(k.Rows, span)
 	if q.Rows*k.Rows < minParallelWork {
 		workers = 1
@@ -209,15 +198,15 @@ func BlockedWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers int) ten
 	return out
 }
 
-// GQAWorkers computes grouped-query attention with an explicit worker count.
-// Unlike BlockedWorkers' (row × chunk) grid, the work item here is one K/V
+// GQAWorkers computes grouped-query attention with an explicit worker count
+// and chunk span (chunkTokens, as in BlockedWorkers). Unlike BlockedWorkers' (row × chunk) grid, the work item here is one K/V
 // chunk shared by the whole group: each K row is read once per block and
 // scored against every query head before the per-(head, chunk) partials are
 // folded — the host-side analogue of the accelerator broadcasting one K/V
 // stream to dGroup×128 MAC lanes. Per-head numerics are identical to
 // BlockedWorkers (same blocks, same fold order, same tree), so GQA outputs
 // are bit-identical to per-head Blocked outputs for every worker count.
-func GQAWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers int) tensor.Mat {
+func GQAWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers, chunkTokens int) tensor.Mat {
 	if blockSize <= 0 {
 		blockSize = 128
 	}
@@ -227,7 +216,7 @@ func GQAWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers int) tensor.
 	if k.Rows == 0 || rows == 0 {
 		return out
 	}
-	span := ChunkSpan(q.Cols, blockSize)
+	span := ChunkSpan(q.Cols, blockSize, chunkTokens)
 	nChunks := chunkCountFor(k.Rows, span)
 	if rows*k.Rows < minParallelWork {
 		workers = 1
@@ -312,13 +301,13 @@ func poolBlock(scores []float32, lo, hi int) float32 {
 }
 
 // TopKBlocksWorkers computes lossy block-sparse attention with an explicit
-// worker count. Multi-row calls shard query rows (each row runs the full
+// worker count and chunk span (chunkTokens, as in BlockedWorkers). Multi-row calls shard query rows (each row runs the full
 // serial dataflow on lane scratch); the single-row decode shape instead
 // parallelizes the score+pool phase over block-aligned chunks — every score
 // and pooled block mean lands in an index-owned slot — and keeps the
 // selection and kept-block attention serial, in deterministic selection
 // order. Both dataflows produce bit-identical results to a one-worker run.
-func TopKBlocksWorkers(q, k, v tensor.Mat, mask []bool, keepBlocks, blockSize, workers int) tensor.Mat {
+func TopKBlocksWorkers(q, k, v tensor.Mat, mask []bool, keepBlocks, blockSize, workers, chunkTokens int) tensor.Mat {
 	if blockSize <= 0 {
 		blockSize = 16
 	}
@@ -345,7 +334,7 @@ func TopKBlocksWorkers(q, k, v tensor.Mat, mask []bool, keepBlocks, blockSize, w
 	// Single query row: phase 1 (scores + pooled block means) in parallel
 	// over chunks, phases 2–3 (selection, kept-block attention) serial.
 	qrow := q.Row(0)
-	span := ChunkSpan(q.Cols, blockSize)
+	span := ChunkSpan(q.Cols, blockSize, chunkTokens)
 	nChunks := chunkCountFor(k.Rows, span)
 	ln := getLane()
 	ln.scores = growF(ln.scores, k.Rows)

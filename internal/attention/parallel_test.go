@@ -9,25 +9,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// withChunkTokens pins the K/V chunk span so small test inputs exercise
-// many-chunk dataflows (chunk partials + tree merge), restoring adaptive
-// sizing afterwards. The pin goes through tensor.SetChunkTokens — an atomic,
-// so concurrent parallel tests under -race never see a torn write. The
-// partition is part of the numeric contract, so every comparison inside body
-// sees the same value.
-func withChunkTokens(t *testing.T, n int, body func()) {
-	t.Helper()
-	tensor.SetChunkTokens(n)
-	defer tensor.SetChunkTokens(0)
-	body()
-}
-
 // matsEqual reports bit-identity (reflect.DeepEqual on the backing data).
 func matsEqual(a, b tensor.Mat) bool {
 	return a.Rows == b.Rows && a.Cols == b.Cols && reflect.DeepEqual(a.Data, b.Data)
 }
 
 var workerCounts = []int{1, 2, 3, 8}
+
+// The bit-identity tests pin small chunk spans so small inputs exercise
+// many-chunk dataflows (chunk partials + tree merge).
 
 // TestBlockedWorkersBitIdentical: for shapes spanning prefill (many rows),
 // decode (one row, long context), ragged tails and tiny blocks, every worker
@@ -43,32 +33,31 @@ func TestBlockedWorkersBitIdentical(t *testing.T) {
 		{3, 513, 8, 1},     // blockSize 1
 		{2, 4096, 16, 128}, // above minParallelWork with default chunks
 	}
-	withChunkTokens(t, 128, func() {
-		for _, sh := range shapes {
-			q := tensor.RandMat(rng, sh.rows, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			var mask []bool
-			if sh.s > 10 {
-				mask = make([]bool, sh.s)
-				for i := range mask {
-					mask[i] = rng.Intn(8) != 0
-				}
-			}
-			base := BlockedWorkers(q, k, v, mask, sh.bs, 1)
-			for _, w := range workerCounts[1:] {
-				got := BlockedWorkers(q, k, v, mask, sh.bs, w)
-				if !matsEqual(base, got) {
-					t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
-				}
-			}
-			// Sanity anchor: parallel output still matches the exact reference.
-			ref := Ref(q, k, v, mask)
-			if d := tensor.MaxAbsDiff(base, ref); d > tol {
-				t.Fatalf("shape %+v: parallel differs from Ref by %v", sh, d)
+	const chunk = 128
+	for _, sh := range shapes {
+		q := tensor.RandMat(rng, sh.rows, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		var mask []bool
+		if sh.s > 10 {
+			mask = make([]bool, sh.s)
+			for i := range mask {
+				mask[i] = rng.Intn(8) != 0
 			}
 		}
-	})
+		base := BlockedWorkers(q, k, v, mask, sh.bs, 1, chunk)
+		for _, w := range workerCounts[1:] {
+			got := BlockedWorkers(q, k, v, mask, sh.bs, w, chunk)
+			if !matsEqual(base, got) {
+				t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
+			}
+		}
+		// Sanity anchor: parallel output still matches the exact reference.
+		ref := Ref(q, k, v, mask)
+		if d := tensor.MaxAbsDiff(base, ref); d > tol {
+			t.Fatalf("shape %+v: parallel differs from Ref by %v", sh, d)
+		}
+	}
 }
 
 // TestGQAWorkersBitIdenticalToBlocked: the shared-K/V-traversal GQA dataflow
@@ -76,58 +65,56 @@ func TestBlockedWorkersBitIdentical(t *testing.T) {
 // order, same tree) for every worker count.
 func TestGQAWorkersBitIdenticalToBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	withChunkTokens(t, 96, func() {
-		for _, sh := range []struct{ rows, s, d, bs int }{
-			{4, 500, 16, 32},
-			{8, 63, 8, 16},
-			{1, 700, 32, 64},
-		} {
-			q := tensor.RandMat(rng, sh.rows, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			blocked := BlockedWorkers(q, k, v, nil, sh.bs, 1)
-			for _, w := range workerCounts {
-				got := GQAWorkers(q, k, v, nil, sh.bs, w)
-				if !matsEqual(blocked, got) {
-					t.Fatalf("shape %+v: GQA workers=%d differs from Blocked", sh, w)
-				}
+	const chunk = 96
+	for _, sh := range []struct{ rows, s, d, bs int }{
+		{4, 500, 16, 32},
+		{8, 63, 8, 16},
+		{1, 700, 32, 64},
+	} {
+		q := tensor.RandMat(rng, sh.rows, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		blocked := BlockedWorkers(q, k, v, nil, sh.bs, 1, chunk)
+		for _, w := range workerCounts {
+			got := GQAWorkers(q, k, v, nil, sh.bs, w, chunk)
+			if !matsEqual(blocked, got) {
+				t.Fatalf("shape %+v: GQA workers=%d differs from Blocked", sh, w)
 			}
 		}
-	})
+	}
 }
 
 // TestTopKBlocksWorkersBitIdentical covers both parallel dataflows: the
 // multi-row row shard and the single-row chunked score+pool phase.
 func TestTopKBlocksWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	withChunkTokens(t, 64, func() {
-		for _, sh := range []struct{ rows, s, d, keep, bs int }{
-			{1, 800, 16, 5, 16}, // decode: chunked phase 1
-			{1, 801, 16, 3, 16}, // ragged tail
-			{6, 400, 16, 4, 32}, // row shard
-			{3, 100, 8, 99, 16}, // keep-everything degenerate
-		} {
-			q := tensor.RandMat(rng, sh.rows, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			base := TopKBlocksWorkers(q, k, v, nil, sh.keep, sh.bs, 1)
-			for _, w := range workerCounts[1:] {
-				got := TopKBlocksWorkers(q, k, v, nil, sh.keep, sh.bs, w)
-				if !matsEqual(base, got) {
-					t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
-				}
+	const chunk = 64
+	for _, sh := range []struct{ rows, s, d, keep, bs int }{
+		{1, 800, 16, 5, 16}, // decode: chunked phase 1
+		{1, 801, 16, 3, 16}, // ragged tail
+		{6, 400, 16, 4, 32}, // row shard
+		{3, 100, 8, 99, 16}, // keep-everything degenerate
+	} {
+		q := tensor.RandMat(rng, sh.rows, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		base := TopKBlocksWorkers(q, k, v, nil, sh.keep, sh.bs, 1, chunk)
+		for _, w := range workerCounts[1:] {
+			got := TopKBlocksWorkers(q, k, v, nil, sh.keep, sh.bs, w, chunk)
+			if !matsEqual(base, got) {
+				t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
 			}
 		}
-	})
+	}
 }
 
 // TestChunkPartitionPureFunctionOfShape: the chunk grid may depend on shape
-// and the cache-budget settings only — never on worker count — and must
-// tile the token range exactly for every (headDim, blockSize) pair.
+// and the chunk-span argument only — never on worker count — and must tile
+// the token range exactly for every (headDim, blockSize) pair.
 func TestChunkPartitionPureFunctionOfShape(t *testing.T) {
 	for _, d := range []int{1, 8, 64, 128, 4096} {
 		for _, bs := range []int{1, 16, 128, 4096, 100000} {
-			span := ChunkSpan(d, bs)
+			span := ChunkSpan(d, bs, 0)
 			if span < bs || span%bs != 0 {
 				t.Fatalf("headDim %d blockSize %d: span %d not a positive multiple", d, bs, span)
 			}
@@ -141,38 +128,22 @@ func TestChunkPartitionPureFunctionOfShape(t *testing.T) {
 	}
 }
 
-// TestChunkSpanTracksCacheBudget: the adaptive span scales with the budget
-// and inversely with head dimension, stays inside the clamp, and yields to
-// an explicit pin.
-func TestChunkSpanTracksCacheBudget(t *testing.T) {
-	defer tensor.SetCacheBudget(0)
-	defer tensor.SetChunkTokens(0)
-
-	tensor.SetCacheBudget(1 << 20) // default: 1 MiB
-	if got := ChunkSpan(64, 128); got != 2048 {
-		t.Fatalf("1 MiB / d=64: span %d, want 2048 (budget/(2·64·4) rounded to 128)", got)
-	}
-	if got := ChunkSpan(128, 128); got != 1024 {
-		t.Fatalf("1 MiB / d=128: span %d, want 1024", got)
-	}
-	tensor.SetCacheBudget(4 << 20)
-	if got := ChunkSpan(64, 128); got != 8192 {
-		t.Fatalf("4 MiB / d=64: span %d, want 8192", got)
-	}
-	// Clamp floor: a tiny budget cannot shrink the span below minChunkTokens.
-	tensor.SetCacheBudget(1024)
-	if got := ChunkSpan(64, 128); got != minChunkTokens {
-		t.Fatalf("1 KiB budget: span %d, want clamp floor %d", got, minChunkTokens)
-	}
-	// Clamp ceiling: a huge budget cannot blow past maxChunkTokens.
-	tensor.SetCacheBudget(1 << 30)
-	if got := ChunkSpan(1, 128); got != maxChunkTokens {
-		t.Fatalf("1 GiB budget: span %d, want clamp ceiling %d", got, maxChunkTokens)
-	}
-	// An explicit pin bypasses the budget entirely.
-	tensor.SetChunkTokens(600)
-	if got := ChunkSpan(64, 128); got != 512 {
-		t.Fatalf("pin 600: span %d, want 512 (block-aligned)", got)
+// TestChunkSpanSizing: the derived span fits K+V rows at FP32 in
+// cacheBudgetBytes, scales inversely with head dimension, stays inside the
+// clamp, and yields to a positive tokens pin (rounded down to a block).
+func TestChunkSpanSizing(t *testing.T) {
+	for _, c := range []struct{ d, bs, tokens, want int }{
+		{64, 128, 0, 2048},             // 1 MiB / (2·64·4)
+		{128, 128, 0, 1024},            // 1 MiB / (2·128·4)
+		{1024, 128, 0, minChunkTokens}, // 128 tokens clamped up to the floor
+		{1, 128, 0, maxChunkTokens},    // 131072 tokens clamped down to the ceiling
+		{64, 128, 600, 512},            // pin, block-aligned
+		{64, 128, -5, 2048},            // non-positive pin derives from the budget
+		{64, 1000, 600, 1000},          // pin below one block: one block
+	} {
+		if got := ChunkSpan(c.d, c.bs, c.tokens); got != c.want {
+			t.Errorf("ChunkSpan(%d, %d, %d) = %d, want %d", c.d, c.bs, c.tokens, got, c.want)
+		}
 	}
 }
 
@@ -230,15 +201,13 @@ func FuzzParallelBlockedEquivalence(f *testing.F) {
 		q := tensor.RandMat(rng, rows, 16, 1)
 		k := tensor.RandMat(rng, s, 16, 1)
 		v := tensor.RandMat(rng, s, 16, 1)
-		tensor.SetChunkTokens(chunk)
-		defer tensor.SetChunkTokens(0)
-		base := BlockedWorkers(q, k, v, nil, bs, 1)
-		gbase := GQAWorkers(q, k, v, nil, bs, 1)
+		base := BlockedWorkers(q, k, v, nil, bs, 1, chunk)
+		gbase := GQAWorkers(q, k, v, nil, bs, 1, chunk)
 		for _, w := range []int{2, 3, 8} {
-			if got := BlockedWorkers(q, k, v, nil, bs, w); !matsEqual(base, got) {
+			if got := BlockedWorkers(q, k, v, nil, bs, w, chunk); !matsEqual(base, got) {
 				t.Fatalf("rows=%d s=%d bs=%d chunk=%d: Blocked workers=%d diverged", rows, s, bs, chunk, w)
 			}
-			if got := GQAWorkers(q, k, v, nil, bs, w); !matsEqual(gbase, got) {
+			if got := GQAWorkers(q, k, v, nil, bs, w, chunk); !matsEqual(gbase, got) {
 				t.Fatalf("rows=%d s=%d bs=%d chunk=%d: GQA workers=%d diverged", rows, s, bs, chunk, w)
 			}
 		}

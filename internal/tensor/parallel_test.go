@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -36,20 +37,6 @@ func TestParallelForNested(t *testing.T) {
 	}
 }
 
-// TestSetWorkersOverride: SetWorkers pins DefaultWorkers; ≤ 0 restores the
-// GOMAXPROCS default.
-func TestSetWorkersOverride(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
-	if got := DefaultWorkers(); got != 3 {
-		t.Fatalf("DefaultWorkers() = %d after SetWorkers(3)", got)
-	}
-	SetWorkers(0)
-	if got := DefaultWorkers(); got < 1 {
-		t.Fatalf("DefaultWorkers() = %d after reset", got)
-	}
-}
-
 // TestMatMulParallelBitIdentical: a product above the parallel work floor
 // must be bit-identical across worker counts — row results are index-owned,
 // so sharding cannot move a single bit. (The dot-routed path reassociates
@@ -64,12 +51,12 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 	if a.Rows*a.Cols*b.Cols < matMulParallelFlops {
 		t.Fatalf("test shape below parallel floor")
 	}
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	par := MatMul(a, b)
 	for _, w := range []int{1, 2, 3, 8} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		if got := MatMul(a, b); !reflect.DeepEqual(par.Data, got.Data) {
-			t.Fatalf("MatMul with SetWorkers(%d) diverged", w)
+			t.Fatalf("MatMul at GOMAXPROCS %d diverged", w)
 		}
 	}
 }

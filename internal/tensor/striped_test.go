@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -178,12 +179,11 @@ func TestMatMulDotPathMatchesAxpy(t *testing.T) {
 		}
 	}
 	// Worker count must never reach a bit.
-	old := DefaultWorkers()
-	SetWorkers(1)
+	old := runtime.GOMAXPROCS(1)
 	serial := MatMul(a, b)
-	SetWorkers(4)
+	runtime.GOMAXPROCS(4)
 	par := MatMul(a, b)
-	SetWorkers(old)
+	runtime.GOMAXPROCS(old)
 	if !reflect.DeepEqual(serial.Data, par.Data) || !reflect.DeepEqual(serial.Data, got.Data) {
 		t.Fatal("MatMul differs across worker counts")
 	}

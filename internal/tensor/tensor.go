@@ -10,6 +10,7 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/fp16"
 )
@@ -111,7 +112,7 @@ func (m Mat) T() Mat {
 const matMulDotFlops = 1 << 20
 
 // MatMul returns a·b. Panics on shape mismatch. Products above a fixed work
-// floor shard output rows across the kernel worker pool, and large products
+// floor shard output rows across runtime.GOMAXPROCS(0) pool workers, and large products
 // additionally route their inner loops through the cache-blocked transpose
 // and the striped Dot (both operands then stream contiguously through the
 // 8-lane MAC reduction). Row results are index-owned, so the result is
@@ -127,7 +128,7 @@ func MatMul(a, b Mat) Mat {
 	flops := a.Rows * a.Cols * b.Cols
 	workers := 1
 	if a.Rows > 1 && flops >= matMulParallelFlops {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if a.Rows >= 8 && a.Cols >= 8 && flops >= matMulDotFlops {
 		bt := b.T() // blocked transpose: b columns become contiguous rows

@@ -35,13 +35,17 @@ func (r TimedRequest) StartDeadline() float64 {
 	return r.ArrivalSec + r.DeadlineSec
 }
 
+// positiveFinite reports whether x is finite and above zero. NaN fails
+// every comparison, so a plain x <= 0 guard would let it through.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // PoissonArrivals returns n arrival timestamps of a homogeneous Poisson
 // process with the given mean rate (requests/second): exponential
 // inter-arrival gaps drawn from a seeded source, so the same seed always
 // yields the same trace. The first arrival is the first gap, not 0.
 func PoissonArrivals(seed int64, ratePerSec float64, n int) ([]float64, error) {
-	if ratePerSec <= 0 {
-		return nil, fmt.Errorf("workload: arrival rate must be positive, got %g", ratePerSec)
+	if !positiveFinite(ratePerSec) {
+		return nil, fmt.Errorf("workload: arrival rate must be finite and positive, got %g", ratePerSec)
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("workload: arrival count must be ≥ 1, got %d", n)
@@ -60,8 +64,8 @@ func PoissonArrivals(seed int64, ratePerSec float64, n int) ([]float64, error) {
 // (requests/second): deterministic 1/rate spacing starting at 1/rate. It is
 // the zero-variance reference process for the Poisson generator.
 func UniformArrivals(ratePerSec float64, n int) ([]float64, error) {
-	if ratePerSec <= 0 {
-		return nil, fmt.Errorf("workload: arrival rate must be positive, got %g", ratePerSec)
+	if !positiveFinite(ratePerSec) {
+		return nil, fmt.Errorf("workload: arrival rate must be finite and positive, got %g", ratePerSec)
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("workload: arrival count must be ≥ 1, got %d", n)
@@ -80,11 +84,11 @@ func UniformArrivals(ratePerSec float64, n int) ([]float64, error) {
 // It starts in the quiet state. The same seed always yields the same trace,
 // so bursty-workload studies are reproducible run to run.
 func MMPPArrivals(seed int64, quietRate, burstRate, meanQuietSec, meanBurstSec float64, n int) ([]float64, error) {
-	if quietRate <= 0 || burstRate <= 0 {
-		return nil, fmt.Errorf("workload: MMPP rates must be positive, got %g and %g", quietRate, burstRate)
+	if !positiveFinite(quietRate) || !positiveFinite(burstRate) {
+		return nil, fmt.Errorf("workload: MMPP rates must be finite and positive, got %g and %g", quietRate, burstRate)
 	}
-	if meanQuietSec <= 0 || meanBurstSec <= 0 {
-		return nil, fmt.Errorf("workload: MMPP mean sojourns must be positive, got %g and %g", meanQuietSec, meanBurstSec)
+	if !positiveFinite(meanQuietSec) || !positiveFinite(meanBurstSec) {
+		return nil, fmt.Errorf("workload: MMPP mean sojourns must be finite and positive, got %g and %g", meanQuietSec, meanBurstSec)
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("workload: arrival count must be ≥ 1, got %d", n)
@@ -121,8 +125,8 @@ func MMPPArrivals(seed int64, quietRate, burstRate, meanQuietSec, meanBurstSec f
 // ratePerSec while individual bursts arrive an order of magnitude faster
 // than the quiet floor. Deterministic per seed.
 func BurstyArrivals(seed int64, ratePerSec float64, n int) ([]float64, error) {
-	if ratePerSec <= 0 {
-		return nil, fmt.Errorf("workload: arrival rate must be positive, got %g", ratePerSec)
+	if !positiveFinite(ratePerSec) {
+		return nil, fmt.Errorf("workload: arrival rate must be finite and positive, got %g", ratePerSec)
 	}
 	return MMPPArrivals(seed, ratePerSec/4, 4*ratePerSec, 40/ratePerSec, 10/ratePerSec, n)
 }

@@ -132,6 +132,20 @@ func TestMMPPArrivalsErrors(t *testing.T) {
 	if _, err := BurstyArrivals(1, 0, 10); err == nil {
 		t.Error("zero rate accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][4]float64{
+		{nan, 1, 1, 1}, {1, nan, 1, 1}, {1, 1, nan, 1}, {1, 1, 1, nan},
+		{inf, 1, 1, 1}, {1, inf, 1, 1}, {1, 1, inf, 1}, {1, 1, 1, inf},
+	} {
+		if _, err := MMPPArrivals(1, c[0], c[1], c[2], c[3], 10); err == nil {
+			t.Errorf("MMPPArrivals(rates %g, %g; sojourns %g, %g) accepted", c[0], c[1], c[2], c[3])
+		}
+	}
+	for _, r := range []float64{nan, inf} {
+		if _, err := BurstyArrivals(1, r, 10); err == nil {
+			t.Errorf("BurstyArrivals rate %g accepted", r)
+		}
+	}
 }
 
 // The deadline helper: absolute start deadline, or +Inf when unset.
@@ -163,6 +177,14 @@ func TestArrivalErrors(t *testing.T) {
 	}
 	if _, err := Timed(nil, nil); err == nil {
 		t.Error("empty trace accepted")
+	}
+	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := PoissonArrivals(1, r, 10); err == nil {
+			t.Errorf("PoissonArrivals rate %g accepted", r)
+		}
+		if _, err := UniformArrivals(r, 10); err == nil {
+			t.Errorf("UniformArrivals rate %g accepted", r)
+		}
 	}
 }
 

@@ -68,8 +68,8 @@ func TestBlockedAttentionParallelSpeedup(t *testing.T) {
 	const floor = 2.0
 	q, k, v := attentionInputs(64*1024, 128)
 	got := speedup(3, 2,
-		func() { attention.BlockedWorkers(q, k, v, nil, 128, 1) },
-		func() { attention.BlockedWorkers(q, k, v, nil, 128, 4) })
+		func() { attention.BlockedWorkers(q, k, v, nil, 128, 1, 0) },
+		func() { attention.BlockedWorkers(q, k, v, nil, 128, 4, 0) })
 	t.Logf("Blocked attention 4 workers %.2fx over serial (floor %.1fx)", got, floor)
 	if got < floor {
 		t.Errorf("Blocked attention 4 workers only %.2fx over serial, floor %.1fx", got, floor)
@@ -87,7 +87,7 @@ func TestAcceleratorParallelSpeedup(t *testing.T) {
 	a, q, k, v := accelInputs(t, 16*1024)
 	run := func(workers int) func() {
 		return func() {
-			if _, err := a.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, workers); err != nil {
+			if _, err := a.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, workers, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
