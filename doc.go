@@ -319,8 +319,9 @@
 // simulation share it through internal/repcache, a process-wide memoized
 // report cache keyed on the complete (testbed, request, options) input.
 // The cluster dispatcher's per-fleet report memo is a repcache.Group — a
-// private namespace over the same cache with the same per-key singleflight,
-// so concurrent prewarm workers share one run per batch shape.
+// private memo with the same per-key singleflight, so concurrent prewarm
+// workers share one run per batch shape, and whose entries are dropped
+// with the dispatcher instead of accumulating in the process cache.
 //
 // The cluster event loop's cost per event does not grow with trace length
 // or backlog. Arrivals never enter the event heap: cluster.Run merges a
@@ -329,17 +330,24 @@
 // first at equal times), so the heap holds only the timers actually armed.
 // Heap entries are small records of scalars and pointers to the queue,
 // slot, batch or fault involved, sifted by a hand-written typed heap with
-// no interface boxing. Admission queues are FIFOs consumed from the head by
-// reslicing. A start-deadline event carries its request's admission
-// position, so checking whether the request still waits is one comparison
-// against the queue's count of taken requests. The event loop reads engine
-// reports through a table only it touches, in front of the repcache.Group
-// (prewarm workers call the group directly), and the Summary sorts each
-// delay sample once for its percentiles. Summaries are bit-identical to
-// the earlier container/heap loop's, pinned by the SHA-256 table in
-// internal/cluster/testdata/summary_digests.txt. On a 2-vCPU Xeon a
-// 100k-request close-at-admission replay (the bench module's
-// replay-offline) takes about 45 ms, down from about 400 ms.
+// no interface boxing. Run reads a trace already in (arrival, ID) order in
+// place and never writes to it; any other trace is sorted into a copy.
+// Admission queues are FIFOs of indices into that trace, consumed from the
+// head by reslicing, so a queue's buffer holds no pointers. A
+// start-deadline event carries its request's admission position, so
+// checking whether the request still waits is one comparison against the
+// queue's count of taken requests. Engine reports sit in one table per
+// request shape, rows indexed by batch size and pipeline, in front of the
+// repcache.Group (prewarm workers call the group directly). A queue looks
+// its table up once, when it is created, and a closed batch once per
+// placement, so planning a batch hashes nothing and, once its reports
+// exist, allocates nothing (internal/cluster TestPlanDoesNotAllocate). The
+// Summary sorts each delay sample once for its percentiles. Summaries are
+// bit-identical to the earlier container/heap loop's, pinned by the SHA-256
+// table in internal/cluster/testdata/summary_digests.txt. On a 2-vCPU Xeon
+// the bench module's 100k-request close-at-admission replay
+// (replay-offline) takes about 35 ms of CPU and its 20k-request continuous
+// replay (replay-online) about 21 ms, allocating about 4.3 MB.
 //
 // The bench module (bench/, declared by BENCHMARK.json) is the performance
 // ledger: it times whole workloads — the figures, three cluster replays and

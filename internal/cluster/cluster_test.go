@@ -370,6 +370,10 @@ func TestDispatchExactTailPass(t *testing.T) {
 	}
 }
 
+// BenchmarkClusterRun replays one trace through each dispatch branch of
+// the event loop: batches closed at admission, continuous batching, and
+// close-at-admission with deadline-aware preemption. Short requests form the
+// urgent class so the preempt case evicts.
 func BenchmarkClusterRun(b *testing.B) {
 	tb := device.DefaultTestbed()
 	fleet := []Pipeline{
@@ -379,15 +383,28 @@ func BenchmarkClusterRun(b *testing.B) {
 	g, _ := workload.NewGenerator(1, workload.AzureLikeMix())
 	arr, _ := workload.PoissonArrivals(1, 1, 48)
 	reqs, _ := g.TimedTrace(arr)
-	cfg := Config{
-		Model: model.OPT30B, Fleet: fleet, Policy: CheapestFeasible,
-		Admission: Admission{MaxBatch: 8, MaxWaitSec: 30},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, reqs); err != nil {
-			b.Fatal(err)
+	for i := range reqs {
+		if reqs[i].Class.Name == workload.Short.Name {
+			reqs[i].Priority, reqs[i].DeadlineSec = 1, 60
 		}
+	}
+	for _, bc := range []struct {
+		name string
+		adm  Admission
+	}{
+		{"close", Admission{MaxBatch: 8, MaxWaitSec: 30}},
+		{"continuous", Admission{MaxBatch: 8, MaxWaitSec: 30, ContinuousBatching: true}},
+		{"preempt", Admission{MaxBatch: 8, MaxWaitSec: 30, Preemption: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := Config{Model: model.OPT30B, Fleet: fleet, Policy: CheapestFeasible, Admission: bc.adm}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg, reqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -525,6 +542,76 @@ func TestSharedEngineIDMemoizesAcrossPipelines(t *testing.T) {
 	run(private)
 	if got := calls.Load(); got != 4 {
 		t.Errorf("%d engine simulations, want 4 (private memos per pipeline)", got)
+	}
+}
+
+// Reports memoize per (engine, request shape, batch size) and nothing else:
+// two class names over one shape share a simulation, and every tail size,
+// whether continuous dispatch or the preemption path reaches it, simulates
+// once per engine. The per-engine totals were recorded on the map-keyed
+// memo the report tables replaced, so the tables never simulate more.
+func TestReportTableSimulatesOncePerEngine(t *testing.T) {
+	type call struct {
+		engine         string
+		in, out, batch int
+	}
+	var mu sync.Mutex // the engines also run on the prewarm workers
+	calls := map[call]int{}
+	engine := func(name string) RunFunc {
+		return func(req pipeline.Request) pipeline.Report {
+			mu.Lock()
+			calls[call{name, req.Context, req.OutputLen, req.Batch}]++
+			mu.Unlock()
+			// Fits at most 3, so batches of 4 and 5 leave tails of 1 and 2.
+			return pipeline.Report{Batch: min(req.Batch, 3), PrefillSec: 2, StepSec: 0.001 * float64(req.Context)}
+		}
+	}
+	fleet := []Pipeline{
+		{Name: "a0", Run: engine("a"), EngineID: "a"},
+		{Name: "a1", Run: engine("a"), EngineID: "a"},
+		{Name: "b", Run: engine("b"), USDPerHour: 1},
+	}
+	twin := workload.Short
+	twin.Name = "twin" // Short's shape under another name
+	classes := []workload.Class{workload.Short, twin, workload.Long, twin}
+	var reqs []Request
+	for i := range 48 {
+		r := Request{ID: i, Class: classes[i%len(classes)], ArrivalSec: float64(i) * 0.25}
+		if i%5 == 0 {
+			r.Priority, r.DeadlineSec = 1, 0.5
+		}
+		reqs = append(reqs, r)
+	}
+	for _, tc := range []struct {
+		name      string
+		adm       Admission
+		perEngine int // distinct simulations per engine, recorded on the map memo
+	}{
+		// Both shapes at every size 1..5: full batches plus tails.
+		{"continuous", Admission{MaxBatch: 5, MaxWaitSec: 1, ContinuousBatching: true}, 10},
+		// Short at sizes 1, 2, 3, 5 and Long at 1, 2, 5.
+		{"preempt", Admission{MaxBatch: 5, MaxWaitSec: 1, Preemption: true}, 7},
+	} {
+		for _, pol := range Policies() {
+			clear(calls)
+			s, err := Run(Config{Model: model.OPT30B, Fleet: fleet, Policy: pol, Admission: tc.adm}, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.adm.Preemption && s.PreemptedBatches == 0 {
+				t.Fatalf("%s/%s: nothing preempted, so the preemption path never ran", tc.name, pol)
+			}
+			per := map[string]int{}
+			for c, n := range calls {
+				if n != 1 {
+					t.Errorf("%s/%s: %+v simulated %d times, want once", tc.name, pol, c, n)
+				}
+				per[c.engine]++
+			}
+			if per["a"] != tc.perEngine || per["b"] != tc.perEngine {
+				t.Errorf("%s/%s: simulations per engine %v, want %d each", tc.name, pol, per, tc.perEngine)
+			}
+		}
 	}
 }
 

@@ -133,15 +133,31 @@ type Assignment struct {
 // ExecSec returns the batch's execution time.
 func (a Assignment) ExecSec() float64 { return a.FinishSec - a.StartSec }
 
-// repKey memoizes engine reports per (engine, request shape, batch size):
-// engines are pure, so identical batch shapes share one simulation — across
-// pipelines too, when they declare a common EngineID. Keys are scoped to the
-// dispatcher's repcache.Group, so an EngineID names an engine only within
-// one fleet and two dispatchers never share (or collide on) reports.
+// repKey names one engine simulation in the dispatcher's repcache.Group:
+// (engine, request shape, batch size). Engines are pure, so identical batch
+// shapes share one simulation — across pipelines too, when they declare a
+// common EngineID (eng is then the first fleet index sharing it). Keys are
+// scoped to the group, so an EngineID names an engine only within one fleet
+// and two dispatchers never share (or collide on) reports.
 type repKey struct {
 	eng     int
 	in, out int
 	size    int
+}
+
+// shape is a request shape: the (Input, Output) pair engine reports depend
+// on. Class names do not enter it, so two names over one shape share
+// reports.
+type shape struct{ in, out int }
+
+// reportTable holds one request shape's engine reports in rows indexed
+// [size][pipeline], flattened as reps[size*len(fleet)+p]. Pipelines sharing
+// an EngineID point at one report; a nil entry has not been read yet. Only
+// the event loop touches a table, so reading one takes no lock and hashes
+// nothing.
+type reportTable struct {
+	in, out int
+	reps    []*pipeline.Report
 }
 
 // dispatcher is the policy layer under the event loop (Run): it scores and
@@ -156,9 +172,11 @@ type dispatcher struct {
 	freeAt []float64
 	engKey []int // repKey.eng per fleet index: the first index sharing its EngineID
 	group  *repcache.Group
-	// reports fronts group with a plain map only the event loop touches:
-	// no lock, no interface-keyed hashing. prewarm calls the group directly.
-	reports map[repKey]*pipeline.Report
+	// tables fronts group with one reportTable per request shape. Callers
+	// look a table up once (a queue when it is created, a closed batch
+	// once per placement) and then read reports by index. prewarm calls
+	// the group directly.
+	tables map[shape]*reportTable
 
 	// Recovery state, which the event loop maintains. inj is nil without a
 	// non-empty fault injector: every pipeline is then always available at
@@ -191,32 +209,50 @@ func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher
 		}
 	}
 	return &dispatcher{
-		m:       m,
-		fleet:   fleet,
-		policy:  policy,
-		freeAt:  make([]float64, len(fleet)),
-		engKey:  engKey,
-		group:   repcache.NewGroup(),
-		reports: map[repKey]*pipeline.Report{},
-		health:  make([]pipeHealth, len(fleet)),
+		m:      m,
+		fleet:  fleet,
+		policy: policy,
+		freeAt: make([]float64, len(fleet)),
+		engKey: engKey,
+		group:  repcache.NewGroup(),
+		tables: map[shape]*reportTable{},
+		health: make([]pipeHealth, len(fleet)),
 	}, nil
 }
 
-// shapeKey is the memo key for one batch shape on pipeline p's engine.
-func (d *dispatcher) shapeKey(p int, c workload.Class, size int) repKey {
-	return repKey{eng: d.engKey[p], in: c.Input, out: c.Output, size: size}
+// table returns the report table of c's request shape, creating it empty on
+// first use.
+func (d *dispatcher) table(c workload.Class) *reportTable {
+	k := shape{c.Input, c.Output}
+	t := d.tables[k]
+	if t == nil {
+		t = &reportTable{in: c.Input, out: c.Output}
+		d.tables[k] = t
+	}
+	return t
 }
 
-// report returns the engine report for one batch shape on pipeline p; the
-// report is shared and must not be mutated. Only the event loop calls it.
-func (d *dispatcher) report(p int, c workload.Class, size int) *pipeline.Report {
-	k := d.shapeKey(p, c, size)
-	if rep := d.reports[k]; rep != nil {
-		return rep
+// report returns the engine report for size jobs of t's shape on pipeline
+// p; the report is shared and must not be mutated. A miss simulates through
+// the group once per engine, then every pipeline on that engine reads the
+// same entry. Only the event loop calls it.
+func (d *dispatcher) report(t *reportTable, p, size int) *pipeline.Report {
+	nf := len(d.fleet)
+	i := size*nf + p
+	if i < len(t.reps) {
+		if rep := t.reps[i]; rep != nil {
+			return rep
+		}
+	} else {
+		t.reps = append(t.reps, make([]*pipeline.Report, (size+1)*nf-len(t.reps))...)
 	}
-	rep := d.simulate(k)
-	d.reports[k] = &rep
-	return &rep
+	row, eng := t.reps[size*nf:(size+1)*nf], d.engKey[p]
+	if row[eng] == nil {
+		rep := d.simulate(repKey{eng: eng, in: t.in, out: t.out, size: size})
+		row[eng] = &rep
+	}
+	row[p] = row[eng]
+	return row[p]
 }
 
 // simulate is report's concurrency-safe path through the group memo. It
@@ -231,26 +267,24 @@ func (d *dispatcher) simulate(k repKey) pipeline.Report {
 }
 
 // prewarm simulates every distinct request shape in trace at the target
-// batch size on every pipeline, on a worker pool before the sequential
-// event loop starts; the loop then runs on memoized reports for those
-// dominant shapes, and odd tail sizes simulate lazily on the loop. Shapes
-// deduplicate before crossing the fleet (a trace has few shapes and many
-// requests), and by memo key after, so pipelines sharing an EngineID
+// batch size on every engine, on a worker pool before the sequential event
+// loop starts; the loop then runs on memoized reports for those dominant
+// shapes, and odd tail sizes simulate lazily on the loop. Shapes
+// deduplicate through the report tables before crossing the fleet (a trace
+// has few shapes and many requests), and pipelines sharing an EngineID
 // simulate each shape once. Results are identical with or without
 // prewarming — it only moves pure computations off the loop.
 func (d *dispatcher) prewarm(trace []Request, size int) {
 	var todo []repKey
-	seen := map[repKey]bool{}
 	for _, r := range trace {
-		shape := repKey{eng: -1, in: r.Class.Input, out: r.Class.Output, size: size}
-		if seen[shape] {
-			continue // eng -1 marks a shape already crossed with the fleet
+		known := len(d.tables)
+		t := d.table(r.Class)
+		if len(d.tables) == known {
+			continue // the shape is already crossed with the fleet
 		}
-		seen[shape] = true
-		for p := range d.fleet {
-			if k := d.shapeKey(p, r.Class, size); !seen[k] {
-				seen[k] = true
-				todo = append(todo, k)
+		for p, eng := range d.engKey {
+			if eng == p {
+				todo = append(todo, repKey{eng: eng, in: t.in, out: t.out, size: size})
 			}
 		}
 	}
@@ -279,17 +313,17 @@ func (d *dispatcher) prewarm(trace []Request, size int) {
 // item). A tail the engine shrinks again is charged integral passes at the
 // tail report's effective batch; an infeasible tail report (which a
 // monotone engine never produces) falls back to one full-size pass.
-func (d *dispatcher) execSec(p int, c workload.Class, n int, rep *pipeline.Report) float64 {
+func (d *dispatcher) execSec(p int, t *reportTable, n int, rep *pipeline.Report) float64 {
 	full := n / rep.Batch
 	tail := n % rep.Batch
-	sec := float64(full) * rep.TotalSec(c.Output)
+	sec := float64(full) * rep.TotalSec(t.out)
 	if tail > 0 {
-		tr := d.report(p, c, tail)
+		tr := d.report(t, p, tail)
 		if tr.OOM || tr.Batch < 1 {
-			sec += rep.TotalSec(c.Output)
+			sec += rep.TotalSec(t.out)
 		} else {
 			passes := (tail + tr.Batch - 1) / tr.Batch
-			sec += float64(passes) * tr.TotalSec(c.Output)
+			sec += float64(passes) * tr.TotalSec(t.out)
 		}
 	}
 	return sec
@@ -327,7 +361,7 @@ func (d *dispatcher) slow(p int, at float64) float64 {
 	return d.inj.SlowFactor(p, at)
 }
 
-// plan picks a pipeline per the policy for n jobs of class c released at
+// plan picks a pipeline per the policy for n jobs of t's shape released at
 // release, without committing anything: the pipeline clocks are untouched
 // until the event loop commits the slot (commitSlot), which must happen
 // before any further planning. With idleOnly, only pipelines free at now
@@ -340,7 +374,7 @@ func (d *dispatcher) slow(p int, at float64) float64 {
 // are temporarily out of service (+Inf when none is): when pl.p == -1 with
 // feasible == true, planning again at nextAvail (or, idle-only, at the next
 // pipeline-free or repair event) makes progress.
-func (d *dispatcher) plan(c workload.Class, n int, release float64, idleOnly bool, now float64) (pl placement, feasible bool, nextAvail float64) {
+func (d *dispatcher) plan(t *reportTable, n int, release float64, idleOnly bool, now float64) (pl placement, feasible bool, nextAvail float64) {
 	best := -1
 	var bestRep *pipeline.Report
 	var bestSec, bestKey, bestTie, bestStart float64
@@ -348,7 +382,7 @@ func (d *dispatcher) plan(c workload.Class, n int, release float64, idleOnly boo
 	nextAvail = math.Inf(1)
 	exactCandidate, exactBlocked := false, false
 	for p := range d.fleet {
-		rep := d.report(p, c, n)
+		rep := d.report(t, p, n)
 		if rep.OOM || rep.Batch < 1 {
 			if firstReason == "" {
 				firstReason = rep.Reason
@@ -387,7 +421,7 @@ func (d *dispatcher) plan(c workload.Class, n int, release float64, idleOnly boo
 		if d.freeAt[p] > start {
 			start = d.freeAt[p]
 		}
-		sec := d.execSec(p, c, n, rep) * d.slow(p, start)
+		sec := d.execSec(p, t, n, rep) * d.slow(p, start)
 		var key, tie float64
 		switch d.policy {
 		case LeastLoaded:

@@ -119,7 +119,7 @@ func (l *eventLoop) run() {
 		l.compact()
 		switch e.kind {
 		case evArrival:
-			l.arrive(l.trace[e.idx])
+			l.arrive(e.idx)
 		case evTimeout:
 			l.fireTimeout(e)
 		case evDeadline:
@@ -175,9 +175,10 @@ func (l *eventLoop) backlog(minPrio int) int {
 	return n
 }
 
-// arrive admits one request: backlog cap, queue insertion, and ripening
+// arrive admits trace request i: backlog cap, queue insertion, and ripening
 // when the queue fills (close-at-admission) or at once (continuous).
-func (l *eventLoop) arrive(r Request) {
+func (l *eventLoop) arrive(i int) {
+	r := &l.trace[i]
 	if cap := l.cfg.Admission.MaxBacklog; cap > 0 {
 		// With preemption, a request only competes for backlog space with
 		// work of its own priority or above: online arrivals are no longer
@@ -188,15 +189,15 @@ func (l *eventLoop) arrive(r Request) {
 			minPrio = r.Priority
 		}
 		if l.backlog(minPrio) >= cap {
-			l.rejected = append(l.rejected, r)
-			l.cfg.Telemetry.onReject(r)
+			l.rejected = append(l.rejected, *r)
+			l.cfg.Telemetry.onReject(*r)
 			return
 		}
 	}
 	k := queueKey{priority: r.Priority, class: r.Class}
 	q := l.queues[k]
 	if q == nil {
-		q = &classQueue{key: k}
+		q = &classQueue{key: k, table: l.d.table(r.Class)}
 		l.queues[k] = q
 		l.qlist = append(l.qlist, q)
 	}
@@ -205,8 +206,8 @@ func (l *eventLoop) arrive(r Request) {
 			dl: r.ArrivalSec + l.cfg.Admission.MaxWaitSec})
 	}
 	pos := q.taken + len(q.reqs)
-	q.reqs = append(q.reqs, r)
-	l.cfg.Telemetry.onArrival(r)
+	q.reqs = append(q.reqs, i)
+	l.cfg.Telemetry.onArrival(*r)
 	l.cfg.Telemetry.onQueueDepth(k, len(q.reqs))
 	if l.cfg.Admission.Preemption && r.DeadlineSec > 0 {
 		l.push(event{at: r.StartDeadline(), kind: evDeadline, q: q, idx: pos})
@@ -220,7 +221,7 @@ func (l *eventLoop) arrive(r Request) {
 // closed, or refilled with a later head — are skipped: the armed deadline
 // no longer matches.
 func (l *eventLoop) fireTimeout(e event) {
-	if len(e.q.reqs) > 0 && e.q.waitDeadline(l.cfg.Admission.MaxWaitSec) == e.dl {
+	if len(e.q.reqs) > 0 && e.q.waitDeadline(l.trace, l.cfg.Admission.MaxWaitSec) == e.dl {
 		l.ripen(e.q)
 	}
 }
@@ -247,15 +248,17 @@ func (l *eventLoop) ripen(q *classQueue) {
 	l.place(l.takeBatch(q, len(q.reqs)), true)
 }
 
-// makeBatch forms a BatchJob from requests of one queue.
-func makeBatch(k queueKey, reqs []Request, release float64) BatchJob {
+// makeBatch forms a BatchJob from the trace requests at idx, members of one
+// queue.
+func makeBatch(k queueKey, trace []Request, idx []int, release float64) BatchJob {
 	b := BatchJob{
 		Class: k.class, Priority: k.priority, ReleaseSec: release,
-		JobIDs:    make([]int, len(reqs)),
-		Arrivals:  make([]float64, len(reqs)),
-		Deadlines: make([]float64, len(reqs)),
+		JobIDs:    make([]int, len(idx)),
+		Arrivals:  make([]float64, len(idx)),
+		Deadlines: make([]float64, len(idx)),
 	}
-	for i, r := range reqs {
+	for i, j := range idx {
+		r := &trace[j]
 		b.JobIDs[i] = r.ID
 		b.Arrivals[i] = r.ArrivalSec
 		if r.DeadlineSec > 0 {
@@ -279,11 +282,11 @@ func minDeadline(b BatchJob) float64 {
 // takeBatch removes q's n oldest requests as a batch released now, and
 // re-arms the max-wait timer for the queue's new head.
 func (l *eventLoop) takeBatch(q *classQueue, n int) BatchJob {
-	b := makeBatch(q.key, q.reqs[:n], l.now)
+	b := makeBatch(q.key, l.trace, q.reqs[:n], l.now)
 	q.take(n)
 	l.cfg.Telemetry.onQueueDepth(q.key, len(q.reqs))
 	if len(q.reqs) > 0 {
-		dl := q.waitDeadline(l.cfg.Admission.MaxWaitSec)
+		dl := q.waitDeadline(l.trace, l.cfg.Admission.MaxWaitSec)
 		l.push(event{at: max(dl, l.now), kind: evTimeout, q: q, dl: dl})
 	}
 	return b
@@ -333,10 +336,11 @@ func (l *eventLoop) failSlot(b BatchJob, reason string) {
 // after evicting strictly-lower-priority unstarted slots; evicted batches
 // are re-placed without that escalation, so one eviction cannot cascade.
 func (l *eventLoop) place(b BatchJob, mayPreempt bool) {
-	pl, feasible, nextAvail := l.d.plan(b.Class, len(b.JobIDs), b.ReleaseSec, false, l.now)
+	t := l.d.table(b.Class)
+	pl, feasible, nextAvail := l.d.plan(t, len(b.JobIDs), b.ReleaseSec, false, l.now)
 	if mayPreempt && pl.p >= 0 && l.cfg.Admission.Preemption && minDeadline(b) < pl.start {
-		if p, est := l.bestPreemptive(b); p >= 0 && est < pl.start {
-			l.preemptInto(p, b)
+		if p, est := l.bestPreemptive(b, t); p >= 0 && est < pl.start {
+			l.preemptInto(p, b, t)
 			return
 		}
 	}
@@ -360,15 +364,15 @@ func (l *eventLoop) settle(b BatchJob, pl placement, feasible bool, nextAvail fl
 	}
 }
 
-// bestPreemptive returns the feasible pipeline on which b would start
-// earliest if every strictly-lower-priority unstarted slot there were
-// evicted, with that start time. Started slots never move: preemption acts
-// only at batch boundaries.
-func (l *eventLoop) bestPreemptive(b BatchJob) (int, float64) {
+// bestPreemptive returns the feasible pipeline on which b (of t's shape)
+// would start earliest if every strictly-lower-priority unstarted slot there
+// were evicted, with that start time. Started slots never move: preemption
+// acts only at batch boundaries.
+func (l *eventLoop) bestPreemptive(b BatchJob, t *reportTable) (int, float64) {
 	n := len(b.JobIDs)
 	best, bestStart := -1, math.Inf(1)
 	for p := range l.d.fleet {
-		rep := l.d.report(p, b.Class, n)
+		rep := l.d.report(t, p, n)
 		if rep.OOM || rep.Batch < 1 {
 			continue
 		}
@@ -394,15 +398,15 @@ func (l *eventLoop) bestPreemptive(b BatchJob) (int, float64) {
 }
 
 // preemptInto evicts every strictly-lower-priority unstarted slot on
-// pipeline p, re-times the survivors, places b at the end of the compacted
-// chain, and re-dispatches the evicted batches at the current instant —
-// work is displaced, never lost.
-func (l *eventLoop) preemptInto(p int, b BatchJob) {
+// pipeline p, re-times the survivors, places b (of t's shape) at the end of
+// the compacted chain, and re-dispatches the evicted batches at the current
+// instant — work is displaced, never lost.
+func (l *eventLoop) preemptInto(p int, b BatchJob, t *reportTable) {
 	evicted := l.evict(p, func(s *slot) bool { return s.b.Priority < b.Priority })
 	n := len(b.JobIDs)
-	rep := l.d.report(p, b.Class, n)
+	rep := l.d.report(t, p, n)
 	start := math.Max(b.ReleaseSec, l.d.freeAt[p])
-	sec := l.d.execSec(p, b.Class, n, rep) * l.d.slow(p, start)
+	sec := l.d.execSec(p, t, n, rep) * l.d.slow(p, start)
 	l.commitSlot(b, placement{p: p, rep: rep, sec: sec, start: start})
 
 	for _, ev := range evicted {
@@ -632,13 +636,14 @@ func (l *eventLoop) redispatch(b BatchJob) {
 // preemption — a member's start deadline arrived.
 func (l *eventLoop) isRipe(q *classQueue) bool {
 	return len(q.reqs) >= l.cfg.Admission.MaxBatch ||
-		q.waitDeadline(l.cfg.Admission.MaxWaitSec) <= l.now ||
-		l.cfg.Admission.Preemption && q.minStartDeadline() <= l.now
+		q.waitDeadline(l.trace, l.cfg.Admission.MaxWaitSec) <= l.now ||
+		l.cfg.Admission.Preemption && q.minStartDeadline(l.trace) <= l.now
 }
 
 // ripeQueues returns the dispatchable queues in scheduling order: priority
-// first, then oldest waiting head, then class key order. The slice is valid
-// until the next call.
+// first, then oldest waiting head, then class key order. Each comparison
+// returns at the first key that decides it. The slice is valid until the
+// next call.
 func (l *eventLoop) ripeQueues() []*classQueue {
 	qs := l.ripe[:0]
 	for _, q := range l.qlist {
@@ -647,11 +652,13 @@ func (l *eventLoop) ripeQueues() []*classQueue {
 		}
 	}
 	slices.SortFunc(qs, func(a, b *classQueue) int {
-		return cmp.Or(
-			cmp.Compare(b.key.priority, a.key.priority),
-			cmp.Compare(a.reqs[0].ArrivalSec, b.reqs[0].ArrivalSec),
-			a.key.cmp(b.key),
-		)
+		if a.key.priority != b.key.priority {
+			return cmp.Compare(b.key.priority, a.key.priority)
+		}
+		if ta, tb := l.trace[a.reqs[0]].ArrivalSec, l.trace[b.reqs[0]].ArrivalSec; ta != tb {
+			return cmp.Compare(ta, tb)
+		}
+		return a.key.cmp(b.key)
 	})
 	l.ripe = qs
 	return qs
@@ -675,7 +682,7 @@ func (l *eventLoop) tryDispatch() {
 func (l *eventLoop) dispatchQueue() bool {
 	for _, q := range l.ripeQueues() {
 		n := min(len(q.reqs), l.cfg.Admission.MaxBatch)
-		pl, feasible, nextAvail := l.d.plan(q.key.class, n, l.now, true, l.now)
+		pl, feasible, nextAvail := l.d.plan(q.table, n, l.now, true, l.now)
 		if pl.p < 0 && feasible {
 			continue // every feasible pipeline is busy or down: wait for a free/repair event
 		}
@@ -695,7 +702,7 @@ func (l *eventLoop) dispatchRetry() bool {
 		if b.ReleaseSec < l.now {
 			b.ReleaseSec = l.now // parked since an earlier instant: re-release now
 		}
-		pl, feasible, nextAvail := l.d.plan(b.Class, len(b.JobIDs), b.ReleaseSec, true, l.now)
+		pl, feasible, nextAvail := l.d.plan(l.d.table(b.Class), len(b.JobIDs), b.ReleaseSec, true, l.now)
 		if pl.p < 0 && feasible {
 			continue
 		}
@@ -712,7 +719,9 @@ func (l *eventLoop) dispatchRetry() bool {
 // deadline-aware preemption when enabled. Requests are processed in arrival
 // order (ties by ID); expired wait timeouts fire, in deadline order, before
 // any later arrival is admitted, and remaining queues flush at their
-// deadlines after the trace ends. The result is identical run to run.
+// deadlines after the trace ends. The result is identical run to run. Run
+// never modifies reqs: a trace already in (ArrivalSec, ID) order is read in
+// place, any other is sorted into a copy.
 func Run(cfg Config, reqs []Request) (Summary, error) {
 	if err := cfg.Admission.validate(); err != nil {
 		return Summary{}, err
@@ -728,13 +737,16 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		return Summary{}, err
 	}
 
-	sorted := slices.Clone(reqs)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].ArrivalSec != sorted[j].ArrivalSec {
-			return sorted[i].ArrivalSec < sorted[j].ArrivalSec
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
+	sorted := reqs
+	if !strictlySorted(reqs) {
+		sorted = slices.Clone(reqs)
+		sort.SliceStable(sorted, func(i, j int) bool {
+			if sorted[i].ArrivalSec != sorted[j].ArrivalSec {
+				return sorted[i].ArrivalSec < sorted[j].ArrivalSec
+			}
+			return sorted[i].ID < sorted[j].ID
+		})
+	}
 	ids := make([]int, len(sorted))
 	for i, r := range sorted {
 		ids[i] = r.ID
@@ -816,4 +828,19 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		fracs = append(fracs, s.writeFrac)
 	}
 	return summarize(l, asgs, fracs), nil
+}
+
+// strictlySorted reports whether reqs is strictly increasing in
+// (ArrivalSec, ID). Such a trace is a fixed point of Run's stable sort, so
+// Run can read it in place. A NaN arrival or a repeated (ArrivalSec, ID)
+// pair fails the test, so those traces take the sorting path and meet its
+// validation errors in the order they always have.
+func strictlySorted(reqs []Request) bool {
+	for i := 1; i < len(reqs); i++ {
+		a, b := &reqs[i-1], &reqs[i]
+		if !(a.ArrivalSec < b.ArrivalSec || a.ArrivalSec == b.ArrivalSec && a.ID < b.ID) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -384,4 +386,88 @@ func TestRunRejectsBadSchedulingMetadata(t *testing.T) {
 	if _, err := Run(cfg, []Request{{ID: 0, Class: workload.Short, DeadlineSec: math.Inf(1)}}); err == nil {
 		t.Error("infinite deadline accepted")
 	}
+}
+
+// Run reads a trace already in (ArrivalSec, ID) order in place and sorts any
+// other into a copy; either way the caller's slice is left alone and the
+// Summary is the same. Invalid arrivals keep the error the sorting path
+// always gave: the texts below were recorded before the in-place path
+// existed.
+func TestRunReadsSortedTraceInPlace(t *testing.T) {
+	classes := []workload.Class{workload.Short, workload.Medium, workload.Long}
+	sorted := make([]Request, 60)
+	for i := range sorted {
+		// Arrivals tie in threes, so the ID order decides within each tie.
+		sorted[i] = Request{ID: 100 + i, Class: classes[i%len(classes)], ArrivalSec: float64(i / 3)}
+		if sorted[i].Class == workload.Short {
+			sorted[i].Priority, sorted[i].DeadlineSec = 1, 2
+		}
+	}
+	shuffled := slices.Clone(sorted)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+
+	fleet := []Pipeline{{Name: "p0", Run: constEngine(3)}, {Name: "p1", Run: constEngine(5)}}
+	for _, adm := range []Admission{
+		{MaxBatch: 4, MaxWaitSec: 2},
+		{MaxBatch: 4, MaxWaitSec: 2, ContinuousBatching: true},
+		{MaxBatch: 4, MaxWaitSec: 2, Preemption: true},
+	} {
+		cfg := Config{Model: model.OPT30B, Fleet: fleet, Policy: FastestETA, Admission: adm}
+		var want Summary
+		for i, reqs := range [][]Request{sorted, shuffled, reversed} {
+			before := slices.Clone(reqs)
+			s, err := Run(cfg, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(reqs, before) {
+				t.Fatalf("%+v: Run modified trace %d", adm, i)
+			}
+			if i == 0 {
+				want = s
+			} else if !reflect.DeepEqual(s, want) {
+				t.Errorf("%+v: trace %d gives a different Summary from the sorted trace", adm, i)
+			}
+		}
+	}
+
+	cfg := Config{Model: model.OPT30B, Fleet: fleet, Policy: LeastLoaded, Admission: Admission{MaxBatch: 4}}
+	arr := make([]float64, 30)
+	for i := range arr {
+		arr[i] = float64(i)
+	}
+	arr[7], arr[20] = math.NaN(), -1
+	rev := slices.Clone(arr)
+	slices.Reverse(rev)
+	for _, tc := range []struct {
+		arrivals []float64
+		want     string
+	}{
+		{arr, "cluster: arrival time NaN for request 7 is not finite and ≥ 0"},
+		{rev, "cluster: arrival time -1 for request 9 is not finite and ≥ 0"},
+		{[]float64{0, 1, math.NaN(), -1}, "cluster: arrival time NaN for request 2 is not finite and ≥ 0"},
+		{[]float64{-1, 0, math.NaN()}, "cluster: arrival time -1 for request 0 is not finite and ≥ 0"},
+	} {
+		reqs := shortReqs(tc.arrivals...)
+		before := slices.Clone(reqs)
+		_, err := Run(cfg, reqs)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("arrivals %v: err %v, want %q", tc.arrivals, err, tc.want)
+		}
+		if !slices.EqualFunc(reqs, before, sameRequest) {
+			t.Errorf("arrivals %v: Run modified the trace", tc.arrivals)
+		}
+	}
+}
+
+// sameRequest is Request equality with NaN arrivals equal to themselves.
+func sameRequest(a, b Request) bool {
+	if math.IsNaN(a.ArrivalSec) && math.IsNaN(b.ArrivalSec) {
+		a.ArrivalSec, b.ArrivalSec = 0, 0
+	}
+	return a == b
 }

@@ -31,12 +31,16 @@ func (k queueKey) cmp(o queueKey) int {
 }
 
 // classQueue is one per-priority-per-shape admission queue, FIFO in arrival
-// order and consumed from the head. taken counts every request ever removed,
-// so a request admitted at position pos (taken + len(reqs) when it joined)
-// is still waiting exactly while pos ≥ taken.
+// order and consumed from the head. It holds indices into the event loop's
+// sorted trace rather than request copies, so its buffer is pointer-free
+// and an eighth the size. table is the reports of the queue's shape, looked
+// up once when the queue is created. taken counts every request ever
+// removed, so a request admitted at position pos (taken + len(reqs) when it
+// joined) is still waiting exactly while pos ≥ taken.
 type classQueue struct {
 	key   queueKey
-	reqs  []Request
+	table *reportTable
+	reqs  []int
 	taken int
 }
 
@@ -51,17 +55,18 @@ func (q *classQueue) take(n int) {
 	q.reqs = q.reqs[n:]
 }
 
-// waitDeadline is when the oldest member's max-wait timeout fires.
-func (q *classQueue) waitDeadline(maxWait float64) float64 {
-	return q.reqs[0].ArrivalSec + maxWait
+// waitDeadline is when the oldest member's max-wait timeout fires; trace is
+// the trace q indexes.
+func (q *classQueue) waitDeadline(trace []Request, maxWait float64) float64 {
+	return trace[q.reqs[0]].ArrivalSec + maxWait
 }
 
 // minStartDeadline is the earliest absolute start deadline among queued
 // members, or +Inf when none carries one.
-func (q *classQueue) minStartDeadline() float64 {
+func (q *classQueue) minStartDeadline(trace []Request) float64 {
 	min := math.Inf(1)
-	for _, r := range q.reqs {
-		if d := r.StartDeadline(); d < min {
+	for _, i := range q.reqs {
+		if d := trace[i].StartDeadline(); d < min {
 			min = d
 		}
 	}

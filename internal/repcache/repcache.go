@@ -5,7 +5,7 @@
 // repeated benchmark iterations can share one run. The package-level
 // helpers key on the complete comparable input of a run; callers with
 // context-relative keys (internal/cluster's dispatcher, whose engine labels
-// are only meaningful within one fleet) scope them under a Group.
+// are only meaningful within one fleet) keep them in a Group of their own.
 //
 // Cached reports are shared: callers must treat them (including their
 // Breakdown/ResourceBusy maps and Trace slice) as immutable, the same
@@ -87,19 +87,27 @@ type entry struct {
 	ready atomic.Bool
 }
 
-var (
-	mu    sync.Mutex
-	cache = map[any]*entry{} // guarded by mu
-)
+// table is one singleflight memo: the process-wide cache or a Group's own.
+// The zero value is empty and ready to use.
+type table struct {
+	mu      sync.Mutex
+	entries map[any]*entry // guarded by mu
+}
 
-func memo(key any, compute func() pipeline.Report) pipeline.Report {
-	mu.Lock()
-	e, ok := cache[key]
+// cache is the process-wide memo behind the package-level helpers.
+var cache table
+
+func (t *table) do(key any, compute func() pipeline.Report) pipeline.Report {
+	t.mu.Lock()
+	e, ok := t.entries[key]
 	if !ok {
+		if t.entries == nil {
+			t.entries = map[any]*entry{}
+		}
 		e = &entry{}
-		cache[key] = e
+		t.entries[key] = e
 	}
-	mu.Unlock()
+	t.mu.Unlock()
 	if m := metrics.Load(); m != nil {
 		switch {
 		case !ok:
@@ -124,70 +132,61 @@ func memo(key any, compute func() pipeline.Report) pipeline.Report {
 	return e.rep
 }
 
-// Group is a private namespace over the process cache for callers whose
-// keys are only meaningful relative to some local context — e.g. one
-// cluster dispatcher's fleet, where the same engine label on two different
-// dispatchers names two different engines. Keys from distinct Groups never
-// collide; within a Group, Do has the same share-one-run singleflight
-// semantics as the package-level memo. Entries live for the process (and
-// count into Len / are dropped by Reset) like every other cached report.
+// Group is a private memo for callers whose keys are only meaningful
+// relative to some local context — e.g. one cluster dispatcher's fleet,
+// where the same engine label on two different dispatchers names two
+// different engines. Do has the same share-one-run singleflight semantics
+// (and counts into the same metrics) as the package-level memo, but the
+// entries live only as long as the Group: they do not count into Len, and
+// Reset leaves them alone.
 type Group struct {
-	id uint64
+	memo table
 }
 
-// groupKey namespaces a caller-owned key under one Group. The id keeps keys
-// from different Groups distinct even when the caller keys are equal.
-type groupKey struct {
-	id  uint64
-	key any
-}
-
-var nextGroupID atomic.Uint64
-
-// NewGroup returns a fresh namespace. Each call returns a distinct Group.
+// NewGroup returns a fresh, empty Group.
 func NewGroup() *Group {
-	return &Group{id: nextGroupID.Add(1)}
+	return &Group{}
 }
 
 // Do returns the memoized report for key within the group, computing it on
 // first use. key must be comparable. Concurrent calls for the same key block
 // on the first and share its result; distinct keys compute in parallel.
 func (g *Group) Do(key any, compute func() pipeline.Report) pipeline.Report {
-	return memo(groupKey{id: g.id, key: key}, compute)
+	return g.memo.do(key, compute)
 }
 
 // CoreRun is a memoized core.Run.
 func CoreRun(tb device.Testbed, req pipeline.Request, opt core.Options) pipeline.Report {
-	return memo(coreKey{tb: tb, req: req, opt: opt}, func() pipeline.Report {
+	return cache.do(coreKey{tb: tb, req: req, opt: opt}, func() pipeline.Report {
 		return core.Run(tb, req, opt)
 	})
 }
 
 // FlexRun is a memoized baseline.FlexVariant.Run.
 func FlexRun(tb device.Testbed, v baseline.FlexVariant, req pipeline.Request) pipeline.Report {
-	return memo(flexKey{tb: tb, req: req, v: v}, func() pipeline.Report {
+	return cache.do(flexKey{tb: tb, req: req, v: v}, func() pipeline.Report {
 		return v.Run(tb, req)
 	})
 }
 
 // VLLMRun is a memoized baseline.VLLMConfig.Run.
 func VLLMRun(tb device.Testbed, cfg baseline.VLLMConfig, req pipeline.Request) pipeline.Report {
-	return memo(vllmKey{tb: tb, req: req, cfg: cfg}, func() pipeline.Report {
+	return cache.do(vllmKey{tb: tb, req: req, cfg: cfg}, func() pipeline.Report {
 		return cfg.Run(tb, req)
 	})
 }
 
 // Len reports the number of distinct simulation points cached.
 func Len() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return len(cache)
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	return len(cache.entries)
 }
 
 // Reset drops every cached report. It exists for tests that must observe
 // cold-cache behavior; production callers never need it.
 func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	cache = map[any]*entry{}
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	cache.entries = nil
 }

@@ -66,3 +66,28 @@ func TestFlexAndVLLMKeysDistinct(t *testing.T) {
 		t.Fatal("vLLM report missing system name")
 	}
 }
+
+// A Group memoizes within itself only: equal keys in two Groups compute
+// twice, and no Group entry enters the process cache, so a caller that
+// drops its Group drops its reports with it.
+func TestGroupIsPrivate(t *testing.T) {
+	Reset()
+	calls := 0
+	compute := func() pipeline.Report {
+		calls++
+		return pipeline.Report{Batch: calls}
+	}
+	a, b := NewGroup(), NewGroup()
+	if got := a.Do(1, compute); got.Batch != 1 {
+		t.Fatalf("first compute returned batch %d, want 1", got.Batch)
+	}
+	if got := a.Do(1, compute); got.Batch != 1 || calls != 1 {
+		t.Fatalf("repeat lookup: batch %d after %d computes, want the first report and 1 compute", got.Batch, calls)
+	}
+	if got := b.Do(1, compute); got.Batch != 2 {
+		t.Fatalf("second group shared the first group's entry: batch %d", got.Batch)
+	}
+	if Len() != 0 {
+		t.Fatalf("group entries reached the process cache: Len = %d", Len())
+	}
+}
