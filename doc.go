@@ -159,12 +159,17 @@
 // Four property tests pin the contracts under fuzzing with -race, on
 // checked-in corpora (internal/cluster/testdata/fuzz):
 //
-//   - Reference schedule (FuzzEventLoopMatchesReference): without faults,
-//     Run's assignments, rejections and preemption counts are bit-identical
-//     to a deliberately naive reference scheduler in the tests, which
-//     rescans every queue, deadline and pipeline at each instant instead of
-//     keeping an event heap — across close-at-admission and continuous
-//     batching, preemption, every policy and backlog caps.
+//   - Reference schedule (FuzzEventLoopMatchesReference): Run's
+//     assignments (aborted attempts and their reasons included),
+//     rejections, terminal failures, preemption and recovery counters, and
+//     per-pipeline flash writes and wear-out are bit-identical to a
+//     deliberately naive reference scheduler in the tests, which rescans
+//     every queue, deadline, pipeline, fault and retry at each instant
+//     instead of keeping an event heap — across close-at-admission and
+//     continuous batching, preemption, every policy, backlog caps, and
+//     fault plans with fail-stops, transient errors, a straggler, wear
+//     budgets, retries and the circuit breaker. The reference draws
+//     transient fates from its own injector built from the same plan.
 //   - Fault parity (FuzzFaultParity): an injector with nothing scheduled
 //     produces a Summary bit-identical (reflect.DeepEqual) to no injector
 //     at all — the fault machinery costs nothing and changes nothing until

@@ -36,8 +36,8 @@
 // batch and the loop is the classic close-at-admission, run-to-completion
 // scheduler, so pure offline studies are unchanged. A deliberately naive
 // reference scheduler in the tests (reference_test.go) re-derives the
-// fault-free schedule from these rules and is fuzzed against Run for
-// bit-identical assignments. The facade's offline backlog
+// schedule from these rules, fault recovery included, and is fuzzed
+// against Run for bit-identical assignments. The facade's offline backlog
 // (Simulator.Backlog) is the degenerate trace — every request arrives at
 // time zero, priority 0, zero max wait, over identical pipelines — and runs
 // through Run like every other trace: there is one scheduling
@@ -225,10 +225,10 @@ type Summary struct {
 
 	// RejectedJobs were turned away at admission (backlog cap); FailedJobs
 	// were admitted but failed terminally — no pipeline could place their
-	// batch, or (with faults) its retry budget ran out. FailedJobIDs is
-	// deduplicated: a job that fails, retries, and fails again appears
-	// exactly once, and FailedJobs == len(FailedJobIDs) counts distinct
-	// jobs, so Admitted == Completed + FailedJobs always balances.
+	// batch, or (with faults) its retry budget ran out. A batch settles
+	// once, so a job that fails, retries, and fails again appears in
+	// FailedJobIDs exactly once, and FailedJobs == len(FailedJobIDs) counts
+	// distinct jobs: Admitted == Completed + FailedJobs always balances.
 	RejectedJobs   int
 	RejectedJobIDs []int
 	FailedBatches  int
@@ -367,22 +367,14 @@ func summarize(l *eventLoop, asgs []Assignment, fracs []float64) Summary {
 	delays := make([]float64, 0, len(reqs))
 	prioDelays := map[int][]float64{}
 	devices := make([]int, len(cfg.Fleet))
-	seenFailed := map[int]bool{}
 	for ai, a := range asgs {
 		n := len(a.Batch.JobIDs)
 		if a.Pipeline < 0 {
-			// Terminal failure. IDs are deduplicated defensively: a job
-			// must fail terminally at most once (fail-retry-fail is one
-			// failure), and FailedJobs counts distinct jobs so the
-			// Admitted == Completed + FailedJobs balance holds.
+			// Terminal failure: a batch settles once (fail-retry-fail is
+			// one failure), so each job fails at most once.
 			s.Batches++
 			s.FailedBatches++
-			for _, id := range a.Batch.JobIDs {
-				if !seenFailed[id] {
-					seenFailed[id] = true
-					s.FailedJobIDs = append(s.FailedJobIDs, id)
-				}
-			}
+			s.FailedJobIDs = append(s.FailedJobIDs, a.Batch.JobIDs...)
 			continue
 		}
 		ps := &s.Pipelines[a.Pipeline]
@@ -392,11 +384,11 @@ func summarize(l *eventLoop, asgs []Assignment, fracs []float64) Summary {
 		// one a fail-stop killed wrote only fracs[ai] (1 for all others).
 		ps.BusySec += sec
 		s.PerClassSec[a.Batch.Class.Name] += sec
-		ps.WriteBytes += batchWriteBytes(&a.Report, &a.Batch) * fracs[ai]
+		ps.WriteBytes += float64(batchWriteBytes(&a.Report, &a.Batch) * fracs[ai])
 		if a.Report.Devices > devices[a.Pipeline] {
 			devices[a.Pipeline] = a.Report.Devices
 		}
-		ps.CostUSD += p.USDPerHour / 3600 * sec
+		ps.CostUSD += float64(p.USDPerHour / 3600 * sec)
 		if fin := a.FinishSec - startSec; fin > s.MakespanSec {
 			s.MakespanSec = fin
 		}
@@ -416,20 +408,16 @@ func summarize(l *eventLoop, asgs []Assignment, fracs []float64) Summary {
 					ps.EnergyErr = err.Error()
 				}
 			} else {
-				ps.EnergyJ += eb.Total() * float64(toks)
+				ps.EnergyJ += float64(eb.Total() * float64(toks))
 			}
 		}
 		pst := prioStats(a.Batch.Priority)
 		pst.Completed += n
-		for i := range a.Batch.JobIDs {
-			arr := a.Batch.ReleaseSec
-			if a.Batch.Arrivals != nil {
-				arr = a.Batch.Arrivals[i]
-			}
+		for i, arr := range a.Batch.Arrivals {
 			delay := a.StartSec - arr
 			delays = append(delays, delay)
 			prioDelays[a.Batch.Priority] = append(prioDelays[a.Batch.Priority], delay)
-			if a.Batch.Deadlines != nil && a.Batch.Deadlines[i] > 0 && a.StartSec > a.Batch.Deadlines[i] {
+			if d := a.Batch.Deadlines[i]; d > 0 && a.StartSec > d {
 				pst.DeadlineMisses++
 				s.DeadlineMisses++
 			}
@@ -497,5 +485,5 @@ func batchWriteBytes(rep *pipeline.Report, b *BatchJob) float64 {
 	if steps < 0 {
 		steps = 0
 	}
-	return passes * (rep.PrefillWriteBytes + rep.DecodeWriteBytesPerStep*float64(steps))
+	return passes * (rep.PrefillWriteBytes + float64(rep.DecodeWriteBytesPerStep*float64(steps)))
 }

@@ -90,9 +90,8 @@ func (p Policy) valid() bool {
 
 // BatchJob is one formed batch released to the dispatcher at ReleaseSec.
 // Arrivals carries the member requests' arrival times for queueing-delay
-// accounting; nil means every member arrived at ReleaseSec. Deadlines
-// carries each member's absolute start deadline (0 = none) and Priority the
-// batch's priority class — zero values reproduce the pre-priority behavior.
+// accounting and Deadlines each member's absolute start deadline (0 =
+// none), both parallel to JobIDs; Priority is the batch's priority class.
 type BatchJob struct {
 	Class      workload.Class
 	JobIDs     []int
@@ -179,9 +178,10 @@ type dispatcher struct {
 	tables map[shape]*reportTable
 
 	// Recovery state, which the event loop maintains. inj is nil without a
-	// non-empty fault injector: every pipeline is then always available at
-	// native speed, which keeps the fault-free arithmetic bit-identical to
-	// a build without faults.
+	// non-empty fault injector; health then stays zero, so every pipeline
+	// is always available, and a nil injector's SlowFactor is exactly 1,
+	// which keeps the fault-free arithmetic bit-identical to a build
+	// without faults.
 	inj    *faults.Injector
 	health []pipeHealth
 }
@@ -316,14 +316,14 @@ func (d *dispatcher) prewarm(trace []Request, size int) {
 func (d *dispatcher) execSec(p int, t *reportTable, n int, rep *pipeline.Report) float64 {
 	full := n / rep.Batch
 	tail := n % rep.Batch
-	sec := float64(full) * rep.TotalSec(t.out)
+	sec := float64(float64(full) * rep.TotalSec(t.out))
 	if tail > 0 {
 		tr := d.report(t, p, tail)
 		if tr.OOM || tr.Batch < 1 {
 			sec += rep.TotalSec(t.out)
 		} else {
 			passes := (tail + tr.Batch - 1) / tr.Batch
-			sec += float64(passes) * tr.TotalSec(t.out)
+			sec += float64(float64(passes) * tr.TotalSec(t.out))
 		}
 	}
 	return sec
@@ -342,23 +342,11 @@ type placement struct {
 	degraded bool
 }
 
-// avail returns when pipeline p next accepts work: always (0) without
-// faults, else the later of its downtime and quarantine ends (+Inf once
-// permanently worn out).
+// avail returns when pipeline p next accepts work: the later of its
+// downtime and quarantine ends (+Inf once permanently worn out; 0 for a
+// pipeline that never failed).
 func (d *dispatcher) avail(p int) float64 {
-	if d.inj == nil {
-		return 0
-	}
 	return max(d.health[p].downUntil, d.health[p].quarUntil)
-}
-
-// slow returns the straggler multiplier for pipeline p at the given instant
-// (1 without faults).
-func (d *dispatcher) slow(p int, at float64) float64 {
-	if d.inj == nil {
-		return 1
-	}
-	return d.inj.SlowFactor(p, at)
 }
 
 // plan picks a pipeline per the policy for n jobs of t's shape released at
@@ -421,7 +409,7 @@ func (d *dispatcher) plan(t *reportTable, n int, release float64, idleOnly bool,
 		if d.freeAt[p] > start {
 			start = d.freeAt[p]
 		}
-		sec := d.execSec(p, t, n, rep) * d.slow(p, start)
+		sec := float64(d.execSec(p, t, n, rep) * d.inj.SlowFactor(p, start))
 		var key, tie float64
 		switch d.policy {
 		case LeastLoaded:

@@ -35,8 +35,6 @@ type slot struct {
 
 	aborted   bool
 	transient bool    // this attempt draws a transient batch error at finish
-	done      bool    // completion already processed (evDone dedup)
-	degraded  bool    // served by a lossy tier for lack of a healthy exact one
 	writeFrac float64 // fraction of the attempt's flash writes performed
 }
 
@@ -301,8 +299,7 @@ func (l *eventLoop) takeBatch(q *classQueue, n int) BatchJob {
 func (l *eventLoop) commitSlot(b BatchJob, pl placement) {
 	s := &slot{
 		b: b, rep: pl.rep, execSec: pl.sec,
-		pipe: pl.p, start: pl.start, finish: pl.start + pl.sec,
-		degraded: pl.degraded, writeFrac: 1,
+		pipe: pl.p, start: pl.start, finish: pl.start + pl.sec, writeFrac: 1,
 	}
 	l.d.freeAt[pl.p] = s.finish
 	l.chains[pl.p] = append(l.chains[pl.p], s)
@@ -356,7 +353,9 @@ func (l *eventLoop) settle(b BatchJob, pl placement, feasible bool, nextAvail fl
 	switch {
 	case pl.p >= 0:
 		l.commitSlot(b, pl)
-	case feasible && !math.IsInf(nextAvail, 1):
+	case feasible:
+		// Every pipeline that fits b is out of service, so nextAvail is
+		// finite: idle-only callers skip a busy fleet rather than settle.
 		deferred := b // a copy, so only this branch allocates
 		l.push(event{at: nextAvail, kind: evRetry, b: &deferred})
 	default:
@@ -400,13 +399,13 @@ func (l *eventLoop) bestPreemptive(b BatchJob, t *reportTable) (int, float64) {
 // preemptInto evicts every strictly-lower-priority unstarted slot on
 // pipeline p, re-times the survivors, places b (of t's shape) at the end of
 // the compacted chain, and re-dispatches the evicted batches at the current
-// instant — work is displaced, never lost.
+// instant, the way failover does — work is displaced, never lost.
 func (l *eventLoop) preemptInto(p int, b BatchJob, t *reportTable) {
 	evicted := l.evict(p, func(s *slot) bool { return s.b.Priority < b.Priority })
 	n := len(b.JobIDs)
 	rep := l.d.report(t, p, n)
 	start := math.Max(b.ReleaseSec, l.d.freeAt[p])
-	sec := l.d.execSec(p, t, n, rep) * l.d.slow(p, start)
+	sec := float64(l.d.execSec(p, t, n, rep) * l.d.inj.SlowFactor(p, start))
 	l.commitSlot(b, placement{p: p, rep: rep, sec: sec, start: start})
 
 	for _, ev := range evicted {
@@ -417,9 +416,7 @@ func (l *eventLoop) preemptInto(p int, b BatchJob, t *reportTable) {
 			func() string { return fmt.Sprintf("by_priority=%d", b.Priority) })
 	}
 	for _, ev := range evicted {
-		nb := ev.b
-		nb.ReleaseSec = l.now
-		l.place(nb, false)
+		l.redispatch(ev.b)
 	}
 }
 
@@ -445,8 +442,8 @@ func (l *eventLoop) evict(p int, drop func(*slot) bool) []*slot {
 // survivors shift up to max(their release, predecessor finish), and the
 // pipeline clock tracks the new chain end. With faults active each shifted
 // slot re-arms its completion event for the new finish; the events armed
-// for the old finish go stale (their dl no longer matches) and a done flag
-// dedups the case where two armings land on the same instant.
+// for the old finish go stale (their dl no longer matches). A finish only
+// ever moves earlier, so no two armings share a dl.
 func (l *eventLoop) recompute(p int) {
 	prevFinish := l.floors[p]
 	for _, s := range l.chains[p] {
@@ -467,15 +464,13 @@ func (l *eventLoop) recompute(p int) {
 
 // fireDone settles one attempt at its finish (faults active only): charge
 // the attempt's flash writes against the pipeline's wear budget, then
-// resolve its transient-error fate. Stale events — the slot was evicted,
-// killed, or re-timed by preemption — are skipped; the done flag dedups
-// re-armed events that landed on the same finish.
+// resolve its transient-error fate. Stale events — the slot was evicted, or
+// a kill or preemption moved its finish — are skipped.
 func (l *eventLoop) fireDone(e event) {
 	s := e.s
-	if s.done || s.evicted || s.aborted || s.finish != e.dl {
+	if s.evicted || s.finish != e.dl {
 		return
 	}
-	s.done = true
 	p := s.pipe
 	if l.d.health[p].wear.Add(batchWriteBytes(s.rep, &s.b)) {
 		// This attempt's writes crossed the endurance budget: the pipeline
@@ -499,14 +494,11 @@ func (l *eventLoop) fireDone(e event) {
 // the retry path — and queued-ahead work fails over immediately.
 func (l *eventLoop) injectFault(p int, fe faults.Event) {
 	h := &l.d.health[p]
-	if math.IsInf(h.downUntil, 1) {
-		return // already permanently retired
-	}
 	if fe.Kind == faults.WearOut {
-		h.downUntil = math.Inf(1)
+		h.downUntil = math.Inf(1) // crossing the budget happens once per pipeline
 	} else {
 		if h.downUntil > l.now {
-			return // overlapping fail-stop: the pipeline is already down
+			return // already down (an overlapping fail-stop) or worn out
 		}
 		h.downUntil = l.now + fe.DurationSec
 		l.push(event{at: h.downUntil, kind: evRepair, idx: p})
@@ -514,8 +506,8 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 	l.sum.Pipelines[p].Faults++
 	l.cfg.Telemetry.onFault(l.now, l.cfg.Fleet[p].Name, fe)
 	for _, s := range l.chains[p] {
-		if s.aborted || s.evicted || s.start > l.now || s.finish <= l.now {
-			continue
+		if s.start > l.now || s.finish <= l.now {
+			continue // only the running slot dies
 		}
 		frac := 0.0
 		if s.finish > s.start {
@@ -525,7 +517,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 		s.writeFrac = frac
 		s.finish = l.now
 		s.reason = "killed by " + string(fe.Kind)
-		if h.wear.Add(frac * batchWriteBytes(s.rep, &s.b)) {
+		if h.wear.Add(float64(frac * batchWriteBytes(s.rep, &s.b))) {
 			// The partial writes themselves exhausted the budget: the
 			// repair window becomes moot — the device is worn out.
 			h.downUntil = math.Inf(1)
@@ -541,11 +533,10 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 // skipped), then offers it the waiting work.
 func (l *eventLoop) fireRepair(e event) {
 	p := e.idx
-	h := &l.d.health[p]
-	if h.downUntil > l.now || h.quarUntil > l.now {
+	if l.d.avail(p) > l.now {
 		return
 	}
-	h.consecFails = 0
+	l.d.health[p].consecFails = 0
 	l.cfg.Telemetry.onRepair(l.now, l.cfg.Fleet[p].Name)
 	l.tryDispatch()
 }
@@ -578,11 +569,8 @@ func (l *eventLoop) failAttempt(p int, b BatchJob, reason string) {
 func (l *eventLoop) noteFailure(p int) {
 	h := &l.d.health[p]
 	h.consecFails++
-	if l.cfg.Retry.FailureThreshold <= 0 || h.consecFails < l.cfg.Retry.FailureThreshold {
-		return
-	}
-	if h.downUntil > l.now || h.quarUntil > l.now {
-		return // already out of service
+	if l.cfg.Retry.FailureThreshold <= 0 || h.consecFails < l.cfg.Retry.FailureThreshold || l.d.avail(p) > l.now {
+		return // below the threshold, or already out of service
 	}
 	h.consecFails = 0
 	h.quarUntil = l.now + l.cfg.Retry.QuarantineSec
@@ -605,14 +593,12 @@ func (l *eventLoop) evictUnstarted(p int, cause string) {
 		l.cfg.Telemetry.onBatch("failover", l.now, &ev.b, l.cfg.Fleet[p].Name, 0, func() string { return cause })
 	}
 	for _, ev := range evicted {
-		nb := ev.b
-		nb.ReleaseSec = l.now
-		l.redispatch(nb)
+		l.redispatch(ev.b)
 	}
 }
 
 // redispatch places recovered work (a retry whose backoff expired, or a
-// failed-over batch): continuous mode parks it on the pendingRetries list
+// batch evicted by failover or preemption): continuous mode parks it on the pendingRetries list
 // — drained ahead of the queues at the next dispatch opportunity — while
 // close-at-admission mode re-plans immediately, deferring again if the
 // whole fleet is still out of service.
@@ -783,9 +769,9 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		},
 		preempted: map[int]int{},
 	}
-	// An injector with nothing to inject is dropped entirely: every fault
-	// path keys off d.inj != nil, so the empty-injector run is the
-	// fault-free run, bit for bit.
+	// An injector with nothing to inject is dropped entirely: the
+	// completion events and transient draws key off d.inj != nil, so the
+	// empty-injector run is the fault-free run, bit for bit.
 	if inj := cfg.Faults; !inj.Empty() {
 		d.inj = inj
 		for p := range d.health {

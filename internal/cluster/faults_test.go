@@ -203,6 +203,29 @@ func TestWearOutDegradesToLossyTier(t *testing.T) {
 	}
 }
 
+// Retry backoff doubles from BackoffSec per attempt and stops at
+// BackoffMaxSec; a zero cap leaves it uncapped, and a cap below BackoffSec
+// caps even the first retry.
+func TestRetryBackoff(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rp   RetryPolicy
+		want []float64 // attempts 1, 2, …
+	}{
+		{"no backoff", RetryPolicy{BackoffSec: 0, BackoffMaxSec: 60}, []float64{0, 0, 0}},
+		{"default 1 s to 60 s", DefaultRetryPolicy(), []float64{1, 2, 4, 8, 16, 32, 60, 60}},
+		{"uncapped", RetryPolicy{BackoffSec: 0.25}, []float64{0.25, 0.5, 1, 2, 4, 8, 16, 32, 64, 128}},
+		{"cap below base", RetryPolicy{BackoffSec: 5, BackoffMaxSec: 2}, []float64{2, 2, 2}},
+		{"cap between doublings", RetryPolicy{BackoffSec: 3, BackoffMaxSec: 10}, []float64{3, 6, 10, 10}},
+	} {
+		for i, want := range tc.want {
+			if got := tc.rp.backoffSec(i + 1); got != want {
+				t.Errorf("%s: attempt %d backoff %g, want %g", tc.name, i+1, got, want)
+			}
+		}
+	}
+}
+
 // Work arriving while the whole fleet is down defers — it neither fails nor
 // vanishes — and runs once the pipeline is repaired.
 func TestAllDownDefersUntilRepair(t *testing.T) {

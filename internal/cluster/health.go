@@ -67,18 +67,10 @@ func (rp RetryPolicy) validate() error {
 }
 
 // backoffSec returns the deterministic delay before retry attempt k ≥ 1:
-// BackoffSec doubling per attempt, capped at BackoffMaxSec.
+// BackoffSec × 2^(k−1), capped at BackoffMaxSec. Scaling by a power of two
+// is exact, so this equals doubling k−1 times.
 func (rp RetryPolicy) backoffSec(attempt int) float64 {
-	if rp.BackoffSec <= 0 {
-		return 0
-	}
-	d := rp.BackoffSec
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if rp.BackoffMaxSec > 0 && d >= rp.BackoffMaxSec {
-			return rp.BackoffMaxSec
-		}
-	}
+	d := math.Ldexp(rp.BackoffSec, attempt-1)
 	if rp.BackoffMaxSec > 0 && d > rp.BackoffMaxSec {
 		return rp.BackoffMaxSec
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,8 +115,9 @@ func TestFig18cShape(t *testing.T) {
 
 // TestParallelRunnerByteIdentical: the worker-pool runner must assemble
 // tables byte-identical to a sequential evaluation, from a cold report
-// cache in both configurations. A representative slice of converted
-// generators keeps the double evaluation affordable.
+// cache in both configurations. GOMAXPROCS sizes the pool, so the test
+// varies it. A representative slice of converted generators keeps the
+// double evaluation affordable.
 func TestParallelRunnerByteIdentical(t *testing.T) {
 	r := New()
 	gens := []struct {
@@ -127,10 +129,9 @@ func TestParallelRunnerByteIdentical(t *testing.T) {
 		{"fig16b", Runner.Fig16b},
 		{"ext-cxl", Runner.ExtCXL},
 	}
-	render := func(w int) map[string]string {
-		old := workers
-		workers = w
-		defer func() { workers = old }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	render := func(procs int) map[string]string {
+		runtime.GOMAXPROCS(procs)
 		repcache.Reset()
 		out := map[string]string{}
 		for _, g := range gens {
@@ -156,7 +157,7 @@ func TestParallelRunnerByteIdentical(t *testing.T) {
 }
 
 // TestRunPointsOrdering: runPoints must concatenate rows and notes in point
-// order regardless of worker count.
+// order regardless of GOMAXPROCS, which sizes its worker pool.
 func TestRunPointsOrdering(t *testing.T) {
 	var points []func() group
 	for i := 0; i < 37; i++ {
@@ -167,18 +168,17 @@ func TestRunPointsOrdering(t *testing.T) {
 			}
 		})
 	}
-	for _, w := range []int{1, 3, 16} {
-		old := workers
-		workers = w
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
 		rows, notes := runPoints(points)
-		workers = old
 		if len(rows) != 37 || len(notes) != 37 {
-			t.Fatalf("workers=%d: %d rows, %d notes", w, len(rows), len(notes))
+			t.Fatalf("GOMAXPROCS=%d: %d rows, %d notes", procs, len(rows), len(notes))
 		}
 		for i := range rows {
 			if rows[i][0] != strconv.Itoa(i) || notes[i] != "n"+strconv.Itoa(i) {
-				t.Fatalf("workers=%d: out-of-order assembly at %d: row %q note %q",
-					w, i, rows[i][0], notes[i])
+				t.Fatalf("GOMAXPROCS=%d: out-of-order assembly at %d: row %q note %q",
+					procs, i, rows[i][0], notes[i])
 			}
 		}
 	}

@@ -5,11 +5,6 @@ import (
 	"sync"
 )
 
-// workers bounds the experiment worker pool. The determinism test pins it
-// to 1 to prove index-ordered assembly makes the parallel runner's tables
-// byte-identical to a sequential run.
-var workers = runtime.GOMAXPROCS(0)
-
 // group is the output of one independent sweep point of a generator: the
 // table rows it contributes plus any notes it appended (infeasibility
 // errors, measured aggregates).
@@ -27,17 +22,14 @@ func (t *Table) addPoints(points []func() group) {
 	t.Notes = append(t.Notes, notes...)
 }
 
-// runPoints evaluates every point on a bounded worker pool and assembles
-// the results strictly in point order, so the table is identical to what a
-// sequential loop over the points would have produced. Points must be
-// independent of each other; shared simulations dedupe in repcache rather
-// than through evaluation order.
+// runPoints evaluates every point on a pool of up to GOMAXPROCS workers
+// and assembles the results strictly in point order, so the table is
+// identical to what a sequential loop over the points would have produced.
+// Points must be independent of each other; shared simulations dedupe in
+// repcache rather than through evaluation order.
 func runPoints(points []func() group) ([][]string, []string) {
 	out := make([]group, len(points))
-	w := workers
-	if w > len(points) {
-		w = len(points)
-	}
+	w := min(runtime.GOMAXPROCS(0), len(points))
 	if w <= 1 {
 		for i, fn := range points {
 			out[i] = fn()

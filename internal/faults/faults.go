@@ -277,9 +277,6 @@ func (in *Injector) SlowFactor(p int, at float64) float64 {
 	return f
 }
 
-// HasTransients reports whether any pipeline can fail batches transiently.
-func (in *Injector) HasTransients() bool { return in != nil && !in.noTransients() }
-
 // BatchFails draws whether one batch execution on pipeline p errors
 // transiently. Draws advance the injector's PRNG, so call order matters —
 // the single-goroutine event loop calls it once per committed batch, in
@@ -327,11 +324,11 @@ func GenerateFailStops(seed int64, pipelines int, horizonSec, mtbfSec, mttrSec f
 		rng := rand.New(rand.NewSource(seed + int64(p)*1_000_003))
 		at := 0.0
 		for {
-			at += rng.ExpFloat64() * mtbfSec
+			at += float64(rng.ExpFloat64() * mtbfSec)
 			if at >= horizonSec {
 				break
 			}
-			repair := rng.ExpFloat64() * mttrSec
+			repair := float64(rng.ExpFloat64() * mttrSec)
 			events = append(events, Event{Kind: FailStop, Pipeline: p, AtSec: at, DurationSec: repair})
 			at += repair
 		}

@@ -106,7 +106,7 @@ func (r Report) TotalSec(n int) float64 {
 	if r.OOM {
 		return 0
 	}
-	return r.PrefillSec + float64(n-1)*r.StepSec
+	return r.PrefillSec + float64(float64(n-1)*r.StepSec)
 }
 
 // BreakdownShare returns label busy time over the sum of all labels.
