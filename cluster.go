@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/device"
@@ -55,7 +54,7 @@ func DispatchPolicies() []DispatchPolicy { return cluster.Policies() }
 // SystemInstInfer is the InstInfer-style in-storage attention engine with
 // lossy top-1/8 KV retrieval — the approximate middle tier between the
 // exact NSP systems and the DRAM baselines.
-const SystemInstInfer = baseline.SysInstInfer
+const SystemInstInfer = engine.SysInstInfer
 
 // amortHours spreads a system's hardware price over a three-year service
 // life, the horizon of the §6.6 cost-effectiveness analysis.
@@ -86,9 +85,9 @@ type fleetSpec struct {
 // ClusterOption configures Cluster.
 type ClusterOption func(*clusterConfig) error
 
-// WithFleet appends count pipelines backed by the given registered system
-// to the fleet; devices is the SmartSSD/computational-SSD count for NSP
-// engines (≤0 = the default 8; baselines with fixed topologies ignore it).
+// WithFleet appends count pipelines backed by the given system to the
+// fleet; devices is the SmartSSD/computational-SSD count for NSP engines
+// (≤0 = the default 8; baselines with fixed topologies ignore it).
 // Repeat the option to compose heterogeneous fleets, e.g. two HILOS hosts
 // plus a DRAM baseline plus an InstInfer tier.
 func WithFleet(sys System, count, devices int) ClusterOption {
@@ -233,7 +232,7 @@ func WithClusterPace(pace func(simSec float64)) ClusterOption {
 // Cluster drains a timestamped request trace through a heterogeneous fleet:
 // the trace-driven generalization of Backlog. Requests are admitted into
 // per-class queues, packed into batches under the admission policy, and
-// dispatched to fleet pipelines — each backed by its own registered engine,
+// dispatched to fleet pipelines — each backed by its own engine,
 // priced by the §6.6 hardware model amortized over three years — under the
 // selected policy. The default fleet is two 8-device HILOS hosts plus one
 // FlexGen-DRAM baseline; results are deterministic for a given trace and

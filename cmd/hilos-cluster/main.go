@@ -37,7 +37,7 @@
 //
 // Fleet syntax: comma-separated system[:count[xdevices]] terms — e.g.
 // "hilos:2x16" is two HILOS pipelines with 16 SmartSSDs each, "flex-dram:1"
-// one DRAM-baseline pipeline. Any registered engine system is accepted.
+// one DRAM-baseline pipeline. Any engine system is accepted.
 //
 // Admission: -batch is the per-class target batch size; a partial batch is
 // released once its oldest request has waited -wait seconds. -backlog caps
@@ -104,7 +104,7 @@ func main() {
 	continuous := flag.Bool("continuous", false, "re-form batches at dispatch time (continuous batching)")
 	policy := flag.String("policy", "all", "dispatch policy, or \"all\" to compare")
 	sweep := flag.String("sweep", "", "comma-separated arrival rates to sweep (e.g. 0.5,1,2)")
-	listSystems := flag.Bool("list-systems", false, "list registered engine systems and exit")
+	listSystems := flag.Bool("list-systems", false, "list engine systems and exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve live stats over HTTP on this address (GET /metrics, /events); :0 picks a free port")
 	traceOut := flag.String("trace-out", "", "write the last run's batch schedule as Chrome trace JSON to this file")
 	replaySpeed := flag.Float64("replay-speed", 0, "slave the simulated clock to the wall clock at this multiple (1 = real time; 0 = fast-forward)")
@@ -291,7 +291,7 @@ func newPacer(speed float64) func(simSec float64) {
 const maxFleetPipelines = 1 << 16
 
 // parseFleet turns "hilos:2x16,flex-dram:1" into fleet options, rejecting
-// unregistered system names up front with the registry listing. It also
+// unknown system names up front with the list of known ones. It also
 // returns the total pipeline count, which fault plans are sized against.
 func parseFleet(spec string) ([]hilos.ClusterOption, int, error) {
 	var opts []hilos.ClusterOption

@@ -27,11 +27,14 @@
 //
 // # The Engine abstraction
 //
-// Every simulated system implements the Engine interface — Name, Describe,
-// and Run — and registers a factory in a process-wide registry
-// (internal/engine) from its own package's init. The facade never switches
-// on system identifiers: adding a backend (an InstInfer-style in-storage
-// attention engine, a future CSD generation) is one self-registering file.
+// Every simulated system is one row of a static table in internal/engine,
+// in the paper's Fig. 10 order: its identifier, its one-line description,
+// and how it binds to a testbed, device count, α and spill interval. An
+// Engine — Name, Describe, and Run — is that row bound to a Simulator's
+// hardware point; adding a backend is one table row. Simulation never
+// switches on system identifiers; Cluster does, to price a pipeline's
+// hardware and energy (pipelineEconomics) and to mark the InstInfer tier
+// lossy.
 //
 // # Quickstart
 //
@@ -61,7 +64,7 @@
 // wait-timeout, request start-deadline, batch completion, fault injection,
 // pipeline repair, retry release, and pipeline-free — draining
 // per-priority-class queues through a fleet whose members may be backed by
-// different registered engines. Cluster composes a fleet with functional
+// different engines. Cluster composes a fleet with functional
 // options and drains a trace through it:
 //
 //	reqs, _ := hilos.NewTimedWorkloadTrace(7, 96, 0.8) // Poisson 0.8 req/s
@@ -455,11 +458,11 @@
 //     float32 `+=` in a loop is reserved for code that deliberately models
 //     the accelerator's FP32 MAC datapath, and says so.
 //   - Concurrency (guardedby, heapsafe): shared state annotated
-//     `// guarded by <mu>` (repcache's cache and entries, the engine
-//     registry) is only touched with the named mutex held — RLock suffices
-//     for reads, never for writes. Heap-ordering fields of internal/sim's
-//     min-heaps (a task node's ready time, a resource queue's free time and
-//     heaps, the candidate keys) and of
+//     `// guarded by <mu>` (repcache's cache and entries, the telemetry
+//     registry's metrics) is only touched with the named mutex held —
+//     RLock suffices for reads, never for writes. Heap-ordering fields of
+//     internal/sim's min-heaps (a task node's ready time, a resource
+//     queue's free time and heaps, the candidate keys) and of
 //     internal/cluster's event heap (event.at, kind, q, seq) change only on
 //     the heap's own Fix/Push/Pop paths, or with a re-heapify call following
 //     in the same function. Code with no mutex at all — the experiment

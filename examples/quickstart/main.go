@@ -2,8 +2,8 @@
 // paper's testbed, comparing the FlexGen SSD baseline against HILOS with 16
 // SmartSSDs, and print where the time goes.
 //
-// The API is a Simulator built with functional options plus a system
-// registry: hilos.New configures the hardware point once, and any System
+// The API is a Simulator built with functional options plus a fixed table
+// of systems: hilos.New configures the hardware point once, and any System
 // identifier resolves to an Engine bound to it.
 package main
 

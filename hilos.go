@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/accel"
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -32,8 +31,8 @@ type (
 	// System identifies a simulated inference system.
 	System = engine.System
 	// Engine is one inference system bound to a hardware configuration:
-	// Name, Describe, and Run. Engines resolve through the system registry,
-	// so a new backend is one self-registering file in its own package.
+	// Name, Describe, and Run. Engines are built from the static system
+	// table in internal/engine.
 	Engine = engine.Engine
 	// EnergyBreakdown is the per-token CPU/DRAM/GPU/SSD energy split of
 	// Fig. 17(a), in joules.
@@ -55,35 +54,29 @@ func ModelByName(name string) (Model, error) { return model.ByName(name) }
 func DefaultTestbed() Testbed { return device.DefaultTestbed() }
 
 // The systems evaluated in Figure 10 and Figure 17(b), re-exported from the
-// packages that register them.
+// engine table.
 const (
-	SystemFlexSSD    = baseline.SysFlexSSD   // FlexGen, KV on 4 PCIe 4.0 SSDs
-	SystemFlexDRAM   = baseline.SysFlexDRAM  // FlexGen, KV in host DRAM
-	SystemFlex16SSD  = baseline.SysFlex16SSD // FlexGen on 16 SmartSSDs, FPGAs off
-	SystemDSUVM      = baseline.SysDSUVM     // DeepSpeed ZeRO-Inference + UVM
-	SystemVLLM       = baseline.SysVLLM      // 2-node 8×A6000 vLLM
-	SystemHILOS      = core.SysHILOS         // full HILOS (X-cache + writeback)
-	SystemHILOSANS   = core.SysHILOSANS      // ablation: attention near storage only
-	SystemHILOSWB    = core.SysHILOSWB       // ablation: ANS + delayed writeback
-	SystemHILOSXOnly = core.SysHILOSX        // ablation: ANS + X-cache
+	SystemFlexSSD    = engine.SysFlexSSD   // FlexGen, KV on 4 PCIe 4.0 SSDs
+	SystemFlexDRAM   = engine.SysFlexDRAM  // FlexGen, KV in host DRAM
+	SystemFlex16SSD  = engine.SysFlex16SSD // FlexGen on 16 SmartSSDs, FPGAs off
+	SystemDSUVM      = engine.SysDSUVM     // DeepSpeed ZeRO-Inference + UVM
+	SystemVLLM       = engine.SysVLLM      // 2-node 8×A6000 vLLM
+	SystemHILOS      = engine.SysHILOS     // full HILOS (X-cache + writeback)
+	SystemHILOSANS   = engine.SysHILOSANS  // ablation: attention near storage only
+	SystemHILOSWB    = engine.SysHILOSWB   // ablation: ANS + delayed writeback
+	SystemHILOSXOnly = engine.SysHILOSX    // ablation: ANS + X-cache
 )
 
 // AlphaAuto requests the §4.2 cache scheduler's closed-form X-cache ratio.
 const AlphaAuto = engine.AlphaAuto
 
-// Systems returns every registered system identifier, in the paper's
-// Fig. 10 presentation order.
+// Systems returns every system identifier, in the paper's Fig. 10
+// presentation order.
 func Systems() []System { return engine.Systems() }
 
-// DescribeSystem returns the one-line summary a system registered with, or
-// "" for unknown systems.
-func DescribeSystem(sys System) string {
-	spec, ok := engine.Lookup(sys)
-	if !ok {
-		return ""
-	}
-	return spec.Describe
-}
+// DescribeSystem returns a system's one-line summary, or "" for unknown
+// systems.
+func DescribeSystem(sys System) string { return engine.Describe(sys) }
 
 // Simulator evaluates inference systems on a testbed. The zero value is not
 // usable; construct with New.
@@ -191,8 +184,8 @@ func Must(s *Simulator, err error) *Simulator {
 // Testbed returns the simulator's hardware configuration.
 func (s *Simulator) Testbed() Testbed { return s.tb }
 
-// Engine resolves a system through the registry, bound to this simulator's
-// testbed and options.
+// Engine builds a system's engine, bound to this simulator's testbed and
+// options.
 func (s *Simulator) Engine(sys System) (Engine, error) {
 	return engine.New(sys, engine.Config{Testbed: s.tb, Devices: s.devices, Alpha: s.alpha, SpillInterval: s.spill})
 }

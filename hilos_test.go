@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// All ten System identifiers resolve through the registry to an Engine
+// All ten System identifiers resolve through the engine table to an Engine
 // whose name round-trips, in the paper's Fig. 10 presentation order (the
 // InstInfer tier sits between the baselines and the HILOS family).
 func TestRegistryResolvesAllSystems(t *testing.T) {

@@ -1,25 +1,13 @@
 package baseline
 
 import (
-	"fmt"
-
 	"repro/internal/accel"
 	"repro/internal/device"
-	"repro/internal/engine"
 	"repro/internal/longbench"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
-
-// SysInstInfer is the InstInfer-style in-storage attention system
-// (PAPERS.md): attention runs inside computational SSDs like HILOS's ANS
-// path, but the devices fetch only the top-scoring 1/8 of KV blocks
-// (lossy top-k retrieval) instead of streaming the full cache. That makes
-// it the cheap-but-approximate middle tier of a heterogeneous fleet — far
-// less flash traffic than exact NSP attention, at an accuracy cost the
-// longbench harness quantifies via the same 1/8 knob.
-const SysInstInfer engine.System = "instinfer"
 
 // InstRetrievalRatio is the lossy KV compression ratio: the devices read 1
 // of every InstRetrievalRatio cached blocks. It matches
@@ -34,17 +22,16 @@ func InstInferAccuracy(t longbench.Task, seed int64) (float64, error) {
 	return t.Score(seed, longbench.LossyOneEighth)
 }
 
-const instDesc = "InstInfer-style in-storage attention, lossy top-1/8 KV retrieval"
-
-// instEngine binds the InstInfer model to a testbed and device count.
-type instEngine struct {
-	tb      device.Testbed
-	devices int
-}
-
-func (e instEngine) Name() engine.System { return SysInstInfer }
-func (e instEngine) Describe() string {
-	return fmt.Sprintf("%s (%d computational SSDs)", instDesc, e.devices)
+// InstInfer is the InstInfer-style in-storage attention system
+// (PAPERS.md): attention runs inside computational SSDs like HILOS's ANS
+// path, but the devices fetch only the top-scoring 1/8 of KV blocks
+// (lossy top-k retrieval) instead of streaming the full cache. That makes
+// it the cheap-but-approximate middle tier of a heterogeneous fleet — far
+// less flash traffic than exact NSP attention, at an accuracy cost the
+// longbench harness quantifies via the same 1/8 knob.
+type InstInfer struct {
+	// Devices is the computational-SSD count.
+	Devices int
 }
 
 // Run simulates one decoding step plus prefill. The task graph mirrors the
@@ -54,8 +41,8 @@ func (e instEngine) Describe() string {
 // (1/RetrievalBlockSize of the cache) to rank blocks, then reads only the
 // kept 1/8 of KV; and new KV entries commit synchronously per step (no
 // delayed writeback), paying sub-page write amplification.
-func (e instEngine) Run(req pipeline.Request) pipeline.Report {
-	tb, devices := e.tb, e.devices
+func (e InstInfer) Run(tb device.Testbed, req pipeline.Request) pipeline.Report {
+	devices := e.Devices
 	rep := pipeline.Report{
 		System: "InstInfer", Model: req.Model.Name, Context: req.Context, Devices: devices,
 	}
@@ -181,13 +168,4 @@ func instDRAMUtil(tb device.Testbed, m model.Config) float64 {
 		u = 1
 	}
 	return u
-}
-
-func init() {
-	engine.Register(engine.Spec{
-		System: SysInstInfer, Rank: 55, Describe: instDesc,
-		New: func(cfg engine.Config) (engine.Engine, error) {
-			return instEngine{tb: cfg.Testbed, devices: cfg.Devices}, nil
-		},
-	})
 }

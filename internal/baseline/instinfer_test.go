@@ -4,40 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/device"
-	"repro/internal/engine"
 	"repro/internal/longbench"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 )
-
-func TestInstInferRegistered(t *testing.T) {
-	spec, ok := engine.Lookup(SysInstInfer)
-	if !ok {
-		t.Fatal("instinfer not registered")
-	}
-	if spec.Rank <= 50 || spec.Rank >= 60 {
-		t.Errorf("rank %d should sit between the baselines (≤50) and HILOS (≥60)", spec.Rank)
-	}
-	eng, err := engine.New(SysInstInfer, engine.Config{Testbed: device.DefaultTestbed(), Devices: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Name() != SysInstInfer || eng.Describe() == "" {
-		t.Errorf("engine identity: %q / %q", eng.Name(), eng.Describe())
-	}
-}
 
 // The lossy 1/8 retrieval reads an eighth of the KV stream, so InstInfer's
 // decoding step must beat the full-cache SSD baseline on long contexts
 // while staying slower than nothing — and its report must be complete.
 func TestInstInferFasterThanFlexSSDOnLongContext(t *testing.T) {
 	tb := device.DefaultTestbed()
-	eng, err := engine.New(SysInstInfer, engine.Config{Testbed: tb, Devices: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
 	req := pipeline.Request{Model: model.OPT66B, Batch: 16, Context: 64 * 1024, OutputLen: 64}
-	rep := eng.Run(req)
+	rep := InstInfer{Devices: 16}.Run(tb, req)
 	if rep.OOM {
 		t.Fatalf("instinfer OOM: %s", rep.Reason)
 	}
@@ -58,16 +36,13 @@ func TestInstInferFasterThanFlexSSDOnLongContext(t *testing.T) {
 }
 
 func TestInstInferOOMOnImpossibleRequest(t *testing.T) {
-	eng, err := engine.New(SysInstInfer, engine.Config{Testbed: device.DefaultTestbed(), Devices: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb, one := device.DefaultTestbed(), InstInfer{Devices: 1}
 	// One device cannot hold OPT-175B weights plus a long-context KV cache.
-	rep := eng.Run(pipeline.Request{Model: model.OPT175B, Batch: 256, Context: 1024 * 1024, OutputLen: 64})
+	rep := one.Run(tb, pipeline.Request{Model: model.OPT175B, Batch: 256, Context: 1024 * 1024, OutputLen: 64})
 	if !rep.OOM || rep.Reason == "" {
 		t.Errorf("expected OOM with reason, got %+v", rep)
 	}
-	rep = eng.Run(pipeline.Request{Model: model.OPT66B, Batch: 0, Context: 1, OutputLen: 1})
+	rep = one.Run(tb, pipeline.Request{Model: model.OPT66B, Batch: 0, Context: 1, OutputLen: 1})
 	if !rep.OOM {
 		t.Error("invalid request not reported as OOM")
 	}

@@ -1,9 +1,9 @@
 // Package cluster is the trace-driven service layer over heterogeneous
 // engine fleets: an event-driven, simulated-clock scheduler that admits
 // timestamped requests into per-priority-class queues and drains them
-// through a fleet whose members may be backed by *different* registered
-// engines (e.g. two HILOS hosts, a DRAM baseline, and an InstInfer tier)
-// under a pluggable cost-aware policy.
+// through a fleet whose members may be backed by *different* engines
+// (e.g. two HILOS hosts, a DRAM baseline, and an InstInfer tier) under a
+// pluggable cost-aware policy.
 //
 // The core is one discrete-event loop (events.go) over request arrival,
 // batch wait-timeout, request start-deadline, and pipeline-free events —

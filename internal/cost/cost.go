@@ -31,11 +31,13 @@ func HILOSSystem(gpu device.GPUSpec, devices int) System {
 
 // PriceUSD returns the system's total hardware price.
 func (s System) PriceUSD(tb device.Testbed) float64 {
-	p := float64(max(s.Hosts, 1)) * tb.HostUSD
-	p += float64(1+s.ExtraGPUs) * s.GPU.PriceUSD
-	p += float64(s.PlainSSDs) * tb.PlainSSD.PriceUSD
+	// float64(...) rounds each product on its own, so no architecture fuses
+	// it into the sum (the figure tables must match bit for bit).
+	p := float64(float64(max(s.Hosts, 1)) * tb.HostUSD)
+	p += float64(float64(1+s.ExtraGPUs) * s.GPU.PriceUSD)
+	p += float64(float64(s.PlainSSDs) * tb.PlainSSD.PriceUSD)
 	if s.SmartSSDs > 0 {
-		p += tb.ChassisUSD + float64(s.SmartSSDs)*tb.SmartSSD.PriceUSD
+		p += tb.ChassisUSD + float64(float64(s.SmartSSDs)*tb.SmartSSD.PriceUSD)
 	}
 	return p
 }

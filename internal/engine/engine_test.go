@@ -2,52 +2,14 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/model"
 	"repro/internal/pipeline"
 )
-
-type fakeEngine struct {
-	sys System
-	cfg Config
-}
-
-func (f fakeEngine) Name() System     { return f.sys }
-func (f fakeEngine) Describe() string { return "fake engine for registry tests" }
-func (f fakeEngine) Run(pipeline.Request) pipeline.Report {
-	return pipeline.Report{System: string(f.sys), Batch: 1, StepSec: 1}
-}
-
-func mustPanic(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s did not panic", name)
-		}
-	}()
-	fn()
-}
-
-func TestRegisterValidation(t *testing.T) {
-	mustPanic(t, "empty system", func() {
-		Register(Spec{System: "", New: func(Config) (Engine, error) { return nil, nil }})
-	})
-	mustPanic(t, "nil factory", func() {
-		Register(Spec{System: "test-nil-factory"})
-	})
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	spec := Spec{
-		System:   "test-dup",
-		Describe: "duplicate registration probe",
-		New:      func(cfg Config) (Engine, error) { return fakeEngine{sys: "test-dup", cfg: cfg}, nil },
-	}
-	Register(spec)
-	mustPanic(t, "duplicate registration", func() { Register(spec) })
-}
 
 func TestNewUnknownSystem(t *testing.T) {
 	_, err := New("no-such-system", Config{Testbed: device.DefaultTestbed()})
@@ -56,54 +18,73 @@ func TestNewUnknownSystem(t *testing.T) {
 	}
 }
 
+// A Config left at its zero fields builds the same engine as one spelled
+// out with the paper defaults, and invalid configurations are rejected.
 func TestNewNormalizesAndValidates(t *testing.T) {
-	var got Config
-	Register(Spec{
-		System:   "test-probe",
-		Describe: "config normalization probe",
-		New: func(cfg Config) (Engine, error) {
-			got = cfg
-			return fakeEngine{sys: "test-probe", cfg: cfg}, nil
-		},
-	})
-
-	eng, err := New("test-probe", Config{Testbed: device.DefaultTestbed(), Alpha: -0.25})
+	tb := device.DefaultTestbed()
+	got, err := New(SysHILOS, Config{Testbed: tb, Alpha: -0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Devices != 8 || got.SpillInterval != 16 || got.Alpha != AlphaAuto {
-		t.Errorf("config not normalized to paper defaults: %+v", got)
+	want, err := New(SysHILOS, Config{Testbed: tb, Devices: 8, SpillInterval: 16, Alpha: AlphaAuto})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if eng.Name() != "test-probe" || eng.Describe() == "" {
-		t.Errorf("engine identity wrong: %q / %q", eng.Name(), eng.Describe())
+	if got.Name() != SysHILOS || got.Describe() != want.Describe() {
+		t.Errorf("engine identity %q / %q, want %q / %q", got.Name(), got.Describe(), SysHILOS, want.Describe())
+	}
+	req := pipeline.Request{Model: model.OPT66B, Batch: 16, Context: 16 << 10, OutputLen: 64}
+	if g, w := got.Run(req), want.Run(req); !reflect.DeepEqual(g, w) {
+		t.Errorf("normalized config ran differently: step %v s, want %v s", g.StepSec, w.StepSec)
 	}
 
-	// Invalid testbed and out-of-range α are rejected before the factory runs.
-	if _, err := New("test-probe", Config{}); err == nil {
+	if _, err := New(SysHILOS, Config{}); err == nil {
 		t.Error("zero-value testbed accepted")
 	}
-	if _, err := New("test-probe", Config{Testbed: device.DefaultTestbed(), Alpha: 1.5}); err == nil {
+	if _, err := New(SysHILOS, Config{Testbed: tb, Alpha: 1.5}); err == nil {
 		t.Error("α > 1 accepted")
 	}
-	if _, err := New("test-probe", Config{Testbed: device.DefaultTestbed(), Alpha: math.NaN()}); err == nil {
+	if _, err := New(SysHILOS, Config{Testbed: tb, Alpha: math.NaN()}); err == nil {
 		t.Error("NaN α accepted")
 	}
 }
 
-func TestSystemsOrdering(t *testing.T) {
-	Register(Spec{
-		System: "test-ranked", Rank: 5, Describe: "ranked probe",
-		New: func(cfg Config) (Engine, error) { return fakeEngine{sys: "test-ranked", cfg: cfg}, nil },
-	})
-	all := Systems()
-	if len(all) == 0 || all[0] != "test-ranked" {
-		t.Errorf("rank 5 system not first: %v", all)
-	}
-	// Unranked registrations (rank 0) append after every ranked system.
-	if len(all) > 1 {
-		last := all[len(all)-1]
-		if spec, ok := Lookup(last); !ok || spec.Rank < 1000 {
-			t.Errorf("last system %q should be an unranked append, rank %d", last, spec.Rank)
+// An ablation without the X-cache ignores α, and one without delayed
+// writeback ignores the spill interval.
+func TestAblationsIgnoreUnusedKnobs(t *testing.T) {
+	tb := device.DefaultTestbed()
+	req := pipeline.Request{Model: model.OPT66B, Batch: 16, Context: 16 << 10, OutputLen: 64}
+	for _, c := range []struct {
+		sys System
+		cfg Config
+	}{
+		{SysHILOSANS, Config{Testbed: tb, Alpha: 0.5}},
+		{SysHILOSANS, Config{Testbed: tb, SpillInterval: 4}},
+		{SysHILOSWB, Config{Testbed: tb, Alpha: 0.5}},
+		{SysHILOSX, Config{Testbed: tb, SpillInterval: 4}},
+	} {
+		eng, err := New(c.sys, c.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		def, err := New(c.sys, Config{Testbed: tb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(eng.Run(req), def.Run(req)) {
+			t.Errorf("%s with α=%g spill=%d ran differently from the defaults", c.sys, c.cfg.Alpha, c.cfg.SpillInterval)
+		}
+	}
+}
+
+// Systems lists the table in the paper's Fig. 10 order, with the InstInfer
+// tier between the baselines and the HILOS family.
+func TestSystemsOrdering(t *testing.T) {
+	want := []System{
+		SysFlexSSD, SysFlexDRAM, SysFlex16SSD, SysDSUVM, SysVLLM,
+		SysInstInfer, SysHILOS, SysHILOSANS, SysHILOSWB, SysHILOSX,
+	}
+	if got := Systems(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Systems() = %v, want %v", got, want)
 	}
 }

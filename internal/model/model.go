@@ -55,9 +55,6 @@ func (c Config) Validate() error {
 // HeadDim returns the per-head hidden dimension d.
 func (c Config) HeadDim() int { return c.Hidden / c.Heads }
 
-// IsMHA reports whether the model uses standard multi-head attention.
-func (c Config) IsMHA() bool { return c.KVHeads == c.Heads }
-
 // IsMoE reports whether the model has mixture-of-experts FFN layers.
 func (c Config) IsMoE() bool { return c.Experts > 0 }
 
@@ -149,11 +146,6 @@ func (c Config) KVToXRatio() float64 {
 // KVCacheBytes returns the total KV footprint for batch bs at context s.
 func (c Config) KVCacheBytes(bs, s int) int64 {
 	return int64(bs) * int64(s) * int64(c.Layers) * c.KVBytesPerTokenLayer()
-}
-
-// XCacheBytes returns the total X-cache footprint for batch bs at context s.
-func (c Config) XCacheBytes(bs, s int) int64 {
-	return int64(bs) * int64(s) * int64(c.Layers) * c.XBytesPerTokenLayer()
 }
 
 // ActivationBytes approximates per-step intermediate activation residency

@@ -35,14 +35,16 @@ func (in Inputs) TPCI(alpha float64) float64 { return alpha * in.SX / in.BPCI }
 // element over h inputs → 2·h FLOPs per X element per matrix).
 func (in Inputs) TGPU(alpha float64) float64 {
 	elems := alpha * in.SX / 2 // FP16 elements
-	flops := elems * float64(in.Hidden) * 2 * 2
+	// The compiler rewrites x*2 as x+x; float64(...) keeps it from fusing
+	// that add with the product, which would round differently on arm64.
+	flops := float64(elems*float64(in.Hidden)) * 2 * 2
 	return flops / in.CGPU
 }
 
 // TSSD returns the internal storage read time: the α portion reads X bytes,
 // the remainder reads the (ρ× larger) KV bytes.
 func (in Inputs) TSSD(alpha float64) float64 {
-	return (alpha*in.SX + (1-alpha)*in.Rho*in.SX) / in.BSSD
+	return (float64(alpha*in.SX) + float64((1-alpha)*in.Rho*in.SX)) / in.BSSD
 }
 
 // TEffective returns the pipelined step time max(T_GPU, T_SSD, T_PCI).
@@ -62,7 +64,7 @@ func OptimalAlpha(rho, bSSD, bPCI float64) float64 {
 	if rho <= 1 {
 		return 0
 	}
-	a := rho * bPCI / (bSSD + (rho-1)*bPCI)
+	a := rho * bPCI / (bSSD + float64((rho-1)*bPCI))
 	return math.Min(a, 1)
 }
 

@@ -19,11 +19,11 @@ import (
 
 const reportDigestFile = "report_digests.txt"
 
-// reportDigests runs every registered system over the pinned grid (devices
-// {4,16} × every preset model × context {1K,16K,128K} × batch {1,16,64} ×
-// NoTrace off/on) straight through the engine registry, with no report
-// cache in between, and returns each report's SHA-256 of its JSON encoding
-// under a stable case name, in grid order.
+// reportDigests runs every system over the pinned grid (devices {4,16} ×
+// every preset model × context {1K,16K,128K} × batch {1,16,64} × NoTrace
+// off/on) straight through the engine table, with no report cache in
+// between, and returns each report's SHA-256 of its JSON encoding under a
+// stable case name, in grid order.
 func reportDigests(t *testing.T) (names []string, sums map[string]string) {
 	t.Helper()
 	sums = map[string]string{}
