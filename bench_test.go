@@ -144,23 +144,6 @@ func BenchmarkBlockedAttention64KWorkers4(b *testing.B) {
 // the chunked parallel dataflow.
 func BenchmarkBlockedAttention1M(b *testing.B) { benchBlockedAttentionWorkers(b, 1<<20, 64, 4) }
 
-// BenchmarkGQAAttention64K measures the shared-K/V-traversal group kernel:
-// 8 query heads, one 64K cache, each K row read once per block for the
-// whole group.
-func BenchmarkGQAAttention64K(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const seq, dim, group = 64 * 1024, 128, 8
-	q := tensor.RandMat(rng, group, dim, 1)
-	k := tensor.RandMat(rng, seq, dim, 1)
-	v := tensor.RandMat(rng, seq, dim, 1)
-	b.SetBytes(int64(2 * seq * dim * 2))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		attention.GQAWorkers(q, k, v, nil, 128, 4, 0)
-	}
-}
-
 // BenchmarkTopKBlocksAttention64K measures the lossy block-sparse kernel on
 // the decode shape: parallel score+pool over 64K tokens, serial selection of
 // 64 blocks, attention over the kept 8K tokens.

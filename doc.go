@@ -16,9 +16,10 @@
 // scratch in pure Go:
 //
 //   - a functional substrate with exact attention numerics (two-pass online
-//     softmax, 128-token blocked dataflow with online transpose, GQA,
-//     X-cache regeneration, delayed-writeback merging) under FP16 storage
-//     with FP32 accumulation; and
+//     softmax, 128-token blocked dataflow with online transpose, grouped
+//     query heads on the accelerator model, X-cache regeneration,
+//     delayed-writeback merging) under FP16 storage with FP32
+//     accumulation; and
 //   - a timing substrate: a deterministic discrete-event model of the
 //     paper's testbed (A100/H100, Xeon host, PCIe topology, PM9A3 SSDs,
 //     SmartSSDs with internal P2P paths and an accelerator cycle model),
@@ -227,7 +228,7 @@
 // would take hours.
 //
 // The functional attention kernels follow the accelerator's true block
-// dataflow: Blocked/GQA/TopKBlocks reduce each K/V block's local softmax
+// dataflow: Blocked and TopKBlocks reduce each K/V block's local softmax
 // statistics first (attention.Partial.AddBlock) and rescale the value
 // accumulator at most once per block — the §5.4 streaming update unit —
 // instead of once per token. Top-k retrieval selects through a bounded
@@ -247,11 +248,9 @@
 // loop is the oracle in internal/tensor's tests; equivalence is property-
 // and fuzz-tested (bitwise below one stripe, FP32 tolerance for finite
 // data, NaN-for-NaN, bitwise determinism for all inputs including Inf).
-// Mat.T transposes through 64×64 cache tiles (bit-identical to the naive
-// row-by-row loop — transposition is pure data movement); large MatMuls
-// transpose the right operand once and stream both operands contiguously
-// through the striped Dot, while small products keep the original exact
-// axpy loop.
+// Mat.T and MatMul are plain serial loops (MatMul a row-axpy loop). No
+// binary calls them; the tests and the reference LM (internal/reflm) do, at
+// shapes far too small for tiling or row sharding to pay.
 //
 // Chunk geometry has no process-wide setting. The attention and
 // accelerator kernels split K/V into block-aligned chunks of
@@ -268,24 +267,21 @@
 //
 // Within one attention call the kernels are parallel: a process-wide worker
 // pool (tensor.ParallelFor — long-lived goroutines, a shared atomic item
-// cursor, the caller always participating so nesting can't deadlock) shards
-// the (query row × K/V chunk) work grid, with per-worker score scratch and
-// per-item Partial accumulators drawn from sync.Pool arenas so steady-state
-// calls allocate only the output. Parallel results are bit-identical to a
-// one-worker run for every worker count, by construction rather than by
-// tolerance: the K/V range is split into block-aligned chunks as a pure
-// function of shape and chunk span (never of the worker count), every work
-// item writes only its own index-owned Partial, and each row's chunk
-// partials reduce
-// through a fixed-shape binary tree of Merge calls (stride 1, 2, 4, …) whose
+// cursor, the caller always participating and waiting only for items already
+// claimed, so nesting can't deadlock) shards the (query row × K/V chunk)
+// work grid, with per-worker score scratch and per-item Partial accumulators
+// drawn from sync.Pool arenas so steady-state calls allocate only the
+// output. Parallel results are bit-identical to a one-worker run for every
+// worker count, by construction rather than by tolerance: the K/V range is
+// split into block-aligned chunks as a pure function of shape and chunk span
+// (never of the worker count), every work item writes only its own
+// index-owned Partial, and each row's chunk partials reduce through a
+// fixed-shape binary tree of Merge calls (stride 1, 2, 4, …) whose
 // combination order depends only on the chunk count — goroutine completion
 // order can never reach a float32 bit. Property and fuzz tests pin
 // reflect.DeepEqual equality across worker counts {1, 2, 3, 8} under -race.
-// GQA shares each K/V block traversal across the group's query heads (one K
-// row read per block for all dGroup heads, per-head numerics bitwise equal
-// to Blocked); TopKBlocks parallelizes its score+pool phase into
-// index-owned slots and keeps block selection serial and deterministic;
-// large MatMuls shard rows on the same pool.
+// TopKBlocks parallelizes its score+pool phase into index-owned slots and
+// keeps block selection serial and deterministic.
 //
 // The accelerator model (accel.AttentionWorkers) is a fused, copy-free
 // block datapath on the same pool. Its work items are block-aligned K/V
@@ -314,22 +310,23 @@
 // `go test ./internal/fp16 -run TestRoundExhaustive -exhaustive` checks all
 // 2^32 float32 patterns (about 30 s on 2 CPUs).
 //
-// Picking Workers: the default entry points (Blocked, GQA, TopKBlocks,
-// accel.Attention, MatMul) run runtime.GOMAXPROCS(0) workers, right for
-// latency-sensitive single-call workloads; when many attention calls
-// already run concurrently, the *Workers kernel variants take a per-call
-// count (and chunk span), and lowering GOMAXPROCS caps the rest. Worker
-// count never changes results — only latency versus CPU.
+// Picking Workers: the default entry points (Blocked, TopKBlocks,
+// accel.Attention) run runtime.GOMAXPROCS(0) workers, right for
+// latency-sensitive single-call workloads; when many attention calls already
+// run concurrently, the *Workers kernel variants take a per-call count (and
+// chunk span), and lowering GOMAXPROCS caps the rest. Worker count never
+// changes results — only latency versus CPU.
 //
-// Experiment tables evaluate their sweep points concurrently on a bounded
-// worker pool with index-ordered assembly, so regenerated tables are
-// byte-identical to a sequential run. Independent points that hit the same
-// simulation share it through internal/repcache, a process-wide memoized
-// report cache keyed on the complete (testbed, request, options) input.
-// The cluster dispatcher's per-fleet report memo is a repcache.Group — a
-// private memo with the same per-key singleflight, so concurrent prewarm
-// workers share one run per batch shape, and whose entries are dropped
-// with the dispatcher instead of accumulating in the process cache.
+// Experiment tables evaluate their sweep points concurrently on the same
+// kernel worker pool (tensor.ParallelFor) with index-ordered assembly, so
+// regenerated tables are byte-identical to a sequential run. Independent
+// points that hit the same simulation share it through internal/repcache, a
+// process-wide memoized report cache keyed on the complete (testbed,
+// request, options) input. The cluster dispatcher's per-fleet report memo is
+// a repcache.Group — a private memo with the same per-key singleflight, so
+// concurrent prewarm workers share one run per batch shape, and whose
+// entries are dropped with the dispatcher instead of accumulating in the
+// process cache.
 //
 // The cluster event loop's cost per event does not grow with trace length
 // or backlog. Arrivals never enter the event heap: cluster.Run merges a
@@ -367,9 +364,8 @@
 //
 //   - internal/sim TestSchedulerSpeedup: Run at least 5x faster than the
 //     O(n²) reference scheduler on a 5,000-task graph;
-//   - internal/tensor TestDotSpeedup and TestTransposeSpeedup: the striped
-//     Dot at least 1.3x over the scalar loop, the blocked transpose at
-//     least 1.2x over the naive one;
+//   - internal/tensor TestDotSpeedup: the striped Dot at least 1.3x over
+//     the scalar loop;
 //   - TestTelemetryOverhead: the cluster loop with telemetry on at most 2x
 //     its cost with telemetry off;
 //   - TestBlockedAttentionParallelSpeedup and TestAcceleratorParallelSpeedup:
@@ -466,8 +462,9 @@
 //     internal/cluster's event heap (event.at, kind, q, seq) change only on
 //     the heap's own Fix/Push/Pop paths, or with a re-heapify call following
 //     in the same function. Code with no mutex at all — the experiment
-//     worker pools, the cluster event loop — stays race-free structurally:
-//     single-goroutine loops and index-disjoint writes.
+//     sweeps and report prewarm on tensor.ParallelFor, the cluster event
+//     loop — stays race-free structurally: single-goroutine loops and
+//     index-disjoint writes.
 //
 // Run the suite with `go run ./cmd/hilos-lint ./...` (flags: -json for
 // machine-readable output, -rules to select analyzers, -list to enumerate

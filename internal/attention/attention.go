@@ -246,39 +246,6 @@ func Blocked(q, k, v tensor.Mat, mask []bool, blockSize int) tensor.Mat {
 	return BlockedWorkers(q, k, v, mask, blockSize, runtime.GOMAXPROCS(0), 0)
 }
 
-// GQA computes grouped-query attention: dGroup query heads share one K/V
-// cache. q holds dGroup query rows (one per head in the group); each K/V
-// block is read once and scored against every head in the group, matching
-// the accelerator's broadcast to dGroup×128 MAC units. Output has dGroup
-// rows, bit-identical to per-head Blocked calls.
-func GQA(q, k, v tensor.Mat, mask []bool, blockSize int) tensor.Mat {
-	return GQAWorkers(q, k, v, mask, blockSize, runtime.GOMAXPROCS(0), 0)
-}
-
-// TopK computes lossy sparse attention retaining only the kTop
-// highest-scoring cached tokens per query (the InstAttention-style lossy KV
-// retrieval proxy used in Fig. 18c). kTop ≥ k.Rows degenerates to exact.
-func TopK(q, k, v tensor.Mat, mask []bool, kTop int) tensor.Mat {
-	d := q.Cols
-	scale := float32(1 / math.Sqrt(float64(d)))
-	out := tensor.New(q.Rows, v.Cols)
-	scores := make([]float32, k.Rows) // scratch shared across query rows
-	p := NewPartial(v.Cols)
-	for qi := 0; qi < q.Rows; qi++ {
-		qrow := q.Row(qi)
-		for ki := 0; ki < k.Rows; ki++ {
-			scores[ki] = applyMask(tensor.Dot(qrow, k.Row(ki))*scale, mask, ki)
-		}
-		keep := topKIndices(scores, kTop)
-		p.Reset()
-		for _, ki := range keep {
-			p.AddToken(scores[ki], v.Row(ki))
-		}
-		p.FinalizeInto(out.Row(qi))
-	}
-	return out
-}
-
 // TopKBlocks computes lossy sparse attention with block-granular KV
 // retrieval: the cache is split into blocks of blockSize tokens, each block
 // is ranked by its mean score (the pooled metadata a sparse-retrieval

@@ -159,37 +159,6 @@ func TestDelayedWritebackMultiQueryAndMask(t *testing.T) {
 	}
 }
 
-func TestTopKDegeneratesToExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	q, k, v := randQKV(rng, 2, 64, 16, 16)
-	want := Ref(q, k, v, nil)
-	got := TopK(q, k, v, nil, 64)
-	if d := tensor.MaxAbsDiff(got, want); d > tol {
-		t.Errorf("full top-k differs from exact by %v", d)
-	}
-}
-
-func TestTopKIsLossy(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	q, k, v := randQKV(rng, 1, 256, 16, 16)
-	exact := Ref(q, k, v, nil)
-	lossy := TopK(q, k, v, nil, 256/8) // the paper's 1/8 compression
-	if d := tensor.MaxAbsDiff(lossy, exact); d == 0 {
-		t.Error("1/8 top-k produced bit-identical output on random data; expected loss")
-	}
-}
-
-func TestGQAMatchesPerQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	dGroup := 5
-	q, k, v := randQKV(rng, dGroup, 100, 16, 16)
-	want := Ref(q, k, v, nil)
-	got := GQA(q, k, v, nil, 128)
-	if d := tensor.MaxAbsDiff(got, want); d > tol {
-		t.Errorf("GQA differs from per-query reference by %v", d)
-	}
-}
-
 func TestScoresMatchRefWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	q, k, v := randQKV(rng, 1, 30, 8, 8)

@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the parallel block dataflow of the attention kernels:
-// Blocked, GQA and TopKBlocks shard their work across the kernel worker pool
+// Blocked and TopKBlocks shard their work across the kernel worker pool
 // (tensor.ParallelFor) while staying bit-identical to a serial run for every
 // worker count. Two invariants make that hold:
 //
@@ -77,7 +77,7 @@ func chunkCountFor(kRows, span int) int {
 // sync.Pool arena and are fully overwritten before every read, so reuse can
 // never leak state between calls.
 type lane struct {
-	block      []float32 // ≥ rows·blockSize score scratch for one K/V block
+	block      []float32 // ≥ blockSize score scratch for one K/V block
 	scores     []float32 // ≥ kRows full-range scores (top-k row path)
 	blockScore []float32 // ≥ nBlocks pooled block scores (top-k row path)
 	part       Partial   // per-row partial (top-k row path)
@@ -193,67 +193,6 @@ func BlockedWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers, chunkTo
 	for qi := 0; qi < q.Rows; qi++ {
 		p := treeMerge(ms.parts[qi*nChunks : (qi+1)*nChunks])
 		p.FinalizeInto(out.Row(qi))
-	}
-	putMerge(ms)
-	return out
-}
-
-// GQAWorkers computes grouped-query attention with an explicit worker count
-// and chunk span (chunkTokens, as in BlockedWorkers). Unlike BlockedWorkers' (row × chunk) grid, the work item here is one K/V
-// chunk shared by the whole group: each K row is read once per block and
-// scored against every query head before the per-(head, chunk) partials are
-// folded — the host-side analogue of the accelerator broadcasting one K/V
-// stream to dGroup×128 MAC lanes. Per-head numerics are identical to
-// BlockedWorkers (same blocks, same fold order, same tree), so GQA outputs
-// are bit-identical to per-head Blocked outputs for every worker count.
-func GQAWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers, chunkTokens int) tensor.Mat {
-	if blockSize <= 0 {
-		blockSize = 128
-	}
-	rows := q.Rows
-	scale := float32(1 / math.Sqrt(float64(q.Cols)))
-	out := tensor.New(rows, v.Cols)
-	if k.Rows == 0 || rows == 0 {
-		return out
-	}
-	span := ChunkSpan(q.Cols, blockSize, chunkTokens)
-	nChunks := chunkCountFor(k.Rows, span)
-	if rows*k.Rows < minParallelWork {
-		workers = 1
-	}
-	ms := getMerge(rows*nChunks, v.Cols)
-	tensor.ParallelFor(nChunks, workers, func(c int) {
-		lo := c * span
-		hi := lo + span
-		if hi > k.Rows {
-			hi = k.Rows
-		}
-		ln := getLane()
-		ln.block = growF(ln.block, rows*blockSize)
-		for bl := lo; bl < hi; bl += blockSize {
-			bh := bl + blockSize
-			if bh > hi {
-				bh = hi
-			}
-			w := bh - bl
-			buf := ln.block[:rows*w]
-			// One pass over the K block scores all heads: krow stays hot
-			// across the group, the shared-traversal half of GQA.
-			for ki := bl; ki < bh; ki++ {
-				krow := k.Row(ki)
-				for g := 0; g < rows; g++ {
-					buf[g*w+ki-bl] = applyMask(tensor.Dot(q.Row(g), krow)*scale, mask, ki)
-				}
-			}
-			for g := 0; g < rows; g++ {
-				ms.parts[g*nChunks+c].AddBlock(buf[g*w:(g+1)*w], v, bl)
-			}
-		}
-		putLane(ln)
-	})
-	for g := 0; g < rows; g++ {
-		p := treeMerge(ms.parts[g*nChunks : (g+1)*nChunks])
-		p.FinalizeInto(out.Row(g))
 	}
 	putMerge(ms)
 	return out

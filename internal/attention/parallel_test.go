@@ -60,30 +60,6 @@ func TestBlockedWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGQAWorkersBitIdenticalToBlocked: the shared-K/V-traversal GQA dataflow
-// must be bitwise equal to per-head BlockedWorkers (same blocks, same fold
-// order, same tree) for every worker count.
-func TestGQAWorkersBitIdenticalToBlocked(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	const chunk = 96
-	for _, sh := range []struct{ rows, s, d, bs int }{
-		{4, 500, 16, 32},
-		{8, 63, 8, 16},
-		{1, 700, 32, 64},
-	} {
-		q := tensor.RandMat(rng, sh.rows, sh.d, 1)
-		k := tensor.RandMat(rng, sh.s, sh.d, 1)
-		v := tensor.RandMat(rng, sh.s, sh.d, 1)
-		blocked := BlockedWorkers(q, k, v, nil, sh.bs, 1, chunk)
-		for _, w := range workerCounts {
-			got := GQAWorkers(q, k, v, nil, sh.bs, w, chunk)
-			if !matsEqual(blocked, got) {
-				t.Fatalf("shape %+v: GQA workers=%d differs from Blocked", sh, w)
-			}
-		}
-	}
-}
-
 // TestTopKBlocksWorkersBitIdentical covers both parallel dataflows: the
 // multi-row row shard and the single-row chunked score+pool phase.
 func TestTopKBlocksWorkersBitIdentical(t *testing.T) {
@@ -187,8 +163,8 @@ func TestTreeMergeMatchesSerialFold(t *testing.T) {
 }
 
 // FuzzParallelBlockedEquivalence fuzzes shapes, block sizes and chunk
-// lengths, asserting multi-worker Blocked and GQA stay bit-identical to
-// their one-worker runs.
+// lengths, asserting multi-worker Blocked stays bit-identical to its
+// one-worker run.
 func FuzzParallelBlockedEquivalence(f *testing.F) {
 	f.Add(int64(1), 1, 300, 32, 40)
 	f.Add(int64(2), 5, 100, 16, 16)
@@ -202,17 +178,10 @@ func FuzzParallelBlockedEquivalence(f *testing.F) {
 		k := tensor.RandMat(rng, s, 16, 1)
 		v := tensor.RandMat(rng, s, 16, 1)
 		base := BlockedWorkers(q, k, v, nil, bs, 1, chunk)
-		gbase := GQAWorkers(q, k, v, nil, bs, 1, chunk)
 		for _, w := range []int{2, 3, 8} {
 			if got := BlockedWorkers(q, k, v, nil, bs, w, chunk); !matsEqual(base, got) {
 				t.Fatalf("rows=%d s=%d bs=%d chunk=%d: Blocked workers=%d diverged", rows, s, bs, chunk, w)
 			}
-			if got := GQAWorkers(q, k, v, nil, bs, w, chunk); !matsEqual(gbase, got) {
-				t.Fatalf("rows=%d s=%d bs=%d chunk=%d: GQA workers=%d diverged", rows, s, bs, chunk, w)
-			}
-		}
-		if !matsEqual(base, gbase) {
-			t.Fatalf("rows=%d s=%d bs=%d chunk=%d: GQA diverged from Blocked", rows, s, bs, chunk)
 		}
 	})
 }

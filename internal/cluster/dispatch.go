@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/device"
 	"repro/internal/energy"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/repcache"
+	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -267,13 +267,13 @@ func (d *dispatcher) simulate(k repKey) pipeline.Report {
 }
 
 // prewarm simulates every distinct request shape in trace at the target
-// batch size on every engine, on a worker pool before the sequential event
-// loop starts; the loop then runs on memoized reports for those dominant
-// shapes, and odd tail sizes simulate lazily on the loop. Shapes
-// deduplicate through the report tables before crossing the fleet (a trace
-// has few shapes and many requests), and pipelines sharing an EngineID
-// simulate each shape once. Results are identical with or without
-// prewarming — it only moves pure computations off the loop.
+// batch size on every engine, on the kernel worker pool before the
+// sequential event loop starts; the loop then runs on memoized reports for
+// those dominant shapes, and odd tail sizes simulate lazily on the loop.
+// Shapes deduplicate through the report tables before crossing the fleet (a
+// trace has few shapes and many requests), and pipelines sharing an EngineID
+// simulate each shape once. Results are identical with or without prewarming
+// — it only moves pure computations off the loop.
 func (d *dispatcher) prewarm(trace []Request, size int) {
 	var todo []repKey
 	for _, r := range trace {
@@ -288,22 +288,9 @@ func (d *dispatcher) prewarm(trace []Request, size int) {
 			}
 		}
 	}
-	queue := make(chan int)
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(todo)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				d.simulate(todo[i])
-			}
-		}()
-	}
-	for i := range todo {
-		queue <- i
-	}
-	close(queue)
-	wg.Wait()
+	tensor.ParallelFor(len(todo), runtime.GOMAXPROCS(0), func(i int) {
+		d.simulate(todo[i])
+	})
 }
 
 // execSec returns the execution time for n jobs given the engine's

@@ -50,14 +50,6 @@ func Efficiency(tokPerSec, priceUSD float64) float64 {
 	return tokPerSec / priceUSD
 }
 
-// Relative returns a/b, guarding against division by zero.
-func Relative(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

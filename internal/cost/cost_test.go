@@ -34,12 +34,6 @@ func TestEfficiency(t *testing.T) {
 	}
 }
 
-func TestRelative(t *testing.T) {
-	if Relative(3, 2) != 1.5 || Relative(1, 0) != 0 {
-		t.Error("Relative broken")
-	}
-}
-
 // The H100 upgrade costs more than the full 16-SmartSSD HILOS add-on buys
 // in throughput terms: HILOS must price below the H100 swap plus SSDs when
 // compared per §6.6 (sanity: HILOS-4 is cheaper than the H100 baseline).

@@ -71,20 +71,6 @@ type SSDSpec struct {
 	PriceUSD  float64
 }
 
-// EffectiveWriteBW returns the achievable write bandwidth for chunks of the
-// given size: sub-page writes waste the remainder of each NAND page
-// (write amplification), so bandwidth scales with chunk/page until the
-// chunk reaches the page size (§4.3).
-func (s SSDSpec) EffectiveWriteBW(chunkBytes int64) float64 {
-	if chunkBytes <= 0 {
-		return s.WriteBW
-	}
-	if chunkBytes >= s.PageBytes {
-		return s.WriteBW
-	}
-	return s.WriteBW * float64(chunkBytes) / float64(s.PageBytes)
-}
-
 // WriteAmplification returns the physical/logical write ratio for chunks of
 // the given size.
 func (s SSDSpec) WriteAmplification(chunkBytes int64) float64 {

@@ -3,7 +3,6 @@ package device
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDefaultTestbedValid(t *testing.T) {
@@ -30,24 +29,6 @@ func TestGPURoofline(t *testing.T) {
 	}
 }
 
-func TestEffectiveWriteBW(t *testing.T) {
-	s := DefaultTestbed().PlainSSD
-	// Page-aligned writes see full bandwidth.
-	if bw := s.EffectiveWriteBW(s.PageBytes); bw != s.WriteBW {
-		t.Errorf("page write BW = %v, want %v", bw, s.WriteBW)
-	}
-	if bw := s.EffectiveWriteBW(16 * s.PageBytes); bw != s.WriteBW {
-		t.Errorf("large write BW = %v, want %v", bw, s.WriteBW)
-	}
-	// A 256-byte KV entry into 4 KiB pages wastes 15/16 of the bandwidth
-	// (the §4.3 motivation for delayed writeback).
-	got := s.EffectiveWriteBW(256)
-	want := s.WriteBW / 16
-	if math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("256B write BW = %v, want %v", got, want)
-	}
-}
-
 func TestWriteAmplification(t *testing.T) {
 	s := DefaultTestbed().PlainSSD
 	if w := s.WriteAmplification(256); w != 16 {
@@ -58,23 +39,6 @@ func TestWriteAmplification(t *testing.T) {
 	}
 	if w := s.WriteAmplification(0); w != 1 {
 		t.Errorf("WAF(0) = %v, want 1", w)
-	}
-}
-
-// Effective write bandwidth is monotone non-decreasing in chunk size and
-// never exceeds the sequential rate.
-func TestEffectiveWriteBWMonotone(t *testing.T) {
-	s := DefaultTestbed().PlainSSD
-	f := func(a, b uint16) bool {
-		x, y := int64(a), int64(b)
-		if x > y {
-			x, y = y, x
-		}
-		bx, by := s.EffectiveWriteBW(x), s.EffectiveWriteBW(y)
-		return bx <= by+1e-9 && by <= s.WriteBW+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
 	}
 }
 

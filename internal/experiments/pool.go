@@ -2,7 +2,8 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
+
+	"repro/internal/tensor"
 )
 
 // group is the output of one independent sweep point of a generator: the
@@ -22,36 +23,16 @@ func (t *Table) addPoints(points []func() group) {
 	t.Notes = append(t.Notes, notes...)
 }
 
-// runPoints evaluates every point on a pool of up to GOMAXPROCS workers
-// and assembles the results strictly in point order, so the table is
-// identical to what a sequential loop over the points would have produced.
-// Points must be independent of each other; shared simulations dedupe in
-// repcache rather than through evaluation order.
+// runPoints evaluates every point on the kernel worker pool with up to
+// GOMAXPROCS workers and assembles the results strictly in point order, so
+// the table is identical to what a sequential loop over the points would
+// have produced. Points must be independent of each other; shared
+// simulations dedupe in repcache rather than through evaluation order.
 func runPoints(points []func() group) ([][]string, []string) {
 	out := make([]group, len(points))
-	w := min(runtime.GOMAXPROCS(0), len(points))
-	if w <= 1 {
-		for i, fn := range points {
-			out[i] = fn()
-		}
-	} else {
-		var wg sync.WaitGroup
-		queue := make(chan int)
-		for n := 0; n < w; n++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range queue {
-					out[i] = points[i]()
-				}
-			}()
-		}
-		for i := range points {
-			queue <- i
-		}
-		close(queue)
-		wg.Wait()
-	}
+	tensor.ParallelFor(len(points), runtime.GOMAXPROCS(0), func(i int) {
+		out[i] = points[i]()
+	})
 	var rows [][]string
 	var notes []string
 	for _, g := range out {

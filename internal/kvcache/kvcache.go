@@ -76,35 +76,3 @@ func (p Placement) TotalBytes() int64 { return p.KVBytesTotal + p.XBytesTotal }
 func (p Placement) Fits(devCapBytes int64) bool {
 	return p.BytesPerDev <= devCapBytes && p.TotalBytes() <= devCapBytes*int64(p.Devices)
 }
-
-// RowAligned reports whether one K row meets the SSD access granularity
-// (§4.3: "the minimum access granularity (s×d) typically exceeds 4 KiB",
-// which is what keeps row-wise reads at full SSD bandwidth).
-func (p Placement) RowAligned(pageBytes int64) bool {
-	return p.RowBytes >= pageBytes
-}
-
-// DeviceGroups returns the (batch, KV-head) group indices assigned to device
-// dev under round-robin distribution along batch then head (§4.1: attention
-// parallelized along batch and head dimensions).
-func (p Placement) DeviceGroups(dev int) []int {
-	if dev < 0 || dev >= p.Devices {
-		return nil
-	}
-	var gs []int
-	for g := dev; g < p.TotalGroups; g += p.Devices {
-		gs = append(gs, g)
-	}
-	return gs
-}
-
-// LoadImbalance returns max/mean group count across devices (1 = perfectly
-// balanced). Batched inference provides enough parallelism that this stays
-// near 1 for the paper's configurations.
-func (p Placement) LoadImbalance() float64 {
-	base := p.TotalGroups / p.Devices
-	if base == 0 {
-		return float64(p.Devices) // degenerate: fewer groups than devices
-	}
-	return float64(ceilDiv(p.TotalGroups, p.Devices)) / (float64(p.TotalGroups) / float64(p.Devices))
-}

@@ -70,50 +70,6 @@ func TestPerDeviceFootprintMatchesSec72(t *testing.T) {
 	}
 }
 
-func TestRowAlignment(t *testing.T) {
-	// §4.3: row granularity s×d exceeds 4 KiB for long contexts.
-	p := mustPlan(t, model.OPT175B, 1, 16, 1, 0) // 16 tokens × 128 dims × 2B = 4 KiB
-	if !p.RowAligned(4096) {
-		t.Error("16-token row should meet the 4 KiB granularity exactly")
-	}
-	pShort := mustPlan(t, model.OPT175B, 1, 8, 1, 0)
-	if pShort.RowAligned(4096) {
-		t.Error("8-token row should be below 4 KiB")
-	}
-}
-
-func TestDeviceGroupsPartition(t *testing.T) {
-	p := mustPlan(t, model.OPT66B, 4, 1024, 16, 0)
-	seen := make(map[int]bool)
-	for d := 0; d < p.Devices; d++ {
-		for _, g := range p.DeviceGroups(d) {
-			if seen[g] {
-				t.Fatalf("group %d assigned twice", g)
-			}
-			seen[g] = true
-		}
-	}
-	if len(seen) != p.TotalGroups {
-		t.Errorf("assigned %d groups, want %d", len(seen), p.TotalGroups)
-	}
-	if p.DeviceGroups(-1) != nil || p.DeviceGroups(16) != nil {
-		t.Error("out-of-range device returned groups")
-	}
-}
-
-func TestLoadImbalance(t *testing.T) {
-	// 4 batch × 72 heads = 288 groups over 16 devices: perfectly balanced.
-	p := mustPlan(t, model.OPT66B, 4, 1024, 16, 0)
-	if li := p.LoadImbalance(); li != 1 {
-		t.Errorf("imbalance = %v, want 1", li)
-	}
-	// 1 batch × 8 KV heads over 16 devices: half the devices idle.
-	p = mustPlan(t, model.Qwen2532B, 1, 1024, 16, 0)
-	if li := p.LoadImbalance(); li <= 1 {
-		t.Errorf("expected imbalance > 1 for 8 groups on 16 devices, got %v", li)
-	}
-}
-
 func TestPlanErrors(t *testing.T) {
 	if _, err := Plan(model.OPT30B, 0, 1024, 4, 0); err == nil {
 		t.Error("batch=0 accepted")

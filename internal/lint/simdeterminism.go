@@ -37,9 +37,9 @@ import (
 // A map-range that appends and then sorts the slice (the collect-sort-walk
 // idiom) is deterministic and is not flagged. The sanctioned worker-pool
 // shapes likewise pass: index-ordered assembly (`out[i] = f(i)` with one
-// owner per slot, as in experiments.pool and tensor.ParallelFor callers)
-// and fixed-shape reductions over those slots (attention's tree-merge),
-// because neither lets completion order reach a result.
+// owner per slot, as in tensor.ParallelFor callers) and fixed-shape
+// reductions over those slots (attention's tree-merge), because neither
+// lets completion order reach a result.
 var SimDeterminism = &analysis.Analyzer{
 	Name: "simdeterminism",
 	Doc: "forbid wall-clock, entropy, map-iteration-order and goroutine-completion-order leaks in simulation and kernel packages\n\n" +

@@ -220,14 +220,11 @@ func (m *Model) xHeadAttention(l, kh int, q []float32, xs [][]float32, rope []*a
 		}
 		k.RoundFP16()
 	}
-	// One GQA call over the group's query rows shares each K/V block
-	// traversal across heads; per-head results are bit-identical to the
-	// per-head Blocked calls this loop used to make.
 	qm := tensor.New(p.DGroup(), d)
 	for g := 0; g < p.DGroup(); g++ {
 		copy(qm.Row(g), headSlice(q, kh*p.DGroup()+g, d))
 	}
-	o := attention.GQA(qm, k, v, nil, accel.BlockTokens)
+	o := attention.Blocked(qm, k, v, nil, accel.BlockTokens)
 	for g := 0; g < p.DGroup(); g++ {
 		copy(headSlice(attnOut, kh*p.DGroup()+g, d), o.Row(g))
 	}

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical helpers used by the
 // evaluation harness: means, Pearson correlation (for the §5.1 estimator
-// validation) and geometric means for speedup summaries.
+// validation) and nearest-rank percentiles.
 package stats
 
 import (
@@ -21,20 +21,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Pearson returns the Pearson correlation coefficient of the paired samples
@@ -61,21 +47,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// GeoMean returns the geometric mean of xs. All values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // PercentileSorted returns the p-th percentile (0 ≤ p ≤ 100) of an
 // ascending sample by the nearest-rank method: the smallest value with at
 // least p% of the sample at or below it. Returns 0 for an empty sample.
@@ -95,21 +66,4 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// MinMax returns the smallest and largest values in xs.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }

@@ -17,15 +17,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if s := StdDev([]float64{2, 2, 2}); s != 0 {
-		t.Errorf("StdDev of constant = %v, want 0", s)
-	}
-	if s := StdDev([]float64{1, -1}); !almost(s, 1, 1e-12) {
-		t.Errorf("StdDev = %v, want 1", s)
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{10, 20, 30, 40, 50}
@@ -71,22 +62,6 @@ func TestPearsonAffineInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); !almost(g, 2, 1e-12) {
-		t.Errorf("GeoMean = %v, want 2", g)
-	}
-	if g := GeoMean([]float64{2, -1}); !math.IsNaN(g) {
-		t.Errorf("GeoMean with nonpositive = %v, want NaN", g)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
 	}
 }
 

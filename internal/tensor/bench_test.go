@@ -31,26 +31,3 @@ func benchDot(b *testing.B, dot func(a, c []float32) float32) {
 
 func BenchmarkDot(b *testing.B)    { benchDot(b, Dot) }
 func BenchmarkDotRef(b *testing.B) { benchDot(b, DotRef) }
-
-// transposeInput is a 2048×2048 float32 matrix (16 MiB), whose column
-// writes stride far past L1.
-func transposeInput() Mat {
-	return RandMat(rand.New(rand.NewSource(6)), 2048, 2048, 1)
-}
-
-// BenchmarkTransposeBlocked vs BenchmarkTransposeRef measures the cache win
-// of the 64×64 tiled transpose.
-func benchTranspose(b *testing.B, t func(m Mat) Mat) {
-	m := transposeInput()
-	b.SetBytes(int64(len(m.Data) * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := t(m); out.Rows != m.Cols {
-			b.Fatal("bad shape")
-		}
-	}
-}
-
-func BenchmarkTransposeBlocked(b *testing.B) { benchTranspose(b, Mat.T) }
-func BenchmarkTransposeRef(b *testing.B)     { benchTranspose(b, Mat.TransposeRef) }

@@ -8,8 +8,9 @@ import (
 
 // This file implements the process-wide kernel worker pool: a fixed set of
 // long-lived goroutines that the parallel kernels (attention row/range
-// sharding, the accelerator's per-group dataflow, large GEMMs) borrow for
-// the duration of one call. Launching goroutines per call would cost an
+// sharding, the accelerator's per-group dataflow) borrow for the duration
+// of one call. The experiment sweeps and the cluster's report prewarming
+// fan out on the same pool. Launching goroutines per call would cost an
 // allocation and a scheduler wakeup per worker per op; the pool makes a
 // parallel kernel call cost one job descriptor allocation regardless of
 // context length or worker count. There is no process-wide worker setting:
@@ -26,7 +27,9 @@ import (
 // job is one ParallelFor invocation: a shared atomic item cursor plus the
 // body. Pool workers and the submitting goroutine all drain the same cursor,
 // so work balances across whoever is free without affecting which item runs
-// which index.
+// which index. wg counts unfinished items, not helpers: the submitter waits
+// only for items some goroutine has already claimed, never for a helper
+// still queued behind busy pool workers.
 type job struct {
 	next atomic.Int64
 	n    int
@@ -42,6 +45,7 @@ func (j *job) run() {
 			return
 		}
 		j.fn(i)
+		j.wg.Done()
 	}
 }
 
@@ -60,7 +64,6 @@ func startPool() {
 		go func() {
 			for j := range poolJobs {
 				j.run()
-				j.wg.Done()
 			}
 		}()
 	}
@@ -69,9 +72,10 @@ func startPool() {
 // ParallelFor runs fn(i) for every i in [0, n) using at most the given
 // number of concurrent workers (the calling goroutine included). workers ≤ 1
 // or n ≤ 1 runs inline with no synchronization. The caller always
-// participates in draining the items, so ParallelFor never deadlocks even
-// when invoked from inside another ParallelFor body or when the pool is
-// saturated — helpers are opportunistic, progress is the caller's own.
+// participates in draining the items and then waits only for items other
+// goroutines have already claimed, so ParallelFor never deadlocks even when
+// invoked from inside another ParallelFor body or when every pool worker is
+// busy — helpers are opportunistic, progress is the caller's own.
 //
 // fn must confine its writes to state owned by item i; see the determinism
 // contract above.
@@ -87,21 +91,15 @@ func ParallelFor(n, workers int, fn func(i int)) {
 	}
 	poolOnce.Do(startPool)
 	j := &job{n: n, fn: fn}
+	j.wg.Add(n)
 	for h := 0; h < workers-1; h++ {
-		j.wg.Add(1)
 		select {
 		case poolJobs <- j:
 		default:
 			// Pool saturated (e.g. deeply nested calls): skip the helper;
 			// the caller's own drain loop below guarantees completion.
-			j.wg.Done()
 		}
 	}
 	j.run()
 	j.wg.Wait()
 }
-
-// matMulParallelFlops is the work floor (element multiplications) above
-// which MatMul shards rows across the worker pool. Row results are
-// independent, so the parallel product is bit-identical to the serial one.
-const matMulParallelFlops = 1 << 21

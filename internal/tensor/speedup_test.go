@@ -50,17 +50,3 @@ func TestDotSpeedup(t *testing.T) {
 		t.Fatal("NaN sink")
 	}
 }
-
-// TestTransposeSpeedup floors the 64×64 tiled transpose at 1.2x over the
-// naive TransposeRef on the BenchmarkTransposeBlocked matrix.
-func TestTransposeSpeedup(t *testing.T) {
-	const floor = 1.2
-	m := transposeInput()
-	got := speedup(5, 1,
-		func() { m.TransposeRef() },
-		func() { m.T() })
-	t.Logf("blocked transpose %.2fx over TransposeRef (floor %.1fx)", got, floor)
-	if got < floor {
-		t.Errorf("blocked transpose only %.2fx faster than TransposeRef, floor %.1fx", got, floor)
-	}
-}

@@ -3,8 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -27,18 +25,6 @@ func DotRef(a, b []float32) float32 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// TransposeRef is the naive row-by-row transpose the blocked T must equal
-// bit for bit.
-func (m Mat) TransposeRef() Mat {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
 }
 
 // TestDotStripedMatchesRefEdgeLanes pins the striped Dot against the
@@ -124,71 +110,6 @@ func TestDotDeterministic(t *testing.T) {
 	}
 }
 
-// TestBlockedTransposeMatchesRef: the tiled T is pure data movement and must
-// equal the naive TransposeRef bit-for-bit on every shape class — below the
-// tile floor, tile-aligned, ragged in one or both dimensions, and degenerate
-// single-row/column shapes.
-func TestBlockedTransposeMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	shapes := []struct{ r, c int }{
-		{0, 0}, {1, 1}, {1, 65}, {65, 1}, {7, 9},
-		{63, 64}, {64, 64}, {64, 65}, {65, 127}, {128, 128},
-		{130, 67}, {67, 200}, {256, 31},
-	}
-	for _, sh := range shapes {
-		m := RandMat(rng, sh.r, sh.c, 1)
-		got, want := m.T(), m.TransposeRef()
-		if got.Rows != want.Rows || got.Cols != want.Cols || !reflect.DeepEqual(got.Data, want.Data) {
-			t.Fatalf("%dx%d: blocked transpose differs from reference", sh.r, sh.c)
-		}
-		back := got.T()
-		if !reflect.DeepEqual(back.Data, m.Data) {
-			t.Fatalf("%dx%d: (Mᵀ)ᵀ != M", sh.r, sh.c)
-		}
-	}
-}
-
-// TestMatMulDotPathMatchesAxpy: above the routing floor MatMul streams
-// through bᵀ and the striped Dot; the result must match the retained axpy
-// loop within FP32 reassociation tolerance, and stay bit-identical across
-// worker counts (row results are index-owned either way).
-func TestMatMulDotPathMatchesAxpy(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	// 64·72·80 = 368640 ≥ matMulDotFlops? No — pick shapes straddling it.
-	big := struct{ m, k, n int }{128, 96, 128} // 1.5M flops: dot path
-	a := RandMat(rng, big.m, big.k, 1)
-	b := RandMat(rng, big.k, big.n, 1)
-	got := MatMul(a, b)
-	axpy := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow, orow := a.Row(i), axpy.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	if big.m*big.k*big.n < matMulDotFlops {
-		t.Fatalf("test shape below matMulDotFlops; raise it")
-	}
-	for i := range got.Data {
-		if d := math.Abs(float64(got.Data[i]) - float64(axpy.Data[i])); d > 1e-3*(1+math.Abs(float64(axpy.Data[i]))) {
-			t.Fatalf("element %d: dot-path %v vs axpy %v", i, got.Data[i], axpy.Data[i])
-		}
-	}
-	// Worker count must never reach a bit.
-	old := runtime.GOMAXPROCS(1)
-	serial := MatMul(a, b)
-	runtime.GOMAXPROCS(4)
-	par := MatMul(a, b)
-	runtime.GOMAXPROCS(old)
-	if !reflect.DeepEqual(serial.Data, par.Data) || !reflect.DeepEqual(serial.Data, got.Data) {
-		t.Fatal("MatMul differs across worker counts")
-	}
-}
-
 // FuzzDotStripedEquivalence fuzzes lengths and value classes, asserting the
 // striped Dot agrees with the scalar DotRef: bitwise below one stripe,
 // within FP32 tolerance for finite data, NaN-for-NaN when NaN is injected,
@@ -239,25 +160,6 @@ func FuzzDotStripedEquivalence(f *testing.F) {
 			if d := math.Abs(float64(got) - float64(ref)); d > 1e-3*(1+math.Abs(float64(ref))) {
 				t.Fatalf("n=%d: striped %v vs scalar %v differ by %v", n, got, ref, d)
 			}
-		}
-	})
-}
-
-// FuzzBlockedTranspose fuzzes shapes around the tile boundary, requiring the
-// tiled transpose to be bit-identical to the naive reference.
-func FuzzBlockedTranspose(f *testing.F) {
-	f.Add(int64(1), 64, 64)
-	f.Add(int64(2), 65, 127)
-	f.Add(int64(3), 1, 200)
-	f.Fuzz(func(t *testing.T, seed int64, rows, cols int) {
-		if rows < 0 || cols < 0 || rows > 512 || cols > 512 {
-			return
-		}
-		rng := rand.New(rand.NewSource(seed))
-		m := RandMat(rng, rows, cols, 1)
-		got, want := m.T(), m.TransposeRef()
-		if !reflect.DeepEqual(got.Data, want.Data) {
-			t.Fatalf("%dx%d: blocked transpose differs from reference", rows, cols)
 		}
 	})
 }

@@ -10,7 +10,6 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/fp16"
 )
@@ -61,63 +60,21 @@ func (m Mat) SliceRows(lo, hi int) Mat {
 	return Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
-// transposeTile is the square tile edge of the blocked transpose: 64×64
-// float32 source plus destination tiles are 32 KiB together, sized to stay
-// L1-resident while the tile is scattered. Transposition is pure data
-// movement, so tiling can never change a bit — only the miss rate.
-const transposeTile = 64
-
-// T returns the transpose of m as a new matrix. Large matrices transpose
-// tile by tile (transposeTile² elements at a time) so both the row-major
-// reads and the column-strided writes stay inside one cache tile; the
-// result is bit-identical to the naive row-by-row loop for every shape.
+// T returns the transpose of m as a new matrix.
 func (m Mat) T() Mat {
 	out := New(m.Cols, m.Rows)
-	if m.Rows*m.Cols < transposeTile*transposeTile {
-		for i := 0; i < m.Rows; i++ {
-			row := m.Row(i)
-			for j, v := range row {
-				out.Data[j*m.Rows+i] = v
-			}
-		}
-		return out
-	}
-	for ii := 0; ii < m.Rows; ii += transposeTile {
-		ih := ii + transposeTile
-		if ih > m.Rows {
-			ih = m.Rows
-		}
-		for jj := 0; jj < m.Cols; jj += transposeTile {
-			jh := jj + transposeTile
-			if jh > m.Cols {
-				jh = m.Cols
-			}
-			for i := ii; i < ih; i++ {
-				row := m.Data[i*m.Cols+jj : i*m.Cols+jh]
-				for j, v := range row {
-					out.Data[(jj+j)*m.Rows+i] = v
-				}
-			}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j, v := range row {
+			out.Data[j*m.Rows+i] = v
 		}
 	}
 	return out
 }
 
-// matMulDotFlops is the work floor (element multiplications) above which
-// MatMul switches from the row-axpy loop to the transposed-operand striped
-// path: transpose b once with the blocked T, then compute every output
-// element as a striped Dot over two contiguous rows. Below the floor the
-// transpose would not amortize; the threshold is a pure function of shape,
-// so which path runs never depends on data or worker count.
-const matMulDotFlops = 1 << 20
-
-// MatMul returns a·b. Panics on shape mismatch. Products above a fixed work
-// floor shard output rows across runtime.GOMAXPROCS(0) pool workers, and large products
-// additionally route their inner loops through the cache-blocked transpose
-// and the striped Dot (both operands then stream contiguously through the
-// 8-lane MAC reduction). Row results are index-owned, so the result is
-// bit-identical for any worker count; the small-product path reproduces the
-// original serial axpy loop exactly.
+// MatMul returns a·b. Panics on shape mismatch. Each output row accumulates
+// a's row-scaled rows of b in k order (a serial row-axpy loop), so the
+// result is a pure function of the operands.
 //
 //lint:allow floataccum GEMM deliberately emulates the accelerator's FP32 accumulators
 func MatMul(a, b Mat) Mat {
@@ -125,23 +82,7 @@ func MatMul(a, b Mat) Mat {
 		panic(fmt.Sprintf("tensor: matmul shape %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
-	flops := a.Rows * a.Cols * b.Cols
-	workers := 1
-	if a.Rows > 1 && flops >= matMulParallelFlops {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if a.Rows >= 8 && a.Cols >= 8 && flops >= matMulDotFlops {
-		bt := b.T() // blocked transpose: b columns become contiguous rows
-		ParallelFor(a.Rows, workers, func(i int) {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = Dot(arow, bt.Row(j))
-			}
-		})
-		return out
-	}
-	ParallelFor(a.Rows, workers, func(i int) {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		for k := 0; k < a.Cols; k++ {
@@ -154,7 +95,7 @@ func MatMul(a, b Mat) Mat {
 				orow[j] += av * brow[j]
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -206,14 +147,6 @@ func Dot(a, b []float32) float32 {
 		s0 += a[i] * b[i]
 	}
 	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-}
-
-// Scale multiplies every element of m by f in place and returns m.
-func (m Mat) Scale(f float32) Mat {
-	for i := range m.Data {
-		m.Data[i] *= f
-	}
-	return m
 }
 
 // AddTo accumulates src into dst element-wise. Panics on shape mismatch.

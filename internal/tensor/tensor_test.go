@@ -165,11 +165,3 @@ func TestMatMulDistributive(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestScale(t *testing.T) {
-	m := FromSlice(1, 3, []float32{1, 2, 3})
-	m.Scale(2)
-	if m.Data[0] != 2 || m.Data[2] != 6 {
-		t.Errorf("Scale result %v", m.Data)
-	}
-}

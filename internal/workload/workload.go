@@ -87,12 +87,3 @@ func (g *Generator) Trace(n int) []Class {
 	}
 	return out
 }
-
-// TotalTokens sums input and output tokens over a trace.
-func TotalTokens(trace []Class) (in, out int) {
-	for _, c := range trace {
-		in += c.Input
-		out += c.Output
-	}
-	return in, out
-}

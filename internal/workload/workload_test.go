@@ -61,10 +61,3 @@ func TestGeneratorErrors(t *testing.T) {
 		t.Error("zero total weight accepted")
 	}
 }
-
-func TestTotalTokens(t *testing.T) {
-	in, out := TotalTokens([]Class{Short, Long})
-	if in != 256+8192 || out != 100+350 {
-		t.Errorf("TotalTokens = %d, %d", in, out)
-	}
-}
