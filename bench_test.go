@@ -428,3 +428,36 @@ func benchCluster(b *testing.B, instrument bool) {
 
 func BenchmarkClusterTelemetryOff(b *testing.B) { benchCluster(b, false) }
 func BenchmarkClusterTelemetryOn(b *testing.B)  { benchCluster(b, true) }
+
+// BenchmarkClusterReplayPreempt replays the benchmark's replay-preempt
+// shape through the facade: 20k Azure-mix requests at 4 per second over two
+// 8-device HILOS hosts, a FlexGen-DRAM host and an 8-device InstInfer tier,
+// with a 60 s deadline class for Short requests and preemption under
+// close-at-admission batching. About 50k batch evictions per replay, so
+// B/op and allocs/op show whether the preemption branch allocates per
+// eviction.
+func BenchmarkClusterReplayPreempt(b *testing.B) {
+	m, err := ModelByName("OPT-30B")
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs, err := NewTimedWorkloadTrace(1, 20_000, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := []ClusterOption{
+		WithFleet(SystemHILOS, 2, 8),
+		WithFleet(SystemFlexDRAM, 1, 0),
+		WithFleet(SystemInstInfer, 1, 8),
+		WithAdmission(16, 30),
+		WithDispatchPolicy(DispatchLeastLoaded),
+		WithPriorityClasses(PriorityClass{Class: "Short", Priority: 1, DeadlineSec: 60}),
+		WithPreemption(),
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Cluster(m, reqs, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

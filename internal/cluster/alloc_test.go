@@ -44,3 +44,41 @@ func TestPlanDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// A preempting close-at-admission Run allocates in proportion to its live
+// work, not its evictions: evicted slots are recycled, and evict reuses one
+// result buffer. The trace
+// overloads two pipelines with offline work, so each urgent batch evicts
+// the queued offline batches ahead of it.
+func TestPreemptRunAllocsBounded(t *testing.T) {
+	cfg := Config{
+		Model: model.OPT30B,
+		Fleet: []Pipeline{
+			{Name: "a", Run: constEngine(3), USDPerHour: 2},
+			{Name: "b", Run: constEngine(4), USDPerHour: 1},
+		},
+		Policy:    LeastLoaded,
+		Admission: Admission{MaxBatch: 4, MaxWaitSec: 2, Preemption: true},
+	}
+	reqs := digestTrace(7, 1000)
+	s, err := Run(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Run(cfg, reqs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured on amd64 with Go 1.24: 25,235 evictions, 547 assignments,
+	// 2,458 allocations per Run (about four per assignment: the batch's
+	// three slices and its slot). One fresh slot per placement puts it
+	// above 25k.
+	if s.PreemptedBatches < 500 {
+		t.Fatalf("the trace evicts %d batches, want at least 500", s.PreemptedBatches)
+	}
+	if allocs > float64(s.PreemptedBatches)/4 {
+		t.Errorf("%v allocations per Run for %d evicted batches and %d assignments, want at most a quarter of the evictions",
+			allocs, s.PreemptedBatches, len(s.Assignments))
+	}
+}

@@ -324,12 +324,33 @@ func (s Summary) PriorityByClass(priority int) (PriorityStats, bool) {
 	return PriorityStats{}, false
 }
 
-// summarize folds a drained loop's assignments into the Summary the loop
-// counted into, attributing time, tokens, cost and energy per pipeline and
-// queueing delay per priority class. The makespan measures from the trace's
-// first arrival. fracs parallels asgs with each attempt's performed-write
-// fraction (1 except for attempts a fail-stop killed mid-run).
-func summarize(l *eventLoop, asgs []Assignment, fracs []float64) Summary {
+// summarize folds a drained loop's schedule into the Summary the loop
+// counted into: each live slot, in dispatch order, becomes an Assignment,
+// and time, tokens, cost and energy are attributed per pipeline and
+// queueing delay per priority class. The makespan measures from the
+// trace's first arrival. fracs parallels asgs with each attempt's
+// performed-write fraction (1 except for attempts a fail-stop killed
+// mid-run).
+func summarize(l *eventLoop) Summary {
+	asgs := make([]Assignment, 0, len(l.order)-l.dead)
+	fracs := make([]float64, 0, len(l.order)-l.dead)
+	for _, sl := range l.order {
+		if sl == nil {
+			continue // evicted
+		}
+		// Failed slots (pipe -1) have no report, times or write fraction.
+		a := Assignment{
+			Batch: sl.b, Pipeline: sl.pipe,
+			StartSec: sl.start, FinishSec: sl.finish,
+			Aborted: sl.aborted, Reason: sl.reason,
+		}
+		if sl.rep != nil {
+			a.Report = *sl.rep
+		}
+		asgs = append(asgs, a)
+		fracs = append(fracs, sl.writeFrac)
+	}
+
 	cfg, reqs, s := l.cfg, l.trace, l.sum
 	startSec := reqs[0].ArrivalSec
 	s.RejectedJobs = len(l.rejected)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/endurance"
 	"repro/internal/faults"
@@ -23,6 +24,11 @@ import (
 // pipeline (a transient batch error, or a fail-stop killing it mid-run —
 // writeFrac says how much of its flash writes landed) but completed no
 // work; its batch's retry or terminal failure is recorded separately.
+//
+// Slots are recycled: an evicted slot goes on the loop's free list once its
+// batch is re-dispatched, and the next placement reuses it. gen counts the
+// slot's evictions, so a completion event armed before one (it carries the
+// gen it was armed at) is stale whether or not the slot was reused since.
 type slot struct {
 	b       BatchJob
 	rep     *pipeline.Report // shared with the dispatcher's report table
@@ -31,7 +37,8 @@ type slot struct {
 	reason  string
 	start   float64
 	finish  float64
-	evicted bool
+	gen     int
+	ord     int // the slot's index in eventLoop.order
 
 	aborted   bool
 	transient bool    // this attempt draws a transient batch error at finish
@@ -60,15 +67,22 @@ type eventLoop struct {
 
 	// chains[p] holds the live slots on pipeline p, in execution order: the
 	// running slot (immovable) and, in close-at-admission mode, an
-	// unstarted suffix that preemption may evict and re-enqueue. Finished
-	// slots are pruned as the clock advances; floors[p] keeps the pruned
-	// prefix's finish time as the rescheduling baseline.
+	// unstarted suffix that preemption may evict and re-enqueue. An evicted
+	// slot leaves its chain at once. Finished slots are pruned as the clock
+	// advances; floors[p] keeps the pruned prefix's finish time as the
+	// rescheduling baseline.
 	chains [][]*slot
 	floors []float64
-	// order records every dispatch decision in the order it was made;
-	// evicted slots are filtered out of the final Summary but keep the
-	// dispatch order of everything else stable.
+	// order records every dispatch decision in the order it was made. An
+	// evicted slot's entry is tombstoned (nil) and counted in dead, so the
+	// final Summary keeps the dispatch order of everything else and is sized
+	// to the live entries alone.
 	order []*slot
+	dead  int
+	// free holds evicted slots ready for reuse; evicted is evict's reused
+	// result buffer.
+	free    []*slot
+	evicted []*slot
 
 	rejected []Request
 	// sum is the Summary under construction: preemption and recovery
@@ -195,7 +209,7 @@ func (l *eventLoop) arrive(i int) {
 	k := queueKey{priority: r.Priority, class: r.Class}
 	q := l.queues[k]
 	if q == nil {
-		q = &classQueue{key: k, table: l.d.table(r.Class)}
+		q = &classQueue{key: k, table: l.d.table(r.Class), depth: l.cfg.Telemetry.queueGauge(k)}
 		l.queues[k] = q
 		l.qlist = append(l.qlist, q)
 	}
@@ -206,7 +220,7 @@ func (l *eventLoop) arrive(i int) {
 	pos := q.taken + len(q.reqs)
 	q.reqs = append(q.reqs, i)
 	l.cfg.Telemetry.onArrival(*r)
-	l.cfg.Telemetry.onQueueDepth(k, len(q.reqs))
+	q.depth.Set(float64(len(q.reqs)))
 	if l.cfg.Admission.Preemption && r.DeadlineSec > 0 {
 		l.push(event{at: r.StartDeadline(), kind: evDeadline, q: q, idx: pos})
 	}
@@ -282,7 +296,7 @@ func minDeadline(b BatchJob) float64 {
 func (l *eventLoop) takeBatch(q *classQueue, n int) BatchJob {
 	b := makeBatch(q.key, l.trace, q.reqs[:n], l.now)
 	q.take(n)
-	l.cfg.Telemetry.onQueueDepth(q.key, len(q.reqs))
+	q.depth.Set(float64(len(q.reqs)))
 	if len(q.reqs) > 0 {
 		dl := q.waitDeadline(l.trace, l.cfg.Admission.MaxWaitSec)
 		l.push(event{at: max(dl, l.now), kind: evTimeout, q: q, dl: dl})
@@ -293,20 +307,20 @@ func (l *eventLoop) takeBatch(q *classQueue, n int) BatchJob {
 // commitSlot materializes a planned placement as a schedule slot. With a
 // fault injector active it also draws the attempt's transient-error fate
 // (at commit, in dispatch order — single-goroutine, so the PRNG stream is
-// deterministic) and arms a completion event carrying the finish it was
-// armed for, so preemption-shifted slots invalidate stale completions. In
-// continuous mode it arms the pipeline-free event that re-packs the queues.
+// deterministic) and arms a completion event carrying the finish and
+// generation it was armed for, so completions of shifted or evicted slots go
+// stale. In continuous mode it arms the pipeline-free event that re-packs
+// the queues.
 func (l *eventLoop) commitSlot(b BatchJob, pl placement) {
-	s := &slot{
+	s := l.newSlot(slot{
 		b: b, rep: pl.rep, execSec: pl.sec,
 		pipe: pl.p, start: pl.start, finish: pl.start + pl.sec, writeFrac: 1,
-	}
+	})
 	l.d.freeAt[pl.p] = s.finish
 	l.chains[pl.p] = append(l.chains[pl.p], s)
-	l.order = append(l.order, s)
 	name := l.cfg.Fleet[pl.p].Name
 	l.cfg.Telemetry.onBatch("dispatch", l.now, &s.b, name, s.finish-s.start,
-		func() string { return fmt.Sprintf("start=%g", s.start) })
+		func() string { return "start=" + strconv.FormatFloat(s.start, 'g', -1, 64) })
 	if l.d.inj != nil {
 		s.transient = l.d.inj.BatchFails(pl.p)
 		if pl.degraded {
@@ -314,16 +328,38 @@ func (l *eventLoop) commitSlot(b BatchJob, pl placement) {
 			l.sum.DegradedJobs += len(b.JobIDs)
 			l.cfg.Telemetry.onBatch("degrade", l.now, &s.b, name, 0, nil)
 		}
-		l.push(event{at: s.finish, kind: evDone, s: s, dl: s.finish})
+		l.armDone(s)
 	}
 	if l.cfg.Admission.ContinuousBatching {
 		l.push(event{at: s.finish, kind: evFree})
 	}
 }
 
+// newSlot appends a slot holding v to the dispatch order, reusing a free
+// (evicted) slot when there is one. A reused slot keeps its generation.
+func (l *eventLoop) newSlot(v slot) *slot {
+	var s *slot
+	if n := len(l.free); n > 0 {
+		s = l.free[n-1]
+		l.free = l.free[:n-1]
+		v.gen = s.gen
+	} else {
+		s = new(slot)
+	}
+	v.ord = len(l.order)
+	*s = v
+	l.order = append(l.order, s)
+	return s
+}
+
+// armDone arms s's completion event for its current finish and generation.
+func (l *eventLoop) armDone(s *slot) {
+	l.push(event{at: s.finish, kind: evDone, s: s, dl: s.finish, idx: s.gen})
+}
+
 // failSlot records a batch no pipeline could place.
 func (l *eventLoop) failSlot(b BatchJob, reason string) {
-	l.order = append(l.order, &slot{b: b, pipe: -1, reason: reason})
+	l.newSlot(slot{b: b, pipe: -1, reason: reason})
 	l.cfg.Telemetry.onFail(l.now, b, reason)
 }
 
@@ -413,29 +449,44 @@ func (l *eventLoop) preemptInto(p int, b BatchJob, t *reportTable) {
 		l.sum.PreemptedJobs += len(ev.b.JobIDs)
 		l.preempted[ev.b.Priority] += len(ev.b.JobIDs)
 		l.cfg.Telemetry.onBatch("preempt", l.now, &ev.b, l.cfg.Fleet[p].Name, 0,
-			func() string { return fmt.Sprintf("by_priority=%d", b.Priority) })
+			func() string { return "by_priority=" + strconv.Itoa(b.Priority) })
 	}
-	for _, ev := range evicted {
-		l.redispatch(ev.b)
-	}
+	l.redispatchEvicted(evicted)
 }
 
 // evict removes pipeline p's unstarted slots that match drop from its chain,
-// marks them evicted, re-times the survivors, and returns the evicted slots.
+// tombstones their dispatch-order entries, bumps their generations (their
+// armed completions go stale), re-times the survivors, and returns the
+// evicted slots. The result is the loop's own buffer, valid until the next
+// evict; nothing that drains it (telemetry, redispatch) evicts.
 func (l *eventLoop) evict(p int, drop func(*slot) bool) []*slot {
-	var evicted []*slot
+	evicted := l.evicted[:0]
 	kept := l.chains[p][:0]
 	for _, s := range l.chains[p] {
 		if s.start > l.now && drop(s) {
-			s.evicted = true
+			s.gen++
+			l.order[s.ord] = nil
+			l.dead++
 			evicted = append(evicted, s)
 		} else {
 			kept = append(kept, s)
 		}
 	}
 	l.chains[p] = kept
+	l.evicted = evicted
 	l.recompute(p)
 	return evicted
+}
+
+// redispatchEvicted re-dispatches each evicted slot's batch, then frees the
+// slot for reuse. A slot is freed only after redispatch has copied its
+// batch, so re-placing one evictee may reuse the slots of those before it
+// but never its own, nor one not yet drained.
+func (l *eventLoop) redispatchEvicted(evicted []*slot) {
+	for _, ev := range evicted {
+		l.redispatch(ev.b)
+		l.free = append(l.free, ev)
+	}
 }
 
 // recompute re-times pipeline p's unstarted suffix after an eviction:
@@ -456,7 +507,7 @@ func (l *eventLoop) recompute(p int) {
 		s.finish = s.start + s.execSec
 		prevFinish = s.finish
 		if l.d.inj != nil && s.finish != old {
-			l.push(event{at: s.finish, kind: evDone, s: s, dl: s.finish})
+			l.armDone(s)
 		}
 	}
 	l.d.freeAt[p] = prevFinish
@@ -464,11 +515,12 @@ func (l *eventLoop) recompute(p int) {
 
 // fireDone settles one attempt at its finish (faults active only): charge
 // the attempt's flash writes against the pipeline's wear budget, then
-// resolve its transient-error fate. Stale events — the slot was evicted, or
-// a kill or preemption moved its finish — are skipped.
+// resolve its transient-error fate. Stale events — the slot was evicted
+// (and perhaps reused) since, or a kill or preemption moved its finish — are
+// skipped.
 func (l *eventLoop) fireDone(e event) {
 	s := e.s
-	if s.evicted || s.finish != e.dl {
+	if s.gen != e.idx || s.finish != e.dl {
 		return
 	}
 	p := s.pipe
@@ -592,9 +644,7 @@ func (l *eventLoop) evictUnstarted(p int, cause string) {
 		l.sum.FailedOverJobs += len(ev.b.JobIDs)
 		l.cfg.Telemetry.onBatch("failover", l.now, &ev.b, l.cfg.Fleet[p].Name, 0, func() string { return cause })
 	}
-	for _, ev := range evicted {
-		l.redispatch(ev.b)
-	}
+	l.redispatchEvicted(evicted)
 }
 
 // redispatch places recovered work (a retry whose backoff expired, or a
@@ -795,25 +845,7 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		l.failSlot(b, "no healthy pipeline before trace end")
 	}
 
-	asgs := make([]Assignment, 0, len(l.order))
-	fracs := make([]float64, 0, len(l.order))
-	for _, s := range l.order {
-		if s.evicted {
-			continue
-		}
-		// Failed slots (pipe -1) have no report, times or write fraction.
-		a := Assignment{
-			Batch: s.b, Pipeline: s.pipe,
-			StartSec: s.start, FinishSec: s.finish,
-			Aborted: s.aborted, Reason: s.reason,
-		}
-		if s.rep != nil {
-			a.Report = *s.rep
-		}
-		asgs = append(asgs, a)
-		fracs = append(fracs, s.writeFrac)
-	}
-	return summarize(l, asgs, fracs), nil
+	return summarize(l), nil
 }
 
 // strictlySorted reports whether reqs is strictly increasing in

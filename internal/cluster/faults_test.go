@@ -203,6 +203,44 @@ func TestWearOutDegradesToLossyTier(t *testing.T) {
 	}
 }
 
+// Preemption frees each evicted slot once its batch is re-dispatched, and a
+// later placement reuses it while the completion event armed for its old
+// batch is still in the heap. In this trace some of those stale events fall
+// on the instant the slot's new batch finishes, so only the generation they
+// carry marks them stale; acting on one would charge the slot's flash
+// writes twice. Each writing pipeline's wear budget sits half a batch above
+// what it writes, so a second charge would wear it out: the run must match
+// the reference and wear nothing out.
+func TestRecycledSlotSkipsStaleCompletion(t *testing.T) {
+	cfg := Config{
+		Model: model.OPT30B, Fleet: referenceFleet(), Policy: LeastLoaded,
+		Admission: Admission{MaxBatch: 2, MaxWaitSec: 1, Preemption: true},
+	}
+	reqs := digestTrace(1, 80)
+	// An unreachable budget arms the completion events without binding.
+	plan := faults.Plan{Seed: 1, WearBudgetBytes: 1e15}
+	cfg.Faults = mustInjector(t, plan, len(cfg.Fleet))
+	loose, err := Run(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loose.PreemptedBatches == 0 {
+		t.Fatal("the trace evicts nothing")
+	}
+	for p, ps := range loose.Pipelines {
+		if ps.WriteBytes > 0 {
+			plan.Events = append(plan.Events, faults.Event{Kind: faults.WearOut, Pipeline: p, BudgetBytes: ps.WriteBytes + 0.5e9})
+		}
+	}
+	cfg.Faults = mustInjector(t, plan, len(cfg.Fleet))
+	s := matchReference(t, cfg, mustInjector(t, plan, len(cfg.Fleet)), reqs)
+	for p, ps := range s.Pipelines {
+		if ps.WearOut || ps.WriteBytes != loose.Pipelines[p].WriteBytes {
+			t.Errorf("%s: wear-out %t after %g bytes, want no wear-out after %g", ps.Name, ps.WearOut, ps.WriteBytes, loose.Pipelines[p].WriteBytes)
+		}
+	}
+}
+
 // Retry backoff doubles from BackoffSec per attempt and stops at
 // BackoffMaxSec; a zero cap leaves it uncapped, and a cap below BackoffSec
 // caps even the first retry.

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/faults"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -40,6 +41,7 @@ func (k queueKey) cmp(o queueKey) int {
 type classQueue struct {
 	key   queueKey
 	table *reportTable
+	depth *telemetry.Gauge // nil without telemetry
 	reqs  []int
 	taken int
 }
@@ -102,10 +104,14 @@ type event struct {
 	seq  int     // creation order: the final deterministic tie-break
 	dl   float64 // evTimeout/evDone: the deadline/finish the event was armed for
 	// idx is the trace index (evArrival), the request's admission position
-	// in q (evDeadline) or the pipeline (evRepair).
-	idx   int
-	q     *classQueue   // evTimeout, evDeadline
-	s     *slot         // evDone: the slot whose finish this narrates
+	// in q (evDeadline), the generation of s it was armed at (evDone) or the
+	// pipeline (evRepair).
+	idx int
+	q   *classQueue // evTimeout, evDeadline
+	// s is the slot whose finish an evDone narrates. Slots are recycled, so
+	// s may hold another batch by the time the event fires; its generation
+	// then differs from idx.
+	s     *slot
 	b     *BatchJob     // evRetry: the batch to re-place
 	fault *faults.Event // evFault
 }

@@ -975,10 +975,7 @@ func referencePlan(seed int64, bits, pipelines int, horizon float64) (faults.Pla
 // batching, preemption on and off, every policy, backlog caps on and off,
 // subsets of a mixed fleet, and fault plans on and off: fail-stops with
 // repairs, transient errors, a straggler, wear budgets, retries and the
-// circuit breaker. It compares the assignments in dispatch order (aborted
-// attempts and reasons included), the rejected and failed jobs, the
-// preemption and recovery counters, and each pipeline's flash writes and
-// wear-out. Everything else in the Summary is a fold of these.
+// circuit breaker. matchReference says what it compares.
 func FuzzEventLoopMatchesReference(f *testing.F) {
 	f.Add(int64(1), 40, 4, 12, 0, 0b1111_00_00)
 	f.Add(int64(2), 60, 3, 0, 12, 0b1111_01_01)
@@ -1039,57 +1036,70 @@ func FuzzEventLoopMatchesReference(f *testing.F) {
 			}
 			cfg.Retry = retry
 		}
-		s, err := Run(cfg, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := runReference(cfg, refInj, reqs)
-
-		want := ref.assignments()
-		for i := range max(len(want), len(s.Assignments)) {
-			if i >= len(want) || i >= len(s.Assignments) || !reflect.DeepEqual(s.Assignments[i], want[i]) {
-				t.Fatalf("%+v %+v: assignment %d of %d/%d differs\nRun:       %s\nreference: %s",
-					cfg.Admission, cfg.Retry, i, len(s.Assignments), len(want), asgAt(s.Assignments, i), asgAt(want, i))
-			}
-		}
-		sort.Ints(ref.rejected)
-		if !reflect.DeepEqual(s.RejectedJobIDs, ref.rejected) {
-			t.Fatalf("rejected %v, reference %v", s.RejectedJobIDs, ref.rejected)
-		}
-		if got, want := s.FailedJobIDs, ref.failedIDs(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("failed %v, reference %v", got, want)
-		}
-		got := refCounts{
-			PreemptedBatches: s.PreemptedBatches, PreemptedJobs: s.PreemptedJobs,
-			RetriedBatches: s.RetriedBatches, RetriedJobs: s.RetriedJobs,
-			FailedOverBatches: s.FailedOverBatches, FailedOverJobs: s.FailedOverJobs,
-			DegradedBatches: s.DegradedBatches, DegradedJobs: s.DegradedJobs,
-		}
-		for _, ps := range s.Pipelines {
-			got.Faults = append(got.Faults, ps.Faults)
-			got.Quarantines = append(got.Quarantines, ps.Quarantines)
-		}
-		if !reflect.DeepEqual(got, ref.counts) {
-			t.Fatalf("counters %+v, reference %+v", got, ref.counts)
-		}
-		for _, ps := range s.PerPriority {
-			if ps.PreemptedJobs != ref.preByPrio[ps.Priority] {
-				t.Fatalf("priority %d preempted %d jobs, reference %d", ps.Priority, ps.PreemptedJobs, ref.preByPrio[ps.Priority])
-			}
-		}
-		writes := make([]float64, len(fleet))
-		for _, sl := range ref.slots {
-			if sl.pipe >= 0 {
-				writes[sl.pipe] += batchWriteBytes(&sl.rep, &sl.b) * sl.writeFrac
-			}
-		}
-		for p, ps := range s.Pipelines {
-			if worn := math.IsInf(ref.health[p].downUntil, 1); ps.WearOut != worn || ps.WriteBytes != writes[p] {
-				t.Fatalf("pipeline %d: wear-out %t after %g bytes, reference %t after %g",
-					p, ps.WearOut, ps.WriteBytes, worn, writes[p])
-			}
-		}
+		matchReference(t, cfg, refInj, reqs)
 	})
+}
+
+// matchReference runs reqs through Run and through the reference scheduler
+// (which draws transient fates from refInj, built from the same plan as
+// cfg.Faults) and fails t at the first difference: the assignments in
+// dispatch order (aborted attempts and reasons included), the rejected and
+// failed jobs, the preemption and recovery counters, and each pipeline's
+// flash writes and wear-out. Everything else in the Summary is a fold of
+// these. It returns Run's Summary.
+func matchReference(t *testing.T, cfg Config, refInj *faults.Injector, reqs []Request) Summary {
+	t.Helper()
+	s, err := Run(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := runReference(cfg, refInj, reqs)
+
+	want := ref.assignments()
+	for i := range max(len(want), len(s.Assignments)) {
+		if i >= len(want) || i >= len(s.Assignments) || !reflect.DeepEqual(s.Assignments[i], want[i]) {
+			t.Fatalf("%+v %+v: assignment %d of %d/%d differs\nRun:       %s\nreference: %s",
+				cfg.Admission, cfg.Retry, i, len(s.Assignments), len(want), asgAt(s.Assignments, i), asgAt(want, i))
+		}
+	}
+	sort.Ints(ref.rejected)
+	if !reflect.DeepEqual(s.RejectedJobIDs, ref.rejected) {
+		t.Fatalf("rejected %v, reference %v", s.RejectedJobIDs, ref.rejected)
+	}
+	if got, want := s.FailedJobIDs, ref.failedIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("failed %v, reference %v", got, want)
+	}
+	got := refCounts{
+		PreemptedBatches: s.PreemptedBatches, PreemptedJobs: s.PreemptedJobs,
+		RetriedBatches: s.RetriedBatches, RetriedJobs: s.RetriedJobs,
+		FailedOverBatches: s.FailedOverBatches, FailedOverJobs: s.FailedOverJobs,
+		DegradedBatches: s.DegradedBatches, DegradedJobs: s.DegradedJobs,
+	}
+	for _, ps := range s.Pipelines {
+		got.Faults = append(got.Faults, ps.Faults)
+		got.Quarantines = append(got.Quarantines, ps.Quarantines)
+	}
+	if !reflect.DeepEqual(got, ref.counts) {
+		t.Fatalf("counters %+v, reference %+v", got, ref.counts)
+	}
+	for _, ps := range s.PerPriority {
+		if ps.PreemptedJobs != ref.preByPrio[ps.Priority] {
+			t.Fatalf("priority %d preempted %d jobs, reference %d", ps.Priority, ps.PreemptedJobs, ref.preByPrio[ps.Priority])
+		}
+	}
+	writes := make([]float64, len(cfg.Fleet))
+	for _, sl := range ref.slots {
+		if sl.pipe >= 0 {
+			writes[sl.pipe] += batchWriteBytes(&sl.rep, &sl.b) * sl.writeFrac
+		}
+	}
+	for p, ps := range s.Pipelines {
+		if worn := math.IsInf(ref.health[p].downUntil, 1); ps.WearOut != worn || ps.WriteBytes != writes[p] {
+			t.Fatalf("pipeline %d: wear-out %t after %g bytes, reference %t after %g",
+				p, ps.WearOut, ps.WriteBytes, worn, writes[p])
+		}
+	}
+	return s
 }
 
 // mod folds a fuzzed int into [0, k).

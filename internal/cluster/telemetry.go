@@ -38,8 +38,6 @@ type Telemetry struct {
 	clock      *telemetry.Gauge
 	// batchC holds the batch and job counters of each batch event kind.
 	batchC map[string][2]*telemetry.Counter
-
-	queueDepth map[queueKey]*telemetry.Gauge
 }
 
 // batchKinds maps each batch event kind to its counters' name stem.
@@ -65,7 +63,6 @@ func NewTelemetry(reg *telemetry.Registry, stream *telemetry.Stream) *Telemetry 
 		quarC:      reg.Counter("cluster.quarantines"),
 		clock:      reg.Gauge("cluster.sim_clock_sec"),
 		batchC:     map[string][2]*telemetry.Counter{},
-		queueDepth: map[queueKey]*telemetry.Gauge{},
 	}
 	for kind, stem := range batchKinds {
 		t.batchC[kind] = [2]*telemetry.Counter{reg.Counter("cluster." + stem + "_batches"), reg.Counter("cluster." + stem + "_jobs")}
@@ -105,17 +102,13 @@ func (t *Telemetry) onReject(r Request) {
 	})
 }
 
-// onQueueDepth records a queue's depth after it changed.
-func (t *Telemetry) onQueueDepth(k queueKey, depth int) {
+// queueGauge returns the depth gauge of queue k, which the queue keeps and
+// sets after each change; nil without telemetry or a registry.
+func (t *Telemetry) queueGauge(k queueKey) *telemetry.Gauge {
 	if t == nil {
-		return
+		return nil
 	}
-	g := t.queueDepth[k]
-	if g == nil {
-		g = t.reg.Gauge(fmt.Sprintf("cluster.queue_depth.p%d.%s", k.priority, k.class.Name))
-		t.queueDepth[k] = g
-	}
-	g.Set(float64(depth))
+	return t.reg.Gauge(fmt.Sprintf("cluster.queue_depth.p%d.%s", k.priority, k.class.Name))
 }
 
 // onBatch counts one batch event on a pipeline and publishes it. kind is one

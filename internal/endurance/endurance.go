@@ -66,15 +66,15 @@ func (w WriteModel) BytesPerRequest(m model.Config, class workload.Class) (float
 	perTokenKV := float64(m.KVBytesPerTokenLayer()) * float64(m.Layers)
 	perTokenX := float64(m.XBytesPerTokenLayer()) * float64(m.Layers)
 	// Storage mix: (1−α) of the cache as K/V, α as X.
-	perToken := (1-w.XAlpha)*perTokenKV + w.XAlpha*perTokenX
+	perToken := float64((1-w.XAlpha)*perTokenKV) + float64(w.XAlpha*perTokenX)
 
-	prefill := float64(class.Input) * perToken // row-wise, page-aligned
-	decode := float64(class.Output) * perToken * w.DecodeWAF
+	prefill := float64(float64(class.Input) * perToken) // row-wise, page-aligned
+	decode := float64(float64(class.Output) * perToken * w.DecodeWAF)
 	if w.SpillInterval > 0 {
 		// Metadata per spill per (KV-head × layer) row group, amortized
 		// over the interval.
 		rows := float64(m.KVHeads * m.Layers)
-		decode += float64(class.Output) / float64(w.SpillInterval) * rows * w.SpillMetaBytes
+		decode += float64(float64(class.Output) / float64(w.SpillInterval) * rows * w.SpillMetaBytes)
 	}
 	return prefill + decode, nil
 }

@@ -56,8 +56,8 @@ func PerToken(tb device.Testbed, rep pipeline.Report, cfg Config) (Breakdown, er
 	gpuBusy := clamp(rep.ResourceBusy[pipeline.ResGPU], 0, step)
 
 	var b Breakdown
-	b.CPU = cpuBusy*tb.CPU.BusyPowerW + (step-cpuBusy)*tb.CPU.IdlePowerW
-	b.GPU = float64(cfg.GPUCount) * (gpuBusy*tb.GPU.BusyPowerW + (step-gpuBusy)*tb.GPU.IdlePowerW)
+	b.CPU = float64(cpuBusy*tb.CPU.BusyPowerW) + float64((step-cpuBusy)*tb.CPU.IdlePowerW)
+	b.GPU = float64(cfg.GPUCount) * (float64(gpuBusy*tb.GPU.BusyPowerW) + float64((step-gpuBusy)*tb.GPU.IdlePowerW))
 	b.DRAM = tb.DRAM.PowerW * step
 
 	switch cfg.Storage {

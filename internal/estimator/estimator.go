@@ -75,7 +75,7 @@ func Correlation(pts []Point) (float64, error) {
 		if p.Estimated <= 0 || p.Measured <= 0 {
 			return 0, fmt.Errorf("estimator: non-positive time at point %d", i)
 		}
-		kvBytes := 2 * float64(p.Seq) * 128 * 2
+		kvBytes := float64(2*float64(p.Seq)*128) * 2
 		est[i] = kvBytes / p.Estimated
 		meas[i] = kvBytes / p.Measured
 	}

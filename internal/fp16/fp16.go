@@ -115,7 +115,7 @@ func ToFloat32(h Bits) float32 {
 			return math.Float32frombits(sign) // signed zero
 		}
 		// Subnormal half: value = frac * 2^-24.
-		return math.Float32frombits(sign) + float32(frac)*float32(math.Ldexp(1, -24))*sgn(sign)
+		return math.Float32frombits(sign) + float32(float32(frac)*float32(math.Ldexp(1, -24))*sgn(sign))
 	}
 	return math.Float32frombits(sign | (exp+127-expBias)<<23 | frac<<13)
 }

@@ -46,7 +46,7 @@ func Plan(m model.Config, batch, maxSeq, devices int, alpha float64) (Placement,
 		Model: m, Batch: batch, MaxSeq: maxSeq, Devices: devices, Alpha: alpha,
 		TotalGroups: batch * m.KVHeads,
 	}
-	p.XGroups = int(float64(p.TotalGroups)*alpha + 0.5)
+	p.XGroups = int(float64(float64(p.TotalGroups)*alpha) + 0.5)
 	p.KVGroups = p.TotalGroups - p.XGroups
 
 	perGroupKV := int64(maxSeq) * int64(m.Layers) * (2 * int64(m.HeadDim()) * model.BytesPerElem)

@@ -101,7 +101,7 @@ func headSlice(row []float32, h, d int) []float32 { return row[h*d : (h+1)*d] }
 func gelu(x float32) float32 {
 	const c = 0.7978845608028654 // sqrt(2/pi)
 	x64 := float64(x)
-	return float32(0.5 * x64 * (1 + math.Tanh(c*(x64+0.044715*x64*x64*x64))))
+	return float32(0.5 * x64 * (1 + math.Tanh(c*(x64+float64(0.044715*x64*x64*x64)))))
 }
 
 // project computes the q/k/v rows for one input row, applying RoPE at pos.

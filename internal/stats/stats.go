@@ -37,9 +37,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, errors.New("stats: zero variance sample")
