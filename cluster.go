@@ -5,12 +5,9 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/cost"
 	"repro/internal/device"
-	"repro/internal/energy"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/trace"
@@ -268,20 +265,21 @@ func Cluster(m Model, reqs []TimedRequest, opts ...ClusterOption) (ClusterSummar
 		if err != nil {
 			return ClusterSummary{}, err
 		}
-		usdPerHour, ec := pipelineEconomics(fs.sys, devices, tb)
+		usdPerHour := eng.PriceUSD() / amortHours
+		etb, ec := eng.EnergyModel()
+		power := &cluster.EnergyConfig{Testbed: etb, Model: ec}
 		for i := 0; i < fs.count; i++ {
 			fleet = append(fleet, cluster.Pipeline{
 				Name:       fmt.Sprintf("%s/%d", fs.sys, len(fleet)),
 				Run:        eng.Run,
 				USDPerHour: usdPerHour,
-				Energy:     ec,
+				Energy:     power,
 				// Pipelines from one fleet spec share the engine, so their
 				// batch simulations memoize together.
 				EngineID: fmt.Sprintf("%s/%d-dev", fs.sys, devices),
-				// InstInfer's top-1/8 KV retrieval is approximate: work that
-				// lands here only because every exact tier is out of service
-				// counts as degraded, not business as usual.
-				Lossy: fs.sys == SystemInstInfer,
+				// Work that lands on a lossy tier only because every exact
+				// tier is out of service counts as degraded.
+				Lossy: eng.Lossy(),
 			})
 		}
 	}
@@ -333,32 +331,6 @@ func Cluster(m Model, reqs []TimedRequest, opts ...ClusterOption) (ClusterSummar
 			ContinuousBatching: cfg.continuous,
 		},
 	}, reqs)
-}
-
-// pipelineEconomics prices one pipeline's hardware via the §6.6 bill of
-// materials, amortized to $/hour, and selects its Fig. 17(a) energy model.
-func pipelineEconomics(sys System, devices int, tb Testbed) (float64, *cluster.EnergyConfig) {
-	var cs cost.System
-	ec := energy.Config{Storage: energy.PlainSSDs, Devices: 4}
-	switch {
-	case strings.HasPrefix(string(sys), "hilos") || sys == SystemInstInfer:
-		// NSP tiers: host + GPU + chassis + computational SSDs.
-		cs = cost.HILOSSystem(tb.GPU, devices)
-		ec = energy.Config{Storage: energy.SmartSSDs, Devices: devices, AccelPowerW: tb.SmartSSD.AccelPowerW}
-	case sys == SystemFlex16SSD:
-		// The SmartSSD array with FPGAs off: chassis + 16 devices, SSD-only
-		// power.
-		cs = cost.System{Name: string(sys), GPU: tb.GPU, SmartSSDs: 16, Hosts: 1}
-		ec = energy.Config{Storage: energy.SmartSSDs, Devices: 16}
-	case sys == SystemVLLM:
-		// Two 4-GPU nodes, no offload storage.
-		cs = cost.System{Name: string(sys), GPU: tb.GPU, Hosts: 2, ExtraGPUs: 7}
-		ec = energy.Config{Storage: energy.NoSSD, GPUCount: 8}
-	default:
-		// FlexGen-style single host with four plain SSDs.
-		cs = cost.FlexSystem(tb.GPU)
-	}
-	return cs.PriceUSD(tb) / amortHours, &cluster.EnergyConfig{Testbed: tb, Model: ec}
 }
 
 // ArrivalProcess names a built-in arrival-time generator.

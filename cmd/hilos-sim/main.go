@@ -93,11 +93,7 @@ func main() {
 	fmt.Printf("storage writes:   %.1f MB/step decode, %.1f GB prefill\n",
 		rep.DecodeWriteBytesPerStep/1e6, rep.PrefillWriteBytes/1e9)
 
-	smart := 0
-	if rep.Devices > 0 && rep.System != "FLEX(SSD)" && rep.System != "FLEX(DRAM)" {
-		smart = rep.Devices
-	}
-	if b, err := sim.Energy(rep, smart); err == nil {
+	if b, err := eng.Energy(rep); err == nil {
 		fmt.Printf("energy/token:     CPU %.1f J  DRAM %.1f J  GPU %.1f J  SSD %.1f J  (total %.1f J)\n",
 			b.CPU, b.DRAM, b.GPU, b.SSD, b.Total())
 	}

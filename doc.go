@@ -30,12 +30,14 @@
 //
 // Every simulated system is one row of a static table in internal/engine,
 // in the paper's Fig. 10 order: its identifier, its one-line description,
-// and how it binds to a testbed, device count, α and spill interval. An
-// Engine — Name, Describe, and Run — is that row bound to a Simulator's
-// hardware point; adding a backend is one table row. Simulation never
-// switches on system identifiers; Cluster does, to price a pipeline's
-// hardware and energy (pipelineEconomics) and to mark the InstInfer tier
-// lossy.
+// how it binds to a testbed, device count, α and spill interval, its §6.6
+// bill of materials, its Fig. 17(a) energy model, and whether it is lossy.
+// An Engine — Name, Describe, Run, PriceUSD, Energy and Lossy — is that
+// row bound to a Simulator's hardware point; adding a backend is one table
+// row. Nothing outside the table switches on system identifiers: Cluster
+// prices, powers and marks its pipelines from their engines, the figure
+// generators and their report memo resolve systems through it, and
+// hilos-sim prints the engine's own energy.
 //
 // # Quickstart
 //
@@ -53,8 +55,8 @@
 //	rep, err := sim.Simulate(hilos.SystemHILOS, req)
 //	// or: eng, _ := sim.Engine(hilos.SystemHILOS); rep = eng.Run(req)
 //
-// Energy integrates the Fig. 17(a) model and returns an EnergyBreakdown;
-// the experiments behind every figure and table of the paper are available
+// An Engine's Energy integrates its system's Fig. 17(a) model over a
+// report and returns an EnergyBreakdown; the experiments behind every figure and table of the paper are available
 // via ExperimentIDs and ExperimentByID, and the accuracy harness via
 // AccuracySuite.
 //

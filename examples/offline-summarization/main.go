@@ -44,25 +44,22 @@ func main() {
 	fmt.Printf("trace: %d jobs (%d short / %d medium / %d long), model %s\n\n",
 		len(trace), counts["Short"], counts["Medium"], counts["Long"], m.Name)
 
-	type system struct {
-		id       hilos.System
-		smartSSD int // SmartSSD count for the energy model (0 = plain SSDs)
-	}
-	systems := []system{
-		{hilos.SystemFlexSSD, 0},
-		{hilos.SystemFlexDRAM, 0},
-		{hilos.SystemHILOS, 16},
+	// Each engine carries its system's own energy model.
+	var systems []hilos.Engine
+	for _, id := range []hilos.System{hilos.SystemFlexSSD, hilos.SystemFlexDRAM, hilos.SystemHILOS} {
+		eng, err := sim.Engine(id)
+		if err != nil {
+			log.Fatal(err)
+		}
+		systems = append(systems, eng)
 	}
 
 	fmt.Printf("%-24s %14s %14s %16s\n", "system", "completion (h)", "kWh total", "J per out-token")
-	for _, s := range systems {
+	for _, eng := range systems {
 		var totalSec, totalJ, outTokens float64
 		feasible := true
 		for _, class := range trace {
-			rep, err := sim.Simulate(s.id, batchFor(m, class))
-			if err != nil {
-				log.Fatal(err)
-			}
+			rep := eng.Run(batchFor(m, class))
 			if rep.OOM {
 				feasible = false
 				break
@@ -70,36 +67,36 @@ func main() {
 			// Each trace entry is one batch-of-16 job.
 			totalSec += rep.TotalSec(class.Output)
 			outTokens += float64(rep.Batch * class.Output)
-			eb, err := sim.Energy(rep, s.smartSSD)
+			eb, err := eng.Energy(rep)
 			if err != nil {
 				log.Fatal(err)
 			}
-			totalJ += eb.Total() * float64(rep.Batch*class.Output)
+			totalJ += float64(eb.Total() * float64(rep.Batch*class.Output))
 		}
 		if !feasible {
-			fmt.Printf("%-24s %14s\n", string(s.id), "OOM")
+			fmt.Printf("%-24s %14s\n", string(eng.Name()), "OOM")
 			continue
 		}
 		fmt.Printf("%-24s %14.1f %14.1f %16.1f\n",
-			string(s.id), totalSec/3600, totalJ/3.6e6, totalJ/outTokens)
+			string(eng.Name()), totalSec/3600, totalJ/3.6e6, totalJ/outTokens)
 	}
 
 	// The mix above is short-dominated; HILOS's advantage concentrates in
 	// the long-context tail (the workloads the paper targets). Show it.
 	fmt.Println("\nlong-context jobs only (I:8K/O:350):")
 	long := hilos.RequestClasses()[2]
-	for _, s := range systems {
-		rep, err := sim.Simulate(s.id, batchFor(m, long))
-		if err != nil || rep.OOM {
-			fmt.Printf("  %-24s OOM\n", string(s.id))
+	for _, eng := range systems {
+		rep := eng.Run(batchFor(m, long))
+		if rep.OOM {
+			fmt.Printf("  %-24s OOM\n", string(eng.Name()))
 			continue
 		}
-		eb, err := sim.Energy(rep, s.smartSSD)
+		eb, err := eng.Energy(rep)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-24s %8.2f h/job  %8.1f J per out-token\n",
-			string(s.id), rep.TotalSec(long.Output)/3600, eb.Total())
+			string(eng.Name()), rep.TotalSec(long.Output)/3600, eb.Total())
 	}
 
 	// Scale out: the same backlog drained by 1, 2 and 4 HILOS pipelines

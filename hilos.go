@@ -206,17 +206,6 @@ func (s *Simulator) ChooseAlpha(m Model, batch, context, devices int) (float64, 
 	return core.ChooseAlpha(s.tb, m, batch, context, devices)
 }
 
-// Energy integrates the Fig. 17(a) energy model over a report.
-// smartSSDs > 0 selects the NSP storage power model with that device count;
-// otherwise the four conventional SSDs are assumed.
-func (s *Simulator) Energy(rep Report, smartSSDs int) (EnergyBreakdown, error) {
-	cfg := energy.Config{Storage: energy.PlainSSDs, Devices: 4}
-	if smartSSDs > 0 {
-		cfg = energy.Config{Storage: energy.SmartSSDs, Devices: smartSSDs, AccelPowerW: s.tb.SmartSSD.AccelPowerW}
-	}
-	return energy.PerToken(s.tb, rep, cfg)
-}
-
 // ExperimentByID regenerates a single experiment ("fig10", "table3", ...).
 func (s *Simulator) ExperimentByID(id string) (ExperimentTable, error) {
 	g, err := experiments.ByID(id)

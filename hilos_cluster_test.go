@@ -5,6 +5,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/device"
+	"repro/internal/energy"
 )
 
 // Acceptance: a mixed fleet (two distinct engine systems plus the InstInfer
@@ -403,5 +406,46 @@ func TestClusterWithFaults(t *testing.T) {
 	}
 	if strict.Completed != 0 || strict.RetriedBatches != 0 || strict.FailedJobs != strict.Admitted {
 		t.Fatalf("zero-retry policy not honored: %+v", strict)
+	}
+}
+
+// A vLLM pipeline is billed and powered for the hardware its engine
+// simulates: two hosts and eight RTX A6000s amortized over three years,
+// and the A6000s' power with no offload SSDs.
+func TestClusterVLLMTierHardware(t *testing.T) {
+	m, err := ModelByName("OPT-30B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := NewTimedWorkloadTrace(5, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Cluster(m, reqs, WithFleet(SystemVLLM, 1, 0), WithAdmission(8, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Completed == 0 || len(s.Pipelines) != 1 {
+		t.Fatalf("degenerate vLLM summary: %d completed on %d pipelines", s.Completed, len(s.Pipelines))
+	}
+	tb := DefaultTestbed()
+	usdPerHour := (2*tb.HostUSD + 8*device.A6000().PriceUSD) / amortHours
+	power := tb
+	power.GPU = device.A6000()
+	var wantUSD, wantJ float64
+	for _, a := range s.Assignments {
+		wantUSD += float64(usdPerHour / 3600 * a.ExecSec())
+		eb, err := energy.PerToken(power, a.Report, energy.Config{Storage: energy.NoSSD, GPUCount: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJ += float64(eb.Total() * float64(len(a.Batch.JobIDs)*a.Batch.Class.Output))
+	}
+	p := s.Pipelines[0]
+	if math.Abs(p.CostUSD-wantUSD) > 1e-12*wantUSD {
+		t.Errorf("vLLM pipeline cost $%.6f, want $%.6f (2 hosts + 8× A6000)", p.CostUSD, wantUSD)
+	}
+	if math.Abs(p.EnergyJ-wantJ) > 1e-12*wantJ {
+		t.Errorf("vLLM pipeline energy %.3f J, want %.3f J (8× A6000, no SSD)", p.EnergyJ, wantJ)
 	}
 }

@@ -112,11 +112,11 @@ func TestBacklogPipelinesSpeedup(t *testing.T) {
 func TestEnergyBreakdownFacade(t *testing.T) {
 	s, _ := New()
 	m, _ := ModelByName("OPT-30B")
-	rep, err := s.Simulate(SystemHILOS, Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32})
+	eng, err := s.Engine(SystemHILOS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Energy(rep, 8)
+	b, err := eng.Energy(eng.Run(Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,20 +197,26 @@ func TestChooseAlphaFacade(t *testing.T) {
 	}
 }
 
-// Energy selects the storage power model from its device argument: 0 means
-// the four plain SSDs, > 0 that many SmartSSDs.
+// Each engine integrates its own storage power model: the same report
+// costs the four plain SSDs on flex-ssd and 16 powered SmartSSDs on a
+// 16-device HILOS, with the host's share unchanged.
 func TestEnergyFacade(t *testing.T) {
-	s, _ := New()
+	s := Must(New(WithDevices(16)))
 	m, _ := ModelByName("OPT-30B")
-	rep, err := s.Simulate(SystemFlexSSD, Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32})
+	flex, err := s.Engine(SystemFlexSSD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := s.Energy(rep, 0)
+	nsp, err := s.Engine(SystemHILOS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smart, err := s.Energy(rep, 16)
+	rep := flex.Run(Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32})
+	plain, err := flex.Energy(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smart, err := nsp.Energy(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +224,7 @@ func TestEnergyFacade(t *testing.T) {
 		t.Errorf("plain-SSD energy components %+v", plain)
 	}
 	if smart.SSD == plain.SSD || smart.CPU != plain.CPU {
-		t.Errorf("device count did not select the storage model: plain %+v, smart %+v", plain, smart)
+		t.Errorf("engine did not select its storage model: plain %+v, smart %+v", plain, smart)
 	}
 }
 

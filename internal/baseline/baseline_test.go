@@ -149,15 +149,6 @@ func TestVLLMThroughputDecreasesWithContext(t *testing.T) {
 	}
 }
 
-func TestVLLMPrice(t *testing.T) {
-	tb := device.DefaultTestbed()
-	v := DefaultVLLM()
-	want := 2*tb.HostUSD + 8*device.A6000().PriceUSD
-	if got := v.PriceUSD(tb); got != want {
-		t.Errorf("vLLM price = %v, want %v", got, want)
-	}
-}
-
 func TestInvalidRequestRejected(t *testing.T) {
 	tb := device.DefaultTestbed()
 	bad := pipeline.Request{Model: model.OPT30B, Batch: 0, Context: 1024, OutputLen: 1}

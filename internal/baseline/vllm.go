@@ -98,9 +98,3 @@ func (c VLLMConfig) Run(tb device.Testbed, req pipeline.Request) pipeline.Report
 		(float64(nGPU) * c.GPU.GEMMFLOPS * tb.TPEfficiency)
 	return rep
 }
-
-// PriceUSD returns the hardware cost of the deployment (two hosts plus the
-// GPUs), used by the §6.6 cost analysis.
-func (c VLLMConfig) PriceUSD(tb device.Testbed) float64 {
-	return float64(c.Nodes)*tb.HostUSD + float64(c.Nodes*c.GPUsPerNode)*c.GPU.PriceUSD
-}

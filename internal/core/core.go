@@ -35,11 +35,6 @@ type Options struct {
 	Alpha float64
 	// SpillInterval is the writeback spill interval c (default 16).
 	SpillInterval int
-	// CXL models the §7.3 architecture: CXL.mem provides a unified address
-	// space between host and accelerator memory, eliminating the explicit
-	// XRT DMA staging and spill orchestration of the PCIe platform. Only
-	// the writeback-path overheads change; bandwidths stay as configured.
-	CXL bool
 }
 
 // DefaultOptions returns the full HILOS configuration used in Fig. 10.
@@ -242,7 +237,7 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 		// layer's kernel launches, for every α.
 		var dispatchCost float64
 		switch {
-		case opt.DelayedWriteback && opt.CXL:
+		case opt.DelayedWriteback && tb.Topo.CXL:
 			// §7.3: CXL.mem's unified address space removes the explicit
 			// staging copies and per-op DMA issue; only a small coherence
 			// cost per layer remains.

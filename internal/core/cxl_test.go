@@ -11,11 +11,12 @@ import (
 // degrades with the spill interval and always at least matches the PCIe
 // platform.
 func TestCXLRemovesSpillPenalty(t *testing.T) {
-	tb := device.DefaultTestbed()
 	run := func(cxl bool, c int) float64 {
+		tb := device.DefaultTestbed()
+		tb.Topo.CXL = cxl
 		return Run(tb, req(model.OPT66B, 16, 32768), Options{
 			Devices: 8, XCache: true, DelayedWriteback: true,
-			Alpha: 0.5, SpillInterval: c, CXL: cxl,
+			Alpha: 0.5, SpillInterval: c,
 		}).DecodeTokPerSec()
 	}
 	// PCIe loses throughput from c=16 to c=64; CXL must not.
@@ -36,12 +37,13 @@ func TestCXLRemovesSpillPenalty(t *testing.T) {
 }
 
 // CXL only affects the writeback orchestration: with the naive commit path
-// (no delayed writeback) the flag must leave results unchanged.
+// (no delayed writeback) a CXL topology must leave results unchanged.
 func TestCXLOnlyAffectsWritebackPath(t *testing.T) {
 	tb := device.DefaultTestbed()
 	r := req(model.OPT30B, 16, 16384)
-	plain := Run(tb, r, Options{Devices: 8, CXL: false})
-	cxl := Run(tb, r, Options{Devices: 8, CXL: true})
+	plain := Run(tb, r, Options{Devices: 8})
+	tb.Topo.CXL = true
+	cxl := Run(tb, r, Options{Devices: 8})
 	if plain.StepSec != cxl.StepSec {
 		t.Errorf("CXL changed the naive path: %v vs %v", plain.StepSec, cxl.StepSec)
 	}

@@ -1,32 +1,17 @@
 // Package cost implements the §6.6 cost-effectiveness analysis (Fig. 16a):
-// hardware bills of materials for each system and throughput-per-dollar.
+// the price of a bill of materials and throughput-per-dollar. Each system's
+// bill of materials is a row of the internal/engine table.
 package cost
 
-import (
-	"fmt"
+import "repro/internal/device"
 
-	"repro/internal/device"
-)
-
-// System identifies a hardware configuration for pricing.
+// System is one configuration's bill of materials.
 type System struct {
-	Name      string
 	GPU       device.GPUSpec
 	PlainSSDs int // conventional PCIe 4.0 SSDs
 	SmartSSDs int // NSP devices (implies the PCIe expansion chassis)
 	Hosts     int // server count (multi-node systems)
 	ExtraGPUs int // GPUs beyond the first (multi-node systems)
-}
-
-// FlexSystem prices the baseline server: host + one GPU + four PM9A3.
-func FlexSystem(gpu device.GPUSpec) System {
-	return System{Name: "FLEX", GPU: gpu, PlainSSDs: 4, Hosts: 1}
-}
-
-// HILOSSystem prices the NSP configuration: host + GPU + chassis + N
-// SmartSSDs (the chassis replaces the conventional SSDs, §6.6).
-func HILOSSystem(gpu device.GPUSpec, devices int) System {
-	return System{Name: fmt.Sprintf("HILOS-%d", devices), GPU: gpu, SmartSSDs: devices, Hosts: 1}
 }
 
 // PriceUSD returns the system's total hardware price.

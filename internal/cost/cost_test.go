@@ -11,15 +11,15 @@ import (
 // $2,400 SmartSSDs, replacing the conventional SSDs.
 func TestPricesMatchPaper(t *testing.T) {
 	tb := device.DefaultTestbed()
-	flex := FlexSystem(device.A100()).PriceUSD(tb)
+	flex := System{GPU: device.A100(), PlainSSDs: 4, Hosts: 1}.PriceUSD(tb)
 	if flex != 15000+7000+4*400 {
 		t.Errorf("FLEX price = %v, want 23600", flex)
 	}
-	hilos := HILOSSystem(device.A100(), 16).PriceUSD(tb)
+	hilos := System{GPU: device.A100(), SmartSSDs: 16, Hosts: 1}.PriceUSD(tb)
 	if hilos != 15000+7000+10000+16*2400 {
 		t.Errorf("HILOS-16 price = %v, want 70400", hilos)
 	}
-	h100 := FlexSystem(device.H100()).PriceUSD(tb)
+	h100 := System{GPU: device.H100(), PlainSSDs: 4, Hosts: 1}.PriceUSD(tb)
 	if h100 != 15000+30000+1600 {
 		t.Errorf("H100 FLEX price = %v, want 46600", h100)
 	}
@@ -39,8 +39,8 @@ func TestEfficiency(t *testing.T) {
 // compared per §6.6 (sanity: HILOS-4 is cheaper than the H100 baseline).
 func TestHILOS4CheaperThanH100Upgrade(t *testing.T) {
 	tb := device.DefaultTestbed()
-	h4 := HILOSSystem(device.A100(), 4).PriceUSD(tb)
-	h100 := FlexSystem(device.H100()).PriceUSD(tb)
+	h4 := System{GPU: device.A100(), SmartSSDs: 4, Hosts: 1}.PriceUSD(tb)
+	h100 := System{GPU: device.H100(), PlainSSDs: 4, Hosts: 1}.PriceUSD(tb)
 	if h4 >= h100 {
 		t.Errorf("HILOS-4 ($%v) not cheaper than H100 baseline ($%v)", h4, h100)
 	}
@@ -48,7 +48,7 @@ func TestHILOS4CheaperThanH100Upgrade(t *testing.T) {
 
 func TestMultiHostPricing(t *testing.T) {
 	tb := device.DefaultTestbed()
-	s := System{Name: "2node", GPU: device.A6000(), Hosts: 2, ExtraGPUs: 7}
+	s := System{GPU: device.A6000(), Hosts: 2, ExtraGPUs: 7}
 	want := 2*tb.HostUSD + 8*device.A6000().PriceUSD
 	if got := s.PriceUSD(tb); got != want {
 		t.Errorf("multi-node price = %v, want %v", got, want)

@@ -111,6 +111,11 @@ type Topology struct {
 	// the root complex, sustaining far less than raw PCIe: the paper's
 	// B_SSD/B_PCI ≈ 3 at 8 SmartSSDs (25.6 GB/s) implies ≈ 8.5 GB/s.
 	GDSLink LinkSpec
+	// CXL models the §7.3 interconnect: CXL.mem gives host and accelerator
+	// memory one address space, eliminating the explicit XRT DMA staging
+	// and spill orchestration of the PCIe platform. Only the writeback-path
+	// overheads change; link bandwidths stay as configured.
+	CXL bool
 }
 
 // Testbed bundles the full hardware configuration of Table 1.

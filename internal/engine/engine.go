@@ -1,8 +1,12 @@
-// Package engine binds the evaluated inference systems to hardware. An
-// Engine is one simulated system on a concrete testbed and device count.
-// The systems are one static table in the paper's Fig. 10 presentation
-// order: the FlexGen, DeepSpeed and vLLM baselines, the lossy InstInfer
-// tier (arXiv 2409.04992), then HILOS and its Fig. 15 ablation ladder.
+// Package engine defines the evaluated inference systems, each once. The
+// systems are one static table in the paper's Fig. 10 presentation order:
+// the FlexGen, DeepSpeed and vLLM baselines, the lossy InstInfer tier
+// (arXiv 2409.04992), then HILOS and its Fig. 15 ablation ladder. A row
+// holds everything the rest of the repository knows about a system: its
+// step simulator, its §6.6 bill of materials, its Fig. 17(a) energy model
+// and whether its attention is lossy. An Engine is one row bound to a
+// concrete testbed and device count; nothing outside this package chooses
+// a price, an energy model or lossiness by system identifier.
 package engine
 
 import (
@@ -11,7 +15,9 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/pipeline"
 )
 
@@ -40,35 +46,66 @@ const AlphaAuto = -1.0
 type runFunc = func(pipeline.Request) pipeline.Report
 
 // systems is every evaluated system. devices names the storage devices a
-// system's Describe counts ("" for fixed topologies); bind builds its step
-// simulator for a normalized Config.
+// system's Describe counts ("" for fixed topologies); hw prices and powers
+// its hardware and bind builds its step simulator, both for a normalized
+// Config; lossy marks approximate attention.
 var systems = [...]struct {
 	id      System
 	desc    string
 	devices string
+	lossy   bool
+	hw      func(Config) (cost.System, energy.Config)
 	bind    func(Config) runFunc
 }{
-	{SysFlexSSD, "FlexGen-style offloading, KV cache on 4 PCIe 4.0 SSDs", "", flex(baseline.FlexSSD)},
-	{SysFlexDRAM, "FlexGen-style offloading, KV cache in host DRAM", "", flex(baseline.FlexDRAM)},
-	{SysFlex16SSD, "FlexGen on the 16-SmartSSD array with FPGAs disabled (shared uplink)", "", flex(baseline.Flex16SSD)},
-	{SysDSUVM, "DeepSpeed ZeRO-Inference with unified virtual memory, KV in DRAM", "", flex(baseline.DeepSpeedUVM)},
-	{SysVLLM, "multi-node vLLM: 2×4 RTX A6000, tensor parallel within a node, pipeline parallel across (Fig. 17b)", "",
-		func(c Config) runFunc {
+	{id: SysFlexSSD, desc: "FlexGen-style offloading, KV cache on 4 PCIe 4.0 SSDs",
+		hw: plainSSDHost, bind: flex(baseline.FlexSSD)},
+	{id: SysFlexDRAM, desc: "FlexGen-style offloading, KV cache in host DRAM",
+		hw: plainSSDHost, bind: flex(baseline.FlexDRAM)},
+	{id: SysFlex16SSD, desc: "FlexGen on the 16-SmartSSD array with FPGAs disabled (shared uplink)",
+		hw: fpgasOff, bind: flex(baseline.Flex16SSD)},
+	{id: SysDSUVM, desc: "DeepSpeed ZeRO-Inference with unified virtual memory, KV in DRAM",
+		hw: plainSSDHost, bind: flex(baseline.DeepSpeedUVM)},
+	{id: SysVLLM, desc: "multi-node vLLM: 2×4 RTX A6000, tensor parallel within a node, pipeline parallel across (Fig. 17b)",
+		hw: vllmNodes, bind: func(c Config) runFunc {
 			v := baseline.DefaultVLLM()
 			return func(req pipeline.Request) pipeline.Report { return v.Run(c.Testbed, req) }
 		}},
-	{SysInstInfer, "InstInfer-style in-storage attention, lossy top-1/8 KV retrieval", "computational SSDs",
-		func(c Config) runFunc {
+	{id: SysInstInfer, desc: "InstInfer-style in-storage attention, lossy top-1/8 KV retrieval", devices: "computational SSDs",
+		lossy: true, hw: nspHost, bind: func(c Config) runFunc {
 			m := baseline.InstInfer{Devices: c.Devices}
 			return func(req pipeline.Request) pipeline.Report { return m.Run(c.Testbed, req) }
 		}},
-	{SysHILOS, "full HILOS: attention near storage + X-cache + delayed writeback (§4)", "SmartSSDs",
-		hilos(core.Options{XCache: true, DelayedWriteback: true})},
-	{SysHILOSANS, "ablation: attention near storage only (Fig. 15 ANS)", "SmartSSDs", hilos(core.Options{})},
-	{SysHILOSWB, "ablation: ANS + delayed KV-cache writeback (Fig. 15 ANS+WB)", "SmartSSDs",
-		hilos(core.Options{DelayedWriteback: true})},
-	{SysHILOSX, "ablation: ANS + cooperative X-cache execution (Fig. 15 ANS+X)", "SmartSSDs",
-		hilos(core.Options{XCache: true})},
+	{id: SysHILOS, desc: "full HILOS: attention near storage + X-cache + delayed writeback (§4)", devices: "SmartSSDs",
+		hw: nspHost, bind: hilos(core.Options{XCache: true, DelayedWriteback: true})},
+	{id: SysHILOSANS, desc: "ablation: attention near storage only (Fig. 15 ANS)", devices: "SmartSSDs",
+		hw: nspHost, bind: hilos(core.Options{})},
+	{id: SysHILOSWB, desc: "ablation: ANS + delayed KV-cache writeback (Fig. 15 ANS+WB)", devices: "SmartSSDs",
+		hw: nspHost, bind: hilos(core.Options{DelayedWriteback: true})},
+	{id: SysHILOSX, desc: "ablation: ANS + cooperative X-cache execution (Fig. 15 ANS+X)", devices: "SmartSSDs",
+		hw: nspHost, bind: hilos(core.Options{XCache: true})},
+}
+
+// plainSSDHost is the FlexGen server of §6.6: host, GPU, four PM9A3 SSDs.
+func plainSSDHost(c Config) (cost.System, energy.Config) {
+	return cost.System{GPU: c.Testbed.GPU, PlainSSDs: 4, Hosts: 1}, energy.Config{Storage: energy.PlainSSDs, Devices: 4}
+}
+
+// nspHost adds the chassis and the Config's SmartSSDs, accelerators on.
+func nspHost(c Config) (cost.System, energy.Config) {
+	return cost.System{GPU: c.Testbed.GPU, SmartSSDs: c.Devices, Hosts: 1},
+		energy.Config{Storage: energy.SmartSSDs, Devices: c.Devices, AccelPowerW: c.Testbed.SmartSSD.AccelPowerW}
+}
+
+// fpgasOff bills the 16-SmartSSD array but powers only its SSDs.
+func fpgasOff(c Config) (cost.System, energy.Config) {
+	return cost.System{GPU: c.Testbed.GPU, SmartSSDs: 16, Hosts: 1}, energy.Config{Storage: energy.SmartSSDs, Devices: 16}
+}
+
+// vllmNodes is the Fig. 17(b) deployment's hosts and GPUs, with no SSDs.
+func vllmNodes(Config) (cost.System, energy.Config) {
+	v := baseline.DefaultVLLM()
+	n := v.Nodes * v.GPUsPerNode
+	return cost.System{GPU: v.GPU, Hosts: v.Nodes, ExtraGPUs: n - 1}, energy.Config{Storage: energy.NoSSD, GPUCount: n}
 }
 
 func flex(variant func(device.Testbed) baseline.FlexVariant) func(Config) runFunc {
@@ -97,9 +134,15 @@ func hilos(features core.Options) func(Config) runFunc {
 // use — the multi-pipeline backlog scheduler calls Run from several
 // goroutines.
 type Engine struct {
-	sys  System
-	desc string
-	run  runFunc
+	sys   System
+	desc  string
+	run   runFunc
+	lossy bool
+	usd   float64
+	power energy.Config
+	// tb is the Config's testbed with the system's own GPU, so the energy
+	// model integrates the power of the GPUs the system actually has.
+	tb device.Testbed
 }
 
 // Name returns the system identifier this engine was built for.
@@ -111,6 +154,23 @@ func (e Engine) Describe() string { return e.desc }
 // Run simulates one batched request and returns its report. Infeasible
 // configurations are reported in Report.OOM, never as a panic.
 func (e Engine) Run(req pipeline.Request) pipeline.Report { return e.run(req) }
+
+// Lossy reports whether the system approximates attention (InstInfer's
+// top-1/8 KV retrieval), so its outputs are not exact.
+func (e Engine) Lossy() bool { return e.lossy }
+
+// PriceUSD returns the §6.6 hardware price of the system on its testbed.
+func (e Engine) PriceUSD() float64 { return e.usd }
+
+// EnergyModel returns what the Fig. 17(a) model integrates for this system:
+// the testbed that supplies component powers, and the storage kind, device
+// count and GPU count.
+func (e Engine) EnergyModel() (device.Testbed, energy.Config) { return e.tb, e.power }
+
+// Energy integrates the system's Fig. 17(a) energy model over one report.
+func (e Engine) Energy(rep pipeline.Report) (energy.Breakdown, error) {
+	return energy.PerToken(e.tb, rep, e.power)
+}
 
 // Config is the hardware point an engine binds to. The zero value is not
 // usable (the testbed must validate); New normalizes the remaining fields
@@ -127,7 +187,9 @@ type Config struct {
 	SpillInterval int
 }
 
-func (c Config) normalize() Config {
+// Normalize fills the zero and automatic fields with the paper defaults, so
+// two Configs that build the same engine compare equal.
+func (c Config) Normalize() Config {
 	if c.Devices <= 0 {
 		c.Devices = 8
 	}
@@ -158,7 +220,7 @@ func New(sys System, cfg Config) (Engine, error) {
 		if s.id != sys {
 			continue
 		}
-		cfg = cfg.normalize()
+		cfg = cfg.Normalize()
 		if err := cfg.Validate(); err != nil {
 			return Engine{}, err
 		}
@@ -166,7 +228,10 @@ func New(sys System, cfg Config) (Engine, error) {
 		if s.devices != "" {
 			desc = fmt.Sprintf("%s (%d %s)", desc, cfg.Devices, s.devices)
 		}
-		return Engine{sys: sys, desc: desc, run: s.bind(cfg)}, nil
+		bom, power := s.hw(cfg)
+		tb := cfg.Testbed
+		tb.GPU = bom.GPU
+		return Engine{sys: sys, desc: desc, run: s.bind(cfg), lossy: s.lossy, usd: bom.PriceUSD(tb), power: power, tb: tb}, nil
 	}
 	return Engine{}, fmt.Errorf("engine: unknown system %q (known: %v)", sys, Systems())
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 )
@@ -86,5 +87,65 @@ func TestSystemsOrdering(t *testing.T) {
 	}
 	if got := Systems(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Systems() = %v, want %v", got, want)
+	}
+}
+
+// Each row prices and powers the hardware its simulator models: the
+// FlexGen hosts and DS+UVM draw four plain SSDs; flex-16ssd bills the
+// 16-SmartSSD array but powers only its SSDs; vLLM is two hosts and eight
+// RTX A6000s with no offload storage; InstInfer and the HILOS family power
+// the Config's SmartSSDs with their accelerators.
+func TestSystemHardware(t *testing.T) {
+	tb := device.DefaultTestbed()
+	const n = 12
+	flexUSD := tb.HostUSD + tb.GPU.PriceUSD + 4*tb.PlainSSD.PriceUSD
+	nspUSD := func(k int) float64 {
+		return tb.HostUSD + tb.GPU.PriceUSD + tb.ChassisUSD + float64(k)*tb.SmartSSD.PriceUSD
+	}
+	plain := energy.Config{Storage: energy.PlainSSDs, Devices: 4}
+	nsp := energy.Config{Storage: energy.SmartSSDs, Devices: n, AccelPowerW: tb.SmartSSD.AccelPowerW}
+	rows := []struct {
+		sys   System
+		usd   float64
+		power energy.Config
+		gpu   device.GPUSpec
+		lossy bool
+	}{
+		{SysFlexSSD, flexUSD, plain, tb.GPU, false},
+		{SysFlexDRAM, flexUSD, plain, tb.GPU, false},
+		{SysFlex16SSD, nspUSD(16), energy.Config{Storage: energy.SmartSSDs, Devices: 16}, tb.GPU, false},
+		{SysDSUVM, flexUSD, plain, tb.GPU, false},
+		{SysVLLM, 2*tb.HostUSD + 8*device.A6000().PriceUSD, energy.Config{Storage: energy.NoSSD, GPUCount: 8}, device.A6000(), false},
+		{SysInstInfer, nspUSD(n), nsp, tb.GPU, true},
+		{SysHILOS, nspUSD(n), nsp, tb.GPU, false},
+		{SysHILOSANS, nspUSD(n), nsp, tb.GPU, false},
+		{SysHILOSWB, nspUSD(n), nsp, tb.GPU, false},
+		{SysHILOSX, nspUSD(n), nsp, tb.GPU, false},
+	}
+	if len(rows) != len(Systems()) {
+		t.Fatalf("%d rows checked, table has %d systems", len(rows), len(Systems()))
+	}
+	for _, r := range rows {
+		t.Run(string(r.sys), func(t *testing.T) {
+			eng, err := New(r.sys, Config{Testbed: tb, Devices: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.PriceUSD(); got != r.usd {
+				t.Errorf("price $%v, want $%v", got, r.usd)
+			}
+			etb, power := eng.EnergyModel()
+			if power != r.power {
+				t.Errorf("energy model %+v, want %+v", power, r.power)
+			}
+			want := tb
+			want.GPU = r.gpu
+			if etb != want {
+				t.Errorf("energy testbed GPU %q, want the testbed with %q", etb.GPU.Name, r.gpu.Name)
+			}
+			if eng.Lossy() != r.lossy {
+				t.Errorf("lossy = %v, want %v", eng.Lossy(), r.lossy)
+			}
+		})
 	}
 }

@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/endurance"
-	"repro/internal/energy"
+	"repro/internal/engine"
 	"repro/internal/model"
-	"repro/internal/repcache"
+	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -28,21 +26,23 @@ func (r Runner) Fig16a() Table {
 	}
 	var points []func() group
 	for _, gpu := range []device.GPUSpec{device.A100(), device.H100()} {
-		tb := r.TB
-		tb.GPU = gpu
+		on := r
+		on.TB.GPU = gpu
+		// eff is a system's tokens/s/$ on this GPU, priced by its table row.
+		eff := func(sys engine.System, n int, rep pipeline.Report) float64 {
+			return cost.Efficiency(rep.DecodeTokPerSec(), must(engine.New(sys, on.config(n))).PriceUSD())
+		}
 		for _, m := range []model.Config{model.OPT66B, model.OPT175B} {
 			for _, s := range []int{16384, 32768} {
 				points = append(points, func() group {
 					req := request(m, 16, s)
-					flexPrice := cost.FlexSystem(gpu).PriceUSD(tb)
-					base := cost.Efficiency(repcache.FlexRun(tb, baseline.FlexSSD(tb), req).DecodeTokPerSec(), flexPrice)
+					base := eff(engine.SysFlexSSD, 0, on.run(engine.SysFlexSSD, 0, req))
 					row := []string{gpu.Name, m.Name, fmt.Sprintf("%dK", s/1024), "1.00x"}
-					dram := repcache.FlexRun(tb, baseline.FlexDRAM(tb), req)
-					row = append(row, ratioOrOOM(cost.Efficiency(dram.DecodeTokPerSec(), flexPrice), base, dram.OOM))
+					dram := on.run(engine.SysFlexDRAM, 0, req)
+					row = append(row, ratioOrOOM(eff(engine.SysFlexDRAM, 0, dram), base, dram.OOM))
 					for _, n := range []int{4, 8, 16} {
-						h := repcache.CoreRun(tb, req, core.DefaultOptions(n))
-						eff := cost.Efficiency(h.DecodeTokPerSec(), cost.HILOSSystem(gpu, n).PriceUSD(tb))
-						row = append(row, ratioOrOOM(eff, base, h.OOM))
+						h := on.run(engine.SysHILOS, n, req)
+						row = append(row, ratioOrOOM(eff(engine.SysHILOS, n, h), base, h.OOM))
 					}
 					return group{rows: [][]string{row}}
 				})
@@ -105,31 +105,20 @@ func (r Runner) Fig17a() Table {
 		points = append(points, func() group {
 			req := request(m, 16, 32768)
 			var baseTotal float64
-			type sys struct {
-				name string
-				run  func() (energy.Breakdown, error)
-			}
-			systems := []sys{
-				{"FLEX(SSD)", func() (energy.Breakdown, error) {
-					rep := repcache.FlexRun(r.TB, baseline.FlexSSD(r.TB), req)
-					return energy.PerToken(r.TB, rep, energy.Config{Storage: energy.PlainSSDs, Devices: 4})
-				}},
-				{"FLEX(DRAM)", func() (energy.Breakdown, error) {
-					rep := repcache.FlexRun(r.TB, baseline.FlexDRAM(r.TB), req)
-					return energy.PerToken(r.TB, rep, energy.Config{Storage: energy.PlainSSDs, Devices: 4})
-				}},
-			}
-			for _, n := range []int{4, 8, 16} {
-				systems = append(systems, sys{fmt.Sprintf("HILOS(%d SSDs)", n), func() (energy.Breakdown, error) {
-					rep := repcache.CoreRun(r.TB, req, core.DefaultOptions(n))
-					return energy.PerToken(r.TB, rep, energy.Config{
-						Storage: energy.SmartSSDs, Devices: n, AccelPowerW: r.TB.SmartSSD.AccelPowerW,
-					})
-				}})
+			systems := []struct {
+				name    string
+				sys     engine.System
+				devices int
+			}{
+				{"FLEX(SSD)", engine.SysFlexSSD, 0},
+				{"FLEX(DRAM)", engine.SysFlexDRAM, 0},
+				{"HILOS(4 SSDs)", engine.SysHILOS, 4},
+				{"HILOS(8 SSDs)", engine.SysHILOS, 8},
+				{"HILOS(16 SSDs)", engine.SysHILOS, 16},
 			}
 			var g group
 			for i, s := range systems {
-				b, err := s.run()
+				b, err := must(engine.New(s.sys, r.config(s.devices))).Energy(r.run(s.sys, s.devices, req))
 				if err != nil {
 					g.rows = append(g.rows, []string{m.Name, s.name, "-", "-", "-", "-", "OOM", "-"})
 					continue
@@ -160,15 +149,14 @@ func (r Runner) Fig17b() Table {
 			"paper: HILOS 1.64-1.81x over the 2-node 8-GPU vLLM deployment",
 		},
 	}
-	v := baseline.DefaultVLLM()
 	var points []func() group
 	for _, s := range []int{16384, 32768} {
 		points = append(points, func() group {
 			req := request(model.OPT175B, 16, s)
-			fs := repcache.FlexRun(r.TB, baseline.FlexSSD(r.TB), req)
-			fd := repcache.FlexRun(r.TB, baseline.FlexDRAM(r.TB), req)
-			vl := repcache.VLLMRun(r.TB, v, req)
-			h := repcache.CoreRun(r.TB, req, core.DefaultOptions(16))
+			fs := r.run(engine.SysFlexSSD, 0, req)
+			fd := r.run(engine.SysFlexDRAM, 0, req)
+			vl := r.run(engine.SysVLLM, 0, req)
+			h := r.run(engine.SysHILOS, 16, req)
 			fdCell := "OOM"
 			if !fd.OOM {
 				fdCell = f3(fd.DecodeTokPerSec())

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/accel"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/repcache"
 )
@@ -64,11 +64,10 @@ func (r Runner) ExtCXL() Table {
 		},
 	}
 	run := func(cxl bool, c int) float64 {
-		rep := repcache.CoreRun(r.TB, request(model.OPT66B, 16, 32768), core.Options{
-			Devices: 8, XCache: true, DelayedWriteback: true,
-			Alpha: 0.5, SpillInterval: c, CXL: cxl,
-		})
-		return rep.DecodeTokPerSec()
+		tb := r.TB
+		tb.Topo.CXL = cxl
+		cfg := engine.Config{Testbed: tb, Devices: 8, Alpha: 0.5, SpillInterval: c}
+		return must(repcache.Run(engine.SysHILOS, cfg, request(model.OPT66B, 16, 32768))).DecodeTokPerSec()
 	}
 	var points []func() group
 	for _, p := range []struct {

@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/repcache"
@@ -14,6 +13,27 @@ import (
 // per-task timelines are not retained (NoTrace).
 func request(m model.Config, bs, ctx int) pipeline.Request {
 	return pipeline.Request{Model: m, Batch: bs, Context: ctx, OutputLen: 64, NoTrace: true}
+}
+
+// config is the engine Config of devices SmartSSDs on the Runner's testbed
+// with automatic α; fixed-topology systems ignore devices.
+func (r Runner) config(devices int) engine.Config {
+	return engine.Config{Testbed: r.TB, Devices: devices, Alpha: engine.AlphaAuto}
+}
+
+// run simulates req through the report memo on a system of the engine table.
+func (r Runner) run(sys engine.System, devices int, req pipeline.Request) pipeline.Report {
+	return must(repcache.Run(sys, r.config(devices), req))
+}
+
+// must unwraps an engine result. The generators' systems and knobs are
+// fixed and valid, so an error means an unusable testbed, which
+// hilos.WithTestbed rejects before any generator runs.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // The perf generators evaluate their sweep points on the experiments worker
@@ -36,14 +56,13 @@ func (r Runner) Fig2() Table {
 			"paper: KV cache transfers consume over 60% of execution time at long context",
 		},
 	}
-	flex := baseline.FlexSSD(r.TB)
 	var points []func() group
 	for _, s := range []int{8192, 32768, 131072} {
 		points = append(points, func() group {
-			base := repcache.FlexRun(r.TB, flex, request(m, 1, s))
+			base := r.run(engine.SysFlexSSD, 0, request(m, 1, s))
 			var g group
 			for _, bs := range []int{1, 4, 16} {
-				rep := repcache.FlexRun(r.TB, flex, request(m, bs, s))
+				rep := r.run(engine.SysFlexSSD, 0, request(m, bs, s))
 				kvTB := float64(m.KVCacheBytes(bs, s)) / 1e12
 				wTB := float64(m.TotalWeightBytes()) / 1e12
 				// Fig. 2(b) attributes wall-clock time: the share of the step
@@ -85,8 +104,8 @@ func (r Runner) Fig4() Table {
 	for _, s := range []int{16384, 32768} {
 		points = append(points, func() group {
 			req := request(model.OPT66B, 16, s)
-			base := repcache.FlexRun(r.TB, baseline.FlexSSD(r.TB), req)
-			ans := repcache.CoreRun(r.TB, req, core.Options{Devices: 8}) // ANS only
+			base := r.run(engine.SysFlexSSD, 0, req)
+			ans := r.run(engine.SysHILOSANS, 8, req)
 			var g group
 			for _, row := range []struct {
 				name string
@@ -127,19 +146,19 @@ func (r Runner) Fig10() Table {
 		for _, s := range []int{32768, 65536, 131072} {
 			points = append(points, func() group {
 				req := request(m, 16, s)
-				base := repcache.FlexRun(r.TB, baseline.FlexSSD(r.TB), req)
+				base := r.run(engine.SysFlexSSD, 0, req)
 				b := base.DecodeTokPerSec()
 				cell := func(rep pipeline.Report) string {
 					return ratioOrOOM(rep.DecodeTokPerSec(), b, rep.OOM)
 				}
 				return group{rows: [][]string{{
 					m.Name, fmt.Sprintf("%dK", s/1024), f3(b),
-					cell(repcache.FlexRun(r.TB, baseline.Flex16SSD(r.TB), req)),
-					cell(repcache.FlexRun(r.TB, baseline.DeepSpeedUVM(r.TB), req)),
-					cell(repcache.FlexRun(r.TB, baseline.FlexDRAM(r.TB), req)),
-					cell(repcache.CoreRun(r.TB, req, core.DefaultOptions(4))),
-					cell(repcache.CoreRun(r.TB, req, core.DefaultOptions(8))),
-					cell(repcache.CoreRun(r.TB, req, core.DefaultOptions(16))),
+					cell(r.run(engine.SysFlex16SSD, 0, req)),
+					cell(r.run(engine.SysDSUVM, 0, req)),
+					cell(r.run(engine.SysFlexDRAM, 0, req)),
+					cell(r.run(engine.SysHILOS, 4, req)),
+					cell(r.run(engine.SysHILOS, 8, req)),
+					cell(r.run(engine.SysHILOS, 16, req)),
 				}}}
 			})
 		}
@@ -164,9 +183,9 @@ func (r Runner) Fig11() Table {
 		for _, bs := range []int{1, 2, 4, 8, 16} {
 			points = append(points, func() group {
 				req := request(model.OPT66B, bs, s)
-				fs := repcache.FlexRun(r.TB, baseline.FlexSSD(r.TB), req)
-				fd := repcache.FlexRun(r.TB, baseline.FlexDRAM(r.TB), req)
-				h := repcache.CoreRun(r.TB, req, core.DefaultOptions(16))
+				fs := r.run(engine.SysFlexSSD, 0, req)
+				fd := r.run(engine.SysFlexDRAM, 0, req)
+				h := r.run(engine.SysHILOS, 16, req)
 				fdCell, fdShare := "OOM", "-"
 				if !fd.OOM {
 					if fd.Batch < bs {
@@ -212,10 +231,10 @@ func (r Runner) Fig12b() Table {
 		for _, s := range c.ctxs {
 			points = append(points, func() group {
 				req := request(c.m, 16, s)
-				base := repcache.FlexRun(r.TB, baseline.FlexSSD(r.TB), req)
+				base := r.run(engine.SysFlexSSD, 0, req)
 				b := base.DecodeTokPerSec()
-				fd := repcache.FlexRun(r.TB, baseline.FlexDRAM(r.TB), req)
-				h := repcache.CoreRun(r.TB, req, core.DefaultOptions(16))
+				fd := r.run(engine.SysFlexDRAM, 0, req)
+				h := r.run(engine.SysHILOS, 16, req)
 				return group{rows: [][]string{{
 					c.m.Name, fmt.Sprintf("%dK", s/1024), f3(b),
 					ratioOrOOM(fd.DecodeTokPerSec(), b, fd.OOM),
@@ -241,13 +260,16 @@ func (r Runner) Fig13() Table {
 	var points []func() group
 	for _, m := range []model.Config{model.OPT30B, model.OPT66B} {
 		for _, alpha := range []float64{0, 0.125, 0.25, 0.5, 0.75} {
+			// α = 0 turns the X-cache off: the writeback-only ablation.
+			sys := engine.SysHILOS
+			if alpha == 0 {
+				sys = engine.SysHILOSWB
+			}
 			points = append(points, func() group {
 				row := []string{m.Name, pct(alpha)}
 				for _, c := range []int{2, 4, 8, 16, 32, 64} {
-					rep := repcache.CoreRun(r.TB, request(m, 16, 32768), core.Options{
-						Devices: 8, XCache: alpha > 0, DelayedWriteback: true,
-						Alpha: alpha, SpillInterval: c,
-					})
+					cfg := engine.Config{Testbed: r.TB, Devices: 8, Alpha: alpha, SpillInterval: c}
+					rep := must(repcache.Run(sys, cfg, request(m, 16, 32768)))
 					row = append(row, f3(rep.DecodeTokPerSec()))
 				}
 				return group{rows: [][]string{row}}
@@ -274,8 +296,8 @@ func (r Runner) Fig14() Table {
 		for _, s := range []int{16384, 32768} {
 			points = append(points, func() group {
 				req := request(m, 16, s)
-				f := repcache.FlexRun(r.TB, baseline.FlexSSD(r.TB), req)
-				h := repcache.CoreRun(r.TB, req, core.DefaultOptions(8))
+				f := r.run(engine.SysFlexSSD, 0, req)
+				h := r.run(engine.SysHILOS, 8, req)
 				var g group
 				for _, n := range []int{16, 32, 64, 128} {
 					g.rows = append(g.rows, []string{
@@ -304,22 +326,17 @@ func (r Runner) Fig15() Table {
 			"paper: benefits scale with longer contexts and larger batches",
 		},
 	}
-	type cfg struct {
-		xc, wb bool
-	}
-	variants := []cfg{{false, false}, {false, true}, {true, false}, {true, true}}
+	variants := []engine.System{engine.SysHILOSANS, engine.SysHILOSWB, engine.SysHILOSX, engine.SysHILOS}
 	var points []func() group
 	for _, m := range []model.Config{model.OPT30B, model.OPT66B, model.GLaM143B} {
 		for _, bs := range []int{16, 32} {
 			for _, s := range []int{16384, 32768, 65536} {
 				points = append(points, func() group {
 					req := request(m, bs, s)
-					base := repcache.FlexRun(r.TB, baseline.FlexSSD(r.TB), req).DecodeTokPerSec()
+					base := r.run(engine.SysFlexSSD, 0, req).DecodeTokPerSec()
 					row := []string{m.Name, fmt.Sprint(bs), fmt.Sprintf("%dK", s/1024)}
-					for _, v := range variants {
-						rep := repcache.CoreRun(r.TB, req, core.Options{
-							Devices: 8, XCache: v.xc, DelayedWriteback: v.wb, Alpha: -1,
-						})
+					for _, sys := range variants {
+						rep := r.run(sys, 8, req)
 						row = append(row, ratioOrOOM(rep.DecodeTokPerSec(), base, rep.OOM))
 					}
 					return group{rows: [][]string{row}}

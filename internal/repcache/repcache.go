@@ -1,11 +1,11 @@
 // Package repcache is a process-wide memo for simulation reports. Every
-// engine in this repository is a pure function of (testbed, request,
-// options) — the discrete-event substrate is fully deterministic — so
+// engine in this repository is a pure function of (system, configuration,
+// request) — the discrete-event substrate is fully deterministic — so
 // identical simulation points across experiment tables, sweep axes and
-// repeated benchmark iterations can share one run. The package-level
-// helpers key on the complete comparable input of a run; callers with
-// context-relative keys (internal/cluster's dispatcher, whose engine labels
-// are only meaningful within one fleet) keep them in a Group of their own.
+// repeated benchmark iterations can share one run. Run keys on that
+// complete comparable input; callers with context-relative keys
+// (internal/cluster's dispatcher, whose engine labels are only meaningful
+// within one fleet) keep them in a Group of their own.
 //
 // Cached reports are shared: callers must treat them (including their
 // Breakdown/ResourceBusy maps and Trace slice) as immutable, the same
@@ -16,9 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/device"
+	"repro/internal/engine"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
@@ -50,25 +48,12 @@ func EnableMetrics(reg *telemetry.Registry) {
 	})
 }
 
-// coreKey identifies one HILOS core.Run invocation.
-type coreKey struct {
-	tb  device.Testbed
+// runKey identifies one simulation: a system of the engine table, its
+// normalized configuration and the request.
+type runKey struct {
+	sys engine.System
+	cfg engine.Config
 	req pipeline.Request
-	opt core.Options
-}
-
-// flexKey identifies one FlexGen-style baseline run.
-type flexKey struct {
-	tb  device.Testbed
-	req pipeline.Request
-	v   baseline.FlexVariant
-}
-
-// vllmKey identifies one multi-node vLLM baseline run.
-type vllmKey struct {
-	tb  device.Testbed
-	req pipeline.Request
-	cfg baseline.VLLMConfig
 }
 
 // entry is a singleflight slot: the first caller computes under the entry
@@ -80,6 +65,7 @@ type entry struct {
 	mu   sync.Mutex
 	done bool            // guarded by mu
 	rep  pipeline.Report // guarded by mu
+	err  error           // guarded by mu
 	// ready mirrors done for lock-free metric classification: a creator
 	// that finds ready already set counts a hit instead of a coalesced
 	// wait. Set only after compute returns (like done), so a panicking
@@ -94,10 +80,10 @@ type table struct {
 	entries map[any]*entry // guarded by mu
 }
 
-// cache is the process-wide memo behind the package-level helpers.
+// cache is the process-wide memo behind Run.
 var cache table
 
-func (t *table) do(key any, compute func() pipeline.Report) pipeline.Report {
+func (t *table) do(key any, compute func() (pipeline.Report, error)) (pipeline.Report, error) {
 	t.mu.Lock()
 	e, ok := t.entries[key]
 	if !ok {
@@ -125,11 +111,11 @@ func (t *table) do(key any, compute func() pipeline.Report) pipeline.Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.done {
-		e.rep = compute()
+		e.rep, e.err = compute()
 		e.done = true
 		e.ready.Store(true)
 	}
-	return e.rep
+	return e.rep, e.err
 }
 
 // Group is a private memo for callers whose keys are only meaningful
@@ -152,27 +138,22 @@ func NewGroup() *Group {
 // first use. key must be comparable. Concurrent calls for the same key block
 // on the first and share its result; distinct keys compute in parallel.
 func (g *Group) Do(key any, compute func() pipeline.Report) pipeline.Report {
-	return g.memo.do(key, compute)
+	// compute returns no error, so do returns none.
+	rep, _ := g.memo.do(key, func() (pipeline.Report, error) { return compute(), nil })
+	return rep
 }
 
-// CoreRun is a memoized core.Run.
-func CoreRun(tb device.Testbed, req pipeline.Request, opt core.Options) pipeline.Report {
-	return cache.do(coreKey{tb: tb, req: req, opt: opt}, func() pipeline.Report {
-		return core.Run(tb, req, opt)
-	})
-}
-
-// FlexRun is a memoized baseline.FlexVariant.Run.
-func FlexRun(tb device.Testbed, v baseline.FlexVariant, req pipeline.Request) pipeline.Report {
-	return cache.do(flexKey{tb: tb, req: req, v: v}, func() pipeline.Report {
-		return v.Run(tb, req)
-	})
-}
-
-// VLLMRun is a memoized baseline.VLLMConfig.Run.
-func VLLMRun(tb device.Testbed, cfg baseline.VLLMConfig, req pipeline.Request) pipeline.Report {
-	return cache.do(vllmKey{tb: tb, req: req, cfg: cfg}, func() pipeline.Report {
-		return cfg.Run(tb, req)
+// Run is a memoized engine.Engine.Run: it simulates req on the system's
+// engine for cfg, building the engine with engine.New on a miss. An unknown
+// system or invalid configuration returns New's error, which is memoized
+// like a report.
+func Run(sys engine.System, cfg engine.Config, req pipeline.Request) (pipeline.Report, error) {
+	return cache.do(runKey{sys: sys, cfg: cfg.Normalize(), req: req}, func() (pipeline.Report, error) {
+		eng, err := engine.New(sys, cfg)
+		if err != nil {
+			return pipeline.Report{}, err
+		}
+		return eng.Run(req), nil
 	})
 }
 

@@ -1,12 +1,12 @@
 package repcache
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 )
@@ -17,24 +17,31 @@ func req() pipeline.Request {
 
 // The cache must return the uncached engine's exact result and collapse
 // repeated and concurrent lookups of one point into a single entry.
-func TestCoreRunMatchesAndDedupes(t *testing.T) {
+func TestRunMatchesAndDedupes(t *testing.T) {
 	Reset()
-	tb := device.DefaultTestbed()
-	opt := core.DefaultOptions(8)
-	direct := core.Run(tb, req(), opt)
+	cfg := engine.Config{Testbed: device.DefaultTestbed(), Devices: 8, Alpha: engine.AlphaAuto}
+	eng, err := engine.New(engine.SysHILOS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := eng.Run(req())
 
 	var wg sync.WaitGroup
 	reps := make([]pipeline.Report, 16)
+	errs := make([]error, 16)
 	for i := range reps {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reps[i] = CoreRun(tb, req(), opt)
+			reps[i], errs[i] = Run(engine.SysHILOS, cfg, req())
 		}()
 	}
 	wg.Wait()
 	for i, rep := range reps {
-		if rep.StepSec != direct.StepSec || rep.PrefillSec != direct.PrefillSec || rep.Batch != direct.Batch {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(rep, direct) {
 			t.Fatalf("cached report %d differs from direct run: %+v vs %+v", i, rep, direct)
 		}
 	}
@@ -42,28 +49,61 @@ func TestCoreRunMatchesAndDedupes(t *testing.T) {
 		t.Fatalf("16 identical lookups created %d cache entries, want 1", Len())
 	}
 
-	// A different option set is a different point.
-	CoreRun(tb, req(), core.DefaultOptions(16))
-	if Len() != 2 {
-		t.Fatalf("distinct options shared an entry: Len = %d", Len())
+	// The key is the normalized Config: spelling out the defaults is a hit.
+	cfg.SpillInterval = 16
+	if _, err := Run(engine.SysHILOS, cfg, req()); err != nil || Len() != 1 {
+		t.Fatalf("normalized-equal Config missed: Len = %d, err %v", Len(), err)
+	}
+	// A different device count is a different point.
+	cfg.Devices = 16
+	if _, err := Run(engine.SysHILOS, cfg, req()); err != nil || Len() != 2 {
+		t.Fatalf("distinct configs shared an entry: Len = %d, err %v", Len(), err)
 	}
 }
 
-func TestFlexAndVLLMKeysDistinct(t *testing.T) {
+func TestSystemsKeyedApart(t *testing.T) {
 	Reset()
-	tb := device.DefaultTestbed()
-	a := FlexRun(tb, baseline.FlexSSD(tb), req())
-	b := FlexRun(tb, baseline.FlexDRAM(tb), req())
-	if a.System == b.System {
-		t.Fatalf("different variants collided: %q", a.System)
+	cfg := engine.Config{Testbed: device.DefaultTestbed()}
+	run := func(sys engine.System) pipeline.Report {
+		t.Helper()
+		rep, err := Run(sys, cfg, req())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	FlexRun(tb, baseline.FlexSSD(tb), req()) // hit
-	VLLMRun(tb, baseline.DefaultVLLM(), req())
+	a, b := run(engine.SysFlexSSD), run(engine.SysFlexDRAM)
+	if a.System == b.System {
+		t.Fatalf("different systems collided: %q", a.System)
+	}
+	run(engine.SysFlexSSD) // hit
+	run(engine.SysVLLM)
 	if Len() != 3 {
 		t.Fatalf("cache has %d entries, want 3", Len())
 	}
-	if got := VLLMRun(tb, baseline.DefaultVLLM(), req()); got.System == "" {
+	if got := run(engine.SysVLLM); got.System == "" {
 		t.Fatal("vLLM report missing system name")
+	}
+}
+
+// An unknown system or an invalid configuration returns engine.New's error,
+// on the miss and on every later lookup of the same key.
+func TestRunReturnsEngineError(t *testing.T) {
+	Reset()
+	tb := device.DefaultTestbed()
+	for _, c := range []struct {
+		sys engine.System
+		cfg engine.Config
+	}{
+		{"no-such-system", engine.Config{Testbed: tb}},
+		{engine.SysHILOS, engine.Config{Testbed: tb, Alpha: 1.5}},
+		{engine.SysHILOS, engine.Config{}},
+	} {
+		for i := 0; i < 2; i++ {
+			if _, err := Run(c.sys, c.cfg, req()); err == nil {
+				t.Errorf("Run(%q, α=%g) lookup %d returned no error", c.sys, c.cfg.Alpha, i)
+			}
+		}
 	}
 }
 
