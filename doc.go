@@ -340,21 +340,29 @@
 // no interface boxing. Run reads a trace already in (arrival, ID) order in
 // place and never writes to it; any other trace is sorted into a copy.
 // Admission queues are FIFOs of indices into that trace, consumed from the
-// head by reslicing, so a queue's buffer holds no pointers. A
-// start-deadline event carries its request's admission position, so
-// checking whether the request still waits is one comparison against the
+// head by reslicing, so a queue's buffer holds no pointers. Before the loop
+// starts, Run interns each request's (priority, class) queue key once — the
+// only lookup a request pays — and admission reads the key's queue by index;
+// a queue and its depth gauge still appear at the key's first admitted
+// arrival. A start-deadline event carries its request's admission position,
+// so checking whether the request still waits is one comparison against the
 // queue's count of taken requests. Engine reports sit in one table per
 // request shape, rows indexed by batch size and pipeline, in front of the
 // repcache.Group (prewarm workers call the group directly). A queue looks
 // its table up once, when it is created, and a closed batch once per
-// placement, so planning a batch hashes nothing and, once its reports
-// exist, allocates nothing (internal/cluster TestPlanDoesNotAllocate). The
-// Summary sorts each delay sample once for its percentiles. Summaries are
-// bit-identical to the earlier container/heap loop's, pinned by the SHA-256
-// table in internal/cluster/testdata/summary_digests.txt. On a 2-vCPU Xeon
-// the bench module's 100k-request close-at-admission replay
-// (replay-offline) takes about 35 ms of CPU and its 20k-request continuous
-// replay (replay-online) about 21 ms, allocating about 4.3 MB.
+// placement, so planning a batch hashes nothing and, once its reports exist,
+// allocates nothing (internal/cluster TestPlanDoesNotAllocate). Summarizing
+// is linear in requests: the delay percentiles come from in-place
+// nearest-rank selection (stats.Select: p99, then p95 and p50 each inside
+// the previous one's left part, sorting a range only after 2·log₂n partition
+// rounds fail to narrow it), and per-priority delays are a stable partition
+// of the sample, copied only when more than one priority completed work.
+// Summaries are bit-identical to the earlier container/heap loop's, pinned
+// by the SHA-256 table in internal/cluster/testdata/summary_digests.txt. On
+// a 2-vCPU Xeon the bench module's 100k-request close-at-admission replay
+// (replay-offline) takes about 21 ms of CPU (42 ms when the Summary sorted
+// its delays and every arrival hashed its queue key) and its 20k-request
+// continuous replay (replay-online) about 21 ms, allocating about 4.3 MB.
 //
 // The bench module (bench/, declared by BENCHMARK.json) is the performance
 // ledger: it times whole workloads — the figures, three cluster replays and

@@ -49,8 +49,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/endurance"
@@ -363,30 +365,34 @@ func summarize(l *eventLoop) Summary {
 		s.Quarantines += ps.Quarantines
 	}
 
-	perPrio := map[int]*PriorityStats{}
-	prioStats := func(prio int) *PriorityStats {
-		ps := perPrio[prio]
-		if ps == nil {
-			ps = &PriorityStats{Priority: prio}
-			perPrio[prio] = ps
-		}
-		return ps
+	// One entry per priority, most urgent first, counted from the interned
+	// queue keys; prioIndex finds a priority's entry.
+	var prios []PriorityStats
+	for _, ks := range l.keys {
+		prios = append(prios, PriorityStats{Priority: ks.key.priority})
 	}
-	for _, r := range reqs {
-		ps := prioStats(r.Priority)
-		ps.Requests++
-		ps.Admitted++
+	slices.SortFunc(prios, func(a, b PriorityStats) int { return cmp.Compare(b.Priority, a.Priority) })
+	prios = slices.CompactFunc(prios, func(a, b PriorityStats) bool { return a.Priority == b.Priority })
+	prioIndex := func(prio int) int {
+		i, _ := slices.BinarySearchFunc(prios, prio, func(ps PriorityStats, p int) int { return cmp.Compare(p, ps.Priority) })
+		return i
 	}
-	for _, r := range l.rejected {
-		prioStats(r.Priority).Admitted--
-		s.RejectedJobIDs = append(s.RejectedJobIDs, r.ID)
+	for _, ks := range l.keys {
+		ps := &prios[prioIndex(ks.key.priority)]
+		ps.Requests += ks.requests
+		ps.Admitted += ks.requests - ks.rejected
 	}
 	for prio, jobs := range l.preempted {
-		prioStats(prio).PreemptedJobs = jobs
+		prios[prioIndex(prio)].PreemptedJobs = jobs
 	}
+	s.RejectedJobIDs = l.rejected
 
+	// delays lists every completed request's queueing delay in dispatch
+	// order; each completed batch's members are the run delays[lo:hi] of
+	// priority entry pi.
+	type delayRun struct{ pi, lo, hi int }
 	delays := make([]float64, 0, len(reqs))
-	prioDelays := map[int][]float64{}
+	var runs []delayRun
 	devices := make([]int, len(cfg.Fleet))
 	for ai, a := range asgs {
 		n := len(a.Batch.JobIDs)
@@ -432,12 +438,12 @@ func summarize(l *eventLoop) Summary {
 				ps.EnergyJ += float64(eb.Total() * float64(toks))
 			}
 		}
-		pst := prioStats(a.Batch.Priority)
+		pi := prioIndex(a.Batch.Priority)
+		pst := &prios[pi]
 		pst.Completed += n
+		runs = append(runs, delayRun{pi: pi, lo: len(delays), hi: len(delays) + n})
 		for i, arr := range a.Batch.Arrivals {
-			delay := a.StartSec - arr
-			delays = append(delays, delay)
-			prioDelays[a.Batch.Priority] = append(prioDelays[a.Batch.Priority], delay)
+			delays = append(delays, a.StartSec-arr)
 			if d := a.Batch.Deadlines[i]; d > 0 && a.StartSec > d {
 				pst.DeadlineMisses++
 				s.DeadlineMisses++
@@ -467,28 +473,53 @@ func summarize(l *eventLoop) Summary {
 		s.TotalEnergyJ += ps.EnergyJ
 		s.TotalWriteBytes += ps.WriteBytes
 	}
-	cfg.Telemetry.finalize(s, delays) // before delayStats sorts delays in place
-	s.DelayMeanSec, s.DelayP50Sec, s.DelayP95Sec, s.DelayP99Sec = delayStats(delays)
 
-	prios := make([]int, 0, len(perPrio))
-	for prio := range perPrio {
-		prios = append(prios, prio)
+	// Per-priority delays: when one priority completed every request, its
+	// statistics are the overall ones. Otherwise each priority's runs are
+	// copied, in dispatch order, into its own part of one slab (a stable
+	// partition by priority) before delayStats reorders delays.
+	var byPrio []float64
+	if !slices.ContainsFunc(prios, func(ps PriorityStats) bool { return ps.Completed == len(delays) }) {
+		byPrio = make([]float64, len(delays))
+		next := make([]int, len(prios))
+		for i, off := 1, 0; i < len(prios); i++ {
+			off += prios[i-1].Completed
+			next[i] = off
+		}
+		for _, r := range runs {
+			next[r.pi] += copy(byPrio[next[r.pi]:], delays[r.lo:r.hi])
+		}
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
-	for _, prio := range prios {
-		ps := perPrio[prio]
-		ps.DelayMeanSec, ps.DelayP50Sec, ps.DelayP95Sec, ps.DelayP99Sec = delayStats(prioDelays[prio])
-		s.PerPriority = append(s.PerPriority, *ps)
+	cfg.Telemetry.finalize(s, delays) // before delayStats reorders delays
+	s.DelayMeanSec, s.DelayP50Sec, s.DelayP95Sec, s.DelayP99Sec = delayStats(delays)
+	for i := range prios {
+		ps := &prios[i]
+		if ps.Completed == len(delays) {
+			ps.DelayMeanSec, ps.DelayP50Sec, ps.DelayP95Sec, ps.DelayP99Sec = s.DelayMeanSec, s.DelayP50Sec, s.DelayP95Sec, s.DelayP99Sec
+		} else {
+			ps.DelayMeanSec, ps.DelayP50Sec, ps.DelayP95Sec, ps.DelayP99Sec = delayStats(byPrio[:ps.Completed])
+			byPrio = byPrio[ps.Completed:]
+		}
 	}
+	s.PerPriority = prios
 	return s
 }
 
 // delayStats returns the mean (summed in the given order), p50, p95 and p99
-// of delays, sorting the slice in place once for the percentiles.
+// of delays, or zeros for none. The percentiles are selected in place, p99
+// first and each next one inside the previous one's left part, which
+// reorders delays.
 func delayStats(delays []float64) (mean, p50, p95, p99 float64) {
+	n := len(delays)
+	if n == 0 {
+		return 0, 0, 0, 0
+	}
+	k99, k95, k50 := stats.NearestRank(n, 99), stats.NearestRank(n, 95), stats.NearestRank(n, 50)
 	mean = stats.Mean(delays)
-	sort.Float64s(delays)
-	return mean, stats.PercentileSorted(delays, 50), stats.PercentileSorted(delays, 95), stats.PercentileSorted(delays, 99)
+	p99 = stats.Select(delays, k99)
+	p95 = stats.Select(delays[:k99+1], k95)
+	p50 = stats.Select(delays[:k95+1], k50)
+	return mean, p50, p95, p99
 }
 
 // batchWriteBytes estimates the physical flash bytes written executing a

@@ -266,19 +266,20 @@ func (d *dispatcher) simulate(k repKey) pipeline.Report {
 	})
 }
 
-// prewarm simulates every distinct request shape in trace at the target
-// batch size on every engine, on the kernel worker pool before the
-// sequential event loop starts; the loop then runs on memoized reports for
-// those dominant shapes, and odd tail sizes simulate lazily on the loop.
-// Shapes deduplicate through the report tables before crossing the fleet (a
-// trace has few shapes and many requests), and pipelines sharing an EngineID
-// simulate each shape once. Results are identical with or without prewarming
-// — it only moves pure computations off the loop.
-func (d *dispatcher) prewarm(trace []Request, size int) {
+// prewarm simulates every distinct request shape among a trace's queue keys
+// at the target batch size on every engine, on the kernel worker pool before
+// the sequential event loop starts; the loop then runs on memoized reports
+// for those dominant shapes, and odd tail sizes simulate lazily on the loop.
+// Shapes deduplicate through the report tables before crossing the fleet
+// (keys that differ only in priority or class name share a shape), and
+// pipelines sharing an EngineID simulate each shape once. Results are
+// identical with or without prewarming — it only moves pure computations off
+// the loop.
+func (d *dispatcher) prewarm(keys []keyState, size int) {
 	var todo []repKey
-	for _, r := range trace {
+	for _, k := range keys {
 		known := len(d.tables)
-		t := d.table(r.Class)
+		t := d.table(k.key.class)
 		if len(d.tables) == known {
 			continue // the shape is already crossed with the fleet
 		}

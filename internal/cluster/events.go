@@ -61,9 +61,13 @@ type eventLoop struct {
 	trace []Request
 	next  int
 
-	queues map[queueKey]*classQueue
-	qlist  []*classQueue // the queues in creation order, for scans
-	ripe   []*classQueue // ripeQueues' reused result
+	// keys holds the trace's distinct queue keys in first-arrival order, and
+	// keyOf[i] is the index in keys of trace request i's key: Run interns
+	// every request once, so admission reads its queue by index.
+	keys  []keyState
+	keyOf []int32
+	qlist []*classQueue // the queues in creation order, for scans
+	ripe  []*classQueue // ripeQueues' reused result
 
 	// chains[p] holds the live slots on pipeline p, in execution order: the
 	// running slot (immovable) and, in close-at-admission mode, an
@@ -84,7 +88,7 @@ type eventLoop struct {
 	free    []*slot
 	evicted []*slot
 
-	rejected []Request
+	rejected []int // IDs of the requests the backlog cap turned away
 	// sum is the Summary under construction: preemption and recovery
 	// counters go straight into it (per pipeline where they have one), and
 	// summarize folds the drained schedule in at the end. preempted counts
@@ -191,6 +195,7 @@ func (l *eventLoop) backlog(minPrio int) int {
 // when the queue fills (close-at-admission) or at once (continuous).
 func (l *eventLoop) arrive(i int) {
 	r := &l.trace[i]
+	ks := &l.keys[l.keyOf[i]]
 	if cap := l.cfg.Admission.MaxBacklog; cap > 0 {
 		// With preemption, a request only competes for backlog space with
 		// work of its own priority or above: online arrivals are no longer
@@ -201,16 +206,16 @@ func (l *eventLoop) arrive(i int) {
 			minPrio = r.Priority
 		}
 		if l.backlog(minPrio) >= cap {
-			l.rejected = append(l.rejected, *r)
+			ks.rejected++
+			l.rejected = append(l.rejected, r.ID)
 			l.cfg.Telemetry.onReject(*r)
 			return
 		}
 	}
-	k := queueKey{priority: r.Priority, class: r.Class}
-	q := l.queues[k]
+	q := ks.q
 	if q == nil {
-		q = &classQueue{key: k, table: l.d.table(r.Class), depth: l.cfg.Telemetry.queueGauge(k)}
-		l.queues[k] = q
+		q = &classQueue{key: ks.key, table: l.d.table(r.Class), depth: l.cfg.Telemetry.queueGauge(ks.key)}
+		ks.q = q
 		l.qlist = append(l.qlist, q)
 	}
 	if len(q.reqs) == 0 {
@@ -804,12 +809,14 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		}
 	}
 
-	d.prewarm(sorted, cfg.Admission.MaxBatch)
+	keys, keyOf := internKeys(sorted)
+	d.prewarm(keys, cfg.Admission.MaxBatch)
 
 	l := &eventLoop{
 		cfg:    cfg,
 		d:      d,
-		queues: map[queueKey]*classQueue{},
+		keys:   keys,
+		keyOf:  keyOf,
 		chains: make([][]*slot, len(cfg.Fleet)),
 		floors: make([]float64, len(cfg.Fleet)),
 		trace:  sorted,

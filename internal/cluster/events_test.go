@@ -471,3 +471,44 @@ func sameRequest(a, b Request) bool {
 	}
 	return a == b
 }
+
+// internKeys lists a trace's distinct (priority, class) keys in
+// first-arrival order with their request counts and maps each request to
+// its key, both while it finds keys by scanning and once it has more than
+// scanKeys of them and looks them up in a map. Keys that differ only in
+// priority, class name or shape stay apart.
+func TestInternKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	reqs := make([]Request, 600)
+	for i := range reqs {
+		c := workload.Class{Name: []string{"a", "b"}[rng.Intn(2)], Input: 512 << rng.Intn(3), Output: 64 << rng.Intn(2)}
+		reqs[i] = Request{ID: i, Class: c, Priority: rng.Intn(3)}
+	}
+	for _, n := range []int{1, 12, 600} {
+		trace := reqs[:n]
+		keys, keyOf := internKeys(trace)
+		var want []queueKey
+		counts := map[queueKey]int{}
+		for i, r := range trace {
+			k := queueKey{priority: r.Priority, class: r.Class}
+			if counts[k] == 0 {
+				want = append(want, k)
+			}
+			counts[k]++
+			if got := keys[keyOf[i]].key; got != k {
+				t.Fatalf("%d requests: request %d interned as %+v, want %+v", n, i, got, k)
+			}
+		}
+		if len(keys) != len(want) {
+			t.Fatalf("%d requests: %d keys, want %d", n, len(keys), len(want))
+		}
+		for i, ks := range keys {
+			if ks.key != want[i] || ks.requests != counts[ks.key] || ks.q != nil || ks.rejected != 0 {
+				t.Errorf("%d requests: key %d is %+v, want %+v with %d requests", n, i, ks, want[i], counts[want[i]])
+			}
+		}
+		if n == len(reqs) && len(keys) <= scanKeys {
+			t.Fatalf("the full trace has %d keys, want more than %d", len(keys), scanKeys)
+		}
+	}
+}

@@ -31,6 +31,67 @@ func (k queueKey) cmp(o queueKey) int {
 	)
 }
 
+// keyState is one distinct queue key of a trace: the key's queue, nil until
+// its first admitted arrival (a key whose every request the backlog cap
+// rejects never gets one), and how many of the trace's requests carry the
+// key and how many of those were rejected.
+type keyState struct {
+	key      queueKey
+	q        *classQueue
+	requests int
+	rejected int
+}
+
+// scanKeys is how many distinct keys internKeys finds by a linear scan
+// before it builds a map: comparing a few keys is cheaper than hashing the
+// class name, and the map keeps a trace with many shapes linear.
+const scanKeys = 8
+
+// internKeys returns trace's distinct queue keys in first-arrival order,
+// each with its request count, and the index in keys of each request's key.
+// It is the one place a request's key is looked up.
+func internKeys(trace []Request) (keys []keyState, keyOf []int32) {
+	var index map[queueKey]int32 // nil until keys outgrows a scan
+	keyOf = make([]int32, len(trace))
+	for i := range trace {
+		k := queueKey{priority: trace[i].Priority, class: trace[i].Class}
+		ki := findKey(keys, index, k)
+		if ki < 0 {
+			ki = int32(len(keys))
+			keys = append(keys, keyState{key: k})
+			if len(keys) > scanKeys {
+				if index == nil {
+					index = make(map[queueKey]int32, len(keys))
+					for j := range keys[:ki] {
+						index[keys[j].key] = int32(j)
+					}
+				}
+				index[k] = ki
+			}
+		}
+		keys[ki].requests++
+		keyOf[i] = ki
+	}
+	return keys, keyOf
+}
+
+// findKey returns k's index in keys, or -1: through index when there is
+// one, else by scanning.
+func findKey(keys []keyState, index map[queueKey]int32, k queueKey) int32 {
+	if index != nil {
+		if ki, ok := index[k]; ok {
+			return ki
+		}
+		return -1
+	}
+	for j := range keys {
+		if keys[j].key == k {
+			return int32(j)
+		}
+	}
+	return -1
+}
+
 // classQueue is one per-priority-per-shape admission queue, FIFO in arrival
 // order and consumed from the head. It holds indices into the event loop's
 // sorted trace rather than request copies, so its buffer is pointer-free

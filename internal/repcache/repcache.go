@@ -144,11 +144,17 @@ func (g *Group) Do(key any, compute func() pipeline.Report) pipeline.Report {
 }
 
 // Run is a memoized engine.Engine.Run: it simulates req on the system's
-// engine for cfg, building the engine with engine.New on a miss. An unknown
-// system or invalid configuration returns New's error, which is memoized
-// like a report.
+// engine for cfg, building the engine with engine.New on a miss. cfg is
+// normalized and validated before it keys the memo, so an invalid
+// configuration returns Validate's error and stores nothing (a NaN field,
+// which never equals itself, would otherwise add an entry per lookup). An
+// unknown system returns New's error, which is memoized like a report.
 func Run(sys engine.System, cfg engine.Config, req pipeline.Request) (pipeline.Report, error) {
-	return cache.do(runKey{sys: sys, cfg: cfg.Normalize(), req: req}, func() (pipeline.Report, error) {
+	cfg = cfg.Normalize()
+	if err := cfg.Validate(); err != nil {
+		return pipeline.Report{}, err
+	}
+	return cache.do(runKey{sys: sys, cfg: cfg, req: req}, func() (pipeline.Report, error) {
 		eng, err := engine.New(sys, cfg)
 		if err != nil {
 			return pipeline.Report{}, err

@@ -1,6 +1,7 @@
 package repcache
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -103,6 +104,22 @@ func TestRunReturnsEngineError(t *testing.T) {
 			if _, err := Run(c.sys, c.cfg, req()); err == nil {
 				t.Errorf("Run(%q, α=%g) lookup %d returned no error", c.sys, c.cfg.Alpha, i)
 			}
+		}
+	}
+}
+
+// An invalid configuration is rejected before it keys the memo: five
+// lookups with a NaN α each return the validation error and add no entry,
+// although NaN never equals itself and so would never hit one.
+func TestRunInvalidConfigStoresNothing(t *testing.T) {
+	Reset()
+	cfg := engine.Config{Testbed: device.DefaultTestbed(), Alpha: math.NaN()}
+	for i := 0; i < 5; i++ {
+		if _, err := Run(engine.SysHILOS, cfg, req()); err == nil {
+			t.Fatalf("lookup %d with α = NaN returned no error", i)
+		}
+		if n := Len(); n != 0 {
+			t.Fatalf("after lookup %d with α = NaN the memo holds %d entries, want 0", i, n)
 		}
 	}
 }
