@@ -461,3 +461,35 @@ func BenchmarkClusterReplayPreempt(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClusterReplayOnline replays the benchmark's replay-online shape
+// through the facade: the replay-preempt fleet, trace and deadline class,
+// but with continuous batching, so batches form when a pipeline frees and
+// nothing is ever evicted. Most events find every pipeline busy, so ns/op
+// shows what continuous dispatch spends on events it cannot act on.
+func BenchmarkClusterReplayOnline(b *testing.B) {
+	m, err := ModelByName("OPT-30B")
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs, err := NewTimedWorkloadTrace(1, 20_000, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := []ClusterOption{
+		WithFleet(SystemHILOS, 2, 8),
+		WithFleet(SystemFlexDRAM, 1, 0),
+		WithFleet(SystemInstInfer, 1, 8),
+		WithAdmission(16, 30),
+		WithDispatchPolicy(DispatchLeastLoaded),
+		WithPriorityClasses(PriorityClass{Class: "Short", Priority: 1, DeadlineSec: 60}),
+		WithPreemption(),
+		WithContinuousBatching(),
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Cluster(m, reqs, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

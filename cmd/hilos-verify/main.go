@@ -1,8 +1,11 @@
 // Command hilos-verify is the functional verification tool of §5.1: it
 // validates the accelerator's numerics against the exact reference before
-// "committing to resource-intensive synthesis" — blocked attention vs
-// FlashAttention-style reference, the two-pass softmax, the online
-// transpose, GQA, the delayed-writeback merge, and end-task accuracy on the
+// "committing to resource-intensive synthesis". It checks the accelerator's
+// blocked attention against the exact reference at d_group 1, 4 and 5 over
+// several sequence lengths (FP16 storage, FP32 accumulate), the
+// delayed-writeback merge of a storage prefix with a host partial, and the
+// two-pass softmax against the three-pass reference; unless -tasks=false, it
+// also requires the accelerator to score exactly as the exact path on the
 // synthetic retrieval suite.
 package main
 

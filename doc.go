@@ -155,7 +155,8 @@
 // FailureThreshold consecutive failures on one pipeline trip a circuit
 // breaker: the pipeline is quarantined for QuarantineSec, its queued-ahead
 // work fails over to the rest of the fleet immediately, and a repair event
-// re-admits it. When every pipeline that could serve a batch is temporarily
+// re-admits it. A FailureThreshold ≤ 0 or a zero QuarantineSec turns the
+// breaker off; an empty quarantine would only fail work over. When every pipeline that could serve a batch is temporarily
 // down or quarantined, placement defers to the earliest re-admission
 // instant rather than failing; when the exact tiers are out of service
 // permanently and a lossy tier (the InstInfer pipeline) can still serve,
@@ -357,12 +358,20 @@
 // the previous one's left part, sorting a range only after 2·log₂n partition
 // rounds fail to narrow it), and per-priority delays are a stable partition
 // of the sample, copied only when more than one priority completed work.
+// Continuous dispatch plans only when a pipeline is idle. Most events of an
+// overloaded continuous replay find every pipeline busy or out of service,
+// and then an idle-only plan can only fail a batch that no pipeline but a
+// worn-out one fits. Each report table keeps, per batch size, the set of
+// pipelines that fit, so the event checks the ripe queues against that set
+// minus the worn-out pipelines and returns without sorting or planning them
+// unless such a batch waits.
 // Summaries are bit-identical to the earlier container/heap loop's, pinned
 // by the SHA-256 table in internal/cluster/testdata/summary_digests.txt. On
 // a 2-vCPU Xeon the bench module's 100k-request close-at-admission replay
 // (replay-offline) takes about 21 ms of CPU (42 ms when the Summary sorted
 // its delays and every arrival hashed its queue key) and its 20k-request
-// continuous replay (replay-online) about 21 ms, allocating about 4.3 MB.
+// continuous replay (replay-online) about 13 ms (18 ms when every event
+// planned every ripe queue), allocating about 4.3 MB.
 //
 // The bench module (bench/, declared by BENCHMARK.json) is the performance
 // ledger: it times whole workloads — the figures, three cluster replays and

@@ -151,12 +151,28 @@ type shape struct{ in, out int }
 
 // reportTable holds one request shape's engine reports in rows indexed
 // [size][pipeline], flattened as reps[size*len(fleet)+p]. Pipelines sharing
-// an EngineID point at one report; a nil entry has not been read yet. Only
-// the event loop touches a table, so reading one takes no lock and hashes
-// nothing.
+// an EngineID point at one report; a nil entry has not been read yet. fits
+// records, per size, the pipelines whose engine can place that many jobs
+// (fitsFor), flattened the same way in pipeSet words. Only the event loop
+// touches a table, so reading one takes no lock and hashes nothing.
 type reportTable struct {
 	in, out int
 	reps    []*pipeline.Report
+	fits    []uint64
+}
+
+// pipeSet is a set of fleet indices, one bit each.
+type pipeSet []uint64
+
+func (s pipeSet) add(p int) { s[p/64] |= 1 << (p % 64) }
+
+func (s pipeSet) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // dispatcher is the policy layer under the event loop (Run): it scores and
@@ -184,6 +200,7 @@ type dispatcher struct {
 	// without faults.
 	inj    *faults.Injector
 	health []pipeHealth
+	worn   pipeSet // the pipelines retired for good (downUntil = +Inf)
 }
 
 func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher, error) {
@@ -217,6 +234,7 @@ func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher
 		group:  repcache.NewGroup(),
 		tables: map[shape]*reportTable{},
 		health: make([]pipeHealth, len(fleet)),
+		worn:   make(pipeSet, (len(fleet)+63)/64),
 	}, nil
 }
 
@@ -253,6 +271,58 @@ func (d *dispatcher) report(t *reportTable, p, size int) *pipeline.Report {
 	}
 	row[p] = row[eng]
 	return row[p]
+}
+
+// fitsFor returns the set of pipelines whose engine can place size jobs of
+// t's shape (no OOM, effective batch ≥ 1), reading every pipeline's report
+// at that size the first time, exactly as plan does. An empty set is
+// re-derived from the already-read reports on each call, so an empty record
+// needs no flag to tell it from an unfilled one.
+func (d *dispatcher) fitsFor(t *reportTable, size int) pipeSet {
+	w := len(d.worn)
+	lo, hi := size*w, (size+1)*w
+	if hi > len(t.fits) {
+		t.fits = append(t.fits, make([]uint64, hi-len(t.fits))...)
+	}
+	set := pipeSet(t.fits[lo:hi])
+	if set.empty() {
+		for p := range d.fleet {
+			if rep := d.report(t, p, size); !rep.OOM && rep.Batch >= 1 {
+				set.add(p)
+			}
+		}
+	}
+	return set
+}
+
+// feasible reports whether a pipeline that has not worn out can place size
+// jobs of t's shape: plan's feasible result, whatever the pipelines' clocks
+// and repair windows.
+func (d *dispatcher) feasible(t *reportTable, size int) bool {
+	for i, fits := range d.fitsFor(t, size) {
+		if fits&^d.worn[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// idle reports whether some pipeline is free and in service at now. When
+// none is, an idle-only plan places nothing: it only learns whether the
+// batch is feasible.
+func (d *dispatcher) idle(now float64) bool {
+	for p, free := range d.freeAt {
+		if free <= now && d.avail(p) <= now {
+			return true
+		}
+	}
+	return false
+}
+
+// retire takes pipeline p out of service for good (wear-out).
+func (d *dispatcher) retire(p int) {
+	d.health[p].downUntil = math.Inf(1)
+	d.worn.add(p)
 }
 
 // simulate is report's concurrency-safe path through the group memo. It

@@ -552,7 +552,7 @@ func (l *eventLoop) fireDone(e event) {
 func (l *eventLoop) injectFault(p int, fe faults.Event) {
 	h := &l.d.health[p]
 	if fe.Kind == faults.WearOut {
-		h.downUntil = math.Inf(1) // crossing the budget happens once per pipeline
+		l.d.retire(p) // crossing the budget happens once per pipeline
 	} else {
 		if h.downUntil > l.now {
 			return // already down (an overlapping fail-stop) or worn out
@@ -577,7 +577,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 		if h.wear.Add(float64(frac * batchWriteBytes(s.rep, &s.b))) {
 			// The partial writes themselves exhausted the budget: the
 			// repair window becomes moot — the device is worn out.
-			h.downUntil = math.Inf(1)
+			l.d.retire(p)
 		}
 		l.failAttempt(p, s.b, "killed by "+string(fe.Kind))
 	}
@@ -622,12 +622,15 @@ func (l *eventLoop) failAttempt(p int, b BatchJob, reason string) {
 // at FailureThreshold consecutive failures the pipeline is quarantined for
 // QuarantineSec, its queued-ahead work fails over, and a re-admission is
 // scheduled. Runs before the failed batch's own retry is armed, so even a
-// zero-backoff retry sees the quarantine.
+// zero-backoff retry sees the quarantine. A zero QuarantineSec disables the
+// breaker: an empty quarantine would fail work over and re-admit the
+// pipeline at the same instant.
 func (l *eventLoop) noteFailure(p int) {
 	h := &l.d.health[p]
 	h.consecFails++
-	if l.cfg.Retry.FailureThreshold <= 0 || h.consecFails < l.cfg.Retry.FailureThreshold || l.d.avail(p) > l.now {
-		return // below the threshold, or already out of service
+	if l.cfg.Retry.FailureThreshold <= 0 || l.cfg.Retry.QuarantineSec == 0 ||
+		h.consecFails < l.cfg.Retry.FailureThreshold || l.d.avail(p) > l.now {
+		return // the breaker is off, below its threshold, or p is already out of service
 	}
 	h.consecFails = 0
 	h.quarUntil = l.now + l.cfg.Retry.QuarantineSec
@@ -705,11 +708,24 @@ func (l *eventLoop) ripeQueues() []*classQueue {
 	return qs
 }
 
+// ripeInfeasible reports whether some ripe queue's next batch fits no
+// pipeline that has not worn out, the batches an idle-only plan fails.
+func (l *eventLoop) ripeInfeasible() bool {
+	for _, q := range l.qlist {
+		if len(q.reqs) > 0 && l.isRipe(q) && !l.d.feasible(q.table, min(len(q.reqs), l.cfg.Admission.MaxBatch)) {
+			return true
+		}
+	}
+	return false
+}
+
 // tryDispatch is the continuous-batching scheduler: while an idle pipeline
 // can take a ripe queue's batch, re-pack up to MaxBatch of its oldest
 // requests and start them immediately. Batches are therefore formed at
 // dispatch time — a pipeline freeing early picks up whatever has queued
-// since, instead of a stale admission-time batch.
+// since, instead of a stale admission-time batch. Most events in an
+// overloaded replay find every pipeline busy; dispatchRetry and
+// dispatchQueue then return at once unless some batch must fail now.
 func (l *eventLoop) tryDispatch() {
 	if !l.cfg.Admission.ContinuousBatching {
 		return
@@ -719,8 +735,16 @@ func (l *eventLoop) tryDispatch() {
 }
 
 // dispatchQueue starts (or fails, if no pipeline ever could take it) one
-// batch off the first ripe queue an idle pipeline can take, if any.
+// batch off the first ripe queue an idle pipeline can take, if any. When no
+// pipeline is idle, an idle-only plan places nothing and fails only a batch
+// that fits no pipeline but a worn-out one. So dispatchQueue returns false
+// at once, without sorting or planning the ripe queues, unless a ripe queue
+// holds such a batch. That check reads each ripe queue's reports at the
+// size plan would, so it runs only engine simulations the plans would run.
 func (l *eventLoop) dispatchQueue() bool {
+	if !l.d.idle(l.now) && !l.ripeInfeasible() {
+		return false
+	}
 	for _, q := range l.ripeQueues() {
 		n := min(len(q.reqs), l.cfg.Admission.MaxBatch)
 		pl, feasible, nextAvail := l.d.plan(q.table, n, l.now, true, l.now)
@@ -737,13 +761,19 @@ func (l *eventLoop) dispatchQueue() bool {
 // (continuous mode): recovered work dispatches ahead of the queues because
 // it is the oldest admitted work. A batch no fleet member can ever serve
 // again fails terminally; one that is merely waiting on busy or recovering
-// pipelines stays parked for the next free/repair event.
+// pipelines stays parked for the next free/repair event. While no pipeline
+// is idle, a feasible batch is skipped without planning: the plan could
+// only say it waits.
 func (l *eventLoop) dispatchRetry() bool {
 	for i, b := range l.pendingRetries {
+		t := l.d.table(b.Class)
+		if !l.d.idle(l.now) && l.d.feasible(t, len(b.JobIDs)) {
+			continue
+		}
 		if b.ReleaseSec < l.now {
 			b.ReleaseSec = l.now // parked since an earlier instant: re-release now
 		}
-		pl, feasible, nextAvail := l.d.plan(l.d.table(b.Class), len(b.JobIDs), b.ReleaseSec, true, l.now)
+		pl, feasible, nextAvail := l.d.plan(t, len(b.JobIDs), b.ReleaseSec, true, l.now)
 		if pl.p < 0 && feasible {
 			continue
 		}

@@ -512,3 +512,47 @@ func TestInternKeys(t *testing.T) {
 		}
 	}
 }
+
+// Continuous dispatch with every pipeline busy still fails a ripe batch that
+// no engine can place, at the instant its queue ripens (by filling or by max
+// wait), not when a pipeline next frees. Long requests OOM on both engines;
+// Short batches hold both pipelines from 0 to 10. The digest pins the whole
+// Summary, so a failure that moves later or out of dispatch order shows.
+func TestContinuousBusyFleetFailsInfeasibleAtRipening(t *testing.T) {
+	shortOnly := func(req pipeline.Request) pipeline.Report {
+		if req.Context > workload.Short.Input {
+			return pipeline.Report{OOM: true, Reason: "storage OOM"}
+		}
+		return pipeline.Report{Batch: req.Batch, PrefillSec: 10}
+	}
+	reqs := []Request{
+		{ID: 0, Class: workload.Short, ArrivalSec: 0},
+		{ID: 1, Class: workload.Short, ArrivalSec: 0},
+		{ID: 2, Class: workload.Short, ArrivalSec: 0},
+		{ID: 3, Class: workload.Short, ArrivalSec: 0},
+		{ID: 4, Class: workload.Long, ArrivalSec: 1},
+		{ID: 5, Class: workload.Long, ArrivalSec: 1.5}, // fills the Long queue
+		{ID: 6, Class: workload.Long, ArrivalSec: 2},   // ripens by max wait at 4
+		{ID: 7, Class: workload.Short, ArrivalSec: 3},  // waits for a free pipeline
+	}
+	s, err := Run(Config{
+		Model: model.OPT30B, Fleet: []Pipeline{{Name: "p0", Run: shortOnly}, {Name: "p1", Run: shortOnly}},
+		Policy:    LeastLoaded,
+		Admission: Admission{MaxBatch: 2, MaxWaitSec: 2, ContinuousBatching: true},
+	}, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed []float64
+	for _, a := range s.Assignments {
+		if a.Pipeline < 0 {
+			failed = append(failed, a.Batch.ReleaseSec)
+		}
+	}
+	if !reflect.DeepEqual(failed, []float64{1.5, 4}) || s.FailedJobs != 3 {
+		t.Errorf("infeasible batches failed at %v (%d jobs), want at 1.5 and 4 (3 jobs)", failed, s.FailedJobs)
+	}
+	if got, want := summaryDigest(t, s), "6efbef57237df0ad7054936301096db832d580e928ea3080f8b1180e250ebd05"; got != want {
+		t.Errorf("summary digest %s, recorded %s", got, want)
+	}
+}

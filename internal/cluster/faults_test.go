@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // faultFleet is telemetryFleet plus a lossy InstInfer-style backup tier —
@@ -581,4 +583,73 @@ func FuzzClusterAllModes(f *testing.F) {
 			t.Fatalf("delay histogram counts %d jobs, Summary completed %d", h.Count, s.Completed)
 		}
 	})
+}
+
+// A wear-out that leaves only busy pipelines still fails, at once, a ripe
+// continuous batch that only the worn-out pipeline could place: it is not
+// held until the busy pipeline frees. "big" places every shape and wears out
+// at the end of its first batch, at 5; "small" OOMs on Long requests and is
+// busy from 0 to 20. The digest pins the whole Summary, so a failure that
+// moves later or out of dispatch order shows.
+func TestWearOutFailsRipeBatchWhileFleetBusy(t *testing.T) {
+	big := func(req pipeline.Request) pipeline.Report {
+		return pipeline.Report{Batch: req.Batch, PrefillSec: 5, PrefillWriteBytes: 1e9}
+	}
+	small := func(req pipeline.Request) pipeline.Report {
+		if req.Context > workload.Short.Input {
+			return pipeline.Report{OOM: true}
+		}
+		return pipeline.Report{Batch: req.Batch, PrefillSec: 20}
+	}
+	fleet := []Pipeline{{Name: "big", Run: big}, {Name: "small", Run: small}}
+	plan := faults.Plan{WearBudgetBytes: 0.5e9}
+	cfg := Config{
+		Model: model.OPT30B, Fleet: fleet, Policy: LeastLoaded,
+		Admission: Admission{MaxBatch: 1, MaxWaitSec: 0, ContinuousBatching: true},
+		Faults:    mustInjector(t, plan, len(fleet)),
+		Retry:     DefaultRetryPolicy(),
+	}
+	reqs := []Request{
+		{ID: 0, Class: workload.Long, ArrivalSec: 0},
+		{ID: 1, Class: workload.Short, ArrivalSec: 0},
+		{ID: 2, Class: workload.Long, ArrivalSec: 6},
+		{ID: 3, Class: workload.Short, ArrivalSec: 7},
+	}
+	s := matchReference(t, cfg, mustInjector(t, plan, len(fleet)), reqs)
+	if !s.Pipelines[0].WearOut {
+		t.Fatal("big never wore out")
+	}
+	if len(s.FailedJobIDs) != 1 || s.FailedJobIDs[0] != 2 {
+		t.Fatalf("failed jobs %v, want [2]", s.FailedJobIDs)
+	}
+	for _, a := range s.Assignments {
+		if a.Pipeline < 0 && a.Batch.ReleaseSec != 6 {
+			t.Errorf("Long request 2 failed with release %g, want 6 (its arrival)", a.Batch.ReleaseSec)
+		}
+	}
+	if got, want := summaryDigest(t, s), "b5affafa3dc539ef04ebc7eed3e34139b33699d6b907856f2f20a0d9b46056a9"; got != want {
+		t.Errorf("summary digest %s, recorded %s", got, want)
+	}
+}
+
+// A zero-length quarantine disables the circuit breaker, as a threshold of
+// zero does: tripping it would fail every queued-ahead batch over on each
+// failed attempt and re-admit the pipeline at the same instant.
+func TestZeroQuarantineDisablesBreaker(t *testing.T) {
+	fleet := faultFleet()
+	plan := faults.Plan{Seed: 3, TransientProb: 0.3}
+	cfg := Config{
+		Model: model.OPT30B, Fleet: fleet, Policy: LeastLoaded,
+		Admission: Admission{MaxBatch: 2, MaxWaitSec: 1},
+		Faults:    mustInjector(t, plan, len(fleet)),
+		Retry:     RetryPolicy{MaxRetries: 3, BackoffSec: 1, BackoffMaxSec: 60, FailureThreshold: 1, QuarantineSec: 0},
+	}
+	reqs := digestTrace(3, 110)
+	s := matchReference(t, cfg, mustInjector(t, plan, len(fleet)), reqs)
+	if s.RetriedBatches == 0 {
+		t.Fatal("no transient error fired, so the breaker was never tested")
+	}
+	if s.FailedOverBatches != 0 || s.Quarantines != 0 {
+		t.Errorf("%d quarantines failed %d batches over, want none", s.Quarantines, s.FailedOverBatches)
+	}
 }

@@ -29,7 +29,8 @@ type RetryPolicy struct {
 	// FailureThreshold trips the per-pipeline circuit breaker: after this
 	// many consecutive failed attempts on one pipeline it is quarantined
 	// for QuarantineSec (its queued-ahead work fails over to other
-	// pipelines immediately). ≤ 0 disables quarantine.
+	// pipelines immediately). A FailureThreshold ≤ 0 or a zero
+	// QuarantineSec disables the breaker.
 	FailureThreshold int
 	QuarantineSec    float64
 }

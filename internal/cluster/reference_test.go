@@ -747,11 +747,12 @@ func (r *refSched) fault(p int, kind faults.Kind, dur float64) {
 }
 
 // noteFailure counts a failed attempt on p; the FailureThreshold-th in a
-// row quarantines an in-service pipeline and fails its unstarted work over.
+// row quarantines an in-service pipeline for a nonzero QuarantineSec and
+// fails its unstarted work over.
 func (r *refSched) noteFailure(p int) {
 	h := &r.health[p]
 	h.fails++
-	if th := r.cfg.Retry.FailureThreshold; th <= 0 || h.fails < th || r.avail(p) > r.now {
+	if th := r.cfg.Retry.FailureThreshold; th <= 0 || r.cfg.Retry.QuarantineSec == 0 || h.fails < th || r.avail(p) > r.now {
 		return
 	}
 	h.fails = 0
