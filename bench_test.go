@@ -32,7 +32,7 @@ func benchExperiment(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := experiments.New()
+	r := experiments.Runner{TB: device.DefaultTestbed()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -316,7 +316,7 @@ func BenchmarkSimEngineDecodeStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := core.Run(tb, req, core.DefaultOptions(16))
+		rep := core.Run(tb, req, core.Options{Devices: 16, XCache: true, DelayedWriteback: true, Alpha: -1, SpillInterval: 16})
 		if rep.OOM {
 			b.Fatal(rep.Reason)
 		}

@@ -4,9 +4,12 @@
 // blocked attention against the exact reference at d_group 1, 4 and 5 over
 // several sequence lengths (FP16 storage, FP32 accumulate), the
 // delayed-writeback merge of a storage prefix with a host partial, and the
-// two-pass softmax against the three-pass reference; unless -tasks=false, it
-// also requires the accelerator to score exactly as the exact path on the
-// synthetic retrieval suite.
+// two-pass softmax against the three-pass reference. It then decodes a
+// small transformer with internal/reflm's dense-KV Reference and with the
+// full HILOS pipeline (X-cache regeneration with RoPE, accelerator
+// attention, delayed writeback) at each reflm.Point and requires identical
+// greedy tokens. Unless -tasks=false, it also requires the accelerator to
+// score exactly as the exact path on the synthetic retrieval suite.
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/attention"
 	"repro/internal/longbench"
+	"repro/internal/reflm"
 	"repro/internal/tensor"
 )
 
@@ -88,6 +92,16 @@ func main() {
 		gm := tensor.FromSlice(1, len(x), got)
 		wm := tensor.FromSlice(1, len(x), want)
 		check("two-pass softmax n=1000", gm, wm)
+	}
+
+	fmt.Println("HILOS vs dense-KV reference (greedy tokens):")
+	for _, pt := range reflm.Points {
+		status := "ok"
+		if err := pt.Check(); err != nil {
+			status = "FAIL: " + err.Error()
+			failures++
+		}
+		fmt.Printf("  %-12s %-30s %s\n", pt.Name, pt.Engine.Name(), status)
 	}
 
 	if *runTasks {

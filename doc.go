@@ -220,7 +220,7 @@
 // successor lists in one compressed-sparse-row array built by Run, per-label
 // busy sums and per-resource ready heaps of int32 ids. A sim.Task is a value
 // handle — the task's id — and schedule times are read back through
-// Result.Start and Result.Finish. Run returns the arena to the pool before
+// Result.Finish. Run returns the arena to the pool before
 // it returns, so building and scheduling a decode-step graph allocates
 // little beyond the Result, and the garbage collector has almost nothing to
 // scan. Simulations whose timelines nobody reads can call
@@ -251,8 +251,8 @@
 // loop is the oracle in internal/tensor's tests; equivalence is property-
 // and fuzz-tested (bitwise below one stripe, FP32 tolerance for finite
 // data, NaN-for-NaN, bitwise determinism for all inputs including Inf).
-// Mat.T and MatMul are plain serial loops (MatMul a row-axpy loop). No
-// binary calls them; the tests and the reference LM (internal/reflm) do, at
+// MatMul and MatVec are plain serial loops (MatMul a row-axpy loop).
+// hilos-verify runs them through the reference LM (internal/reflm), at
 // shapes far too small for tiling or row sharding to pay.
 //
 // Chunk geometry has no process-wide setting. The attention and
@@ -293,18 +293,18 @@
 // never cloned whole and never written. One traversal of a block serves all
 // d_group query rows: phase 1 scores every row from the block's K rows, and
 // phase 2 adds each V row into every row's chunk accumulator, in token
-// order. The hardware's K-Buf → KT-Buf block transpose is modeled
-// (accel.TransposeBlock, the cycle model) but not re-executed: transposition
-// moves data without arithmetic, so reading K rows directly gives each q·k
-// the same sequential FP32 chain over the head dimension and the same bits.
+// order. The hardware's K-Buf → KT-Buf block transpose is modeled by the
+// cycle model but not re-executed: transposition moves data without
+// arithmetic, so reading K rows directly gives each q·k the same sequential
+// FP32 chain over the head dimension and the same bits.
 // A steady-state call allocates only the scores, block statistics, chunk
 // accumulators and output. SHA-256 digests of its outputs over a fixed shape
 // table are checked in (internal/accel/testdata), and the original per-row
 // loop lives in the tests as the one-chunk golden reference.
 //
-// FP16 storage emulation (fp16.Round and RoundSlice, and so every
-// Mat.RoundFP16) rounds magnitudes in [2^-14, 65520) — those that land on a
-// normal half — directly on the float32 bits: round-to-nearest-even at bit
+// FP16 storage emulation (fp16.RoundSlice, and so every Mat.RoundFP16)
+// rounds magnitudes in [2^-14, 65520) — those that land on a normal half —
+// directly on the float32 bits: round-to-nearest-even at bit
 // 13. Subnormals, zero, overflow to ±Inf past 65504, Inf and NaN take the
 // FromFloat32/ToFloat32 round trip. The fast path is exact, not
 // approximate: a test sweeps every rounding-boundary pattern of the 13

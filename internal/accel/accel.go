@@ -44,9 +44,9 @@ func (c Config) Validate() error {
 // quantized to FP16 in per-worker scratch (the cache is never cloned whole)
 // and traversed once for all d_group query rows, two-pass softmax with
 // streaming statistics, and host-precomputed partial scores merged for the
-// delayed-writeback path. The K-Buf → KT-Buf block transpose is modeled
-// (TransposeBlock, the cycle model) but not re-executed: transposition only
-// moves data, so reading K rows directly yields the same bits.
+// delayed-writeback path. The K-Buf → KT-Buf block transpose is modeled by
+// the cycle model but not re-executed: transposition only moves data, so
+// reading K rows directly yields the same bits.
 type Accelerator struct {
 	cfg Config
 }
@@ -57,17 +57,6 @@ func New(cfg Config) (*Accelerator, error) {
 		return nil, err
 	}
 	return &Accelerator{cfg: cfg}, nil
-}
-
-// TransposeBlock performs the online in-place 128×128 block transposition of
-// the query-key product unit (Figure 7d): a local square block of K is
-// loaded into K-Buf, transposed into KT-Buf, and streamed to the MACs. The
-// input block may be smaller than 128×128 at sequence edges.
-func TransposeBlock(block tensor.Mat) tensor.Mat {
-	if block.Rows > BlockTokens || block.Cols > BlockTokens {
-		panic(fmt.Sprintf("accel: block %dx%d exceeds 128x128 buffer", block.Rows, block.Cols))
-	}
-	return block.T()
 }
 
 // PadSequence zero-pads s up to a multiple of 32 to facilitate AXI burst

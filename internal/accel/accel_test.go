@@ -25,27 +25,6 @@ func refFP16(q, k, v tensor.Mat, mask []bool) tensor.Mat {
 	return attention.Ref(q.Clone().RoundFP16(), k.Clone().RoundFP16(), v.Clone().RoundFP16(), mask)
 }
 
-func TestTransposeBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	b := tensor.RandMat(rng, 128, 64, 1)
-	bt := TransposeBlock(b)
-	if bt.Rows != 64 || bt.Cols != 128 {
-		t.Fatalf("transpose shape %dx%d", bt.Rows, bt.Cols)
-	}
-	if d := tensor.MaxAbsDiff(TransposeBlock(bt), b); d != 0 {
-		t.Errorf("double transpose differs by %v", d)
-	}
-}
-
-func TestTransposeBlockTooLarge(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("oversized block not rejected")
-		}
-	}()
-	TransposeBlock(tensor.New(129, 10))
-}
-
 func TestPadSequence(t *testing.T) {
 	cases := map[int]int{1: 32, 32: 32, 33: 64, 128: 128, 1000: 1024}
 	for in, want := range cases {

@@ -1,7 +1,5 @@
 package accel
 
-import "fmt"
-
 // CycleModel is the performance model of the pipelined dataflow. The four
 // units of Figure 7 run as a task-level pipeline (the DATAFLOW pragma,
 // §5.4), so the steady-state block time is the maximum of the per-unit
@@ -44,17 +42,6 @@ func DefaultCycleModel(dGroup, headDim int) CycleModel {
 		DRAMEff:        0.62,
 		OverheadCycles: 1200,
 	}
-}
-
-// Validate reports invalid parameter combinations.
-func (m CycleModel) Validate() error {
-	switch {
-	case m.ClockHz <= 0 || m.DRAMBW <= 0 || m.DRAMEff <= 0 || m.DRAMEff > 1:
-		return fmt.Errorf("accel: invalid clock/DRAM parameters")
-	case m.MACLanes <= 0 || m.ExpPerLane <= 0 || m.DGroup <= 0 || m.HeadDim <= 0:
-		return fmt.Errorf("accel: invalid unit parameters")
-	}
-	return nil
 }
 
 // bytesPerCycle returns effective DRAM bytes moved per accelerator cycle.

@@ -81,22 +81,6 @@ func TestUnitCyclesMemBound(t *testing.T) {
 	}
 }
 
-func TestCycleModelValidate(t *testing.T) {
-	m := DefaultCycleModel(1, 128)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	m.DRAMEff = 1.5
-	if err := m.Validate(); err == nil {
-		t.Error("DRAM efficiency > 1 accepted")
-	}
-	m = DefaultCycleModel(1, 128)
-	m.MACLanes = 0
-	if err := m.Validate(); err == nil {
-		t.Error("zero MAC lanes accepted")
-	}
-}
-
 // §7.2: softmax dominates as d_group grows; the exponential units eventually
 // become the pipeline bottleneck if DRAM gets faster (PCIe 5.0 discussion).
 func TestSoftmaxBottleneckAtHighDGroup(t *testing.T) {

@@ -31,9 +31,6 @@ func DSPsForThroughputScale(r ResourceModel, dGroup int, scale float64) (float64
 	return baseDSPs * scale, nil
 }
 
-// FitsKU15PDSPs reports whether a DSP demand fits the platform.
-func FitsKU15PDSPs(dsps float64) bool { return dsps <= KU15PDSPs }
-
 // WithDedicatedExpUnits returns a cycle model in which the exponential
 // function is a hardened unit rather than a DSP composition (§7.2's first
 // proposal: "dedicated units for exponential functions... would

@@ -13,12 +13,12 @@ func TestPCIe5DSPDemandExceedsKU15P(t *testing.T) {
 	if dsps <= 2000 {
 		t.Errorf("4x d_group=5 needs %.0f DSPs, paper says over 2,000", dsps)
 	}
-	if FitsKU15PDSPs(dsps) {
+	if dsps <= KU15PDSPs {
 		t.Error("demand unexpectedly fits the KU15P")
 	}
 	// The baseline configuration itself fits.
 	base, _ := DSPsForThroughputScale(r, 5, 1)
-	if !FitsKU15PDSPs(base) {
+	if base > KU15PDSPs {
 		t.Error("baseline d_group=5 does not fit")
 	}
 }

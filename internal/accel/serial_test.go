@@ -105,8 +105,7 @@ func (a *Accelerator) attentionSerial(q, k, v tensor.Mat, mask []bool, hostScore
 }
 
 // qkBlock is the query-key product unit for one block [lo,hi) as the
-// hardware runs it: it loads the K block, performs the local online
-// transpose, and computes scaled q·Kᵀ.
+// hardware runs it: it loads the K block and computes scaled q·Kᵀ.
 //
 //lint:allow floataccum the per-token dot chain is the modeled 128-lane FP32 MAC array
 func (a *Accelerator) qkBlock(qrow []float32, k tensor.Mat, lo, hi int, scale float32) []float32 {
@@ -119,13 +118,13 @@ func (a *Accelerator) qkBlock(qrow []float32, k tensor.Mat, lo, hi int, scale fl
 	if realHi <= lo {
 		return out // fully padded block: scores stay 0, masked later
 	}
-	kBlock := k.SliceRows(lo, realHi)
-	kt := TransposeBlock(kBlock) // KT-Buf: d × tokens
-	// MAC array: for each token column of KT, dot with q.
-	for t := 0; t < kt.Cols; t++ {
+	// MAC array: for each token column of KT, dot with q. The transpose
+	// only moves data, so column t of KT is row lo+t of K.
+	for t := 0; t < realHi-lo; t++ {
+		krow := k.Row(lo + t)
 		var acc float32
-		for dim := 0; dim < kt.Rows; dim++ {
-			acc += qrow[dim] * kt.At(dim, t)
+		for dim := range qrow {
+			acc += qrow[dim] * krow[dim]
 		}
 		out[t] = acc * scale
 	}

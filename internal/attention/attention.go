@@ -196,16 +196,9 @@ func (p *Partial) Merge(o Partial) {
 	}
 }
 
-// Finalize returns the normalized attention output acc/Z.
-func (p Partial) Finalize() []float32 {
-	out := make([]float32, len(p.Acc))
-	p.FinalizeInto(out)
-	return out
-}
-
-// FinalizeInto writes the normalized attention output acc/Z into dst,
-// avoiding Finalize's allocation on reused output rows. The division is
-// hoisted to one float64 reciprocal applied across the accumulator.
+// FinalizeInto writes the normalized attention output acc/Z into dst, so
+// reused output rows need no allocation. The division is hoisted to one
+// float64 reciprocal applied across the accumulator.
 func (p Partial) FinalizeInto(dst []float32) {
 	if p.Stats.Z == 0 {
 		for i := range dst {

@@ -18,6 +18,26 @@ func randQKV(rng *rand.Rand, nq, s, d, dv int) (q, k, v tensor.Mat) {
 	return q, k, v
 }
 
+// Finalize returns the normalized attention output acc/Z.
+func (p Partial) Finalize() []float32 {
+	out := make([]float32, len(p.Acc))
+	p.FinalizeInto(out)
+	return out
+}
+
+// partialOverRange computes the un-normalized partial for one query over all
+// rows of k/v, applying mask entries offset..offset+k.Rows.
+func partialOverRange(qrow []float32, k, v tensor.Mat, mask []bool, offset int) Partial {
+	d := len(qrow)
+	scale := float32(1 / math.Sqrt(float64(d)))
+	p := NewPartial(v.Cols)
+	for ki := 0; ki < k.Rows; ki++ {
+		s := tensor.Dot(qrow, k.Row(ki)) * scale
+		p.AddToken(applyMask(s, mask, offset+ki), v.Row(ki))
+	}
+	return p
+}
+
 func TestBlockedMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, s := range []int{1, 3, 127, 128, 129, 400} {
@@ -57,7 +77,7 @@ func TestAttentionConvexity(t *testing.T) {
 		for j := 0; j < v.Cols; j++ {
 			lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
 			for i := 0; i < v.Rows; i++ {
-				x := v.At(i, j)
+				x := v.Row(i)[j]
 				if x < lo {
 					lo = x
 				}
@@ -65,7 +85,7 @@ func TestAttentionConvexity(t *testing.T) {
 					hi = x
 				}
 			}
-			o := out.At(0, j)
+			o := out.Row(0)[j]
 			if o < lo-1e-4 || o > hi+1e-4 {
 				return false
 			}
@@ -84,7 +104,7 @@ func TestSingleTokenIdentity(t *testing.T) {
 	out := Ref(q, k, v, nil)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 5; j++ {
-			if math.Abs(float64(out.At(i, j)-v.At(0, j))) > 1e-6 {
+			if math.Abs(float64(out.Row(i)[j]-v.Row(0)[j])) > 1e-6 {
 				t.Fatalf("single-token attention not identity at (%d,%d)", i, j)
 			}
 		}
@@ -94,11 +114,11 @@ func TestSingleTokenIdentity(t *testing.T) {
 func TestPartialMergeEqualsWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q, k, v := randQKV(rng, 1, 300, 16, 16)
-	whole := partialOverRange(q.Row(0), k, v, nil, 0, 0)
+	whole := partialOverRange(q.Row(0), k, v, nil, 0)
 	// Split at arbitrary points and merge.
 	for _, cut := range []int{1, 100, 299} {
-		a := partialOverRange(q.Row(0), k.SliceRows(0, cut), v.SliceRows(0, cut), nil, 0, 0)
-		b := partialOverRange(q.Row(0), k.SliceRows(cut, 300), v.SliceRows(cut, 300), nil, cut, 0)
+		a := partialOverRange(q.Row(0), k.SliceRows(0, cut), v.SliceRows(0, cut), nil, 0)
+		b := partialOverRange(q.Row(0), k.SliceRows(cut, 300), v.SliceRows(cut, 300), nil, cut)
 		a.Merge(b)
 		fa, fw := a.Finalize(), whole.Finalize()
 		for i := range fa {
@@ -112,7 +132,7 @@ func TestPartialMergeEqualsWhole(t *testing.T) {
 func TestPartialMergeEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	q, k, v := randQKV(rng, 1, 10, 8, 8)
-	p := partialOverRange(q.Row(0), k, v, nil, 0, 0)
+	p := partialOverRange(q.Row(0), k, v, nil, 0)
 	before := p.Finalize()
 	p.Merge(NewPartial(8)) // identity merge
 	after := p.Finalize()
@@ -123,6 +143,26 @@ func TestPartialMergeEmpty(t *testing.T) {
 	}
 }
 
+// delayedWriteback merges the partial over a committed prefix with the
+// partial a host builds from precomputed scores over the buffered tail
+// (Fig. 6b), the PartialFromScores merge the accelerator folds in.
+func delayedWriteback(q, kOld, vOld, kBuf, vBuf tensor.Mat, mask []bool) tensor.Mat {
+	out := tensor.New(q.Rows, vOld.Cols)
+	scores := Scores(q, kBuf)
+	for i := 0; i < q.Rows; i++ {
+		p := partialOverRange(q.Row(i), kOld, vOld, mask, 0)
+		bufScores := scores.Row(i)
+		if mask != nil {
+			for j := range bufScores {
+				bufScores[j] = applyMask(bufScores[j], mask, kOld.Rows+j)
+			}
+		}
+		p.Merge(PartialFromScores(bufScores, vBuf))
+		copy(out.Row(i), p.Finalize())
+	}
+	return out
+}
+
 func TestDelayedWritebackExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	sOld, sBuf := 256, 16 // spill interval c=16 worth of buffered tokens
@@ -130,10 +170,9 @@ func TestDelayedWritebackExact(t *testing.T) {
 	k := tensor.RandMat(rng, sOld+sBuf, 32, 1)
 	v := tensor.RandMat(rng, sOld+sBuf, 32, 1)
 	want := Ref(q, k, v, nil)
-	got := DelayedWriteback(q,
+	got := delayedWriteback(q,
 		k.SliceRows(0, sOld), v.SliceRows(0, sOld),
-		k.SliceRows(sOld, sOld+sBuf), v.SliceRows(sOld, sOld+sBuf),
-		nil, 128)
+		k.SliceRows(sOld, sOld+sBuf), v.SliceRows(sOld, sOld+sBuf), nil)
 	if d := tensor.MaxAbsDiff(got, want); d > tol {
 		t.Errorf("delayed writeback differs from full attention by %v", d)
 	}
@@ -150,10 +189,9 @@ func TestDelayedWritebackMultiQueryAndMask(t *testing.T) {
 		mask[i] = i%7 != 0
 	}
 	want := Ref(q, k, v, mask)
-	got := DelayedWriteback(q,
+	got := delayedWriteback(q,
 		k.SliceRows(0, sOld), v.SliceRows(0, sOld),
-		k.SliceRows(sOld, sOld+sBuf), v.SliceRows(sOld, sOld+sBuf),
-		mask, 64)
+		k.SliceRows(sOld, sOld+sBuf), v.SliceRows(sOld, sOld+sBuf), mask)
 	if d := tensor.MaxAbsDiff(got, want); d > tol {
 		t.Errorf("masked multi-query writeback differs by %v", d)
 	}
@@ -168,46 +206,14 @@ func TestScoresMatchRefWeights(t *testing.T) {
 	out := make([]float32, v.Cols)
 	for i, w := range p {
 		for j := range out {
-			out[j] += w * v.At(i, j)
+			out[j] += w * v.Row(i)[j]
 		}
 	}
 	want := Ref(q, k, v, nil)
 	for j := range out {
-		if math.Abs(float64(out[j]-want.At(0, j))) > tol {
+		if math.Abs(float64(out[j]-want.Row(0)[j])) > tol {
 			t.Fatalf("score-reconstructed attention differs at %d", j)
 		}
-	}
-}
-
-func TestSplitHeads(t *testing.T) {
-	nX, nKV, err := SplitHeads(1536, 0.5) // bs=16 × 96 heads, α=50%
-	if err != nil || nX != 768 || nKV != 768 {
-		t.Errorf("SplitHeads(1536, 0.5) = %d, %d, %v", nX, nKV, err)
-	}
-	if _, _, err := SplitHeads(10, 1.5); err == nil {
-		t.Error("alpha > 1 not rejected")
-	}
-	nX, nKV, _ = SplitHeads(10, 0)
-	if nX != 0 || nKV != 10 {
-		t.Errorf("alpha=0 split = %d, %d", nX, nKV)
-	}
-}
-
-func TestXCacheAttendMatchesKVPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	s, h, d := 64, 24, 8
-	x := tensor.RandMat(rng, s, h, 1).RoundFP16()
-	p := Projections{
-		Wq: tensor.RandMat(rng, h, d, 0.3).RoundFP16(),
-		Wk: tensor.RandMat(rng, h, d, 0.3).RoundFP16(),
-		Wv: tensor.RandMat(rng, h, d, 0.3).RoundFP16(),
-	}
-	_, k, v := ProjectQKV(x, p)
-	q := tensor.RandMat(rng, 1, d, 1)
-	viaKV := Blocked(q, k, v, nil, 32)
-	viaX := XCacheAttend(q, x, p, nil, 32)
-	if d := tensor.MaxAbsDiff(viaKV, viaX); d != 0 {
-		t.Errorf("X-cache path differs from KV path by %v (must be exact)", d)
 	}
 }
 
@@ -233,7 +239,7 @@ func TestTopKBlocksDropsLowScoringBlocks(t *testing.T) {
 	}
 	for i := 16; i < 32; i++ {
 		for j := 0; j < d; j++ {
-			k.Set(i, j, -q.At(0, j))
+			k.Row(i)[j] = -q.Row(0)[j]
 		}
 	}
 	// Keeping one block must reproduce attention over the first block only.

@@ -51,9 +51,9 @@ func FuzzPartialMerge(f *testing.F) {
 		q := tensor.RandMat(rng, 1, 16, 1)
 		k := tensor.RandMat(rng, s, 16, 1)
 		v := tensor.RandMat(rng, s, 16, 1)
-		whole := partialOverRange(q.Row(0), k, v, nil, 0, 0)
-		a := partialOverRange(q.Row(0), k.SliceRows(0, cut), v.SliceRows(0, cut), nil, 0, 0)
-		b := partialOverRange(q.Row(0), k.SliceRows(cut, s), v.SliceRows(cut, s), nil, cut, 0)
+		whole := partialOverRange(q.Row(0), k, v, nil, 0)
+		a := partialOverRange(q.Row(0), k.SliceRows(0, cut), v.SliceRows(0, cut), nil, 0)
+		b := partialOverRange(q.Row(0), k.SliceRows(cut, s), v.SliceRows(cut, s), nil, cut)
 		a.Merge(b)
 		fa, fw := a.Finalize(), whole.Finalize()
 		for i := range fa {

@@ -66,7 +66,3 @@ func (r *RoPE) Apply(vec []float32, pos int) {
 		vec[2*i+1] = a*s[i] + b*c[i]
 	}
 }
-
-// CachedPositions returns how many positions the trig tables cover; the
-// X-cache regeneration path reuses them instead of recomputing (§6.4).
-func (r *RoPE) CachedPositions() int { return len(r.cos) }

@@ -120,11 +120,11 @@ func TestRoPETableCaching(t *testing.T) {
 	r, _ := NewRoPE(8, 10000)
 	v := make([]float32, 8)
 	r.Apply(v, 9)
-	if got := r.CachedPositions(); got != 10 {
+	if got := len(r.cos); got != 10 {
 		t.Errorf("cached positions = %d, want 10", got)
 	}
 	r.Apply(v, 3) // must not shrink or extend
-	if got := r.CachedPositions(); got != 10 {
+	if got := len(r.cos); got != 10 {
 		t.Errorf("cached positions after reuse = %d, want 10", got)
 	}
 }

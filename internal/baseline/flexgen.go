@@ -227,8 +227,5 @@ func (v FlexVariant) dramCapUtil(tb device.Testbed, m model.Config, bs, ctx int)
 	return u
 }
 
-// String returns the variant name.
-func (v FlexVariant) String() string { return v.Name }
-
 // ErrUnsupported marks configurations a baseline cannot express.
 var ErrUnsupported = fmt.Errorf("baseline: unsupported configuration")

@@ -15,13 +15,6 @@ import (
 // same system point.
 const InstRetrievalRatio = 8
 
-// InstInferAccuracy scores a retrieval task under the engine's lossy 1/8
-// top-k attention — the accuracy half of the speed/accuracy trade the
-// engine's Run models the speed half of.
-func InstInferAccuracy(t longbench.Task, seed int64) (float64, error) {
-	return t.Score(seed, longbench.LossyOneEighth)
-}
-
 // InstInfer is the InstInfer-style in-storage attention system
 // (PAPERS.md): attention runs inside computational SSDs like HILOS's ANS
 // path, but the devices fetch only the top-scoring 1/8 of KV blocks

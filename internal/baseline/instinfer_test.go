@@ -59,7 +59,7 @@ func TestInstInferAccuracyTradeoff(t *testing.T) {
 	task := longbench.Suite()[0]
 	task.Samples = 60 // enough to separate exact from 1/8 retrieval
 	const seed = 9
-	lossy, err := InstInferAccuracy(task, seed)
+	lossy, err := task.Score(seed, longbench.LossyOneEighth)
 	if err != nil {
 		t.Fatal(err)
 	}

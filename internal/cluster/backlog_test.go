@@ -165,7 +165,7 @@ func TestHILOSFinishesBacklogFaster(t *testing.T) {
 	m := model.OPT66B
 	flex := baseline.FlexSSD(tb)
 	sFlex := drainBacklog(t, m, func(req pipeline.Request) pipeline.Report { return flex.Run(tb, req) }, 16, trace...)
-	sHil := drainBacklog(t, m, func(req pipeline.Request) pipeline.Report { return core.Run(tb, req, core.DefaultOptions(16)) }, 16, trace...)
+	sHil := drainBacklog(t, m, func(req pipeline.Request) pipeline.Report { return core.Run(tb, req, hilosOptions(16)) }, 16, trace...)
 	if sFlex.FailedBatches != 0 || sHil.FailedBatches != 0 {
 		t.Fatalf("unexpected failed batches: %d / %d", sFlex.FailedBatches, sHil.FailedBatches)
 	}

@@ -17,6 +17,11 @@ import (
 	"repro/internal/workload"
 )
 
+// hilosOptions is the full HILOS configuration of Fig. 10.
+func hilosOptions(devices int) core.Options {
+	return core.Options{Devices: devices, XCache: true, DelayedWriteback: true, Alpha: -1, SpillInterval: 16}
+}
+
 // constEngine completes any batch in totalSec (prefill-only report), never
 // shrinking or OOMing.
 func constEngine(totalSec float64) RunFunc {
@@ -271,8 +276,8 @@ func TestAttribution(t *testing.T) {
 func TestRunDeterministicRealEngines(t *testing.T) {
 	tb := device.DefaultTestbed()
 	fleet := []Pipeline{
-		{Name: "hilos-0", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, core.DefaultOptions(8)) }, USDPerHour: 2.0},
-		{Name: "hilos-1", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, core.DefaultOptions(8)) }, USDPerHour: 2.0},
+		{Name: "hilos-0", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, hilosOptions(8)) }, USDPerHour: 2.0},
+		{Name: "hilos-1", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, hilosOptions(8)) }, USDPerHour: 2.0},
 		{Name: "flex-dram", Run: func(r pipeline.Request) pipeline.Report { return baseline.FlexDRAM(tb).Run(tb, r) }, USDPerHour: 0.9},
 	}
 	g, err := workload.NewGenerator(11, workload.AzureLikeMix())
@@ -377,7 +382,7 @@ func TestDispatchExactTailPass(t *testing.T) {
 func BenchmarkClusterRun(b *testing.B) {
 	tb := device.DefaultTestbed()
 	fleet := []Pipeline{
-		{Name: "hilos", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, core.DefaultOptions(8)) }},
+		{Name: "hilos", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, hilosOptions(8)) }},
 		{Name: "flex-dram", Run: func(r pipeline.Request) pipeline.Report { return baseline.FlexDRAM(tb).Run(tb, r) }},
 	}
 	g, _ := workload.NewGenerator(1, workload.AzureLikeMix())

@@ -281,8 +281,8 @@ func TestPreemptionNoopWithoutDeadlines(t *testing.T) {
 func TestRunDeterministicPreemptionContinuous(t *testing.T) {
 	tb := device.DefaultTestbed()
 	fleet := []Pipeline{
-		{Name: "hilos-0", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, core.DefaultOptions(8)) }, USDPerHour: 2.0, EngineID: "hilos8"},
-		{Name: "hilos-1", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, core.DefaultOptions(8)) }, USDPerHour: 2.0, EngineID: "hilos8"},
+		{Name: "hilos-0", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, hilosOptions(8)) }, USDPerHour: 2.0, EngineID: "hilos8"},
+		{Name: "hilos-1", Run: func(r pipeline.Request) pipeline.Report { return core.Run(tb, r, hilosOptions(8)) }, USDPerHour: 2.0, EngineID: "hilos8"},
 		{Name: "flex-dram", Run: func(r pipeline.Request) pipeline.Report { return baseline.FlexDRAM(tb).Run(tb, r) }, USDPerHour: 0.9},
 	}
 	g, err := workload.NewGenerator(13, workload.AzureLikeMix())

@@ -37,17 +37,6 @@ type Options struct {
 	SpillInterval int
 }
 
-// DefaultOptions returns the full HILOS configuration used in Fig. 10.
-func DefaultOptions(devices int) Options {
-	return Options{
-		Devices:          devices,
-		XCache:           true,
-		DelayedWriteback: true,
-		Alpha:            -1,
-		SpillInterval:    16,
-	}
-}
-
 // Name returns the figure label for this configuration.
 func (o Options) Name() string {
 	switch {

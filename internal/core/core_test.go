@@ -9,13 +9,18 @@ import (
 	"repro/internal/pipeline"
 )
 
+// defaultOptions is the full HILOS configuration of Fig. 10.
+func defaultOptions(devices int) Options {
+	return Options{Devices: devices, XCache: true, DelayedWriteback: true, Alpha: -1, SpillInterval: 16}
+}
+
 func req(m model.Config, bs, ctx int) pipeline.Request {
 	return pipeline.Request{Model: m, Batch: bs, Context: ctx, OutputLen: 64}
 }
 
 func TestRunBasics(t *testing.T) {
 	tb := device.DefaultTestbed()
-	r := Run(tb, req(model.OPT66B, 16, 32768), DefaultOptions(8))
+	r := Run(tb, req(model.OPT66B, 16, 32768), defaultOptions(8))
 	if r.OOM {
 		t.Fatalf("unexpected OOM: %s", r.Reason)
 	}
@@ -39,7 +44,7 @@ func TestFig10Speedups(t *testing.T) {
 		base := baseline.FlexSSD(tb).Run(tb, r).DecodeTokPerSec()
 		prev := base
 		for _, n := range []int{4, 8, 16} {
-			got := Run(tb, r, DefaultOptions(n)).DecodeTokPerSec()
+			got := Run(tb, r, defaultOptions(n)).DecodeTokPerSec()
 			if got <= prev {
 				t.Errorf("%s: HILOS(%d) %.4f not above previous %.4f", m.Name, n, got, prev)
 			}
@@ -56,8 +61,8 @@ func TestFig10Speedups(t *testing.T) {
 // are capacity- or I/O-bound.
 func TestBatchScaling(t *testing.T) {
 	tb := device.DefaultTestbed()
-	t1 := Run(tb, req(model.OPT66B, 1, 32768), DefaultOptions(16)).DecodeTokPerSec()
-	t8 := Run(tb, req(model.OPT66B, 8, 32768), DefaultOptions(16)).DecodeTokPerSec()
+	t1 := Run(tb, req(model.OPT66B, 1, 32768), defaultOptions(16)).DecodeTokPerSec()
+	t8 := Run(tb, req(model.OPT66B, 8, 32768), defaultOptions(16)).DecodeTokPerSec()
 	if t8 < 4*t1 {
 		t.Errorf("HILOS batch scaling 1→8 only %.2f×, want ≥ 4×", t8/t1)
 	}
@@ -178,8 +183,8 @@ func TestCapacityOOM(t *testing.T) {
 }
 
 func TestOptionsNameAndNormalize(t *testing.T) {
-	if DefaultOptions(16).Name() != "HILOS (16 SmartSSDs)" {
-		t.Errorf("name = %q", DefaultOptions(16).Name())
+	if defaultOptions(16).Name() != "HILOS (16 SmartSSDs)" {
+		t.Errorf("name = %q", defaultOptions(16).Name())
 	}
 	if (Options{}).Name() != "ANS" {
 		t.Errorf("ANS name = %q", (Options{}).Name())
@@ -192,8 +197,8 @@ func TestOptionsNameAndNormalize(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	tb := device.DefaultTestbed()
-	a := Run(tb, req(model.OPT66B, 16, 32768), DefaultOptions(8))
-	b := Run(tb, req(model.OPT66B, 16, 32768), DefaultOptions(8))
+	a := Run(tb, req(model.OPT66B, 16, 32768), defaultOptions(8))
+	b := Run(tb, req(model.OPT66B, 16, 32768), defaultOptions(8))
 	if a.StepSec != b.StepSec {
 		t.Error("HILOS simulation not deterministic")
 	}
@@ -203,7 +208,7 @@ func TestDeterminism(t *testing.T) {
 func TestOutputLengthAmortization(t *testing.T) {
 	tb := device.DefaultTestbed()
 	r := req(model.OPT30B, 16, 16384)
-	h := Run(tb, r, DefaultOptions(8))
+	h := Run(tb, r, defaultOptions(8))
 	f := baseline.FlexSSD(tb).Run(tb, r)
 	sp16 := f.TotalSec(16) / h.TotalSec(16)
 	sp128 := f.TotalSec(128) / h.TotalSec(128)

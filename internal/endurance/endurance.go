@@ -7,7 +7,6 @@ package endurance
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/model"
 	"repro/internal/workload"
@@ -109,12 +108,6 @@ func NewBudget(limitBytes float64) *Budget {
 	return &Budget{limit: limitBytes}
 }
 
-// DeviceBudget returns the §6.6 endurance budget of an array: devices ×
-// PBWBytes(pbw).
-func DeviceBudget(devices int, pbw float64) *Budget {
-	return NewBudget(float64(devices) * PBWBytes(pbw))
-}
-
 // Add charges bytes against the budget and reports whether this call
 // crossed it: true exactly once, on the write that makes cumulative usage
 // reach or exceed the limit (writes landing exactly on the boundary
@@ -131,26 +124,3 @@ func (b *Budget) Add(bytes float64) bool {
 	}
 	return false
 }
-
-// UsedBytes returns the cumulative writes charged so far.
-func (b *Budget) UsedBytes() float64 {
-	if b == nil {
-		return 0
-	}
-	return b.used
-}
-
-// RemainingBytes returns the allowance left before exhaustion (0 once
-// exhausted, +Inf for a nil/unlimited budget).
-func (b *Budget) RemainingBytes() float64 {
-	if b == nil || b.limit <= 0 {
-		return math.Inf(1)
-	}
-	if r := b.limit - b.used; r > 0 {
-		return r
-	}
-	return 0
-}
-
-// Exhausted reports whether cumulative writes have reached the limit.
-func (b *Budget) Exhausted() bool { return b != nil && b.exhausted }

@@ -1,7 +1,6 @@
 package endurance
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/model"
@@ -106,25 +105,22 @@ func TestPBWBytes(t *testing.T) {
 // precisely on the limit exhausts the budget (the allowance is inclusive).
 func TestBudgetExactThreshold(t *testing.T) {
 	b := NewBudget(100)
-	if b.Add(40) || b.Exhausted() {
+	if b.Add(40) || b.exhausted {
 		t.Fatal("crossed below the limit")
-	}
-	if got := b.RemainingBytes(); got != 60 {
-		t.Errorf("remaining %g, want 60", got)
 	}
 	// 40 + 60 lands exactly on the limit: that write exhausts the budget.
 	if !b.Add(60) {
 		t.Fatal("write landing exactly at the threshold did not cross")
 	}
-	if !b.Exhausted() || b.RemainingBytes() != 0 {
-		t.Errorf("post-threshold state: exhausted=%v remaining=%g", b.Exhausted(), b.RemainingBytes())
+	if !b.exhausted {
+		t.Error("budget not exhausted at the threshold")
 	}
 	// Crossing reports once; usage keeps accumulating past the boundary.
 	if b.Add(5) {
 		t.Error("second crossing reported")
 	}
-	if got := b.UsedBytes(); got != 105 {
-		t.Errorf("used %g, want 105", got)
+	if b.used != 105 {
+		t.Errorf("used %g, want 105", b.used)
 	}
 }
 
@@ -137,42 +133,41 @@ func TestBudgetOvershoot(t *testing.T) {
 	if b.Add(1) {
 		t.Error("crossing reported twice")
 	}
-	if b.RemainingBytes() != 0 || b.UsedBytes() != 26 {
-		t.Errorf("state after overshoot: remaining=%g used=%g", b.RemainingBytes(), b.UsedBytes())
+	if !b.exhausted || b.used != 26 {
+		t.Errorf("state after overshoot: exhausted=%v used=%g", b.exhausted, b.used)
 	}
 }
 
 // A budget shared by several pipelines exhausts on their combined volume:
 // whichever pipeline's write crosses the array-wide allowance observes the
-// crossing, and every sharer sees Exhausted afterwards.
+// crossing, and every sharer sees it exhausted afterwards.
 func TestBudgetSharedAcrossPipelines(t *testing.T) {
 	shared := NewBudget(100)
 	// Pipelines 0 and 1 alternate 30-byte spills: 30, 60, 90, then
 	// pipeline 1's fourth spill crosses at 120.
 	for i := 0; i < 3; i++ {
 		if shared.Add(30) {
-			t.Fatalf("crossed on spill %d at %g bytes", i, shared.UsedBytes())
+			t.Fatalf("crossed on spill %d at %g bytes", i, shared.used)
 		}
 	}
 	if !shared.Add(30) {
 		t.Fatal("combined volume crossed the shared budget without reporting")
 	}
-	if !shared.Exhausted() {
+	if !shared.exhausted {
 		t.Error("sharer does not observe exhaustion")
 	}
 }
 
-// Nil and device-derived budgets.
+// A nil budget is unlimited; an array's §6.6 budget of devices × PBW
+// crosses exactly at that volume.
 func TestBudgetNilAndDevices(t *testing.T) {
 	var b *Budget
-	if b.Add(1e18) || b.Exhausted() || b.UsedBytes() != 0 {
-		t.Error("nil budget is not unlimited")
+	if b.Add(1e18) {
+		t.Error("nil budget crossed")
 	}
-	if !math.IsInf(b.RemainingBytes(), 1) {
-		t.Errorf("nil budget remaining %g, want +Inf", b.RemainingBytes())
-	}
-	db := DeviceBudget(16, DefaultPBW)
-	if want := 16 * PBWBytes(DefaultPBW); db.RemainingBytes() != want {
-		t.Errorf("device budget %g, want %g", db.RemainingBytes(), want)
+	limit := 16 * PBWBytes(DefaultPBW)
+	db := NewBudget(limit)
+	if db.Add(limit/2) || !db.Add(limit/2) {
+		t.Errorf("16-device budget did not cross at %g bytes", limit)
 	}
 }

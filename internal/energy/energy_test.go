@@ -56,7 +56,7 @@ func TestHILOSMoreEfficientThanFlexSSD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hilos := core.Run(tb, req, core.DefaultOptions(16))
+	hilos := core.Run(tb, req, core.Options{Devices: 16, XCache: true, DelayedWriteback: true, Alpha: -1, SpillInterval: 16})
 	eHILOS, err := PerToken(tb, hilos, Config{Storage: SmartSSDs, Devices: 16, AccelPowerW: tb.SmartSSD.AccelPowerW})
 	if err != nil {
 		t.Fatal(err)

@@ -60,9 +60,6 @@ type Runner struct {
 	TB device.Testbed
 }
 
-// New returns a Runner on the default Table 1 testbed.
-func New() Runner { return Runner{TB: device.DefaultTestbed()} }
-
 // Generator produces one table.
 type Generator struct {
 	ID   string

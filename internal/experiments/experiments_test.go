@@ -6,8 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/repcache"
 )
+
+// newRunner returns a Runner on the default Table 1 testbed.
+func newRunner() Runner { return Runner{TB: device.DefaultTestbed()} }
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig4", "table3", "fig10", "fig11", "fig12a", "fig12b",
@@ -40,7 +44,7 @@ func TestByID(t *testing.T) {
 // Every experiment (except the slow accuracy one, covered in longbench
 // tests) must produce a non-empty, well-formed table.
 func TestAllGeneratorsProduceRows(t *testing.T) {
-	r := New()
+	r := newRunner()
 	for _, g := range Registry() {
 		if g.ID == "fig18c" {
 			continue // exercised by TestFig18cShape and the longbench suite
@@ -66,7 +70,7 @@ func TestAllGeneratorsProduceRows(t *testing.T) {
 // Fig. 2 shape: the KV I/O share exceeds 60% at long context and large
 // batch, and the footprint reaches terabytes.
 func TestFig2Shape(t *testing.T) {
-	tab := New().Fig2()
+	tab := newRunner().Fig2()
 	last := tab.Rows[len(tab.Rows)-1] // s=128K, bs=16
 	share, err := strconv.ParseFloat(strings.TrimSuffix(last[5], "%"), 64)
 	if err != nil {
@@ -83,7 +87,7 @@ func TestFig2Shape(t *testing.T) {
 
 // Fig. 10 shape: HILOS(16) column always reports a speedup above 4x.
 func TestFig10Shape(t *testing.T) {
-	tab := New().Fig10()
+	tab := newRunner().Fig10()
 	for _, row := range tab.Rows {
 		cell := strings.TrimSuffix(row[len(row)-1], "x")
 		v, err := strconv.ParseFloat(cell, 64)
@@ -102,7 +106,7 @@ func TestFig18cShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("accuracy suite is slow")
 	}
-	tab := New().Fig18c()
+	tab := newRunner().Fig18c()
 	if len(tab.Rows) != 5 {
 		t.Fatalf("fig18c has %d rows, want 5", len(tab.Rows))
 	}
@@ -119,7 +123,7 @@ func TestFig18cShape(t *testing.T) {
 // varies it. A representative slice of converted generators keeps the
 // double evaluation affordable.
 func TestParallelRunnerByteIdentical(t *testing.T) {
-	r := New()
+	r := newRunner()
 	gens := []struct {
 		id  string
 		run func(Runner) Table

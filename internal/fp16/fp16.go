@@ -22,8 +22,9 @@ const (
 	nanBits      = 0x7E00
 	minNormalF32 = 6.103515625e-05 // 2^-14
 
-	// float32 bit patterns bounding Round's fast path: 2^-14 is the smallest
-	// normal half, and 65520 is the first magnitude that rounds past 65504.
+	// float32 bit patterns bounding RoundSlice's fast path: 2^-14 is the
+	// smallest normal half, and 65520 is the first magnitude that rounds
+	// past 65504.
 	minNormalBits   = 0x38800000
 	roundsToInfBits = 0x477FF000
 	signMask32      = 0x80000000
@@ -127,8 +128,19 @@ func sgn(signBit uint32) float32 {
 	return 1
 }
 
-// Round quantizes a float32 through binary16 and back. This is the
-// fundamental "stored as FP16" emulation used across the repository.
+// roundNormal is RoundSlice's fast path on float32 bits b; ok is false
+// outside [2^-14, 65520) in magnitude. Small enough to inline into
+// RoundSlice.
+func roundNormal(b uint32) (r uint32, ok bool) {
+	if b&^signMask32-minNormalBits >= roundsToInfBits-minNormalBits {
+		return 0, false
+	}
+	return (b + 0xFFF + b>>13&1) &^ 0x1FFF, true
+}
+
+// RoundSlice quantizes every element of s through binary16 and back in
+// place and returns s. This is the fundamental "stored as FP16" emulation
+// used across the repository.
 //
 // Magnitudes in [2^-14, 65520), all of which round to a normal half, take
 // an exact fast path on the float32 bits: a normal half is a float32 whose
@@ -137,25 +149,8 @@ func sgn(signBit uint32) float32 {
 // as the round trip, and a mantissa carry moves into the exponent just as it
 // does in binary16.
 // Everything else (subnormals, zero, overflow to ±Inf past 65504, Inf and
-// NaN) takes the FromFloat32/ToFloat32 round trip, so Round is bit-identical
-// to ToFloat32(FromFloat32(f)) for every float32.
-func Round(f float32) float32 {
-	if b, ok := roundNormal(math.Float32bits(f)); ok {
-		return math.Float32frombits(b)
-	}
-	return ToFloat32(FromFloat32(f))
-}
-
-// roundNormal is Round's fast path on float32 bits b; ok is false outside
-// [2^-14, 65520) in magnitude. Small enough to inline into RoundSlice.
-func roundNormal(b uint32) (r uint32, ok bool) {
-	if b&^signMask32-minNormalBits >= roundsToInfBits-minNormalBits {
-		return 0, false
-	}
-	return (b + 0xFFF + b>>13&1) &^ 0x1FFF, true
-}
-
-// RoundSlice quantizes every element of s in place and returns s.
+// NaN) takes the FromFloat32/ToFloat32 round trip, so each element ends
+// bit-identical to ToFloat32(FromFloat32(v)).
 func RoundSlice(s []float32) []float32 {
 	for i, v := range s {
 		if b, ok := roundNormal(math.Float32bits(v)); ok {
@@ -166,9 +161,6 @@ func RoundSlice(s []float32) []float32 {
 	}
 	return s
 }
-
-// IsFinite reports whether h encodes a finite value.
-func IsFinite(h Bits) bool { return h&expMask != expMask }
 
 // MaxValue is the largest finite binary16 value (65504).
 const MaxValue float32 = 65504

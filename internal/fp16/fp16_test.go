@@ -10,6 +10,13 @@ import (
 	"testing/quick"
 )
 
+// round quantizes one value through RoundSlice.
+func round(f float32) float32 {
+	s := [1]float32{f}
+	RoundSlice(s[:])
+	return s[0]
+}
+
 func TestExactValues(t *testing.T) {
 	cases := []struct {
 		f    float32
@@ -54,7 +61,7 @@ func TestOverflowToInf(t *testing.T) {
 
 func TestNaNPreserved(t *testing.T) {
 	h := FromFloat32(float32(math.NaN()))
-	if IsFinite(h) || h&fracMask == 0 {
+	if h&expMask != expMask || h&fracMask == 0 {
 		t.Errorf("NaN not preserved: %#04x", h)
 	}
 	if !math.IsNaN(float64(ToFloat32(h))) {
@@ -74,14 +81,14 @@ func TestUnderflowToZero(t *testing.T) {
 func TestRoundToNearestEven(t *testing.T) {
 	// 1 + 2^-11 is exactly halfway between 1 and 1+2^-10; ties go to even (1).
 	f := float32(1) + float32(math.Ldexp(1, -11))
-	if got := Round(f); got != 1 {
-		t.Errorf("Round(1+2^-11) = %g, want 1 (round to even)", got)
+	if got := round(f); got != 1 {
+		t.Errorf("round(1+2^-11) = %g, want 1 (round to even)", got)
 	}
 	// 1 + 3*2^-11 is halfway between 1+2^-10 and 1+2^-9; ties to even (1+2^-9).
 	f = float32(1) + 3*float32(math.Ldexp(1, -11))
 	want := float32(1) + float32(math.Ldexp(1, -9))
-	if got := Round(f); got != want {
-		t.Errorf("Round(1+3*2^-11) = %g, want %g", got, want)
+	if got := round(f); got != want {
+		t.Errorf("round(1+3*2^-11) = %g, want %g", got, want)
 	}
 }
 
@@ -103,11 +110,11 @@ func TestRoundTripProperty(t *testing.T) {
 // TestRoundIdempotent: quantizing twice equals quantizing once.
 func TestRoundIdempotent(t *testing.T) {
 	f := func(x float32) bool {
-		a := Round(x)
+		a := round(x)
 		if math.IsNaN(float64(a)) {
-			return math.IsNaN(float64(Round(a)))
+			return math.IsNaN(float64(round(a)))
 		}
-		return Round(a) == a
+		return round(a) == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
@@ -122,7 +129,7 @@ func TestRoundErrorBound(t *testing.T) {
 		if ax < minNormalF32 || ax > float64(MaxValue) || math.IsNaN(float64(x)) {
 			return true
 		}
-		r := Round(x)
+		r := round(x)
 		rel := math.Abs(float64(r)-float64(x)) / ax
 		return rel <= float64(Eps)/2+1e-12
 	}
@@ -140,7 +147,7 @@ func TestMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return Round(a) <= Round(b)
+		return round(a) <= round(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Error(err)
@@ -151,26 +158,26 @@ func TestRoundSlice(t *testing.T) {
 	s := []float32{1.0002441, -3.14159, 65504, 0}
 	RoundSlice(s)
 	for i, v := range s {
-		if Round(v) != v {
+		if round(v) != v {
 			t.Errorf("element %d not quantized: %g", i, v)
 		}
 	}
 }
 
-// roundTripBits is the reference Round: the FromFloat32/ToFloat32 round trip.
+// roundTripBits is the reference round: the FromFloat32/ToFloat32 round trip.
 func roundTripBits(x float32) uint32 { return math.Float32bits(ToFloat32(FromFloat32(x))) }
 
 // TestRoundMatchesRoundTripAtBoundaries sweeps every float32 whose low 13
 // bits (the ones binary16 drops) form a rounding-boundary pattern — exact,
 // just above exact, just below and at the tie, just above the tie, just
 // below the next half — over all 2^19 sign/exponent/kept-fraction prefixes,
-// and requires Round's fast path to match the round trip bit for bit.
+// and requires RoundSlice's fast path to match the round trip bit for bit.
 func TestRoundMatchesRoundTripAtBoundaries(t *testing.T) {
 	for hi := uint32(0); hi < 1<<19; hi++ {
 		for _, lo := range []uint32{0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF} {
 			x := math.Float32frombits(hi<<13 | lo)
-			if got, want := math.Float32bits(Round(x)), roundTripBits(x); got != want {
-				t.Fatalf("Round(%#08x) = %#08x, round trip %#08x", hi<<13|lo, got, want)
+			if got, want := math.Float32bits(round(x)), roundTripBits(x); got != want {
+				t.Fatalf("round(%#08x) = %#08x, round trip %#08x", hi<<13|lo, got, want)
 			}
 		}
 	}
@@ -186,7 +193,7 @@ func TestRoundMatchesRoundTripAtBoundaries(t *testing.T) {
 	}
 }
 
-var exhaustive = flag.Bool("exhaustive", false, "compare Round with the round trip on all 2^32 float32 patterns")
+var exhaustive = flag.Bool("exhaustive", false, "compare RoundSlice with the round trip on all 2^32 float32 patterns")
 
 // TestRoundExhaustive is the full 2^32 sweep of
 // TestRoundMatchesRoundTripAtBoundaries (tens of seconds); it runs only
@@ -207,8 +214,8 @@ func TestRoundExhaustive(t *testing.T) {
 			for lo := uint32(0); lo < 1<<24; lo++ {
 				b := sh<<24 | lo
 				x := math.Float32frombits(b)
-				if math.Float32bits(Round(x)) != roundTripBits(x) && mismatches.Add(1) == 1 {
-					t.Errorf("Round(%#08x) differs from the round trip", b)
+				if math.Float32bits(round(x)) != roundTripBits(x) && mismatches.Add(1) == 1 {
+					t.Errorf("round(%#08x) differs from the round trip", b)
 				}
 			}
 		}()

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzRoundTrip checks the core conversion invariants on arbitrary bit
-// patterns: Round equals the FromFloat32/ToFloat32 round trip bit for bit
+// patterns: RoundSlice equals the FromFloat32/ToFloat32 round trip bit for bit
 // (its fast path included), idempotence, sign preservation, and exact round
 // trips for representable values.
 func FuzzRoundTrip(f *testing.F) {
@@ -18,9 +18,9 @@ func FuzzRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, bits uint32) {
 		x := math.Float32frombits(bits)
-		r := Round(x)
+		r := round(x)
 		if got, want := math.Float32bits(r), roundTripBits(x); got != want {
-			t.Fatalf("Round(%#08x) = %#08x, round trip %#08x", bits, got, want)
+			t.Fatalf("round(%#08x) = %#08x, round trip %#08x", bits, got, want)
 		}
 		if math.IsNaN(float64(x)) {
 			if !math.IsNaN(float64(r)) {
@@ -29,8 +29,8 @@ func FuzzRoundTrip(f *testing.F) {
 			return
 		}
 		// Idempotence.
-		if Round(r) != r {
-			t.Fatalf("Round not idempotent: %v -> %v -> %v", x, r, Round(r))
+		if round(r) != r {
+			t.Fatalf("round not idempotent: %v -> %v -> %v", x, r, round(r))
 		}
 		// The rounded value is representable: its half bits survive a trip.
 		h := FromFloat32(r)
@@ -56,8 +56,8 @@ func FuzzMonotone(f *testing.F) {
 		if x > y {
 			x, y = y, x
 		}
-		if Round(x) > Round(y) {
-			t.Fatalf("ordering violated: Round(%v)=%v > Round(%v)=%v", x, Round(x), y, Round(y))
+		if round(x) > round(y) {
+			t.Fatalf("ordering violated: round(%v)=%v > round(%v)=%v", x, round(x), y, round(y))
 		}
 	})
 }

@@ -193,22 +193,6 @@ func (d *Device) WritePage(lp int) error {
 	return nil
 }
 
-// WriteRange writes a contiguous logical byte range (page-aligned demand is
-// rounded up), the access pattern of HILOS's row-wise spills.
-func (d *Device) WriteRange(offsetBytes, lenBytes int64) error {
-	if lenBytes <= 0 {
-		return fmt.Errorf("ftl: non-positive write length")
-	}
-	start := offsetBytes / d.cfg.PageBytes
-	end := (offsetBytes + lenBytes + d.cfg.PageBytes - 1) / d.cfg.PageBytes
-	for lp := start; lp < end; lp++ {
-		if err := d.WritePage(int(lp % int64(d.logicalPages))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // program appends the logical page to the open block, garbage-collecting
 // when no free space remains.
 func (d *Device) program(lp int) {
@@ -310,11 +294,6 @@ func (d *Device) WAF() float64 {
 		return 1
 	}
 	return float64(d.flashWrites) / float64(d.hostWrites)
-}
-
-// Stats returns host writes, flash writes and erase counts (pages/blocks).
-func (d *Device) Stats() (host, flash, erases int64) {
-	return d.hostWrites, d.flashWrites, d.erases
 }
 
 // SequentialFill writes the whole logical space once in order — the HILOS

@@ -71,8 +71,3 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // TotalBytes returns the combined storage footprint.
 func (p Placement) TotalBytes() int64 { return p.KVBytesTotal + p.XBytesTotal }
-
-// Fits reports whether the placement fits n devices of the given capacity.
-func (p Placement) Fits(devCapBytes int64) bool {
-	return p.BytesPerDev <= devCapBytes && p.TotalBytes() <= devCapBytes*int64(p.Devices)
-}

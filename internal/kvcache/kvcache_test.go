@@ -49,13 +49,16 @@ func TestAlphaZeroAndOne(t *testing.T) {
 // 16 SmartSSDs but not 4.
 func TestCapacityFeasibility(t *testing.T) {
 	tb := device.DefaultTestbed()
+	fits := func(p Placement, devCap int64) bool {
+		return p.BytesPerDev <= devCap && p.TotalBytes() <= devCap*int64(p.Devices)
+	}
 	p := mustPlan(t, model.OPT175B, 16, 128*1024, 16, 0)
-	if !p.Fits(tb.SmartSSD.SSD.CapBytes) {
+	if !fits(p, tb.SmartSSD.SSD.CapBytes) {
 		t.Error("175B/128K/bs16 should fit 16 SmartSSDs")
 	}
 	// 4 SmartSSDs (15.4 TB) hold the 128K cache but not 256K (~20 TB).
 	p4 := mustPlan(t, model.OPT175B, 16, 256*1024, 4, 0)
-	if p4.Fits(tb.SmartSSD.SSD.CapBytes) {
+	if fits(p4, tb.SmartSSD.SSD.CapBytes) {
 		t.Error("175B/256K/bs16 should not fit 4 SmartSSDs")
 	}
 }

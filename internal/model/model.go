@@ -58,17 +58,6 @@ func (c Config) HeadDim() int { return c.Hidden / c.Heads }
 // IsMoE reports whether the model has mixture-of-experts FFN layers.
 func (c Config) IsMoE() bool { return c.Experts > 0 }
 
-// moeLayers returns how many of the layers are MoE layers.
-func (c Config) moeLayers() int {
-	if !c.IsMoE() {
-		return 0
-	}
-	if c.MoEEveryOther {
-		return c.Layers / 2
-	}
-	return c.Layers
-}
-
 // AttnWeightBytesPerLayer returns the FP16 bytes of the attention projection
 // weights (Wq, Wk, Wv, Wo) of one layer.
 func (c Config) AttnWeightBytesPerLayer() int64 {
@@ -177,15 +166,6 @@ func (c Config) MLPFLOPsPerTokenLayer(layer int) float64 {
 // attending to s cached tokens in one layer: QKᵀ plus score·V.
 func (c Config) AttnFLOPsPerTokenLayer(s int) float64 {
 	return 4 * float64(c.Heads*c.HeadDim()) * float64(s)
-}
-
-// DecodeFLOPsPerToken returns all FLOPs to decode one token at context s.
-func (c Config) DecodeFLOPsPerToken(s int) float64 {
-	var f float64
-	for l := 0; l < c.Layers; l++ {
-		f += c.ProjFLOPsPerTokenLayer() + c.MLPFLOPsPerTokenLayer(l) + c.AttnFLOPsPerTokenLayer(s)
-	}
-	return f
 }
 
 // PrefillFLOPs returns the FLOPs to prefill a batch of bs sequences of

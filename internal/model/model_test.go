@@ -104,9 +104,6 @@ func TestMoEWeightAccounting(t *testing.T) {
 }
 
 func TestFLOPMonotonicity(t *testing.T) {
-	if OPT66B.DecodeFLOPsPerToken(32768) <= OPT66B.DecodeFLOPsPerToken(16384) {
-		t.Error("decode FLOPs not increasing with context")
-	}
 	if OPT66B.PrefillFLOPs(2, 16384) <= OPT66B.PrefillFLOPs(1, 16384) {
 		t.Error("prefill FLOPs not increasing with batch")
 	}

@@ -101,9 +101,6 @@ func (e HILOS) Name() string {
 }
 
 func (e HILOS) run(m *Model, prompt []int, outLen int) ([]int, error) {
-	if e.Alpha < 0 || e.Alpha > 1 {
-		return nil, fmt.Errorf("reflm: alpha %v out of [0,1]", e.Alpha)
-	}
 	p := m.P
 	d := p.HeadDim()
 	rope := m.newRoPEs()
@@ -111,7 +108,7 @@ func (e HILOS) run(m *Model, prompt []int, outLen int) ([]int, error) {
 	// Split KV-head groups: the first nX are X-cache (GPU-regenerated),
 	// the rest live on the "devices" (§4.2 partitions batch×head, never
 	// sequence).
-	nX, _, err := attention.SplitHeads(p.KVHeads, e.Alpha)
+	nX, _, err := splitHeads(p.KVHeads, e.Alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -149,9 +146,7 @@ func (e HILOS) run(m *Model, prompt []int, outLen int) ([]int, error) {
 			attnOut := make([]float32, p.Hidden)
 			// X-cache heads: regenerate K/V from X on the GPU and attend.
 			for kh := 0; kh < nX; kh++ {
-				if err := m.xHeadAttention(l, kh, q, xCache[l], rope, attnOut); err != nil {
-					return 0, err
-				}
+				m.xHeadAttention(l, kh, q, xCache[l], rope, attnOut)
 			}
 			// Device heads: accelerator over committed KV plus host
 			// partial scores for the buffered tail (Fig. 6b).
@@ -201,25 +196,49 @@ func (e HILOS) run(m *Model, prompt []int, outLen int) ([]int, error) {
 	return out, nil
 }
 
-// xHeadAttention regenerates K/V for one X-cache KV head from the stored
-// activations (re-applying RoPE at the original positions) and attends with
-// the blocked GPU kernel.
-func (m *Model) xHeadAttention(l, kh int, q []float32, xs [][]float32, rope []*attention.RoPE, attnOut []float32) error {
+// splitHeads partitions the batch×head dimension for cooperative execution:
+// given n total (batch, head) pairs and an X-cache ratio alpha, it returns
+// how many pairs the GPU handles via X-cache (nX) and how many stay on the
+// NSP devices (nKV). alpha partitions batch and head dimensions, never the
+// sequence dimension (§4.2).
+func splitHeads(n int, alpha float64) (nX, nKV int, err error) {
+	if alpha < 0 || alpha > 1 {
+		return 0, 0, fmt.Errorf("reflm: alpha %v out of [0,1]", alpha)
+	}
+	nX = int(float64(float64(n)*alpha) + 0.5)
+	if nX > n {
+		nX = n
+	}
+	return nX, n - nX, nil
+}
+
+// regenerateKV recomputes K and V for one X-cache KV head from the stored
+// activations xs of layer l (the cooperative X-cache, §4.2): the column
+// blocks of Wk/Wv for the head, RoPE re-applied at each original position,
+// FP16 storage rounding. The result equals the K/V project stored, bit for
+// bit.
+func (m *Model) regenerateKV(l, kh int, xs [][]float32, rope []*attention.RoPE) (k, v tensor.Mat) {
 	p := m.P
 	d := p.HeadDim()
 	lw := m.layers[l]
 	xm := rowsToMat(xs, p.Hidden)
-	// Column blocks of Wk/Wv for this KV head.
-	wk := colBlock(lw.wk, kh, d)
-	wv := colBlock(lw.wv, kh, d)
-	k := tensor.MatMul(xm, wk).RoundFP16()
-	v := tensor.MatMul(xm, wv).RoundFP16()
+	k = tensor.MatMul(xm, colBlock(lw.wk, kh, d)).RoundFP16()
+	v = tensor.MatMul(xm, colBlock(lw.wv, kh, d)).RoundFP16()
 	if p.UseRoPE {
 		for i := 0; i < k.Rows; i++ {
 			rope[l].Apply(k.Row(i), i)
 		}
 		k.RoundFP16()
 	}
+	return k, v
+}
+
+// xHeadAttention regenerates K/V for one X-cache KV head and attends with
+// the blocked GPU kernel.
+func (m *Model) xHeadAttention(l, kh int, q []float32, xs [][]float32, rope []*attention.RoPE, attnOut []float32) {
+	p := m.P
+	d := p.HeadDim()
+	k, v := m.regenerateKV(l, kh, xs, rope)
 	qm := tensor.New(p.DGroup(), d)
 	for g := 0; g < p.DGroup(); g++ {
 		copy(qm.Row(g), headSlice(q, kh*p.DGroup()+g, d))
@@ -228,7 +247,6 @@ func (m *Model) xHeadAttention(l, kh int, q []float32, xs [][]float32, rope []*a
 	for g := 0; g < p.DGroup(); g++ {
 		copy(headSlice(attnOut, kh*p.DGroup()+g, d), o.Row(g))
 	}
-	return nil
 }
 
 // deviceHeadAttention runs the accelerator for one device KV head: blocked

@@ -12,7 +12,7 @@
 //
 // Both engines must produce the same greedy token stream; this is the
 // repository's analogue of the paper's lm-eval-harness-integrated
-// functional verification (§5.1).
+// functional verification (§5.1). hilos-verify runs it at every Point.
 package reflm
 
 import (
@@ -177,4 +177,76 @@ func (m *Model) newRoPEs() []*attention.RoPE {
 		out[l] = r
 	}
 	return out
+}
+
+// --- the functional check ---
+
+// Point is one configuration of the functional check: a model shape and
+// the HILOS settings whose greedy tokens must equal the Reference's.
+type Point struct {
+	Name   string
+	Params Params
+	Engine HILOS
+}
+
+// Points covers each technique alone and together: plain ANS, delayed
+// writeback, half and full X-cache, X-cache with RoPE re-applied, and GQA.
+var Points = []Point{
+	{"ans-only", smallParams(false), HILOS{Alpha: 0, SpillInterval: 0}},
+	{"writeback", smallParams(false), HILOS{Alpha: 0, SpillInterval: 4}},
+	{"xcache-half", smallParams(false), HILOS{Alpha: 0.5, SpillInterval: 4}},
+	{"xcache-full", smallParams(false), HILOS{Alpha: 1, SpillInterval: 4}},
+	{"rope-mix", smallParams(true), HILOS{Alpha: 0.5, SpillInterval: 4}},
+	{"gqa", gqaParams(), HILOS{Alpha: 0.5, SpillInterval: 3}},
+}
+
+// smallParams is the check's multi-head model: 2 layers, 4 heads of 16.
+func smallParams(useRoPE bool) Params {
+	return Params{
+		Layers: 2, Hidden: 64, Heads: 4, KVHeads: 4, FFN: 128, Vocab: 50,
+		UseRoPE: useRoPE,
+	}
+}
+
+// gqaParams is smallParams with RoPE and two query heads per KV head.
+func gqaParams() Params {
+	return Params{
+		Layers: 2, Hidden: 64, Heads: 4, KVHeads: 2, FFN: 128, Vocab: 50,
+		UseRoPE: true,
+	}
+}
+
+// randPrompt draws n tokens uniformly from the vocabulary.
+func randPrompt(rng *rand.Rand, n, vocab int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = rng.Intn(vocab)
+	}
+	return p
+}
+
+// Check draws the point's model (seed 7), decodes 10 tokens after a fixed
+// 10-token prompt with the Reference and with the point's HILOS engine, and
+// reports the first token where the two streams differ.
+func (pt Point) Check() error {
+	m, err := NewModel(pt.Params, 7)
+	if err != nil {
+		return err
+	}
+	prompt := randPrompt(rand.New(rand.NewSource(11)), 10, m.P.Vocab)
+	want, err := m.Generate(prompt, 10, Reference{})
+	if err != nil {
+		return err
+	}
+	got, err := m.Generate(prompt, 10, pt.Engine)
+	if err != nil {
+		return err
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("token %d differs: %s %v, %s %v",
+				i, pt.Engine.Name(), got, Reference{}.Name(), want)
+		}
+	}
+	return nil
 }

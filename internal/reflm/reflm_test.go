@@ -2,30 +2,11 @@ package reflm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/tensor"
 )
-
-func smallParams(useRoPE bool) Params {
-	return Params{
-		Layers: 2, Hidden: 64, Heads: 4, KVHeads: 4, FFN: 128, Vocab: 50,
-		UseRoPE: useRoPE,
-	}
-}
-
-func gqaParams() Params {
-	return Params{
-		Layers: 2, Hidden: 64, Heads: 4, KVHeads: 2, FFN: 128, Vocab: 50,
-		UseRoPE: true,
-	}
-}
-
-func randPrompt(rng *rand.Rand, n, vocab int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = rng.Intn(vocab)
-	}
-	return p
-}
 
 func TestParamsValidate(t *testing.T) {
 	if err := smallParams(true).Validate(); err != nil {
@@ -73,44 +54,59 @@ func TestReferenceDeterministic(t *testing.T) {
 
 // The headline integration property: the full HILOS functional pipeline —
 // X-cache regeneration, accelerator attention, delayed writeback — decodes
-// the same greedy token stream as the reference engine.
+// the same greedy token stream as the reference engine at every Point.
 func TestHILOSMatchesReference(t *testing.T) {
-	configs := []struct {
-		name   string
-		params Params
-		engine HILOS
-	}{
-		{"ans-only", smallParams(false), HILOS{Alpha: 0, SpillInterval: 0}},
-		{"writeback", smallParams(false), HILOS{Alpha: 0, SpillInterval: 4}},
-		{"xcache-half", smallParams(false), HILOS{Alpha: 0.5, SpillInterval: 4}},
-		{"xcache-full", smallParams(false), HILOS{Alpha: 1, SpillInterval: 4}},
-		{"rope-mix", smallParams(true), HILOS{Alpha: 0.5, SpillInterval: 4}},
-		{"gqa", gqaParams(), HILOS{Alpha: 0.5, SpillInterval: 3}},
-	}
-	for _, cfg := range configs {
-		cfg := cfg
-		t.Run(cfg.name, func(t *testing.T) {
-			m, err := NewModel(cfg.params, 7)
-			if err != nil {
+	for _, pt := range Points {
+		t.Run(pt.Name, func(t *testing.T) {
+			if err := pt.Check(); err != nil {
 				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(11))
-			prompt := randPrompt(rng, 10, m.P.Vocab)
-			want, err := m.Generate(prompt, 10, Reference{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := m.Generate(prompt, 10, cfg.engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("token %d differs: hilos=%d reference=%d (full: %v vs %v)",
-						i, got[i], want[i], got, want)
-				}
 			}
 		})
+	}
+}
+
+// The X-cache path is exact: K/V regenerated from the stored activations
+// (column-block projection, RoPE re-applied at each original position, FP16
+// rounding) equal the K/V project stored, bit for bit, for every KV head.
+func TestXCacheRegeneratesStoredKV(t *testing.T) {
+	for _, p := range []Params{smallParams(true), smallParams(false), gqaParams()} {
+		m, err := NewModel(p, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(4))
+		rope := m.newRoPEs()
+		d := p.HeadDim()
+		for l := 0; l < p.Layers; l++ {
+			var xs, ks, vs [][]float32
+			for pos := 0; pos < 12; pos++ {
+				h := tensor.RandMat(rng, 1, p.Hidden, 1).Row(0)
+				_, k, v := m.project(l, h, pos, rope)
+				xs, ks, vs = append(xs, h), append(ks, k), append(vs, v)
+			}
+			for kh := 0; kh < p.KVHeads; kh++ {
+				k, v := m.regenerateKV(l, kh, xs, rope)
+				for pos := range xs {
+					if !slices.Equal(k.Row(pos), headSlice(ks[pos], kh, d)) || !slices.Equal(v.Row(pos), headSlice(vs[pos], kh, d)) {
+						t.Fatalf("%+v layer %d KV head %d position %d: regenerated K/V differ from stored", p, l, kh, pos)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSplitHeads(t *testing.T) {
+	nX, nKV, err := splitHeads(1536, 0.5) // bs=16 × 96 heads, α=50%
+	if err != nil || nX != 768 || nKV != 768 {
+		t.Errorf("splitHeads(1536, 0.5) = %d, %d, %v", nX, nKV, err)
+	}
+	if _, _, err := splitHeads(10, 1.5); err == nil {
+		t.Error("alpha > 1 not rejected")
+	}
+	nX, nKV, _ = splitHeads(10, 0)
+	if nX != 0 || nKV != 10 {
+		t.Errorf("alpha=0 split = %d, %d", nX, nKV)
 	}
 }
 

@@ -163,13 +163,6 @@ func Run(sys engine.System, cfg engine.Config, req pipeline.Request) (pipeline.R
 	})
 }
 
-// Len reports the number of distinct simulation points cached.
-func Len() int {
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	return len(cache.entries)
-}
-
 // Reset drops every cached report. It exists for tests that must observe
 // cold-cache behavior; production callers never need it.
 func Reset() {

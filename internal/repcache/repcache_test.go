@@ -12,6 +12,13 @@ import (
 	"repro/internal/pipeline"
 )
 
+// cacheLen reports the number of distinct simulation points cached.
+func cacheLen() int {
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	return len(cache.entries)
+}
+
 func req() pipeline.Request {
 	return pipeline.Request{Model: model.OPT30B, Batch: 4, Context: 8192, OutputLen: 64}
 }
@@ -46,19 +53,19 @@ func TestRunMatchesAndDedupes(t *testing.T) {
 			t.Fatalf("cached report %d differs from direct run: %+v vs %+v", i, rep, direct)
 		}
 	}
-	if Len() != 1 {
-		t.Fatalf("16 identical lookups created %d cache entries, want 1", Len())
+	if cacheLen() != 1 {
+		t.Fatalf("16 identical lookups created %d cache entries, want 1", cacheLen())
 	}
 
 	// The key is the normalized Config: spelling out the defaults is a hit.
 	cfg.SpillInterval = 16
-	if _, err := Run(engine.SysHILOS, cfg, req()); err != nil || Len() != 1 {
-		t.Fatalf("normalized-equal Config missed: Len = %d, err %v", Len(), err)
+	if _, err := Run(engine.SysHILOS, cfg, req()); err != nil || cacheLen() != 1 {
+		t.Fatalf("normalized-equal Config missed: Len = %d, err %v", cacheLen(), err)
 	}
 	// A different device count is a different point.
 	cfg.Devices = 16
-	if _, err := Run(engine.SysHILOS, cfg, req()); err != nil || Len() != 2 {
-		t.Fatalf("distinct configs shared an entry: Len = %d, err %v", Len(), err)
+	if _, err := Run(engine.SysHILOS, cfg, req()); err != nil || cacheLen() != 2 {
+		t.Fatalf("distinct configs shared an entry: Len = %d, err %v", cacheLen(), err)
 	}
 }
 
@@ -79,8 +86,8 @@ func TestSystemsKeyedApart(t *testing.T) {
 	}
 	run(engine.SysFlexSSD) // hit
 	run(engine.SysVLLM)
-	if Len() != 3 {
-		t.Fatalf("cache has %d entries, want 3", Len())
+	if cacheLen() != 3 {
+		t.Fatalf("cache has %d entries, want 3", cacheLen())
 	}
 	if got := run(engine.SysVLLM); got.System == "" {
 		t.Fatal("vLLM report missing system name")
@@ -118,7 +125,7 @@ func TestRunInvalidConfigStoresNothing(t *testing.T) {
 		if _, err := Run(engine.SysHILOS, cfg, req()); err == nil {
 			t.Fatalf("lookup %d with α = NaN returned no error", i)
 		}
-		if n := Len(); n != 0 {
+		if n := cacheLen(); n != 0 {
 			t.Fatalf("after lookup %d with α = NaN the memo holds %d entries, want 0", i, n)
 		}
 	}
@@ -144,7 +151,7 @@ func TestGroupIsPrivate(t *testing.T) {
 	if got := b.Do(1, compute); got.Batch != 2 {
 		t.Fatalf("second group shared the first group's entry: batch %d", got.Batch)
 	}
-	if Len() != 0 {
-		t.Fatalf("group entries reached the process cache: Len = %d", Len())
+	if cacheLen() != 0 {
+		t.Fatalf("group entries reached the process cache: Len = %d", cacheLen())
 	}
 }

@@ -18,10 +18,9 @@
 // task nodes, dependency edges and per-label sums in flat slices — and Run
 // returns the arena to the pool before it returns, so building and
 // scheduling a graph allocates little beyond the Result. Schedule times are
-// read from the Result (Result.Start, Result.Finish). Handles and resources
-// remember their engine, and using one with another engine panics. Because
-// a dependency must exist before its dependents, every graph is acyclic by
-// construction.
+// read from the Result (Result.Finish). Handles and resources remember their
+// engine, and using one with another engine panics. Because a dependency
+// must exist before its dependents, every graph is acyclic by construction.
 //
 // Run implements the policy as a dependency-counting event loop over
 // per-resource min-heaps (O((n+m)·log n + n·R) for n tasks, m edges and R
@@ -33,7 +32,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -50,9 +48,6 @@ type Resource struct {
 	idx  int32  // registration index
 	busy Time   // accumulated busy time, set by Run
 }
-
-// Busy returns the total time this resource spent executing tasks.
-func (r *Resource) Busy() Time { return r.busy }
 
 // Task is a handle to one unit of simulated work in one Engine. The zero
 // Task means "no task" and is ignored as a dependency, which simplifies
@@ -195,10 +190,6 @@ type Result struct {
 // span is one task's scheduled interval.
 type span struct{ start, finish Time }
 
-// Start returns the scheduled start time of t, a task of the engine that
-// produced r.
-func (r Result) Start(t Task) Time { return r.spanOf(t).start }
-
 // Finish returns the scheduled completion time of t, a task of the engine
 // that produced r.
 func (r Result) Finish(t Task) Time { return r.spanOf(t).finish }
@@ -208,55 +199,4 @@ func (r Result) spanOf(t Task) span {
 		panic("sim: task handle does not belong to the engine that produced this Result")
 	}
 	return r.spans[t.id]
-}
-
-// Utilization returns busy/makespan for the named resource, in [0,1].
-func (r Result) Utilization(name string) float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return r.ResourceBusy[name] / r.Makespan
-}
-
-// LabelShare returns label busy time as a fraction of the sum over all
-// labels, matching the stacked-percentage breakdowns in the paper's figures.
-// The total is summed over sorted keys: float addition is not associative,
-// so summing in map iteration order would make the last bits of the share
-// vary between runs (caught by hilos-lint's simdeterminism rule).
-func (r Result) LabelShare(label string) float64 {
-	labels := make([]string, 0, len(r.ByLabel))
-	for l := range r.ByLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	var total Time
-	for _, l := range labels {
-		total += r.ByLabel[l]
-	}
-	if total <= 0 {
-		return 0
-	}
-	return r.ByLabel[label] / total
-}
-
-// CriticalPath returns the longest dependency-only path length (ignoring
-// resource contention); Run's makespan can never be shorter. Useful as a
-// test invariant. It must be called before Run.
-func (e *Engine) CriticalPath() Time {
-	a := e.live("CriticalPath")
-	longest := make([]Time, len(a.nodes))
-	var cp Time
-	for i := range a.nodes {
-		var in Time
-		for _, d := range a.depsOf(&a.nodes[i]) {
-			if longest[d] > in {
-				in = longest[d]
-			}
-		}
-		longest[i] = in + e.service(&a.nodes[i])
-		if longest[i] > cp {
-			cp = longest[i]
-		}
-	}
-	return cp
 }

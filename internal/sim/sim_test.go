@@ -4,9 +4,70 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// Read-back helpers the tests use to check schedules.
+
+// Busy returns the total time this resource spent executing tasks.
+func (r *Resource) Busy() Time { return r.busy }
+
+// Start returns the scheduled start time of t, a task of the engine that
+// produced r.
+func (r Result) Start(t Task) Time { return r.spanOf(t).start }
+
+// Utilization returns busy/makespan for the named resource, in [0,1].
+func (r Result) Utilization(name string) float64 {
+	if r.Makespan <= 0 {
+		return 0
+	}
+	return r.ResourceBusy[name] / r.Makespan
+}
+
+// LabelShare returns label busy time as a fraction of the sum over all
+// labels, matching the stacked-percentage breakdowns in the paper's figures.
+// The total is summed over sorted keys: float addition is not associative,
+// so summing in map iteration order would make the last bits of the share
+// vary between runs (caught by hilos-lint's simdeterminism rule).
+func (r Result) LabelShare(label string) float64 {
+	labels := make([]string, 0, len(r.ByLabel))
+	for l := range r.ByLabel {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	var total Time
+	for _, l := range labels {
+		total += r.ByLabel[l]
+	}
+	if total <= 0 {
+		return 0
+	}
+	return r.ByLabel[label] / total
+}
+
+// CriticalPath returns the longest dependency-only path length (ignoring
+// resource contention); Run's makespan can never be shorter. Useful as a
+// test invariant. It must be called before Run.
+func (e *Engine) CriticalPath() Time {
+	a := e.live("CriticalPath")
+	longest := make([]Time, len(a.nodes))
+	var cp Time
+	for i := range a.nodes {
+		var in Time
+		for _, d := range a.depsOf(&a.nodes[i]) {
+			if longest[d] > in {
+				in = longest[d]
+			}
+		}
+		longest[i] = in + e.service(&a.nodes[i])
+		if longest[i] > cp {
+			cp = longest[i]
+		}
+	}
+	return cp
+}
 
 func TestSingleTask(t *testing.T) {
 	e := NewEngine()

@@ -155,12 +155,6 @@ func (sub *Subscriber) Events() <-chan Event {
 	return sub.ch
 }
 
-// Dropped returns how many events this subscriber has lost to a full
-// buffer.
-func (sub *Subscriber) Dropped() int64 {
-	return sub.dropped.Load()
-}
-
 // Close unsubscribes: the stream stops delivering to this subscriber and
 // the Events channel closes after its buffered events drain. Safe to call
 // more than once.

@@ -24,9 +24,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -124,16 +122,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.n++
 	h.mu.Unlock()
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
 }
 
 // snapshot copies the histogram state under its lock.
@@ -273,12 +261,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// WriteJSON serializes the snapshot as indented JSON. encoding/json sorts
-// map keys, so the byte output is a deterministic function of the metrics.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

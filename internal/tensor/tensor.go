@@ -1,6 +1,6 @@
 // Package tensor provides the minimal dense linear algebra used by the
 // functional attention substrate: row-major float32 matrices, GEMM/GEMV,
-// transposition, and FP16 storage quantization.
+// and FP16 storage quantization.
 //
 // All accumulation is done in float32 (emulating the accelerator's FP32
 // accumulators); storage quantization to FP16 is explicit via RoundFP16,
@@ -36,12 +36,6 @@ func FromSlice(rows, cols int, data []float32) Mat {
 	return Mat{Rows: rows, Cols: cols, Data: data}
 }
 
-// At returns the element at row i, column j.
-func (m Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m Mat) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m Mat) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
@@ -58,18 +52,6 @@ func (m Mat) SliceRows(lo, hi int) Mat {
 		panic(fmt.Sprintf("tensor: row slice [%d,%d) out of range %d", lo, hi, m.Rows))
 	}
 	return Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
-// T returns the transpose of m as a new matrix.
-func (m Mat) T() Mat {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
 }
 
 // MatMul returns a·b. Panics on shape mismatch. Each output row accumulates
@@ -147,18 +129,6 @@ func Dot(a, b []float32) float32 {
 		s0 += a[i] * b[i]
 	}
 	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-}
-
-// AddTo accumulates src into dst element-wise. Panics on shape mismatch.
-//
-//lint:allow floataccum element-wise FP32 add matches the residual-path datapath
-func AddTo(dst, src Mat) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: add shape mismatch")
-	}
-	for i := range dst.Data {
-		dst.Data[i] += src.Data[i]
-	}
 }
 
 // RoundFP16 quantizes every element of m through binary16 in place,

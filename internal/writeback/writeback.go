@@ -1,13 +1,13 @@
-// Package writeback implements the delayed KV cache writeback manager of
-// §4.3: newly generated KV entries are staged in host-memory buffers and
-// spilled to storage in page-aligned chunks every SpillInterval decoding
-// steps, keeping storage write latency off the critical path and avoiding
-// sub-page write amplification.
+// Package writeback models the delayed KV cache writeback of §4.3: newly
+// generated KV entries are staged in host-memory buffers and spilled to
+// storage in page-aligned chunks every SpillInterval decoding steps, keeping
+// storage write latency off the critical path and avoiding sub-page write
+// amplification. The simulator reads its write amplification in closed form
+// (NaiveWAF, SteadyStateWAF); the tests check both against a step-by-step
+// buffer manager.
 package writeback
 
-import "fmt"
-
-// Config parameterizes the manager for one model/batch configuration.
+// Config describes one model/batch configuration's KV append streams.
 type Config struct {
 	SpillInterval int   // c: decoding steps between spills (paper default 16)
 	Rows          int   // independent append streams: batch × KV heads × layers
@@ -15,102 +15,7 @@ type Config struct {
 	PageBytes     int64 // SSD NAND page size (4 KiB)
 }
 
-// Validate reports invalid configurations.
-func (c Config) Validate() error {
-	if c.SpillInterval < 1 || c.Rows < 1 || c.EntryBytes < 1 || c.PageBytes < 1 {
-		return fmt.Errorf("writeback: non-positive config %+v", c)
-	}
-	return nil
-}
-
-// Manager tracks buffered tokens and accumulates write statistics. The zero
-// value is not usable; construct with New.
-type Manager struct {
-	cfg      Config
-	buffered int // decoding steps currently buffered
-
-	logicalBytes  int64 // application bytes destined for storage
-	physicalBytes int64 // bytes actually written after page rounding
-	spills        int   // spill operations issued
-}
-
-// New returns a manager for the given configuration.
-func New(cfg Config) (*Manager, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Manager{cfg: cfg}, nil
-}
-
-// Spill describes one flush of the host-side buffers to storage.
-type Spill struct {
-	Steps         int   // buffered decoding steps flushed
-	LogicalBytes  int64 // useful bytes across all rows
-	PhysicalBytes int64 // after rounding each row's chunk up to a page
-	ChunkBytes    int64 // contiguous bytes appended per row
-}
-
-// Append records one decoding step's new KV entries. When the buffer reaches
-// the spill interval it returns the spill operation to issue (asynchronously,
-// off the critical path) and true; otherwise it returns false.
-func (m *Manager) Append() (Spill, bool) {
-	m.buffered++
-	if m.buffered < m.cfg.SpillInterval {
-		return Spill{}, false
-	}
-	return m.flush(), true
-}
-
-// Flush forces a spill of whatever is buffered (e.g. at sequence end).
-// It reports false if nothing was buffered.
-func (m *Manager) Flush() (Spill, bool) {
-	if m.buffered == 0 {
-		return Spill{}, false
-	}
-	return m.flush(), true
-}
-
-func (m *Manager) flush() Spill {
-	steps := m.buffered
-	m.buffered = 0
-	chunk := int64(steps) * m.cfg.EntryBytes
-	phys := roundUp(chunk, m.cfg.PageBytes)
-	s := Spill{
-		Steps:         steps,
-		LogicalBytes:  chunk * int64(m.cfg.Rows),
-		PhysicalBytes: phys * int64(m.cfg.Rows),
-		ChunkBytes:    chunk,
-	}
-	m.logicalBytes += s.LogicalBytes
-	m.physicalBytes += s.PhysicalBytes
-	m.spills++
-	return s
-}
-
 func roundUp(v, to int64) int64 { return (v + to - 1) / to * to }
-
-// Buffered returns the number of decoding steps currently staged in host
-// memory.
-func (m *Manager) Buffered() int { return m.buffered }
-
-// BufferBytes returns the host-memory footprint of the staged entries.
-func (m *Manager) BufferBytes() int64 {
-	return int64(m.buffered) * m.cfg.EntryBytes * int64(m.cfg.Rows)
-}
-
-// Stats returns cumulative logical bytes, physical bytes and spill count.
-func (m *Manager) Stats() (logical, physical int64, spills int) {
-	return m.logicalBytes, m.physicalBytes, m.spills
-}
-
-// WAF returns the cumulative write amplification factor (physical/logical);
-// 1 when nothing has been written.
-func (m *Manager) WAF() float64 {
-	if m.logicalBytes == 0 {
-		return 1
-	}
-	return float64(m.physicalBytes) / float64(m.logicalBytes)
-}
 
 // NaiveWAF returns the write amplification of the §4.3 naive approach that
 // commits every per-step entry directly: each EntryBytes write occupies at

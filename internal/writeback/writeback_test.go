@@ -1,9 +1,108 @@
 package writeback
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// The step-by-step oracle for the closed-form WAFs: a buffer manager that
+// stages each decoding step and spills page-rounded chunks.
+
+// Validate reports invalid configurations.
+func (c Config) Validate() error {
+	if c.SpillInterval < 1 || c.Rows < 1 || c.EntryBytes < 1 || c.PageBytes < 1 {
+		return fmt.Errorf("writeback: non-positive config %+v", c)
+	}
+	return nil
+}
+
+// Manager tracks buffered tokens and accumulates write statistics. The zero
+// value is not usable; construct with New.
+type Manager struct {
+	cfg      Config
+	buffered int // decoding steps currently buffered
+
+	logicalBytes  int64 // application bytes destined for storage
+	physicalBytes int64 // bytes actually written after page rounding
+	spills        int   // spill operations issued
+}
+
+// New returns a manager for the given configuration.
+func New(cfg Config) (*Manager, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &Manager{cfg: cfg}, nil
+}
+
+// Spill describes one flush of the host-side buffers to storage.
+type Spill struct {
+	Steps         int   // buffered decoding steps flushed
+	LogicalBytes  int64 // useful bytes across all rows
+	PhysicalBytes int64 // after rounding each row's chunk up to a page
+	ChunkBytes    int64 // contiguous bytes appended per row
+}
+
+// Append records one decoding step's new KV entries. When the buffer reaches
+// the spill interval it returns the spill operation to issue (asynchronously,
+// off the critical path) and true; otherwise it returns false.
+func (m *Manager) Append() (Spill, bool) {
+	m.buffered++
+	if m.buffered < m.cfg.SpillInterval {
+		return Spill{}, false
+	}
+	return m.flush(), true
+}
+
+// Flush forces a spill of whatever is buffered (e.g. at sequence end).
+// It reports false if nothing was buffered.
+func (m *Manager) Flush() (Spill, bool) {
+	if m.buffered == 0 {
+		return Spill{}, false
+	}
+	return m.flush(), true
+}
+
+func (m *Manager) flush() Spill {
+	steps := m.buffered
+	m.buffered = 0
+	chunk := int64(steps) * m.cfg.EntryBytes
+	phys := roundUp(chunk, m.cfg.PageBytes)
+	s := Spill{
+		Steps:         steps,
+		LogicalBytes:  chunk * int64(m.cfg.Rows),
+		PhysicalBytes: phys * int64(m.cfg.Rows),
+		ChunkBytes:    chunk,
+	}
+	m.logicalBytes += s.LogicalBytes
+	m.physicalBytes += s.PhysicalBytes
+	m.spills++
+	return s
+}
+
+// Buffered returns the number of decoding steps currently staged in host
+// memory.
+func (m *Manager) Buffered() int { return m.buffered }
+
+// BufferBytes returns the host-memory footprint of the staged entries.
+func (m *Manager) BufferBytes() int64 {
+	return int64(m.buffered) * m.cfg.EntryBytes * int64(m.cfg.Rows)
+}
+
+// Stats returns cumulative logical bytes, physical bytes and spill count.
+func (m *Manager) Stats() (logical, physical int64, spills int) {
+	return m.logicalBytes, m.physicalBytes, m.spills
+}
+
+// WAF returns the cumulative write amplification factor (physical/logical);
+// 1 when nothing has been written.
+func (m *Manager) WAF() float64 {
+	if m.logicalBytes == 0 {
+		return 1
+	}
+	return float64(m.physicalBytes) / float64(m.logicalBytes)
+}
 
 // paperCfg is the §4.3 setting: 256-byte KV entries per head per tensor
 // (d=128, FP16, K+V = 512 B per step per row), 4 KiB pages, spill c=16.
@@ -149,6 +248,34 @@ func TestWAFAtLeastOne(t *testing.T) {
 		}
 		m.Flush()
 		return m.WAF() >= 1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The closed forms are the manager's cumulative WAF: SteadyStateWAF over
+// whole spill intervals, NaiveWAF when every step spills on its own.
+func TestClosedFormsMatchManager(t *testing.T) {
+	f := func(interval, entry, spills uint8) bool {
+		c := Config{
+			SpillInterval: int(interval%64) + 1,
+			Rows:          4,
+			EntryBytes:    int64(entry)*37 + 1, // up to ~2.3 pages
+			PageBytes:     4096,
+		}
+		naive := c
+		naive.SpillInterval = 1
+		m, err := New(c)
+		mn, errn := New(naive)
+		if err != nil || errn != nil {
+			return false
+		}
+		for i := 0; i < c.SpillInterval*(int(spills%4)+1); i++ {
+			m.Append()
+			mn.Append()
+		}
+		return m.WAF() == c.SteadyStateWAF() && mn.WAF() == c.NaiveWAF()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
