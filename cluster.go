@@ -38,7 +38,7 @@ const (
 	// pipeline — the classic list schedule, and the policy Backlog uses.
 	DispatchLeastLoaded = cluster.LeastLoaded
 	// DispatchCheapestFeasible sends each batch to the feasible pipeline
-	// with the lowest amortized dollar cost for it (internal/cost pricing).
+	// with the lowest amortized dollar cost for it (its engine's §6.6 price).
 	DispatchCheapestFeasible = cluster.CheapestFeasible
 	// DispatchFastestETA sends each batch to the pipeline that completes it
 	// earliest, counting queueing.
@@ -266,14 +266,12 @@ func Cluster(m Model, reqs []TimedRequest, opts ...ClusterOption) (ClusterSummar
 			return ClusterSummary{}, err
 		}
 		usdPerHour := eng.PriceUSD() / amortHours
-		etb, ec := eng.EnergyModel()
-		power := &cluster.EnergyConfig{Testbed: etb, Model: ec}
 		for i := 0; i < fs.count; i++ {
 			fleet = append(fleet, cluster.Pipeline{
 				Name:       fmt.Sprintf("%s/%d", fs.sys, len(fleet)),
 				Run:        eng.Run,
 				USDPerHour: usdPerHour,
-				Energy:     power,
+				Energy:     eng.Energy,
 				// Pipelines from one fleet spec share the engine, so their
 				// batch simulations memoize together.
 				EngineID: fmt.Sprintf("%s/%d-dev", fs.sys, devices),

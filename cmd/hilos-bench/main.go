@@ -1,6 +1,7 @@
 // Command hilos-bench regenerates the paper's evaluation: every table and
 // figure, printed as aligned text tables with the paper's expected shapes
-// as notes.
+// as notes. The tables go to stdout, which is the same on every run; the
+// wall-clock time of each experiment goes to stderr.
 //
 // Usage:
 //
@@ -137,8 +138,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		fmt.Print(tab)
-		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(t0).Seconds())
+		fmt.Println(tab)
+		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, time.Since(t0).Seconds())
 	}
-	fmt.Printf("all experiments completed in %.1fs\n", time.Since(start).Seconds())
+	fmt.Fprintf(os.Stderr, "all experiments completed in %.1fs\n", time.Since(start).Seconds())
 }

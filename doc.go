@@ -30,14 +30,16 @@
 //
 // Every simulated system is one row of a static table in internal/engine,
 // in the paper's Fig. 10 order: its identifier, its one-line description,
-// how it binds to a testbed, device count, α and spill interval, its §6.6
-// bill of materials, its Fig. 17(a) energy model, and whether it is lossy.
-// An Engine — Name, Describe, Run, PriceUSD, Energy and Lossy — is that
-// row bound to a Simulator's hardware point; adding a backend is one table
-// row. Nothing outside the table switches on system identifiers: Cluster
-// prices, powers and marks its pipelines from their engines, the figure
-// generators and their report memo resolve systems through it, and
-// hilos-sim prints the engine's own energy.
+// how it binds to a testbed, device count, α and spill interval, its
+// hardware, and whether it is lossy. The hardware is one description —
+// hosts, GPU model and count, plain SSDs, SmartSSDs, accelerators on or off
+// — that both the §6.6 price and the Fig. 17(a) energy model read, with
+// unit prices and powers from the testbed. An Engine — Name, Describe, Run,
+// PriceUSD, Energy and Lossy — is that row bound to a Simulator's hardware
+// point; adding a backend is one table row. Nothing outside the table
+// switches on system identifiers: Cluster prices, powers and marks its
+// pipelines from their engines, the figure generators and their report memo
+// resolve systems through it, and hilos-sim prints the engine's own energy.
 //
 // # Quickstart
 //
@@ -55,9 +57,10 @@
 //	rep, err := sim.Simulate(hilos.SystemHILOS, req)
 //	// or: eng, _ := sim.Engine(hilos.SystemHILOS); rep = eng.Run(req)
 //
-// An Engine's Energy integrates its system's Fig. 17(a) model over a
-// report and returns an EnergyBreakdown; the experiments behind every figure and table of the paper are available
-// via ExperimentIDs and ExperimentByID, and the accuracy harness via
+// An Engine's Energy integrates the Fig. 17(a) model of its system's
+// hardware over a report and returns an EnergyBreakdown; the experiments
+// behind every figure and table of the paper are available via
+// ExperimentIDs and ExperimentByID, and the accuracy harness via
 // AccuracySuite.
 //
 // # Serving: the event-driven cluster scheduler

@@ -411,7 +411,7 @@ func TestClusterWithFaults(t *testing.T) {
 
 // A vLLM pipeline is billed and powered for the hardware its engine
 // simulates: two hosts and eight RTX A6000s amortized over three years,
-// and the A6000s' power with no offload SSDs.
+// and both hosts' and the A6000s' power with no offload SSDs.
 func TestClusterVLLMTierHardware(t *testing.T) {
 	m, err := ModelByName("OPT-30B")
 	if err != nil {
@@ -430,12 +430,11 @@ func TestClusterVLLMTierHardware(t *testing.T) {
 	}
 	tb := DefaultTestbed()
 	usdPerHour := (2*tb.HostUSD + 8*device.A6000().PriceUSD) / amortHours
-	power := tb
-	power.GPU = device.A6000()
+	hw := device.Hardware{Hosts: 2, GPU: device.A6000(), GPUs: 8}
 	var wantUSD, wantJ float64
 	for _, a := range s.Assignments {
 		wantUSD += float64(usdPerHour / 3600 * a.ExecSec())
-		eb, err := energy.PerToken(power, a.Report, energy.Config{Storage: energy.NoSSD, GPUCount: 8})
+		eb, err := energy.PerToken(tb, a.Report, hw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,6 +445,6 @@ func TestClusterVLLMTierHardware(t *testing.T) {
 		t.Errorf("vLLM pipeline cost $%.6f, want $%.6f (2 hosts + 8× A6000)", p.CostUSD, wantUSD)
 	}
 	if math.Abs(p.EnergyJ-wantJ) > 1e-12*wantJ {
-		t.Errorf("vLLM pipeline energy %.3f J, want %.3f J (8× A6000, no SSD)", p.EnergyJ, wantJ)
+		t.Errorf("vLLM pipeline energy %.3f J, want %.3f J (2 hosts + 8× A6000, no SSD)", p.EnergyJ, wantJ)
 	}
 }

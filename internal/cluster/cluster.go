@@ -56,7 +56,6 @@ import (
 	"sort"
 
 	"repro/internal/endurance"
-	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -164,10 +163,11 @@ type PipelineStats struct {
 	// CostUSD is the amortized hardware dollars charged for BusySec.
 	CostUSD float64
 	// EnergyJ integrates the Fig. 17(a) model over the pipeline's completed
-	// work (0 when the pipeline has no energy config).
+	// work (0 when the pipeline has no Energy func).
 	EnergyJ float64
-	// EnergyErr records the first energy-integration failure (e.g. a
-	// misconfigured EnergyConfig), so a 0 EnergyJ is never silently wrong.
+	// EnergyErr records the first error the pipeline's Energy func returned
+	// (e.g. for a report with no decode step), so a 0 EnergyJ is never
+	// silently wrong.
 	EnergyErr string
 	// WriteBytes is the physical flash bytes written executing this
 	// pipeline's completed work (prefill KV spills plus per-step decode
@@ -429,7 +429,7 @@ func summarize(l *eventLoop) Summary {
 		ps.OutputTokens += toks
 		s.OutputTokens += toks
 		if p.Energy != nil {
-			eb, err := energy.PerToken(p.Energy.Testbed, a.Report, p.Energy.Model)
+			eb, err := p.Energy(a.Report)
 			if err != nil {
 				if ps.EnergyErr == "" {
 					ps.EnergyErr = err.Error()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -234,16 +235,15 @@ func TestBacklogCapRejection(t *testing.T) {
 }
 
 // Cost and energy attribution: busy seconds × amortized rate, and the
-// Fig. 17(a) integration over completed tokens.
+// pipeline's per-token energy over completed tokens.
 func TestAttribution(t *testing.T) {
-	tb := device.DefaultTestbed()
 	eng := func(req pipeline.Request) pipeline.Report {
 		return pipeline.Report{Batch: req.Batch, PrefillSec: 0, StepSec: 0.01}
 	}
-	fleet := []Pipeline{{
-		Name: "p0", Run: eng, USDPerHour: 7.2,
-		Energy: &EnergyConfig{Testbed: tb, Model: energy.Config{Storage: energy.PlainSSDs, Devices: 4}},
-	}}
+	perToken := func(pipeline.Report) (energy.Breakdown, error) {
+		return energy.Breakdown{CPU: 0.5, GPU: 2}, nil
+	}
+	fleet := []Pipeline{{Name: "p0", Run: eng, USDPerHour: 7.2, Energy: perToken}}
 	s, err := Run(Config{
 		Model: model.OPT30B, Fleet: fleet, Policy: CheapestFeasible,
 		Admission: Admission{MaxBatch: 4, MaxWaitSec: 0},
@@ -259,8 +259,8 @@ func TestAttribution(t *testing.T) {
 	if math.Abs(ps.CostUSD-wantCost) > 1e-12 {
 		t.Errorf("cost %v, want %v", ps.CostUSD, wantCost)
 	}
-	if ps.EnergyJ <= 0 {
-		t.Error("energy attribution missing")
+	if want := 2.5 * float64(ps.OutputTokens); ps.OutputTokens == 0 || ps.EnergyJ != want {
+		t.Errorf("energy %v J over %d tokens, want %v J", ps.EnergyJ, ps.OutputTokens, want)
 	}
 	if s.TotalCostUSD != ps.CostUSD || s.TotalEnergyJ != ps.EnergyJ {
 		t.Error("totals disagree with per-pipeline sums")
@@ -493,10 +493,10 @@ func TestRunMakespanIgnoresTraceOffset(t *testing.T) {
 // A failing energy integration must be surfaced, not silently reported as
 // zero joules.
 func TestEnergyErrorSurfaced(t *testing.T) {
-	fleet := []Pipeline{{
-		Name: "p", Run: constEngine(1),
-		Energy: &EnergyConfig{Testbed: device.DefaultTestbed(), Model: energy.Config{Storage: 99}},
-	}}
+	failing := func(pipeline.Report) (energy.Breakdown, error) {
+		return energy.Breakdown{CPU: 1}, errors.New("energy: no power model")
+	}
+	fleet := []Pipeline{{Name: "p", Run: constEngine(1), Energy: failing}}
 	s, err := Run(Config{
 		Model: model.OPT30B, Fleet: fleet, Policy: LeastLoaded,
 		Admission: Admission{MaxBatch: 1, MaxWaitSec: 0},

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 
-	"repro/internal/device"
 	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/model"
@@ -21,14 +20,6 @@ import (
 // prewarming calls it from several goroutines.
 type RunFunc func(pipeline.Request) pipeline.Report
 
-// EnergyConfig selects the Fig. 17(a) power integration for one pipeline's
-// attribution: the testbed supplies component powers, Model the storage
-// kind/device count/GPU count.
-type EnergyConfig struct {
-	Testbed device.Testbed
-	Model   energy.Config
-}
-
 // Pipeline is one member of a (possibly heterogeneous) fleet: an engine
 // bound to a hardware point, plus the cost and energy metadata the
 // dispatcher attributes work with.
@@ -42,8 +33,10 @@ type Pipeline struct {
 	// Zero-cost pipelines make cheapest-feasible fall back to least-loaded
 	// order through its tie-break.
 	USDPerHour float64
-	// Energy enables per-pipeline energy attribution (nil = skip).
-	Energy *EnergyConfig
+	// Energy integrates the Fig. 17(a) model over one of the pipeline's
+	// reports, in joules per generated token (engine.Engine.Energy
+	// qualifies); nil skips energy attribution.
+	Energy func(pipeline.Report) (energy.Breakdown, error)
 	// EngineID groups pipelines that share one engine (same Run behavior):
 	// report simulations memoize across all pipelines with the same
 	// non-empty EngineID, so N identical hosts simulate each batch shape

@@ -147,6 +147,31 @@ type Testbed struct {
 	SyncWriteLat float64 // latency of one synchronous sub-page SSD write
 }
 
+// Hardware is one system's hardware: what the §6.6 cost analysis bills and
+// the Fig. 17(a) energy model powers. Unit prices and powers come from a
+// Testbed; Hardware only counts.
+type Hardware struct {
+	Hosts     int     // host servers, each with the Testbed's CPU and DRAM
+	GPU       GPUSpec // the model of every GPU
+	GPUs      int     // GPU count across all hosts
+	PlainSSDs int     // conventional PCIe 4.0 SSDs
+	SmartSSDs int     // NSP devices (implies the PCIe expansion chassis)
+	Accels    bool    // the SmartSSDs' accelerators draw power
+}
+
+// PriceUSD returns the hardware's total price on a testbed.
+func (h Hardware) PriceUSD(tb Testbed) float64 {
+	// float64(...) rounds each product on its own, so no architecture fuses
+	// it into the sum (the figure tables must match bit for bit).
+	p := float64(float64(h.Hosts) * tb.HostUSD)
+	p += float64(float64(h.GPUs) * h.GPU.PriceUSD)
+	p += float64(float64(h.PlainSSDs) * tb.PlainSSD.PriceUSD)
+	if h.SmartSSDs > 0 {
+		p += tb.ChassisUSD + float64(float64(h.SmartSSDs)*tb.SmartSSD.PriceUSD)
+	}
+	return p
+}
+
 // A100 is the default evaluation GPU.
 func A100() GPUSpec {
 	return GPUSpec{

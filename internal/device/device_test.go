@@ -86,3 +86,43 @@ func TestGPUPresets(t *testing.T) {
 		t.Error("GPU prices do not match §6.6")
 	}
 }
+
+// §6.6 bill of materials: $15,000 host + $7,000 A100 + 4×$400 SSDs for the
+// baseline; the HILOS configuration adds a $10,000 chassis and sixteen
+// $2,400 SmartSSDs, replacing the conventional SSDs.
+func TestPricesMatchPaper(t *testing.T) {
+	tb := DefaultTestbed()
+	flex := Hardware{Hosts: 1, GPU: A100(), GPUs: 1, PlainSSDs: 4}.PriceUSD(tb)
+	if flex != 15000+7000+4*400 {
+		t.Errorf("FLEX price = %v, want 23600", flex)
+	}
+	hilos := Hardware{Hosts: 1, GPU: A100(), GPUs: 1, SmartSSDs: 16, Accels: true}.PriceUSD(tb)
+	if hilos != 15000+7000+10000+16*2400 {
+		t.Errorf("HILOS-16 price = %v, want 70400", hilos)
+	}
+	h100 := Hardware{Hosts: 1, GPU: H100(), GPUs: 1, PlainSSDs: 4}.PriceUSD(tb)
+	if h100 != 15000+30000+1600 {
+		t.Errorf("H100 FLEX price = %v, want 46600", h100)
+	}
+}
+
+// The H100 upgrade costs more than the full 16-SmartSSD HILOS add-on buys
+// in throughput terms: HILOS must price below the H100 swap plus SSDs when
+// compared per §6.6 (sanity: HILOS-4 is cheaper than the H100 baseline).
+func TestHILOS4CheaperThanH100Upgrade(t *testing.T) {
+	tb := DefaultTestbed()
+	h4 := Hardware{Hosts: 1, GPU: A100(), GPUs: 1, SmartSSDs: 4, Accels: true}.PriceUSD(tb)
+	h100 := Hardware{Hosts: 1, GPU: H100(), GPUs: 1, PlainSSDs: 4}.PriceUSD(tb)
+	if h4 >= h100 {
+		t.Errorf("HILOS-4 ($%v) not cheaper than H100 baseline ($%v)", h4, h100)
+	}
+}
+
+func TestMultiHostPricing(t *testing.T) {
+	tb := DefaultTestbed()
+	hw := Hardware{Hosts: 2, GPU: A6000(), GPUs: 8}
+	want := 2*tb.HostUSD + 8*A6000().PriceUSD
+	if got := hw.PriceUSD(tb); got != want {
+		t.Errorf("multi-node price = %v, want %v", got, want)
+	}
+}

@@ -23,53 +23,33 @@ type Breakdown struct {
 // Total returns the summed energy per token.
 func (b Breakdown) Total() float64 { return b.CPU + b.DRAM + b.GPU + b.SSD }
 
-// StorageKind distinguishes the storage power model of a configuration.
-type StorageKind int
-
-// Storage kinds.
-const (
-	PlainSSDs StorageKind = iota // PM9A3 datasheet power (§6.6)
-	SmartSSDs                    // SSD power + accelerator on-chip power
-	NoSSD                        // vLLM-style all-GPU systems
-)
-
-// Config parameterizes the energy integration for one system.
-type Config struct {
-	Storage     StorageKind
-	Devices     int
-	AccelPowerW float64 // per-device accelerator power (Table 3), SmartSSDs only
-	GPUCount    int     // defaults to 1
-}
-
-// PerToken integrates component power over one decoding step of the report
+// PerToken integrates the power of hw over one decoding step of the report
 // and divides by the effective batch, yielding joules per generated token.
-func PerToken(tb device.Testbed, rep pipeline.Report, cfg Config) (Breakdown, error) {
+// The testbed supplies each component's power: every host draws its CPU and
+// DRAM, every GPU hw.GPU's, every SSD its own, and a SmartSSD's accelerator
+// only when hw.Accels is set.
+func PerToken(tb device.Testbed, rep pipeline.Report, hw device.Hardware) (Breakdown, error) {
 	if rep.OOM || rep.StepSec <= 0 || rep.Batch <= 0 {
 		return Breakdown{}, fmt.Errorf("energy: report has no successful decode step")
-	}
-	if cfg.GPUCount <= 0 {
-		cfg.GPUCount = 1
 	}
 	step := rep.StepSec
 
 	cpuBusy := clamp(rep.ResourceBusy[pipeline.ResCPU], 0, step)
 	gpuBusy := clamp(rep.ResourceBusy[pipeline.ResGPU], 0, step)
+	hosts := float64(hw.Hosts)
 
 	var b Breakdown
-	b.CPU = float64(cpuBusy*tb.CPU.BusyPowerW) + float64((step-cpuBusy)*tb.CPU.IdlePowerW)
-	b.GPU = float64(cfg.GPUCount) * (float64(gpuBusy*tb.GPU.BusyPowerW) + float64((step-gpuBusy)*tb.GPU.IdlePowerW))
-	b.DRAM = tb.DRAM.PowerW * step
+	b.CPU = hosts * (float64(cpuBusy*tb.CPU.BusyPowerW) + float64((step-cpuBusy)*tb.CPU.IdlePowerW))
+	b.GPU = float64(hw.GPUs) * (float64(gpuBusy*hw.GPU.BusyPowerW) + float64((step-gpuBusy)*hw.GPU.IdlePowerW))
+	b.DRAM = hosts * tb.DRAM.PowerW * step
 
-	switch cfg.Storage {
-	case PlainSSDs:
-		b.SSD = float64(cfg.Devices) * tb.PlainSSD.PowerW * step
-	case SmartSSDs:
-		b.SSD = float64(cfg.Devices) * (tb.SmartSSD.SSD.PowerW + cfg.AccelPowerW) * step
-	case NoSSD:
-		b.SSD = 0
-	default:
-		return Breakdown{}, fmt.Errorf("energy: unknown storage kind %d", cfg.Storage)
+	smartW := tb.SmartSSD.SSD.PowerW
+	if hw.Accels {
+		smartW += tb.SmartSSD.AccelPowerW
 	}
+	ssdW := float64(float64(hw.PlainSSDs) * tb.PlainSSD.PowerW)
+	ssdW += float64(float64(hw.SmartSSDs) * smartW)
+	b.SSD = ssdW * step
 
 	inv := 1 / float64(rep.Batch)
 	b.CPU *= inv

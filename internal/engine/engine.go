@@ -3,10 +3,11 @@
 // the FlexGen, DeepSpeed and vLLM baselines, the lossy InstInfer tier
 // (arXiv 2409.04992), then HILOS and its Fig. 15 ablation ladder. A row
 // holds everything the rest of the repository knows about a system: its
-// step simulator, its §6.6 bill of materials, its Fig. 17(a) energy model
-// and whether its attention is lossy. An Engine is one row bound to a
-// concrete testbed and device count; nothing outside this package chooses
-// a price, an energy model or lossiness by system identifier.
+// step simulator, its hardware (one device.Hardware that both the §6.6
+// price and the Fig. 17(a) energy model read) and whether its attention is
+// lossy. An Engine is one row bound to a concrete testbed and device count;
+// nothing outside this package chooses a price, an energy model or
+// lossiness by system identifier.
 package engine
 
 import (
@@ -15,7 +16,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/energy"
 	"repro/internal/pipeline"
@@ -46,15 +46,15 @@ const AlphaAuto = -1.0
 type runFunc = func(pipeline.Request) pipeline.Report
 
 // systems is every evaluated system. devices names the storage devices a
-// system's Describe counts ("" for fixed topologies); hw prices and powers
-// its hardware and bind builds its step simulator, both for a normalized
-// Config; lossy marks approximate attention.
+// system's Describe counts ("" for fixed topologies); hw describes the
+// hardware that is priced and powered, and bind builds the step simulator,
+// both for a normalized Config; lossy marks approximate attention.
 var systems = [...]struct {
 	id      System
 	desc    string
 	devices string
 	lossy   bool
-	hw      func(Config) (cost.System, energy.Config)
+	hw      func(Config) device.Hardware
 	bind    func(Config) runFunc
 }{
 	{id: SysFlexSSD, desc: "FlexGen-style offloading, KV cache on 4 PCIe 4.0 SSDs",
@@ -86,26 +86,24 @@ var systems = [...]struct {
 }
 
 // plainSSDHost is the FlexGen server of §6.6: host, GPU, four PM9A3 SSDs.
-func plainSSDHost(c Config) (cost.System, energy.Config) {
-	return cost.System{GPU: c.Testbed.GPU, PlainSSDs: 4, Hosts: 1}, energy.Config{Storage: energy.PlainSSDs, Devices: 4}
+func plainSSDHost(c Config) device.Hardware {
+	return device.Hardware{Hosts: 1, GPU: c.Testbed.GPU, GPUs: 1, PlainSSDs: 4}
 }
 
 // nspHost adds the chassis and the Config's SmartSSDs, accelerators on.
-func nspHost(c Config) (cost.System, energy.Config) {
-	return cost.System{GPU: c.Testbed.GPU, SmartSSDs: c.Devices, Hosts: 1},
-		energy.Config{Storage: energy.SmartSSDs, Devices: c.Devices, AccelPowerW: c.Testbed.SmartSSD.AccelPowerW}
+func nspHost(c Config) device.Hardware {
+	return device.Hardware{Hosts: 1, GPU: c.Testbed.GPU, GPUs: 1, SmartSSDs: c.Devices, Accels: true}
 }
 
-// fpgasOff bills the 16-SmartSSD array but powers only its SSDs.
-func fpgasOff(c Config) (cost.System, energy.Config) {
-	return cost.System{GPU: c.Testbed.GPU, SmartSSDs: 16, Hosts: 1}, energy.Config{Storage: energy.SmartSSDs, Devices: 16}
+// fpgasOff is the 16-SmartSSD array with its accelerators unpowered.
+func fpgasOff(c Config) device.Hardware {
+	return device.Hardware{Hosts: 1, GPU: c.Testbed.GPU, GPUs: 1, SmartSSDs: 16}
 }
 
 // vllmNodes is the Fig. 17(b) deployment's hosts and GPUs, with no SSDs.
-func vllmNodes(Config) (cost.System, energy.Config) {
+func vllmNodes(Config) device.Hardware {
 	v := baseline.DefaultVLLM()
-	n := v.Nodes * v.GPUsPerNode
-	return cost.System{GPU: v.GPU, Hosts: v.Nodes, ExtraGPUs: n - 1}, energy.Config{Storage: energy.NoSSD, GPUCount: n}
+	return device.Hardware{Hosts: v.Nodes, GPU: v.GPU, GPUs: v.Nodes * v.GPUsPerNode}
 }
 
 func flex(variant func(device.Testbed) baseline.FlexVariant) func(Config) runFunc {
@@ -138,11 +136,8 @@ type Engine struct {
 	desc  string
 	run   runFunc
 	lossy bool
-	usd   float64
-	power energy.Config
-	// tb is the Config's testbed with the system's own GPU, so the energy
-	// model integrates the power of the GPUs the system actually has.
-	tb device.Testbed
+	hw    device.Hardware
+	tb    device.Testbed
 }
 
 // Name returns the system identifier this engine was built for.
@@ -160,16 +155,12 @@ func (e Engine) Run(req pipeline.Request) pipeline.Report { return e.run(req) }
 func (e Engine) Lossy() bool { return e.lossy }
 
 // PriceUSD returns the §6.6 hardware price of the system on its testbed.
-func (e Engine) PriceUSD() float64 { return e.usd }
+func (e Engine) PriceUSD() float64 { return e.hw.PriceUSD(e.tb) }
 
-// EnergyModel returns what the Fig. 17(a) model integrates for this system:
-// the testbed that supplies component powers, and the storage kind, device
-// count and GPU count.
-func (e Engine) EnergyModel() (device.Testbed, energy.Config) { return e.tb, e.power }
-
-// Energy integrates the system's Fig. 17(a) energy model over one report.
+// Energy integrates the Fig. 17(a) energy model of the system's hardware
+// over one report.
 func (e Engine) Energy(rep pipeline.Report) (energy.Breakdown, error) {
-	return energy.PerToken(e.tb, rep, e.power)
+	return energy.PerToken(e.tb, rep, e.hw)
 }
 
 // Config is the hardware point an engine binds to. The zero value is not
@@ -228,10 +219,7 @@ func New(sys System, cfg Config) (Engine, error) {
 		if s.devices != "" {
 			desc = fmt.Sprintf("%s (%d %s)", desc, cfg.Devices, s.devices)
 		}
-		bom, power := s.hw(cfg)
-		tb := cfg.Testbed
-		tb.GPU = bom.GPU
-		return Engine{sys: sys, desc: desc, run: s.bind(cfg), lossy: s.lossy, usd: bom.PriceUSD(tb), power: power, tb: tb}, nil
+		return Engine{sys: sys, desc: desc, run: s.bind(cfg), lossy: s.lossy, hw: s.hw(cfg), tb: cfg.Testbed}, nil
 	}
 	return Engine{}, fmt.Errorf("engine: unknown system %q (known: %v)", sys, Systems())
 }

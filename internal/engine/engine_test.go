@@ -91,36 +91,30 @@ func TestSystemsOrdering(t *testing.T) {
 }
 
 // Each row prices and powers the hardware its simulator models: the
-// FlexGen hosts and DS+UVM draw four plain SSDs; flex-16ssd bills the
-// 16-SmartSSD array but powers only its SSDs; vLLM is two hosts and eight
-// RTX A6000s with no offload storage; InstInfer and the HILOS family power
-// the Config's SmartSSDs with their accelerators.
+// FlexGen hosts and DS+UVM have four plain SSDs; flex-16ssd has the
+// 16-SmartSSD array with its accelerators off; vLLM is two hosts and eight
+// RTX A6000s with no offload storage; InstInfer and the HILOS family have
+// the Config's SmartSSDs with their accelerators on.
 func TestSystemHardware(t *testing.T) {
 	tb := device.DefaultTestbed()
 	const n = 12
-	flexUSD := tb.HostUSD + tb.GPU.PriceUSD + 4*tb.PlainSSD.PriceUSD
-	nspUSD := func(k int) float64 {
-		return tb.HostUSD + tb.GPU.PriceUSD + tb.ChassisUSD + float64(k)*tb.SmartSSD.PriceUSD
-	}
-	plain := energy.Config{Storage: energy.PlainSSDs, Devices: 4}
-	nsp := energy.Config{Storage: energy.SmartSSDs, Devices: n, AccelPowerW: tb.SmartSSD.AccelPowerW}
+	plain := device.Hardware{Hosts: 1, GPU: tb.GPU, GPUs: 1, PlainSSDs: 4}
+	nsp := device.Hardware{Hosts: 1, GPU: tb.GPU, GPUs: 1, SmartSSDs: n, Accels: true}
 	rows := []struct {
 		sys   System
-		usd   float64
-		power energy.Config
-		gpu   device.GPUSpec
+		hw    device.Hardware
 		lossy bool
 	}{
-		{SysFlexSSD, flexUSD, plain, tb.GPU, false},
-		{SysFlexDRAM, flexUSD, plain, tb.GPU, false},
-		{SysFlex16SSD, nspUSD(16), energy.Config{Storage: energy.SmartSSDs, Devices: 16}, tb.GPU, false},
-		{SysDSUVM, flexUSD, plain, tb.GPU, false},
-		{SysVLLM, 2*tb.HostUSD + 8*device.A6000().PriceUSD, energy.Config{Storage: energy.NoSSD, GPUCount: 8}, device.A6000(), false},
-		{SysInstInfer, nspUSD(n), nsp, tb.GPU, true},
-		{SysHILOS, nspUSD(n), nsp, tb.GPU, false},
-		{SysHILOSANS, nspUSD(n), nsp, tb.GPU, false},
-		{SysHILOSWB, nspUSD(n), nsp, tb.GPU, false},
-		{SysHILOSX, nspUSD(n), nsp, tb.GPU, false},
+		{SysFlexSSD, plain, false},
+		{SysFlexDRAM, plain, false},
+		{SysFlex16SSD, device.Hardware{Hosts: 1, GPU: tb.GPU, GPUs: 1, SmartSSDs: 16}, false},
+		{SysDSUVM, plain, false},
+		{SysVLLM, device.Hardware{Hosts: 2, GPU: device.A6000(), GPUs: 8}, false},
+		{SysInstInfer, nsp, true},
+		{SysHILOS, nsp, false},
+		{SysHILOSANS, nsp, false},
+		{SysHILOSWB, nsp, false},
+		{SysHILOSX, nsp, false},
 	}
 	if len(rows) != len(Systems()) {
 		t.Fatalf("%d rows checked, table has %d systems", len(rows), len(Systems()))
@@ -131,21 +125,39 @@ func TestSystemHardware(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := eng.PriceUSD(); got != r.usd {
-				t.Errorf("price $%v, want $%v", got, r.usd)
+			if eng.hw != r.hw {
+				t.Errorf("hardware %+v, want %+v", eng.hw, r.hw)
 			}
-			etb, power := eng.EnergyModel()
-			if power != r.power {
-				t.Errorf("energy model %+v, want %+v", power, r.power)
-			}
-			want := tb
-			want.GPU = r.gpu
-			if etb != want {
-				t.Errorf("energy testbed GPU %q, want the testbed with %q", etb.GPU.Name, r.gpu.Name)
+			if eng.tb != tb {
+				t.Error("engine testbed differs from the Config's")
 			}
 			if eng.Lossy() != r.lossy {
 				t.Errorf("lossy = %v, want %v", eng.Lossy(), r.lossy)
 			}
 		})
+	}
+}
+
+// The vLLM deployment powers both of its hosts: on the same report, its CPU
+// and DRAM joules are twice those of a one-host FlexGen server.
+func TestVLLMPowersBothHosts(t *testing.T) {
+	tb := device.DefaultTestbed()
+	rep := pipeline.Report{Batch: 4, StepSec: 0.3,
+		ResourceBusy: map[string]float64{pipeline.ResCPU: 0.1, pipeline.ResGPU: 0.2}}
+	energyOf := func(sys System) energy.Breakdown {
+		t.Helper()
+		eng, err := New(sys, Config{Testbed: tb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := eng.Energy(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	vllm, flex := energyOf(SysVLLM), energyOf(SysFlexSSD)
+	if vllm.CPU != 2*flex.CPU || vllm.DRAM != 2*flex.DRAM {
+		t.Errorf("vllm CPU %v J, DRAM %v J; want two hosts' %v J, %v J", vllm.CPU, vllm.DRAM, 2*flex.CPU, 2*flex.DRAM)
 	}
 }

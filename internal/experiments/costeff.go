@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/endurance"
 	"repro/internal/engine"
@@ -30,7 +29,7 @@ func (r Runner) Fig16a() Table {
 		on.TB.GPU = gpu
 		// eff is a system's tokens/s/$ on this GPU, priced by its table row.
 		eff := func(sys engine.System, n int, rep pipeline.Report) float64 {
-			return cost.Efficiency(rep.DecodeTokPerSec(), must(engine.New(sys, on.config(n))).PriceUSD())
+			return rep.DecodeTokPerSec() / must(engine.New(sys, on.config(n))).PriceUSD()
 		}
 		for _, m := range []model.Config{model.OPT66B, model.OPT175B} {
 			for _, s := range []int{16384, 32768} {

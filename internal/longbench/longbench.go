@@ -112,7 +112,7 @@ func (t Task) Score(seed int64, m Method) (float64, error) {
 			krow := k.Row(i)
 			qrow := q.Row(0)
 			for j := range krow {
-				krow[j] = float32(t.Signal)*qrow[j] + float32(rng.NormFloat64()*0.6)
+				krow[j] = float32(float32(t.Signal)*qrow[j]) + float32(rng.NormFloat64()*0.6)
 			}
 			copy(v.Row(i), codebook.Row(answer))
 		}
@@ -129,7 +129,7 @@ func (t Task) Score(seed int64, m Method) (float64, error) {
 func normalizeRow(row []float32) {
 	var ss float64
 	for _, x := range row {
-		ss += float64(x) * float64(x)
+		ss += float64(float64(x) * float64(x))
 	}
 	if ss == 0 {
 		return

@@ -149,7 +149,7 @@ func (c Config) ActivationBytes(bs int) int64 {
 func (c Config) ProjFLOPsPerTokenLayer() float64 {
 	h := float64(c.Hidden)
 	kvDim := float64(c.KVHeads * c.HeadDim())
-	return 2 * (h*h + 2*h*kvDim + h*h)
+	return 2 * (float64(h*h) + float64(2*h*kvDim) + float64(h*h))
 }
 
 // MLPFLOPsPerTokenLayer returns FFN FLOPs for one token in one layer
@@ -173,8 +173,8 @@ func (c Config) AttnFLOPsPerTokenLayer(s int) float64 {
 func (c Config) PrefillFLOPs(bs, s int) float64 {
 	var f float64
 	for l := 0; l < c.Layers; l++ {
-		linear := (c.ProjFLOPsPerTokenLayer() + c.MLPFLOPsPerTokenLayer(l)) * float64(s)
-		attn := 2 * float64(c.Heads*c.HeadDim()) * float64(s) * float64(s) // causal ≈ s²/2 each for QKᵀ and SV
+		linear := float64((c.ProjFLOPsPerTokenLayer() + float64(c.MLPFLOPsPerTokenLayer(l))) * float64(s))
+		attn := float64(2 * float64(c.Heads*c.HeadDim()) * float64(s) * float64(s)) // causal ≈ s²/2 each for QKᵀ and SV
 		f += linear + attn
 	}
 	return f * float64(bs)
