@@ -203,6 +203,33 @@ func BenchmarkAcceleratorAttention16KWorkers4(b *testing.B) {
 	benchAcceleratorAttentionWorkers(b, 16*1024, 4)
 }
 
+// BenchmarkAcceleratorANSDecode64K is the bench harness's ans-decode op:
+// one decode step of a 4-query group (head dim 128) over a 64K-token FP16
+// cache, with 16 buffered tokens scored on the host by attention.Scores and
+// merged as the delayed-writeback partial.
+func BenchmarkAcceleratorANSDecode64K(b *testing.B) {
+	const group, dim, seq, buffered = 4, 128, 64 * 1024, 16
+	rng := rand.New(rand.NewSource(2))
+	a, err := accel.New(accel.Config{DGroup: group, HeadDim: dim})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := tensor.RandMat(rng, group, dim, 1).RoundFP16()
+	k := tensor.RandMat(rng, seq, dim, 1).RoundFP16()
+	v := tensor.RandMat(rng, seq, dim, 1).RoundFP16()
+	kBuf := tensor.RandMat(rng, buffered, dim, 1).RoundFP16()
+	vBuf := tensor.RandMat(rng, buffered, dim, 1).RoundFP16()
+	b.SetBytes(int64(2 * seq * dim * 2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		host := attention.Scores(q, kBuf)
+		if _, err := a.Attention(q, k, v, nil, host, vBuf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAcceleratorAttention4K(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	a, err := accel.New(accel.Config{DGroup: 1, HeadDim: 128})

@@ -291,24 +291,33 @@
 //
 // The accelerator model (accel.AttentionWorkers) is a fused, copy-free
 // block datapath on the same pool. Its work items are block-aligned K/V
-// chunks. Each 128-token K or V block is copied into per-worker scratch (a
-// sync.Pool lane) and quantized to FP16 there, so the caller's cache is
-// never cloned whole and never written. One traversal of a block serves all
-// d_group query rows: phase 1 scores every row from the block's K rows, and
-// phase 2 adds each V row into every row's chunk accumulator, in token
+// chunks. Each 128-token K or V block is rounded to FP16 straight into
+// per-worker scratch (a sync.Pool lane) in one pass (fp16.RoundInto), so
+// the caller's cache is never cloned whole and never written. One filled
+// block serves all d_group query rows: phase 1 scores every row from the
+// block's K rows, and phase 2 turns each row's scores into softmax weights
+// and adds the weighted V rows into the row's chunk accumulator, in token
 // order. The hardware's K-Buf → KT-Buf block transpose is modeled by the
 // cycle model but not re-executed: transposition moves data without
 // arithmetic, so reading K rows directly gives each q·k the same sequential
 // FP32 chain over the head dimension and the same bits.
+// The inner loops are register-blocked, and bit-identity survives because
+// no FP32 operation is reordered: the query-key unit keeps 8 tokens' dot
+// chains in flight (then 4, then 1), each still one chain over the head
+// dimension, and the score·value unit adds 4 tokens' V rows per load and
+// store of an accumulator element, which still sees one add per token in
+// token order; zero weights are dropped before the adds, as the serial loop
+// skips them. Every product in the package is rounded to FP32 or FP64
+// before its add, so no architecture fuses one (CI's arm64 scan).
 // A steady-state call allocates only the scores, block statistics, chunk
 // accumulators and output. SHA-256 digests of its outputs over a fixed shape
 // table are checked in (internal/accel/testdata), and the original per-row
 // loop lives in the tests as the one-chunk golden reference.
 //
-// FP16 storage emulation (fp16.RoundSlice, and so every Mat.RoundFP16)
-// rounds magnitudes in [2^-14, 65520) — those that land on a normal half —
-// directly on the float32 bits: round-to-nearest-even at bit
-// 13. Subnormals, zero, overflow to ±Inf past 65504, Inf and NaN take the
+// FP16 storage emulation (fp16.RoundInto, RoundSlice, and so every
+// Mat.RoundFP16) rounds magnitudes in [2^-14, 65520) — those that land on
+// a normal half — directly on the float32 bits: round-to-nearest-even at
+// bit 13. Subnormals, zero, overflow to ±Inf past 65504, Inf and NaN take the
 // FromFloat32/ToFloat32 round trip. The fast path is exact, not
 // approximate: a test sweeps every rounding-boundary pattern of the 13
 // dropped bits under all 2^19 prefixes, FuzzRoundTrip asserts bitwise

@@ -52,22 +52,22 @@ func (m CycleModel) bytesPerCycle() float64 {
 // KVBytesPerBlock returns the K+V bytes fetched from DRAM per 128-token
 // block (shared across the d_group query lanes).
 func (m CycleModel) KVBytesPerBlock() float64 {
-	return 2 * BlockTokens * float64(m.HeadDim) * 2 // K and V, FP16
+	return float64(2*BlockTokens*float64(m.HeadDim)) * 2 // K and V, FP16
 }
 
 // blockDRAMBytes returns all DRAM traffic per block: the shared K+V stream
 // plus the QKᵀ score spill/reload between the two softmax passes
 // (d_group × 128 FP16 scores written then read).
 func (m CycleModel) blockDRAMBytes() float64 {
-	scores := float64(m.DGroup) * BlockTokens * 2
+	scores := float64(float64(m.DGroup)*BlockTokens) * 2
 	return m.KVBytesPerBlock() + 2*scores
 }
 
 // blockFLOPs returns the arithmetic per block: QKᵀ and score·V MACs for each
 // of the d_group queries plus the softmax exponential/normalization work.
 func (m CycleModel) blockFLOPs() float64 {
-	macs := 2 * float64(m.DGroup) * 2 * BlockTokens * float64(m.HeadDim) // QK + SV, 2 FLOPs/MAC
-	softmax := 5 * float64(m.DGroup) * BlockTokens                       // exp, add, max, exp, div
+	macs := float64(2 * float64(m.DGroup) * 2 * BlockTokens * float64(m.HeadDim)) // QK + SV, 2 FLOPs/MAC
+	softmax := float64(5 * float64(m.DGroup) * BlockTokens)                       // exp, add, max, exp, div
 	return macs + softmax
 }
 
@@ -128,7 +128,7 @@ func (m CycleModel) KernelTime(s int) float64 {
 	nb := float64(Blocks(s))
 	_, qk, sm, sv := m.UnitCycles()
 	fill := qk + sm + sv // first block traverses all compute stages
-	cycles := nb*m.blockCost() + fill
+	cycles := float64(nb*m.blockCost()) + fill
 	return cycles / m.ClockHz
 }
 

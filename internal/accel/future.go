@@ -25,7 +25,7 @@ func DSPsForThroughputScale(r ResourceModel, dGroup int, scale float64) (float64
 	if err != nil {
 		// The baseline configuration itself may not fit; report demand
 		// anyway from the unclamped model.
-		u = Utilization{DSPPct: r.DSPBase + r.DSPPerLane*float64(dGroup)}
+		u = Utilization{DSPPct: r.DSPBase + float64(r.DSPPerLane*float64(dGroup))}
 	}
 	baseDSPs := u.DSPPct / 100 * KU15PDSPs
 	return baseDSPs * scale, nil

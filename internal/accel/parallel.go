@@ -19,9 +19,14 @@ import (
 //     argument (attention.ChunkSpan at the hardware block size), never of
 //     worker count, and every chunk work item owns its score slices, its
 //     per-block stat slots and its per-group chunk accumulators.
-//   - Each block is copied into per-worker lane scratch and quantized to
-//     FP16 there, so the caller's K/V are never cloned or written, and one
-//     traversal of the block serves all d_group query rows.
+//   - Each block is rounded to FP16 straight into per-worker lane scratch
+//     in one pass, so the caller's K/V are never cloned or written, and one
+//     filled block serves all d_group query rows.
+//   - The inner loops are register-blocked without reassociating anything:
+//     qkRow keeps 8 (then 4, then 1) tokens' dot chains in flight, each
+//     still one sequential FP32 chain over the head dimension, and svAdd
+//     adds 4 tokens' V rows per accumulator load and store, each element
+//     still seeing one FP32 add per token in token order.
 //   - Per-group softmax statistics fold serially in block index order —
 //     exactly the serial dataflow's association — and chunk accumulators
 //     reduce through the same fixed-shape stride-doubling tree the
@@ -38,26 +43,27 @@ import (
 // cannot perturb results.
 const accelMinParallelWork = 16 * 1024
 
-// lane is per-worker scratch: one FP16-quantized K or V block and its
-// validity mask. Lanes live in a sync.Pool and are fully overwritten before
-// every read, so reuse can never leak state between calls.
+// lane is per-worker scratch: one FP16-quantized K or V block, its
+// validity mask and one group row's score·V weights. Lanes live in a
+// sync.Pool and are fully overwritten before every read, so reuse can never
+// leak state between calls.
 type lane struct {
 	block []float32 // ≤ BlockTokens rows of the block being streamed
 	mask  []bool    // blockMask output for the current block
+	ws    []float32 // weights output: nonzero softmax weights of the block
+	ts    []int32   // weights output: their token offsets in the block
 }
 
 var lanePool = sync.Pool{New: func() any { return new(lane) }}
 
-// quantize copies rows [lo,hi) of m into the lane's block buffer and
-// rounds them to FP16 there — the storage-precision emulation of one
-// K-Buf/V-Buf fill.
+// quantize rounds rows [lo,hi) of m to FP16 straight into the lane's block
+// buffer, one pass that only reads m — the storage-precision emulation of
+// one K-Buf/V-Buf fill.
 func (ln *lane) quantize(m tensor.Mat, lo, hi int) []float32 {
 	if cap(ln.block) < BlockTokens*m.Cols {
 		ln.block = make([]float32, BlockTokens*m.Cols)
 	}
-	b := ln.block[:(hi-lo)*m.Cols]
-	copy(b, m.Data[lo*m.Cols:hi*m.Cols])
-	return fp16.RoundSlice(b)
+	return fp16.RoundInto(ln.block, m.Data[lo*m.Cols:hi*m.Cols])
 }
 
 // blockMask returns the validity mask for block [lo,hi) in lane scratch:
@@ -77,37 +83,108 @@ func (ln *lane) blockMask(mask []bool, lo, hi, s int) []bool {
 	return bm
 }
 
+// weights is the softmax normalization unit for one group row of a block:
+// it returns w_t = exp(x_t − m) for the row's real-token scores x_t (masked
+// tokens read attention.MaskValue), keeping only the nonzero weights, with
+// their token offsets, in token order. A zero weight adds nothing, so
+// dropping it here is the serial loop's skip. The slices are lane scratch.
+func (ln *lane) weights(row []float32, bm []bool, m float64) (ws []float32, ts []int32) {
+	if cap(ln.ws) < BlockTokens {
+		ln.ws, ln.ts = make([]float32, BlockTokens), make([]int32, BlockTokens)
+	}
+	ws, ts = ln.ws[:0], ln.ts[:0]
+	for t, x := range row {
+		if bm != nil && !bm[t] {
+			x = attention.MaskValue
+		}
+		if w := float32(math.Exp(float64(x) - m)); w != 0 {
+			ws, ts = append(ws, w), append(ts, int32(t))
+		}
+	}
+	return ws, ts
+}
+
 // qkRow is the query-key product unit for one query row over a quantized K
 // block kb of len(q)-wide rows: dst[t] = scale·(q·k_t), each dot one
-// sequential FP32 chain over the head dimension. Four tokens run side by
-// side so their independent chains overlap in the FPU, as the hardware's
-// MAC lanes do; no chain changes its order.
+// sequential FP32 chain over the head dimension. Eight tokens run side by
+// side (then four, then one at a time for the rest) so their independent
+// chains overlap in the FPU and share each load of q, as the hardware's MAC
+// lanes do; no chain changes its order. Every product is rounded to FP32
+// before its add, so no platform fuses the two.
 //
 //lint:allow floataccum the per-token dot chains are the modeled 128-lane FP32 MAC array
 func qkRow(dst, q, kb []float32, scale float32) {
 	d := len(q)
 	t := 0
-	for ; t+4 <= len(dst); t += 4 {
-		k0 := kb[t*d : t*d+d]
-		k1 := kb[(t+1)*d : (t+1)*d+d]
-		k2 := kb[(t+2)*d : (t+2)*d+d]
-		k3 := kb[(t+3)*d : (t+3)*d+d]
+	for ; t+8 <= len(dst); t += 8 {
+		k0, k1, k2, k3 := kb[t*d:][:d], kb[(t+1)*d:][:d], kb[(t+2)*d:][:d], kb[(t+3)*d:][:d]
+		k4, k5, k6, k7 := kb[(t+4)*d:][:d], kb[(t+5)*d:][:d], kb[(t+6)*d:][:d], kb[(t+7)*d:][:d]
+		var a0, a1, a2, a3, a4, a5, a6, a7 float32
+		for i, x := range q {
+			a0 += float32(x * k0[i])
+			a1 += float32(x * k1[i])
+			a2 += float32(x * k2[i])
+			a3 += float32(x * k3[i])
+			a4 += float32(x * k4[i])
+			a5 += float32(x * k5[i])
+			a6 += float32(x * k6[i])
+			a7 += float32(x * k7[i])
+		}
+		out := dst[t : t+8]
+		out[0], out[1], out[2], out[3] = a0*scale, a1*scale, a2*scale, a3*scale
+		out[4], out[5], out[6], out[7] = a4*scale, a5*scale, a6*scale, a7*scale
+	}
+	if t+4 <= len(dst) {
+		k0, k1, k2, k3 := kb[t*d:][:d], kb[(t+1)*d:][:d], kb[(t+2)*d:][:d], kb[(t+3)*d:][:d]
 		var a0, a1, a2, a3 float32
 		for i, x := range q {
-			a0 += x * k0[i]
-			a1 += x * k1[i]
-			a2 += x * k2[i]
-			a3 += x * k3[i]
+			a0 += float32(x * k0[i])
+			a1 += float32(x * k1[i])
+			a2 += float32(x * k2[i])
+			a3 += float32(x * k3[i])
 		}
 		dst[t], dst[t+1], dst[t+2], dst[t+3] = a0*scale, a1*scale, a2*scale, a3*scale
+		t += 4
 	}
 	for ; t < len(dst); t++ {
-		krow := kb[t*d : t*d+d]
+		krow := kb[t*d:][:d]
 		var acc float32
 		for i, x := range q {
-			acc += x * krow[i]
+			acc += float32(x * krow[i])
 		}
 		dst[t] = acc * scale
+	}
+}
+
+// svAdd is the score·V product unit for one group row: it adds ws[i]·v_ts[i]
+// into arow for each weight in order, v_t being row t of the quantized V
+// block vb of len(arow)-wide rows. Four tokens share each load and store of
+// an accumulator element, which still sees one FP32 add per token in token
+// order — the same bits as adding one token at a time. Every product is
+// rounded to FP32 before its add, so no platform fuses the two.
+//
+//lint:allow floataccum per-chunk score·V slots model the hardware's FP32 accumulators
+func svAdd(arow, vb, ws []float32, ts []int32) {
+	d := len(arow)
+	i := 0
+	for ; i+4 <= len(ws); i += 4 {
+		w0, w1, w2, w3 := ws[i], ws[i+1], ws[i+2], ws[i+3]
+		y0, y1 := vb[int(ts[i])*d:][:d], vb[int(ts[i+1])*d:][:d]
+		y2, y3 := vb[int(ts[i+2])*d:][:d], vb[int(ts[i+3])*d:][:d]
+		for j := range arow {
+			a := arow[j]
+			a += float32(w0 * y0[j])
+			a += float32(w1 * y1[j])
+			a += float32(w2 * y2[j])
+			a += float32(w3 * y3[j])
+			arow[j] = a
+		}
+	}
+	for ; i < len(ws); i++ {
+		w, y := ws[i], vb[int(ts[i])*d:][:d]
+		for j := range arow {
+			arow[j] += float32(w * y[j])
+		}
 	}
 }
 
@@ -136,8 +213,9 @@ func treeAddVec(parts [][]float32) []float32 {
 // Phase 1 quantizes each K block into lane scratch and fills every group
 // row's index-owned score slice and block-stat slot from it (query-key
 // product + per-block softmax statistics); the per-group statistics then
-// fold serially in block order. Phase 2 quantizes each V block once and adds
-// every V row, in token order, into each group row's chunk accumulator;
+// fold serially in block order. Phase 2 quantizes each V block once, then
+// for each group row turns the block's scores into softmax weights and adds
+// the weighted V rows, in token order, into the row's chunk accumulator;
 // the accumulators reduce through the fixed tree. Results are bit-identical
 // for every workers value, 1 included; Attention delegates here with
 // GOMAXPROCS workers and a derived span.
@@ -222,31 +300,18 @@ func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScor
 	}
 
 	// Phase 2: softmax normalization + score-value product units. Each V
-	// row is read once and shared by every group row; each (group, chunk)
-	// accumulator still adds its tokens in order, with the settled global
-	// max.
+	// block is filled once and shared by every group row; each (group,
+	// chunk) accumulator still adds its tokens in order, with the settled
+	// global max.
 	tensor.ParallelFor(nChunks, workers, func(c int) {
 		ln := lanePool.Get().(*lane)
 		defer lanePool.Put(ln)
 		blocks(c, func(lo, hi, realHi int) {
 			vb := ln.quantize(v, lo, realHi)
 			bm := ln.blockMask(mask, lo, hi, s)
-			for t := 0; t < realHi-lo; t++ {
-				vrow := vb[t*dv : (t+1)*dv]
-				for g := 0; g < dg; g++ {
-					x := scores[g*sPad+lo+t]
-					if bm != nil && !bm[t] {
-						x = attention.MaskValue
-					}
-					w := float32(math.Exp(float64(x) - stats[g].M))
-					if w == 0 {
-						continue
-					}
-					arow := acc[g*nChunks+c][:len(vrow)]
-					for j, y := range vrow {
-						arow[j] += w * y
-					}
-				}
+			for g := 0; g < dg; g++ {
+				ws, ts := ln.weights(scores[g*sPad+lo:g*sPad+realHi], bm, stats[g].M)
+				svAdd(acc[g*nChunks+c][:dv], vb, ws, ts)
 			}
 		})
 	})
@@ -262,7 +327,7 @@ func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScor
 		if hostScores.Rows > 0 {
 			r := float32(math.Exp(partials[g].Stats.M - st.M))
 			for j := range orow {
-				orow[j] += partials[g].Acc[j] * r
+				orow[j] += float32(partials[g].Acc[j] * r)
 			}
 		}
 		inv := float32(1 / st.Z)

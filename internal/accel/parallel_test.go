@@ -1,15 +1,51 @@
 package accel
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/attention"
 	"repro/internal/tensor"
 )
 
+// accelEqual reports whether a and b have the same shape and the same bits
+// in every element, so NaNs and signed zeros compare too.
 func accelEqual(a, b tensor.Mat) bool {
-	return a.Rows == b.Rows && a.Cols == b.Cols && reflect.DeepEqual(a.Data, b.Data)
+	if a.Rows != b.Rows || a.Cols != b.Cols || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i, x := range a.Data {
+		if math.Float32bits(x) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// offFastPath plants values that FP16 storage rounds off its normal-range
+// fast path into m, every 7th row from row `from`: a subnormal-range row,
+// a zero, magnitudes just past 65504 (which round to 65504) and, when inf
+// is set, one that rounds to ±Inf. The other elements keep their random
+// low mantissa bits.
+func offFastPath(m tensor.Mat, from int, inf bool) {
+	for r := from; r < m.Rows; r += 7 {
+		row := m.Row(r)
+		switch r / 7 % 3 {
+		case 0:
+			for i := range row {
+				row[i] *= 1e-6
+			}
+		case 1:
+			row[0], row[len(row)-1] = 0, -65510
+		case 2:
+			row[len(row)/2] = 65515
+			if inf {
+				row[0] = -70000
+			}
+		}
+	}
 }
 
 // TestAttentionWorkersBitIdentical: the chunk-sharded datapath must produce
@@ -91,45 +127,115 @@ func TestAttentionWorkersHostPartialBitIdentical(t *testing.T) {
 // TestAttentionWorkersOneChunkMatchesSerial: with the span pinned past the
 // sequence length the grid collapses to one chunk per group and the parallel
 // datapath must reproduce the retained serial reference bit-for-bit — the
-// same block fold order, the same single accumulator.
+// same block fold order, the same single accumulator. The cases reach every
+// path of the register-blocked lanes: last blocks with every token count
+// mod 8, ragged block tails, masks and host partials, a query scale wide
+// enough that unmasked weights underflow to 0, and K/V off the FP16 fast
+// path (subnormal-range rows, magnitudes past 65504, ±Inf in V).
 func TestAttentionWorkersOneChunkMatchesSerial(t *testing.T) {
+	type oneChunkCase struct {
+		dg, s, d  int
+		qSigma    float64
+		mask      bool
+		hostRows  int
+		offFastKV bool
+	}
+	cases := []oneChunkCase{
+		{1, 300, 64, 1, false, 0, false},
+		{4, 513, 32, 1, false, 0, false},
+		{2, 64, 16, 1, false, 0, false},
+		{4, 384, 128, 40, false, 0, false}, // wide scores: weights underflow
+		{3, 700, 32, 8, true, 5, false},
+		{2, 453, 64, 1, true, 3, true},
+		{4, 260, 128, 1, false, 16, true},
+	}
+	// s mod 8 = r, with s mod 128 ragged: every qkRow remainder path.
+	for r := 1; r <= 7; r++ {
+		cases = append(cases, oneChunkCase{1 + r%4, 128*(r%3) + 9*r, 16 << (r % 4), 1, r%2 == 1, 4 * (r % 3), r%3 == 0})
+	}
 	rng := rand.New(rand.NewSource(72))
 	const chunk = 1 << 20
-	for _, sh := range []struct{ dg, s, d int }{
-		{1, 300, 64}, {4, 513, 32}, {2, 64, 16},
-	} {
-		acc, err := New(Config{DGroup: sh.dg, HeadDim: sh.d})
+	for _, c := range cases {
+		acc, err := New(Config{DGroup: c.dg, HeadDim: c.d})
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := tensor.RandMat(rng, sh.dg, sh.d, 1)
-		k := tensor.RandMat(rng, sh.s, sh.d, 1)
-		v := tensor.RandMat(rng, sh.s, sh.d, 1)
-		want, err := acc.attentionSerial(q, k, v, nil, tensor.Mat{}, tensor.Mat{})
+		q := tensor.RandMat(rng, c.dg, c.d, c.qSigma)
+		k := tensor.RandMat(rng, c.s, c.d, 1)
+		v := tensor.RandMat(rng, c.s, c.d, 1)
+		if c.offFastKV {
+			offFastPath(k, 2, false)
+			offFastPath(v, 4, true)
+		}
+		var mask []bool
+		if c.mask {
+			mask = make([]bool, c.s)
+			for i := range mask {
+				mask[i] = rng.Intn(5) != 0
+			}
+		}
+		var hostScores, hostV tensor.Mat
+		if c.hostRows > 0 {
+			hostScores = tensor.RandMat(rng, c.dg, c.hostRows, 1)
+			hostV = tensor.RandMat(rng, c.hostRows, c.d, 1)
+		}
+		if c.qSigma > 8 && !someWeightUnderflows(q, k) {
+			t.Fatalf("case %+v: no weight underflows to 0; the case would prove nothing", c)
+		}
+		want, err := acc.attentionSerial(q, k, v, mask, hostScores, hostV)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 8} {
-			got, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, w, chunk)
+			got, err := acc.AttentionWorkers(q, k, v, mask, hostScores, hostV, w, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !accelEqual(want, got) {
-				t.Fatalf("shape %+v workers=%d: one-chunk parallel differs from serial reference", sh, w)
+				t.Fatalf("case %+v workers=%d: one-chunk parallel differs from serial reference", c, w)
 			}
 		}
 	}
 }
 
-// TestAttentionWorkersLeavesInputs: K/V are quantized block by block in lane
-// scratch and q in a private copy, so inputs that are not FP16-representable
-// come back bit-for-bit unmodified.
+// someWeightUnderflows reports whether some FP16 token's softmax weight
+// exp(x − max) rounds to 0 in FP32 for some query row.
+func someWeightUnderflows(q, k tensor.Mat) bool {
+	sc := attention.Scores(q.Clone().RoundFP16(), k.Clone().RoundFP16())
+	for r := 0; r < sc.Rows; r++ {
+		row := sc.Row(r)
+		m := row[0]
+		for _, x := range row {
+			m = max(m, x)
+		}
+		for _, x := range row {
+			if float32(math.Exp(float64(x)-float64(m))) == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestAttentionWorkersLeavesInputs: K/V are rounded block by block straight
+// into lane scratch and q in a private copy, so inputs that are not
+// FP16-representable — fast-path values with low mantissa bits, and values
+// the round trip handles (subnormal range, past 65504) — come back
+// bit-for-bit unmodified. The fused fill itself must equal rounding a copy
+// of the rows, on ragged windows and in a lane last filled with a longer
+// block.
 func TestAttentionWorkersLeavesInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	acc := newAccel(t, 4, 64)
 	q := tensor.RandMat(rng, 4, 64, 1)
 	k := tensor.RandMat(rng, 700, 64, 1)
 	v := tensor.RandMat(rng, 700, 64, 1)
+	offFastPath(k, 3, true)
+	offFastPath(v, 0, true)
+	mask := make([]bool, k.Rows)
+	for i := range mask {
+		mask[i] = i%9 != 0
+	}
 	hostScores := tensor.RandMat(rng, 4, 5, 1)
 	hostV := tensor.RandMat(rng, 5, 64, 1)
 	ins := []tensor.Mat{q, k, v, hostScores, hostV}
@@ -141,13 +247,29 @@ func TestAttentionWorkersLeavesInputs(t *testing.T) {
 		t.Fatal("inputs are already FP16; the test would prove nothing")
 	}
 	for _, w := range []int{1, 3} {
-		if _, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, w, 0); err != nil {
-			t.Fatal(err)
-		}
-		for i, m := range ins {
-			if !accelEqual(m, want[i]) {
-				t.Fatalf("workers=%d: input %d modified", w, i)
+		for _, mk := range [][]bool{nil, mask} {
+			if _, err := acc.AttentionWorkers(q, k, v, mk, hostScores, hostV, w, 0); err != nil {
+				t.Fatal(err)
 			}
+			for i, m := range ins {
+				if !accelEqual(m, want[i]) {
+					t.Fatalf("workers=%d mask=%t: input %d modified", w, mk != nil, i)
+				}
+			}
+		}
+	}
+
+	rounded := k.Clone().RoundFP16()
+	ln := new(lane)
+	for _, span := range [][2]int{{0, 128}, {640, 700}, {7, 8}, {128, 256}, {699, 700}} {
+		lo, hi := span[0], span[1]
+		got := tensor.Mat{Rows: hi - lo, Cols: k.Cols, Data: ln.quantize(k, lo, hi)}
+		wantRows := tensor.Mat{Rows: hi - lo, Cols: k.Cols, Data: rounded.Data[lo*k.Cols : hi*k.Cols]}
+		if !accelEqual(got, wantRows) {
+			t.Fatalf("quantize rows [%d,%d) differ from rounding a copy", lo, hi)
+		}
+		if !accelEqual(k, want[1]) {
+			t.Fatalf("quantize rows [%d,%d) modified K", lo, hi)
 		}
 	}
 }
@@ -222,11 +344,14 @@ func TestCycleModelOverlapped(t *testing.T) {
 
 // FuzzAccelParallelEquivalence fuzzes group counts, sequence lengths, head
 // dims and chunk spans, asserting multi-worker runs stay bit-identical to
-// one-worker runs of the same grid.
+// one-worker runs of the same grid, and, whenever the span covers the whole
+// sequence (one chunk), to the serial reference as well.
 func FuzzAccelParallelEquivalence(f *testing.F) {
 	f.Add(int64(1), 2, 300, 16, 128)
 	f.Add(int64(2), 1, 129, 64, 256)
 	f.Add(int64(3), 8, 1024, 8, 384)
+	f.Add(int64(4), 3, 261, 128, 4096)
+	f.Add(int64(5), 4, 7, 32, 128)
 	f.Fuzz(func(t *testing.T, seed int64, dg, s, d, chunk int) {
 		if dg < 1 || dg > 8 || s < 1 || s > 2048 || d < 1 || d > 128 || chunk < 1 || chunk > 4096 {
 			return
@@ -250,6 +375,15 @@ func FuzzAccelParallelEquivalence(f *testing.F) {
 			}
 			if !accelEqual(base, got) {
 				t.Fatalf("dg=%d s=%d d=%d chunk=%d: workers=%d diverged", dg, s, d, chunk, w)
+			}
+		}
+		if attention.ChunkSpan(d, BlockTokens, chunk) >= PadSequence(s) {
+			want, err := acc.attentionSerial(q, k, v, nil, tensor.Mat{}, tensor.Mat{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !accelEqual(want, base) {
+				t.Fatalf("dg=%d s=%d d=%d chunk=%d: one chunk differs from the serial reference", dg, s, d, chunk)
 			}
 		}
 	})

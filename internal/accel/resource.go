@@ -77,12 +77,12 @@ func (r ResourceModel) Estimate(dGroup int) (Utilization, error) {
 	g := float64(dGroup)
 	u := Utilization{
 		DGroup:   dGroup,
-		LUTPct:   r.LUTBase + r.LUTPerLane*g,
-		FFPct:    r.FFBase + r.FFPerLane*g,
-		BRAMPct:  r.BRAMBase + r.BRAMPerLane*g,
+		LUTPct:   r.LUTBase + float64(r.LUTPerLane*g),
+		FFPct:    r.FFBase + float64(r.FFPerLane*g),
+		BRAMPct:  r.BRAMBase + float64(r.BRAMPerLane*g),
 		URAMPct:  r.URAMFixed,
-		DSPPct:   r.DSPBase + r.DSPPerLane*g,
-		PowerW:   r.PowerBaseW + r.PowerPerLaneW*g,
+		DSPPct:   r.DSPBase + float64(r.DSPPerLane*g),
+		PowerW:   r.PowerBaseW + float64(r.PowerPerLaneW*g),
 		ClockMHz: r.ClockMHz,
 	}
 	cm := DefaultCycleModel(dGroup, r.HeadDim)

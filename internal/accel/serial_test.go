@@ -83,7 +83,7 @@ func (a *Accelerator) attentionSerial(q, k, v tensor.Mat, mask []bool, hostScore
 				}
 				vrow := v.Row(i)
 				for j := range orow {
-					orow[j] += w * vrow[j]
+					orow[j] += float32(w * vrow[j])
 				}
 			}
 		}
@@ -92,7 +92,7 @@ func (a *Accelerator) attentionSerial(q, k, v tensor.Mat, mask []bool, hostScore
 		if hostScores.Rows > 0 {
 			r := float32(math.Exp(partial.Stats.M - st.M))
 			for j := range orow {
-				orow[j] += partial.Acc[j] * r
+				orow[j] += float32(partial.Acc[j] * r)
 			}
 		}
 		// Division by the global denominator (second pass, line 11).
@@ -124,7 +124,7 @@ func (a *Accelerator) qkBlock(qrow []float32, k tensor.Mat, lo, hi int, scale fl
 		krow := k.Row(lo + t)
 		var acc float32
 		for dim := range qrow {
-			acc += qrow[dim] * krow[dim]
+			acc += float32(qrow[dim] * krow[dim])
 		}
 		out[t] = acc * scale
 	}

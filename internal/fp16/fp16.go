@@ -22,7 +22,7 @@ const (
 	nanBits      = 0x7E00
 	minNormalF32 = 6.103515625e-05 // 2^-14
 
-	// float32 bit patterns bounding RoundSlice's fast path: 2^-14 is the
+	// float32 bit patterns bounding RoundInto's fast path: 2^-14 is the
 	// smallest normal half, and 65520 is the first magnitude that rounds
 	// past 65504.
 	minNormalBits   = 0x38800000
@@ -128,9 +128,9 @@ func sgn(signBit uint32) float32 {
 	return 1
 }
 
-// roundNormal is RoundSlice's fast path on float32 bits b; ok is false
+// roundNormal is RoundInto's fast path on float32 bits b; ok is false
 // outside [2^-14, 65520) in magnitude. Small enough to inline into
-// RoundSlice.
+// RoundInto.
 func roundNormal(b uint32) (r uint32, ok bool) {
 	if b&^signMask32-minNormalBits >= roundsToInfBits-minNormalBits {
 		return 0, false
@@ -138,9 +138,9 @@ func roundNormal(b uint32) (r uint32, ok bool) {
 	return (b + 0xFFF + b>>13&1) &^ 0x1FFF, true
 }
 
-// RoundSlice quantizes every element of s through binary16 and back in
-// place and returns s. This is the fundamental "stored as FP16" emulation
-// used across the repository.
+// RoundInto quantizes every element of src through binary16 and back into
+// dst[:len(src)] and returns that slice; dst may be src itself. src is
+// only read, so a storage fill can copy and round in one pass.
 //
 // Magnitudes in [2^-14, 65520), all of which round to a normal half, take
 // an exact fast path on the float32 bits: a normal half is a float32 whose
@@ -151,16 +151,22 @@ func roundNormal(b uint32) (r uint32, ok bool) {
 // Everything else (subnormals, zero, overflow to ±Inf past 65504, Inf and
 // NaN) takes the FromFloat32/ToFloat32 round trip, so each element ends
 // bit-identical to ToFloat32(FromFloat32(v)).
-func RoundSlice(s []float32) []float32 {
-	for i, v := range s {
+func RoundInto(dst, src []float32) []float32 {
+	dst = dst[:len(src)]
+	for i, v := range src {
 		if b, ok := roundNormal(math.Float32bits(v)); ok {
-			s[i] = math.Float32frombits(b)
+			dst[i] = math.Float32frombits(b)
 		} else {
-			s[i] = ToFloat32(FromFloat32(v))
+			dst[i] = ToFloat32(FromFloat32(v))
 		}
 	}
-	return s
+	return dst
 }
+
+// RoundSlice quantizes every element of s through binary16 and back in
+// place and returns s: RoundInto(s, s). This is the fundamental "stored as
+// FP16" emulation used across the repository.
+func RoundSlice(s []float32) []float32 { return RoundInto(s, s) }
 
 // MaxValue is the largest finite binary16 value (65504).
 const MaxValue float32 = 65504
