@@ -303,7 +303,7 @@
 // FP32 chain over the head dimension and the same bits.
 // The inner loops are register-blocked, and bit-identity survives because
 // no FP32 operation is reordered: the query-key unit keeps 8 tokens' dot
-// chains in flight (then 4, then 1), each still one chain over the head
+// chains in flight (then 1 for the rest), each still one chain over the head
 // dimension, and the score·value unit adds 4 tokens' V rows per load and
 // store of an accumulator element, which still sees one add per token in
 // token order; zero weights are dropped before the adds, as the serial loop

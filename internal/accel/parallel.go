@@ -23,7 +23,7 @@ import (
 //     in one pass, so the caller's K/V are never cloned or written, and one
 //     filled block serves all d_group query rows.
 //   - The inner loops are register-blocked without reassociating anything:
-//     qkRow keeps 8 (then 4, then 1) tokens' dot chains in flight, each
+//     qkRow keeps 8 (then 1) tokens' dot chains in flight, each
 //     still one sequential FP32 chain over the head dimension, and svAdd
 //     adds 4 tokens' V rows per accumulator load and store, each element
 //     still seeing one FP32 add per token in token order.
@@ -107,9 +107,9 @@ func (ln *lane) weights(row []float32, bm []bool, m float64) (ws []float32, ts [
 // qkRow is the query-key product unit for one query row over a quantized K
 // block kb of len(q)-wide rows: dst[t] = scale·(q·k_t), each dot one
 // sequential FP32 chain over the head dimension. Eight tokens run side by
-// side (then four, then one at a time for the rest) so their independent
-// chains overlap in the FPU and share each load of q, as the hardware's MAC
-// lanes do; no chain changes its order. Every product is rounded to FP32
+// side (then one at a time for the rest) so their independent chains
+// overlap in the FPU and share each load of q, as the hardware's MAC lanes
+// do; no chain changes its order. Every product is rounded to FP32
 // before its add, so no platform fuses the two.
 //
 //lint:allow floataccum the per-token dot chains are the modeled 128-lane FP32 MAC array
@@ -133,18 +133,6 @@ func qkRow(dst, q, kb []float32, scale float32) {
 		out := dst[t : t+8]
 		out[0], out[1], out[2], out[3] = a0*scale, a1*scale, a2*scale, a3*scale
 		out[4], out[5], out[6], out[7] = a4*scale, a5*scale, a6*scale, a7*scale
-	}
-	if t+4 <= len(dst) {
-		k0, k1, k2, k3 := kb[t*d:][:d], kb[(t+1)*d:][:d], kb[(t+2)*d:][:d], kb[(t+3)*d:][:d]
-		var a0, a1, a2, a3 float32
-		for i, x := range q {
-			a0 += float32(x * k0[i])
-			a1 += float32(x * k1[i])
-			a2 += float32(x * k2[i])
-			a3 += float32(x * k3[i])
-		}
-		dst[t], dst[t+1], dst[t+2], dst[t+3] = a0*scale, a1*scale, a2*scale, a3*scale
-		t += 4
 	}
 	for ; t < len(dst); t++ {
 		krow := kb[t*d:][:d]

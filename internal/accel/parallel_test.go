@@ -274,6 +274,49 @@ func TestAttentionWorkersLeavesInputs(t *testing.T) {
 	}
 }
 
+// TestBlockedUnitsMatchSerial pins the register-blocked units bit for bit
+// against the serial loops before any FP16 rounding, which would hide a
+// last-bit change in a dot chain: qkRow against the reference qkBlock, and
+// svAdd against one FP32 add per token in token order, for every token
+// count from 0 to 20 (the 8-token lanes, the 4-token adds and every
+// remainder).
+func TestBlockedUnitsMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	const d = 37
+	acc, err := New(Config{DGroup: 1, HeadDim: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := tensor.RandMat(rng, 1, d, 1).Row(0)
+	for n := 0; n <= 20; n++ {
+		kv := tensor.RandMat(rng, n, d, 1)
+		got := make([]float32, n)
+		qkRow(got, q, kv.Data, 0.125)
+		want := acc.qkBlock(q, kv, 0, n, 0.125)
+		if !accelEqual(tensor.Mat{Rows: 1, Cols: n, Data: want}, tensor.Mat{Rows: 1, Cols: n, Data: got}) {
+			t.Fatalf("n=%d: qkRow differs from the serial qkBlock", n)
+		}
+
+		ws, ts := make([]float32, n), make([]int32, n)
+		for i := range ws {
+			ws[i], ts[i] = float32(rng.ExpFloat64()), int32(n-1-i)
+		}
+		arow := tensor.RandMat(rng, 1, d, 1)
+		ref := arow.Clone()
+		svAdd(arow.Row(0), kv.Data, ws, ts)
+		r := ref.Row(0)
+		for i, w := range ws {
+			y := kv.Row(int(ts[i]))
+			for j := range r {
+				r[j] += float32(w * y[j])
+			}
+		}
+		if !accelEqual(ref, arow) {
+			t.Fatalf("n=%d: svAdd differs from one add per token", n)
+		}
+	}
+}
+
 // TestTreeAddVecFixedShape: the vector tree reduction must be a pure
 // function of the slot count — identical bits on identical inputs — and
 // must equal a serial left fold within FP32 tolerance.
