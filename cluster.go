@@ -435,9 +435,3 @@ func NewOnlineOfflineTrace(seed int64, nOnline, nOffline int, onlineRate, offlin
 func ReadArrivalTrace(r io.Reader) ([]TimedRequest, error) {
 	return trace.ReadArrivalsCSV(r)
 }
-
-// WriteArrivalTrace writes requests as an arrival-trace CSV that
-// round-trips through ReadArrivalTrace.
-func WriteArrivalTrace(w io.Writer, reqs []TimedRequest) error {
-	return trace.WriteArrivalsCSV(w, reqs)
-}

@@ -4,8 +4,7 @@
 // a function is linked as a symbol of its own exactly when a binary can
 // reach it, reads the binaries' text symbols with `go tool nm`, and compares
 // them against every top-level function and method declared in a non-test
-// file of a non-main package. The root package is the public facade and is
-// exempt.
+// file of a non-main package.
 //
 // Usage, from the repository root:
 //
@@ -38,7 +37,6 @@ import (
 // allowed names the deliberate exceptions: library functions no binary
 // links, each with the reason it stays.
 var allowed = map[string]string{
-	"repro/internal/trace.WriteArrivalsCSV":     "reached only through the facade's WriteArrivalTrace",
 	"repro/internal/sim.(*Engine).SetTelemetry": "the per-run engine sink that replaces sim.EnableTelemetry (ROADMAP item 3)",
 }
 
@@ -48,7 +46,6 @@ type pkg struct {
 	Name       string
 	Dir        string
 	GoFiles    []string
-	Module     *struct{ Path string }
 }
 
 func main() {
@@ -96,13 +93,10 @@ func check(root string) (excused, missing, stale []string, err error) {
 		}
 		var mains []string
 		for _, p := range pkgs {
-			switch {
-			case p.Name == "main":
+			if p.Name == "main" {
 				mains = append(mains, p.ImportPath)
-			case p.Module != nil && p.ImportPath != p.Module.Path:
-				if err := declare(p, declared); err != nil {
-					return nil, nil, nil, err
-				}
+			} else if err := declare(p, declared); err != nil {
+				return nil, nil, nil, err
 			}
 		}
 		if len(mains) == 0 {

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -67,5 +69,31 @@ func (m Map[K, V]) get(K) V { var v V; return v }
 	want := "repro/p.F repro/p.T.M repro/p.(*T).P repro/p.(*heap).push repro/p.Map.get"
 	if strings.Join(got, " ") != want {
 		t.Errorf("symbols %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
+// A module's root package is declared like any other library package: a
+// root function no binary calls is reported.
+func TestCheckCoversRootPackage(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":         "module m\n\ngo 1.21\n",
+		"m.go":           "package m\n\nfunc Used() int { return 1 }\n\nfunc Unused() int { return 2 }\n",
+		"cmd/app/app.go": "package main\n\nimport \"m\"\n\nfunc main() { println(m.Used()) }\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, missing, _, err := check(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) != 1 || !strings.HasPrefix(missing[0], "m.Unused (") {
+		t.Errorf("missing = %q, want only m.Unused", missing)
 	}
 }

@@ -111,11 +111,10 @@
 // The summary reports makespan, queueing-delay percentiles (p50/p95/p99)
 // overall and per priority class, rejected/failed/preempted work, deadline
 // misses, and per-pipeline utilization/cost/energy attribution —
-// deterministically, run after run. Arrival traces round-trip through
-// ReadArrivalTrace/WriteArrivalTrace CSV (optional priority/deadline
-// columns; legacy traces parse unchanged), and cmd/hilos-cluster sweeps
-// fleet compositions, rates, arrival processes, scheduling modes and
-// policies from the command line.
+// deterministically, run after run. ReadArrivalTrace parses arrival-trace
+// CSV (optional priority/deadline columns; legacy traces parse unchanged),
+// and cmd/hilos-cluster sweeps fleet compositions, rates, arrival
+// processes, scheduling modes and policies from the command line.
 //
 // Backlog is the offline special case, and it runs on the same event loop:
 // a request trace whose every arrival is at t=0, queued by class with the

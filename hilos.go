@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/accel"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -26,8 +25,6 @@ type (
 	Report = pipeline.Report
 	// Model is a transformer configuration (Table 2).
 	Model = model.Config
-	// Testbed is the hardware configuration (Table 1).
-	Testbed = device.Testbed
 	// System identifies a simulated inference system.
 	System = engine.System
 	// Engine is one inference system bound to a hardware configuration:
@@ -43,15 +40,8 @@ type (
 	AccuracyTask = longbench.Task
 )
 
-// Models returns the Table 2 model zoo.
-func Models() []Model { return model.All() }
-
 // ModelByName looks up a Table 2 model ("OPT-66B", "Qwen2.5-32B", ...).
 func ModelByName(name string) (Model, error) { return model.ByName(name) }
-
-// DefaultTestbed returns the paper's Table 1 hardware configuration with
-// all calibration constants documented at their definitions.
-func DefaultTestbed() Testbed { return device.DefaultTestbed() }
 
 // The systems evaluated in Figure 10 and Figure 17(b), re-exported from the
 // engine table.
@@ -78,10 +68,9 @@ func Systems() []System { return engine.Systems() }
 // systems.
 func DescribeSystem(sys System) string { return engine.Describe(sys) }
 
-// Simulator evaluates inference systems on a testbed. The zero value is not
-// usable; construct with New.
+// Simulator evaluates inference systems on the Table 1 testbed. The zero
+// value is not usable; construct with New.
 type Simulator struct {
-	tb        device.Testbed
 	devices   int
 	alpha     float64
 	spill     int
@@ -90,17 +79,6 @@ type Simulator struct {
 
 // Option configures a Simulator.
 type Option func(*Simulator) error
-
-// WithTestbed replaces the default Table 1 testbed.
-func WithTestbed(tb Testbed) Option {
-	return func(s *Simulator) error {
-		if err := tb.Validate(); err != nil {
-			return err
-		}
-		s.tb = tb
-		return nil
-	}
-}
 
 // WithDevices sets the SmartSSD count for NSP engines (default 8; the paper
 // evaluates 4, 8 and 16). Baselines with fixed storage topologies ignore it.
@@ -158,7 +136,6 @@ func WithPipelines(n int) Option {
 // options in order.
 func New(opts ...Option) (*Simulator, error) {
 	s := &Simulator{
-		tb:        device.DefaultTestbed(),
 		devices:   8,
 		alpha:     AlphaAuto,
 		spill:     16,
@@ -181,13 +158,10 @@ func Must(s *Simulator, err error) *Simulator {
 	return s
 }
 
-// Testbed returns the simulator's hardware configuration.
-func (s *Simulator) Testbed() Testbed { return s.tb }
-
-// Engine builds a system's engine, bound to this simulator's testbed and
-// options.
+// Engine builds a system's engine, bound to the Table 1 testbed and this
+// simulator's options.
 func (s *Simulator) Engine(sys System) (Engine, error) {
-	return engine.New(sys, engine.Config{Testbed: s.tb, Devices: s.devices, Alpha: s.alpha, SpillInterval: s.spill})
+	return engine.New(sys, engine.Config{Testbed: device.DefaultTestbed(), Devices: s.devices, Alpha: s.alpha, SpillInterval: s.spill})
 }
 
 // Simulate runs one system on a request. Infeasible configurations are
@@ -203,7 +177,7 @@ func (s *Simulator) Simulate(sys System, req Request) (Report, error) {
 
 // ChooseAlpha runs the §4.2 cache scheduler for a workload point.
 func (s *Simulator) ChooseAlpha(m Model, batch, context, devices int) (float64, error) {
-	return core.ChooseAlpha(s.tb, m, batch, context, devices)
+	return core.ChooseAlpha(device.DefaultTestbed(), m, batch, context, devices)
 }
 
 // ExperimentByID regenerates a single experiment ("fig10", "table3", ...).
@@ -212,7 +186,7 @@ func (s *Simulator) ExperimentByID(id string) (ExperimentTable, error) {
 	if err != nil {
 		return ExperimentTable{}, err
 	}
-	return g.Run(experiments.Runner{TB: s.tb}), nil
+	return g.Run(experiments.Runner{TB: device.DefaultTestbed()}), nil
 }
 
 // ExperimentIDs lists the available experiment identifiers.
@@ -231,17 +205,14 @@ func RequestClasses() []RequestClass { return workload.Classes() }
 // NewWorkloadTrace draws n requests from the Azure-like offline mix
 // (60% short, 30% medium, 10% long), deterministically per seed.
 func NewWorkloadTrace(seed int64, n int) ([]RequestClass, error) {
+	if n < 1 {
+		return nil, errorf("request count must be ≥ 1, got %d", n)
+	}
 	g, err := workload.NewGenerator(seed, workload.AzureLikeMix())
 	if err != nil {
 		return nil, err
 	}
 	return g.Trace(n), nil
-}
-
-// AcceleratorTable3 returns the FPGA resource/performance model rows for
-// the given head dimension (Table 3 uses 128).
-func AcceleratorTable3(headDim int) ([]accel.Utilization, error) {
-	return accel.Table3(headDim)
 }
 
 // Backlog drains a request trace through the selected system over the

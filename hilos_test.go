@@ -3,7 +3,11 @@ package hilos
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/device"
+	"repro/internal/engine"
 )
 
 // All ten System identifiers resolve through the engine table to an Engine
@@ -50,12 +54,11 @@ func TestRegistryResolvesAllSystems(t *testing.T) {
 
 func TestNewOptionValidation(t *testing.T) {
 	for name, opt := range map[string]Option{
-		"devices 0":       WithDevices(0),
-		"alpha 1.5":       WithAlpha(1.5),
-		"alpha NaN":       WithAlpha(math.NaN()),
-		"spill 0":         WithSpillInterval(0),
-		"pipelines 0":     WithPipelines(0),
-		"invalid testbed": WithTestbed(func() Testbed { tb := DefaultTestbed(); tb.GPU.EffFLOPS = 0; return tb }()),
+		"devices 0":   WithDevices(0),
+		"alpha 1.5":   WithAlpha(1.5),
+		"alpha NaN":   WithAlpha(math.NaN()),
+		"spill 0":     WithSpillInterval(0),
+		"pipelines 0": WithPipelines(0),
 	} {
 		if _, err := New(opt); err == nil {
 			t.Errorf("%s accepted", name)
@@ -128,25 +131,25 @@ func TestEnergyBreakdownFacade(t *testing.T) {
 	}
 }
 
+// New simulates on the paper defaults: the Table 1 testbed, 8 SmartSSDs,
+// automatic α and spill interval 16.
 func TestNewDefaults(t *testing.T) {
-	s, err := New()
+	m, _ := ModelByName("OPT-30B")
+	req := Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32}
+	got, err := Must(New()).Simulate(SystemHILOS, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s.Testbed(), DefaultTestbed()) {
-		t.Error("New() does not default to the Table 1 testbed")
+	eng, err := engine.New(SystemHILOS, engine.Config{Testbed: device.DefaultTestbed(), Devices: 8, Alpha: AlphaAuto, SpillInterval: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tb := DefaultTestbed()
-	tb.GPU.Name = "custom"
-	if got := Must(New(WithTestbed(tb))).Testbed().GPU.Name; got != "custom" {
-		t.Errorf("WithTestbed ignored: GPU %q", got)
+	if want := eng.Run(req); !reflect.DeepEqual(got, want) {
+		t.Errorf("New() report differs from the paper-default engine's:\n%+v\n%+v", got, want)
 	}
 }
 
 func TestModelsFacade(t *testing.T) {
-	if len(Models()) != 6 {
-		t.Errorf("Models() returned %d entries, want 6 (Table 2)", len(Models()))
-	}
 	m, err := ModelByName("OPT-66B")
 	if err != nil || m.Layers != 64 {
 		t.Errorf("ModelByName = %+v, %v", m, err)
@@ -248,13 +251,12 @@ func TestAccuracySuiteFacade(t *testing.T) {
 	}
 }
 
-func TestAcceleratorTable3Facade(t *testing.T) {
-	rows, err := AcceleratorTable3(128)
-	if err != nil || len(rows) != 3 {
-		t.Fatalf("AcceleratorTable3 = %d rows, %v", len(rows), err)
-	}
-	if rows[0].DGroup != 1 || rows[2].DGroup != 5 {
-		t.Error("Table 3 rows out of order")
+// A request count below 1 is an error, not a makeslice panic.
+func TestNewWorkloadTraceRejectsBadCount(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if trace, err := NewWorkloadTrace(7, n); err == nil || !strings.HasPrefix(err.Error(), "hilos: ") {
+			t.Errorf("NewWorkloadTrace(7, %d) = %d classes, %v; want a hilos: error", n, len(trace), err)
+		}
 	}
 }
 

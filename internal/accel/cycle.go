@@ -20,13 +20,6 @@ type CycleModel struct {
 	// dispatch, AXI burst setup); it lowers the storage-fetched kernel
 	// rates of Fig. 12(a) below the pure pipeline rate of Table 3.
 	OverheadCycles float64
-	// Overlapped, when true, models the control overhead of block n+1 as
-	// hidden under block n's pipeline stages — the per-block steady-state
-	// cost becomes max(BlockCycles, OverheadCycles) instead of their sum,
-	// matching the parallel functional datapath where dispatch and compute
-	// proceed concurrently. Default false: the published figures were
-	// produced with serialized overhead, and their goldens pin that mode.
-	Overlapped bool
 }
 
 // DefaultCycleModel returns the calibrated model for the KU15P SmartSSD
@@ -106,17 +99,9 @@ func Blocks(s int) int {
 }
 
 // blockCost returns the steady-state per-block cost including control
-// overhead: serialized (compute + overhead) by default, or the slower of
-// the two when Overlapped hides dispatch under the pipeline.
+// overhead, which the published figures serialize after the compute.
 func (m CycleModel) blockCost() float64 {
-	bc := m.BlockCycles()
-	if m.Overlapped {
-		if m.OverheadCycles > bc {
-			return m.OverheadCycles
-		}
-		return bc
-	}
-	return bc + m.OverheadCycles
+	return m.BlockCycles() + m.OverheadCycles
 }
 
 // KernelTime returns the time to run one attention pass (d_group queries

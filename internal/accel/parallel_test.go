@@ -352,39 +352,6 @@ func TestTreeAddVecFixedShape(t *testing.T) {
 	}
 }
 
-// TestCycleModelOverlapped: overlapped mode hides per-block overhead under
-// the pipeline — kernel time never exceeds the serialized mode, collapses to
-// it when overhead is zero, and is bounded below by the pure overhead chain
-// when dispatch dominates.
-func TestCycleModelOverlapped(t *testing.T) {
-	const s = 64 * 1024
-	m := DefaultCycleModel(8, 128)
-	ov := m
-	ov.Overlapped = true
-	if to, ts := ov.KernelTime(s), m.KernelTime(s); to >= ts {
-		t.Fatalf("overlapped time %v not below serialized %v", to, ts)
-	}
-	zero := m
-	zero.OverheadCycles = 0
-	zeroOv := zero
-	zeroOv.Overlapped = true
-	if a, b := zero.KernelTime(s), zeroOv.KernelTime(s); a != b {
-		t.Fatalf("zero-overhead: overlapped %v != serialized %v", b, a)
-	}
-	// When overhead dwarfs compute, the overlapped block cost is exactly the
-	// overhead chain.
-	big := m
-	big.OverheadCycles = 1e9
-	big.Overlapped = true
-	if got := big.blockCost(); got != 1e9 {
-		t.Fatalf("overhead-dominated overlapped blockCost = %v, want 1e9", got)
-	}
-	// Throughput ordering propagates to the Fig. 12(a) kernel rate.
-	if ro, rs := ov.KernelKVRate(s), m.KernelKVRate(s); ro <= rs {
-		t.Fatalf("overlapped KV rate %v not above serialized %v", ro, rs)
-	}
-}
-
 // FuzzAccelParallelEquivalence fuzzes group counts, sequence lengths, head
 // dims and chunk spans, asserting multi-worker runs stay bit-identical to
 // one-worker runs of the same grid, and, whenever the span covers the whole

@@ -27,8 +27,8 @@ func (r Runner) run(sys engine.System, devices int, req pipeline.Request) pipeli
 }
 
 // must unwraps an engine result. The generators' systems and knobs are
-// fixed and valid, so an error means an unusable testbed, which
-// hilos.WithTestbed rejects before any generator runs.
+// fixed and valid, and every caller runs them on the Table 1 testbed, so an
+// error means a broken default testbed.
 func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)

@@ -21,8 +21,13 @@ import (
 // six-column form adds the scheduling columns — an integer priority class
 // (higher is more urgent, 0 is the offline default) and a start deadline in
 // seconds after arrival (0 = none). Legacy two- and four-column traces parse
-// unchanged as priority-0, no-deadline requests. The header row
-// WriteArrivalsCSV emits is skipped; class names span one line.
+// unchanged as priority-0, no-deadline requests. A first record whose
+// first field is arrival_sec is a header and is skipped; the six-column
+// header is
+//
+//	arrival_sec,class,input_tokens,output_tokens,priority,deadline_sec
+//
+// Class names span one line.
 
 // ReadArrivalsCSV parses an arrival-trace CSV into timestamped requests,
 // sorted by arrival with IDs in file order.
@@ -49,7 +54,7 @@ func ReadArrivalsCSV(r io.Reader) ([]workload.TimedRequest, error) {
 			return nil, fmt.Errorf("trace: record %d has %d fields, want 2, 4 or 6", line, len(rec))
 		}
 		if line == 1 && rec[0] == "arrival_sec" {
-			continue // the header WriteArrivalsCSV emits
+			continue // a header row, e.g. the six-column one above
 		}
 		at, err := strconv.ParseFloat(rec[0], 64)
 		if err != nil {
@@ -102,32 +107,4 @@ func ReadArrivalsCSV(r io.Reader) ([]workload.TimedRequest, error) {
 		reqs[i].DeadlineSec = deadlines[reqs[i].ID]
 	}
 	return reqs, nil
-}
-
-// WriteArrivalsCSV writes requests in the six-column format with a header,
-// so written traces round-trip through ReadArrivalsCSV, scheduling columns
-// included.
-func WriteArrivalsCSV(w io.Writer, reqs []workload.TimedRequest) error {
-	if len(reqs) == 0 {
-		return fmt.Errorf("trace: no requests")
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"arrival_sec", "class", "input_tokens", "output_tokens", "priority", "deadline_sec"}); err != nil {
-		return err
-	}
-	for _, r := range reqs {
-		rec := []string{
-			strconv.FormatFloat(r.ArrivalSec, 'g', -1, 64),
-			r.Class.Name,
-			strconv.Itoa(r.Class.Input),
-			strconv.Itoa(r.Class.Output),
-			strconv.Itoa(r.Priority),
-			strconv.FormatFloat(r.DeadlineSec, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -179,7 +183,7 @@ func TestArrivalsCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// Only the exact header WriteArrivalsCSV emits may be skipped: a headerless
+// Only a header row (first field arrival_sec) may be skipped: a headerless
 // trace whose first record has a corrupt timestamp must error, not silently
 // lose a request.
 func TestReadArrivalsCSVCorruptFirstRecord(t *testing.T) {
@@ -229,4 +233,32 @@ func FuzzReadArrivalsCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// WriteArrivalsCSV is the round-trip oracle for ReadArrivalsCSV: it writes
+// requests in the six-column format with its header, scheduling columns
+// included.
+func WriteArrivalsCSV(w io.Writer, reqs []workload.TimedRequest) error {
+	if len(reqs) == 0 {
+		return fmt.Errorf("trace: no requests")
+	}
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"arrival_sec", "class", "input_tokens", "output_tokens", "priority", "deadline_sec"}); err != nil {
+		return err
+	}
+	for _, r := range reqs {
+		rec := []string{
+			strconv.FormatFloat(r.ArrivalSec, 'g', -1, 64),
+			r.Class.Name,
+			strconv.Itoa(r.Class.Input),
+			strconv.Itoa(r.Class.Output),
+			strconv.Itoa(r.Priority),
+			strconv.FormatFloat(r.DeadlineSec, 'g', -1, 64),
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
