@@ -41,6 +41,18 @@
 // pipelines from their engines, the figure generators and their report memo
 // resolve systems through it, and hilos-sim prints the engine's own energy.
 //
+// Three engines simulate a decoding step as a task graph: HILOS
+// (internal/core), FlexGen-style offloading and InstInfer
+// (internal/baseline). They decode the same way. Each layer's weights stream to the GPU, the GPU
+// projects q/k/v, attention runs, and the GPU runs the MLP. They differ only
+// in where attention runs and where the KV cache lives. So one builder,
+// pipeline.Step, holds everything else: weight streaming, the GPU
+// projections and MLP, the step barrier, the report fill, and the prefill
+// model. Each engine adds only its own attention and KV tasks between a
+// layer's Begin and End. vLLM is an analytical model and builds no graph.
+// Simulate returns an error for a malformed request (Request.Validate); an
+// engine's Run reports it as OOM with the reason.
+//
 // # Quickstart
 //
 // Construct a Simulator with functional options, then resolve any System

@@ -164,12 +164,15 @@ func (s *Simulator) Engine(sys System) (Engine, error) {
 	return engine.New(sys, engine.Config{Testbed: device.DefaultTestbed(), Devices: s.devices, Alpha: s.alpha, SpillInterval: s.spill})
 }
 
-// Simulate runs one system on a request. Infeasible configurations are
-// reported via Report.OOM; the error covers unknown systems and invalid
-// configurations only.
+// Simulate runs one system on a request. A request that fits no batch on
+// the system is reported via Report.OOM; the error covers unknown systems,
+// invalid configurations and malformed requests (Request.Validate).
 func (s *Simulator) Simulate(sys System, req Request) (Report, error) {
 	eng, err := s.Engine(sys)
 	if err != nil {
+		return Report{}, err
+	}
+	if err := req.Validate(); err != nil {
 		return Report{}, err
 	}
 	return eng.Run(req), nil

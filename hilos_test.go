@@ -180,6 +180,31 @@ func TestRunAllSystems(t *testing.T) {
 	}
 }
 
+// A malformed request is an error, not an out-of-memory report.
+func TestSimulateRejectsMalformedRequests(t *testing.T) {
+	s := Must(New())
+	m, _ := ModelByName("OPT-30B")
+	ok := Request{Model: m, Batch: 4, Context: 4096, OutputLen: 16}
+	bad := map[string]func(*Request){
+		"batch 0":      func(r *Request) { r.Batch = 0 },
+		"context -1":   func(r *Request) { r.Context = -1 },
+		"output len 0": func(r *Request) { r.OutputLen = 0 },
+	}
+	for _, sys := range []System{SystemHILOS, SystemFlexSSD, SystemVLLM} {
+		if _, err := s.Simulate(sys, ok); err != nil {
+			t.Fatalf("%s: well-formed request rejected: %v", sys, err)
+		}
+		for name, mutate := range bad {
+			req := ok
+			mutate(&req)
+			rep, err := s.Simulate(sys, req)
+			if err == nil {
+				t.Errorf("%s, %s: no error (report OOM=%t, reason %q)", sys, name, rep.OOM, rep.Reason)
+			}
+		}
+	}
+}
+
 func TestHILOSBeatsFlexSSDViaFacade(t *testing.T) {
 	s := Must(New(WithDevices(16)))
 	m, _ := ModelByName("OPT-66B")

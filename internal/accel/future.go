@@ -6,12 +6,6 @@ import "fmt"
 // which architectural refinements would let near-storage attention keep up
 // with PCIe 5.0-class storage.
 
-// ExpUnitDSPCost is the DSP budget of one floating-point exponential unit on
-// the KU15P (Vitis HLS math library implementation). Derived from the Table 3
-// fit: the per-lane DSP increment (≈ 82 DSPs/lane) is dominated by the two
-// exponential units plus the MAC slice of a lane.
-const ExpUnitDSPCost = 30
-
 // DSPsForThroughputScale returns the DSP count required to scale the softmax
 // path of a d_group configuration by the given throughput factor via DSP
 // parallelization alone (§7.2: "to match a 4× throughput increase from the

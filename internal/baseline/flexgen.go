@@ -7,8 +7,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"repro/internal/device"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -105,19 +103,17 @@ func (v FlexVariant) Run(tb device.Testbed, req pipeline.Request) pipeline.Repor
 	}
 	rep.Batch = bs
 
-	weightsOnSSD := pipeline.WeightsOnStorage(m)
 	linkBW := tb.Topo.GPULink.BW
 	if v.UVM {
 		linkBW *= tb.UVMDerate
 	}
 
 	// --- Decode step task graph ---
-	e := sim.NewEngine()
-	e.RecordTimeline(!req.NoTrace)
-	gpu := e.Resource(pipeline.ResGPU, 1)
+	st := pipeline.NewStep(tb, m, bs, linkBW, !req.NoTrace)
+	e := st.E
 	cpu := e.Resource(pipeline.ResCPU, 1)
-	gpuLink := e.Resource(pipeline.ResGPULink, linkBW)
 	storRead := e.Resource(pipeline.ResStorRead, v.aggregateRead(tb))
+	st.Src = storRead
 	storWrite := e.Resource(pipeline.ResStorWrite, v.aggregateWrite(tb))
 
 	kvLayerBytes := float64(bs) * float64(req.Context) * float64(m.KVBytesPerTokenLayer())
@@ -126,26 +122,11 @@ func (v FlexVariant) Run(tb device.Testbed, req pipeline.Request) pipeline.Repor
 	entryChunk := int64(m.HeadDim()) * model.BytesPerElem
 	waf := v.SSD.WriteAmplification(entryChunk)
 
-	var prevMLP, prevAttn sim.Task
+	var prevAttn sim.Task
 	var kvWrites []sim.Task
 	for l := 0; l < m.Layers; l++ {
-		// Weight loads (prefetched; resource order pipelines them).
-		wABytes := float64(m.AttnWeightBytesPerLayer())
-		wMBytes := float64(m.MLPActiveWeightBytesPerLayer(l))
-		var wA, wM sim.Task
-		if weightsOnSSD {
-			sA := e.Task(pipeline.LabelLoadWeight, storRead, wABytes)
-			wA = e.Task(pipeline.LabelLoadWeight, gpuLink, wABytes, sA)
-			sM := e.Task(pipeline.LabelLoadWeight, storRead, wMBytes)
-			wM = e.Task(pipeline.LabelLoadWeight, gpuLink, wMBytes, sM)
-		} else {
-			wA = e.Task(pipeline.LabelLoadWeight, gpuLink, wABytes)
-			wM = e.Task(pipeline.LabelLoadWeight, gpuLink, wMBytes)
-		}
-
-		qkv := e.Task(pipeline.LabelCompute, gpu,
-			tb.GPU.ComputeTime(m.ProjFLOPsPerTokenLayer()*float64(bs), wABytes)+tb.OverheadPerLayer/2,
-			wA, prevMLP)
+		// Weight loads are prefetched; resource order pipelines them.
+		qkv := st.Begin(l)
 
 		// KV path.
 		var attn sim.Task
@@ -163,12 +144,8 @@ func (v FlexVariant) Run(tb device.Testbed, req pipeline.Request) pipeline.Repor
 		prevAttn = attn
 
 		// Attention output returns to the GPU for the MLP.
-		aout := e.Task(pipeline.LabelCompute, gpuLink, float64(bs)*float64(m.Hidden)*model.BytesPerElem, attn)
-
-		mlp := e.Task(pipeline.LabelCompute, gpu,
-			tb.GPU.ComputeTime(m.MLPFLOPsPerTokenLayer(l)*float64(bs), wMBytes)+tb.OverheadPerLayer/2,
-			aout, wM)
-		prevMLP = mlp
+		aout := e.Task(pipeline.LabelCompute, st.Link, float64(float64(bs)*float64(m.Hidden))*model.BytesPerElem, attn)
+		st.End(l, aout)
 
 		// New KV entries commit to their home before the next step.
 		if v.KV == KVOnSSD {
@@ -176,56 +153,20 @@ func (v FlexVariant) Run(tb device.Testbed, req pipeline.Request) pipeline.Repor
 				e.Task(pipeline.LabelStoreKV, storWrite, newKVBytes*waf, qkv))
 		}
 	}
-	deps := append([]sim.Task{prevMLP}, kvWrites...)
-	barrier := e.Barrier("step", deps...)
-	res := e.Run()
+	st.Finish(&rep, kvWrites...)
 
-	rep.StepSec = res.Finish(barrier)
-	rep.Breakdown = res.ByLabel
-	rep.ResourceBusy = res.ResourceBusy
-	rep.Trace = res.Tasks
-	rep.HostUtilCPU = res.ResourceBusy[pipeline.ResCPU] / rep.StepSec
-	rep.HostUtilGPU = res.ResourceBusy[pipeline.ResGPU] / rep.StepSec
-	rep.HostUtilDRAMCap = v.dramCapUtil(tb, m, bs, req.Context)
-	if v.KV == KVOnSSD {
-		rep.DecodeWriteBytesPerStep = newKVBytes * waf * float64(m.Layers)
-	}
-
-	// --- Prefill ---
-	pin := pipeline.PrefillInputs{WeightLoadBW: linkBW}
-	if weightsOnSSD {
-		pin.WeightSrcBW = v.aggregateRead(tb)
-	}
+	// The prefill writes the prompt KV to its home. On SSDs it goes
+	// row-wise, page-aligned, and host DRAM holds only the working buffers
+	// of in-flight KV layers.
 	kvTotal := m.KVCacheBytes(bs, req.Context)
 	if v.KV == KVOnSSD {
-		pin.KVStoreBW = v.aggregateWrite(tb)
-		pin.KVStoreBytes = kvTotal
-		rep.PrefillWriteBytes = float64(kvTotal) // row-wise, page-aligned
+		rep.DecodeWriteBytesPerStep = newKVBytes * waf * float64(m.Layers)
+		st.Prefill(&rep, v.aggregateWrite(tb), kvTotal)
+		rep.PrefillWriteBytes = float64(kvTotal)
+		rep.HostUtilDRAMCap = pipeline.HostDRAMShare(tb, m, 2*int64(kvLayerBytes))
 	} else {
-		pin.KVStoreBW = tb.DRAM.BW
-		pin.KVStoreBytes = kvTotal
+		st.Prefill(&rep, tb.DRAM.BW, kvTotal)
+		rep.HostUtilDRAMCap = pipeline.HostDRAMShare(tb, m, kvTotal)
 	}
-	rep.PrefillSec = pipeline.Prefill(tb, m, bs, req.Context, pin)
 	return rep
 }
-
-func (v FlexVariant) dramCapUtil(tb device.Testbed, m model.Config, bs, ctx int) float64 {
-	var used int64
-	if !pipeline.WeightsOnStorage(m) {
-		used += m.TotalWeightBytes()
-	}
-	if v.KV == KVInDRAM {
-		used += m.KVCacheBytes(bs, ctx)
-	} else {
-		// Working buffers for in-flight KV layers.
-		used += 2 * int64(float64(bs)*float64(ctx)*float64(m.KVBytesPerTokenLayer()))
-	}
-	u := float64(used) / float64(tb.DRAM.Bytes)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// ErrUnsupported marks configurations a baseline cannot express.
-var ErrUnsupported = fmt.Errorf("baseline: unsupported configuration")

@@ -52,7 +52,6 @@ func (e InstInfer) Run(tb device.Testbed, req pipeline.Request) pipeline.Report 
 	}
 	rep.Batch = bs
 
-	weightsOnSSD := pipeline.WeightsOnStorage(m)
 	hid := float64(m.Hidden)
 	kvDim := float64(m.KVHeads * m.HeadDim())
 	kvLayerBytes := float64(bs) * float64(req.Context) * float64(m.KVBytesPerTokenLayer())
@@ -61,44 +60,23 @@ func (e InstInfer) Run(tb device.Testbed, req pipeline.Request) pipeline.Report 
 	entryChunk := int64(m.HeadDim()) * model.BytesPerElem
 	waf := tb.SmartSSD.SSD.WriteAmplification(entryChunk)
 
-	e2 := sim.NewEngine()
-	e2.RecordTimeline(!req.NoTrace)
-	gpu := e2.Resource(pipeline.ResGPU, 1)
-	gpuLink := e2.Resource(pipeline.ResGPULink, tb.Topo.GPULink.BW)
+	st := pipeline.NewStep(tb, m, bs, tb.Topo.GPULink.BW, !req.NoTrace)
+	e2 := st.E
 	uplink := e2.Resource(pipeline.ResUplink, tb.Topo.StorageUplink.BW)
+	st.Src = uplink
 	flash := e2.Resource(pipeline.ResStorRead, float64(devices)*tb.SmartSSD.InternalReadBW)
 	// In-storage compute: the same accelerator cycle model as the NSP
 	// devices (Fig. 12a rates), processing only the retrieved fraction.
 	cm := accel.DefaultCycleModel(m.DGroup, m.HeadDim())
 	kernel := e2.Resource(pipeline.ResNSP, float64(devices)*cm.KernelKVRate(req.Context))
-	wbw := float64(devices) * tb.SmartSSD.SSD.WriteBW
-	if tb.Topo.StorageUplink.BW < wbw {
-		wbw = tb.Topo.StorageUplink.BW
-	}
-	storWrite := e2.Resource(pipeline.ResStorWrite, wbw)
+	storWrite := e2.Resource(pipeline.ResStorWrite, tb.NSPWriteBW(devices))
 
-	var prevMLP sim.Task
 	var commits []sim.Task
 	for l := 0; l < m.Layers; l++ {
-		wABytes := float64(m.AttnWeightBytesPerLayer())
-		wMBytes := float64(m.MLPActiveWeightBytesPerLayer(l))
-		var wA, wM sim.Task
-		if weightsOnSSD {
-			sA := e2.Task(pipeline.LabelLoadWeight, uplink, wABytes)
-			wA = e2.Task(pipeline.LabelLoadWeight, gpuLink, wABytes, sA)
-			sM := e2.Task(pipeline.LabelLoadWeight, uplink, wMBytes)
-			wM = e2.Task(pipeline.LabelLoadWeight, gpuLink, wMBytes, sM)
-		} else {
-			wA = e2.Task(pipeline.LabelLoadWeight, gpuLink, wABytes)
-			wM = e2.Task(pipeline.LabelLoadWeight, gpuLink, wMBytes)
-		}
-
-		qkv := e2.Task(pipeline.LabelCompute, gpu,
-			tb.GPU.ComputeTime(m.ProjFLOPsPerTokenLayer()*float64(bs), wABytes)+tb.OverheadPerLayer/2,
-			wA, prevMLP)
+		qkv := st.Begin(l)
 
 		// Scatter the new q/k/v rows to the devices.
-		scatterBytes := float64(bs) * (hid + 2*kvDim) * model.BytesPerElem
+		scatterBytes := float64(float64(bs)*(hid+2*kvDim)) * model.BytesPerElem
 		scatter := e2.Task(pipeline.LabelLoadKV, uplink, scatterBytes, qkv)
 
 		// New KV entries commit synchronously before attention may read
@@ -116,49 +94,17 @@ func (e InstInfer) Run(tb device.Testbed, req pipeline.Request) pipeline.Report 
 		attn := e2.Task(pipeline.LabelLoadKV, kernel, keptBytes, poolScan)
 
 		// Attention outputs return to the GPU for the MLP.
-		gather := e2.Task(pipeline.LabelLoadKV, uplink,
-			float64(bs)*hid*model.BytesPerElem, flashKV, attn)
-
-		mlp := e2.Task(pipeline.LabelCompute, gpu,
-			tb.GPU.ComputeTime(m.MLPFLOPsPerTokenLayer(l)*float64(bs), wMBytes)+tb.OverheadPerLayer/2,
-			gather, wM)
-		prevMLP = mlp
+		gather := e2.Task(pipeline.LabelLoadKV, uplink, float64(float64(bs)*hid)*model.BytesPerElem, flashKV, attn)
+		st.End(l, gather)
 	}
-
-	barrier := e2.Barrier("step", append([]sim.Task{prevMLP}, commits...)...)
-	res := e2.Run()
-
-	rep.StepSec = res.Finish(barrier)
-	rep.Breakdown = res.ByLabel
-	rep.ResourceBusy = res.ResourceBusy
-	rep.Trace = res.Tasks
-	rep.HostUtilCPU = res.ResourceBusy[pipeline.ResCPU] / rep.StepSec
-	rep.HostUtilGPU = res.ResourceBusy[pipeline.ResGPU] / rep.StepSec
-	rep.HostUtilDRAMCap = instDRAMUtil(tb, m)
+	st.Finish(&rep, commits...)
+	rep.HostUtilDRAMCap = pipeline.HostDRAMShare(tb, m, 0)
 	rep.DecodeWriteBytesPerStep = newKVBytes * waf * float64(m.Layers)
 
 	// Prefill: FlashAttention on the GPU; the prompt KV streams to the
 	// devices row-wise, page-aligned.
-	pin := pipeline.PrefillInputs{WeightLoadBW: tb.Topo.GPULink.BW}
-	if weightsOnSSD {
-		pin.WeightSrcBW = tb.Topo.StorageUplink.BW
-	}
 	kvTotal := m.KVCacheBytes(bs, req.Context)
-	pin.KVStoreBW = wbw
-	pin.KVStoreBytes = kvTotal
-	rep.PrefillSec = pipeline.Prefill(tb, m, bs, req.Context, pin)
+	st.Prefill(&rep, tb.NSPWriteBW(devices), kvTotal)
 	rep.PrefillWriteBytes = float64(kvTotal)
 	return rep
-}
-
-func instDRAMUtil(tb device.Testbed, m model.Config) float64 {
-	var used int64
-	if !pipeline.WeightsOnStorage(m) {
-		used = m.TotalWeightBytes()
-	}
-	u := float64(used) / float64(tb.DRAM.Bytes)
-	if u > 1 {
-		u = 1
-	}
-	return u
 }

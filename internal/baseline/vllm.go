@@ -82,7 +82,7 @@ func (c VLLMConfig) Run(tb device.Testbed, req pipeline.Request) pipeline.Report
 	// Pipeline-parallel inter-node latency: one boundary crossing per
 	// microbatch, poorly amortized at the small batches this setup allows
 	// (§6.6: "bottlenecked by small batches and inter-node communication").
-	tComm := tb.InterNodeLat * float64(m.Layers) / 4
+	tComm := float64(tb.InterNodeLat * float64(m.Layers) / 4)
 
 	rep.StepSec = tWeights + tKVResident + tSwap + tComm
 	rep.Breakdown = map[string]float64{

@@ -125,48 +125,30 @@ func Run(tb device.Testbed, req pipeline.Request, opt Options) pipeline.Report {
 	}
 	rep.Batch = bs
 
-	step, bd, busy, writes, rec := decodeStep(tb, m, bs, req.Context, alpha, opt, !req.NoTrace)
-	rep.StepSec = step
-	rep.Breakdown = bd
-	rep.ResourceBusy = busy
-	rep.DecodeWriteBytesPerStep = writes
-	rep.Trace = rec
-	rep.HostUtilCPU = busy[pipeline.ResCPU] / step
-	rep.HostUtilGPU = busy[pipeline.ResGPU] / step
-	rep.HostUtilDRAMCap = hostDRAMUtil(tb, m, bs, opt)
+	st := decodeStep(tb, req, alpha, opt, &rep)
+	// Writeback buffers: c steps of KV entries.
+	rep.HostUtilDRAMCap = pipeline.HostDRAMShare(tb, m,
+		int64(opt.SpillInterval)*int64(bs)*m.KVBytesPerTokenLayer()*int64(m.Layers))
 
 	// Prefill: FlashAttention on the GPU; the prompt cache (α as X, 1−α as
 	// KV) streams to the devices through the uplink in row-wise chunks.
 	storeBytes := int64(float64(plan.KVBytesTotal)*float64(req.Context)/float64(req.Context+req.OutputLen)) +
 		int64(float64(plan.XBytesTotal)*float64(req.Context)/float64(req.Context+req.OutputLen))
-	storeBW := float64(opt.Devices) * tb.SmartSSD.SSD.WriteBW
-	if tb.Topo.StorageUplink.BW < storeBW {
-		storeBW = tb.Topo.StorageUplink.BW
-	}
-	pin := pipeline.PrefillInputs{
-		WeightLoadBW: tb.Topo.GPULink.BW,
-		KVStoreBW:    storeBW,
-		KVStoreBytes: storeBytes,
-	}
-	if pipeline.WeightsOnStorage(m) {
-		pin.WeightSrcBW = tb.Topo.StorageUplink.BW
-	}
-	rep.PrefillSec = pipeline.Prefill(tb, m, bs, req.Context, pin)
+	st.Prefill(&rep, tb.NSPWriteBW(opt.Devices), storeBytes)
 	rep.PrefillWriteBytes = float64(storeBytes)
 	return rep
 }
 
-// decodeStep builds and schedules the steady-state decoding step graph.
-// record=false skips timeline retention (Request.NoTrace).
-func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, opt Options, record bool) (
-	stepSec float64, breakdown, busy map[string]float64, physWrites float64, records []sim.TaskRecord) {
-
-	e := sim.NewEngine()
-	e.RecordTimeline(record)
-	gpu := e.Resource(pipeline.ResGPU, 1)
+// decodeStep builds and schedules the steady-state decoding step graph at
+// rep's batch and fills rep's step fields. It returns the step for the
+// prefill model.
+func decodeStep(tb device.Testbed, req pipeline.Request, alpha float64, opt Options, rep *pipeline.Report) pipeline.Step {
+	m, bs, ctx := req.Model, rep.Batch, req.Context
+	st := pipeline.NewStep(tb, m, bs, tb.Topo.GPULink.BW, !req.NoTrace)
+	e := st.E
 	cpu := e.Resource(pipeline.ResCPU, 1)
-	gpuLink := e.Resource(pipeline.ResGPULink, tb.Topo.GPULink.BW)
 	uplink := e.Resource(pipeline.ResUplink, tb.Topo.StorageUplink.BW)
+	st.Src = uplink
 	gds := e.Resource(pipeline.ResGDS, tb.Topo.GDSLink.BW)
 
 	// The NSP storage path is three pipelined resources: the aggregate
@@ -177,15 +159,8 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 	cm := accel.DefaultCycleModel(m.DGroup, m.HeadDim())
 	flash := e.Resource(pipeline.ResStorRead, float64(opt.Devices)*tb.SmartSSD.InternalReadBW)
 	kernel := e.Resource(pipeline.ResNSP, float64(opt.Devices)*cm.KernelKVRate(ctx))
-	// Host→device writes: bounded by the devices' host-visible write rate
-	// and the shared uplink.
-	wbw := float64(opt.Devices) * tb.SmartSSD.SSD.WriteBW
-	if tb.Topo.StorageUplink.BW < wbw {
-		wbw = tb.Topo.StorageUplink.BW
-	}
-	nspWrite := e.Resource(pipeline.ResStorWrite, wbw)
+	nspWrite := e.Resource(pipeline.ResStorWrite, tb.NSPWriteBW(opt.Devices))
 
-	weightsOnSSD := pipeline.WeightsOnStorage(m)
 	hid := float64(m.Hidden)
 	kvDim := float64(m.KVHeads * m.HeadDim())
 	kvLayerBytes := float64(bs) * float64(ctx) * float64(m.KVBytesPerTokenLayer())
@@ -201,25 +176,9 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 		PageBytes:     tb.SmartSSD.SSD.PageBytes,
 	}
 
-	var prevMLP sim.Task
 	var commits []sim.Task
 	for l := 0; l < m.Layers; l++ {
-		wABytes := float64(m.AttnWeightBytesPerLayer())
-		wMBytes := float64(m.MLPActiveWeightBytesPerLayer(l))
-		var wA, wM sim.Task
-		if weightsOnSSD {
-			sA := e.Task(pipeline.LabelLoadWeight, uplink, wABytes)
-			wA = e.Task(pipeline.LabelLoadWeight, gpuLink, wABytes, sA)
-			sM := e.Task(pipeline.LabelLoadWeight, uplink, wMBytes)
-			wM = e.Task(pipeline.LabelLoadWeight, gpuLink, wMBytes, sM)
-		} else {
-			wA = e.Task(pipeline.LabelLoadWeight, gpuLink, wABytes)
-			wM = e.Task(pipeline.LabelLoadWeight, gpuLink, wMBytes)
-		}
-
-		qkv := e.Task(pipeline.LabelCompute, gpu,
-			tb.GPU.ComputeTime(m.ProjFLOPsPerTokenLayer()*float64(bs), wABytes)+tb.OverheadPerLayer/2,
-			wA, prevMLP)
+		qkv := st.Begin(l)
 
 		// Host-side writeback orchestration on the per-layer dispatch loop
 		// (§7.3): XRT DMA staging and spill/commit issue serialize with the
@@ -236,8 +195,8 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 			avgBuffered := c / 2
 			// Buffered V rows and QKᵀ scalars re-staged into FPGA DRAM
 			// every step until spilled (§4.3): small XRT DMAs.
-			staged := (1 - alpha) * float64(bs) * avgBuffered *
-				(kvDim + float64(m.Heads)) * model.BytesPerElem
+			staged := float64((1-alpha)*float64(bs)*avgBuffered*
+				(kvDim+float64(m.Heads))) * model.BytesPerElem
 			// Amortized spill issue cost: one XRT write op per (batch,
 			// KV-head) row per device queue, every c steps.
 			rowsPerDev := (1 - alpha) * float64(bs*m.KVHeads) / float64(opt.Devices)
@@ -252,32 +211,31 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 
 		// Scatter the new q/k/v (and, with writeback, the precomputed
 		// partial QKᵀ scalars plus the buffered V entries) to the devices.
-		scatterBytes := (1 - alpha) * float64(bs) * (hid + 2*kvDim) * model.BytesPerElem
+		scatterBytes := float64((1-alpha)*float64(bs)*(hid+2*kvDim)) * model.BytesPerElem
 		scatter := e.Task(pipeline.LabelLoadKV, uplink, scatterBytes, disp)
 
 		// Without delayed writeback the committed bytes also occupy the
 		// write path with full sub-page amplification.
-		ansDeps := []sim.Task{scatter}
+		var commit sim.Task
 		if !opt.DelayedWriteback && (1-alpha) > 0 {
 			phys := (1 - alpha) * newKVBytes * wbCfg.NaiveWAF()
-			commit := e.Task(pipeline.LabelStoreKV, nspWrite, phys, disp)
-			ansDeps = append(ansDeps, commit)
+			commit = e.Task(pipeline.LabelStoreKV, nspWrite, phys, disp)
 			commits = append(commits, commit)
 		}
 
 		// Host CPU precompute of buffered-token partial scores (§4.3).
 		var cpuPartial sim.Task
 		if opt.DelayedWriteback {
-			flops := (1 - alpha) * float64(bs*m.Heads) * float64(opt.SpillInterval) * 2 * float64(m.HeadDim())
+			flops := float64((1-alpha)*float64(bs*m.Heads)*float64(opt.SpillInterval)) * 2 * float64(m.HeadDim())
 			cpuPartial = e.Task(pipeline.LabelCompute, cpu, flops/tb.CPU.EffFLOPS, qkv)
 		}
 
 		// NSP attention: the KV stream flows flash→FPGA-DRAM→accelerator as
 		// one pipeline; the two shadow tasks charge each resource its load
 		// while the barrier takes the slower of the two.
-		flashKV := e.Task(pipeline.LabelLoadKV, flash, (1-alpha)*kvLayerBytes, ansDeps...)
-		ansC := e.Task(pipeline.LabelLoadKV, kernel, (1-alpha)*kvLayerBytes, ansDeps...)
-		gather := e.Task(pipeline.LabelLoadKV, uplink, (1-alpha)*float64(bs)*hid*model.BytesPerElem, flashKV, ansC)
+		flashKV := e.Task(pipeline.LabelLoadKV, flash, (1-alpha)*kvLayerBytes, scatter, commit)
+		ansC := e.Task(pipeline.LabelLoadKV, kernel, (1-alpha)*kvLayerBytes, scatter, commit)
+		gather := e.Task(pipeline.LabelLoadKV, uplink, float64((1-alpha)*float64(bs)*hid)*model.BytesPerElem, flashKV, ansC)
 
 		// Cooperative X-cache: the α X stream reads the same flash, crosses
 		// the GDS path, and is consumed chunk-pipelined by the GPU
@@ -289,47 +247,27 @@ func decodeStep(tb device.Testbed, m model.Config, bs, ctx int, alpha float64, o
 			xGDS = e.Task(pipeline.LabelXCache, gds, alpha*xLayerBytes, disp)
 			regenFLOPs := alpha * float64(bs) * float64(ctx) * 4 * hid * kvDim
 			attnFLOPs := alpha * float64(bs) * m.AttnFLOPsPerTokenLayer(ctx)
-			hbmBytes := alpha * float64(bs) * float64(ctx) * (hid + 2*kvDim) * model.BytesPerElem
+			hbmBytes := float64(alpha*float64(bs)*float64(ctx)*(hid+2*kvDim)) * model.BytesPerElem
 			sec := regenFLOPs/tb.GPU.GEMMFLOPS + attnFLOPs/tb.GPU.EffFLOPS
 			if mem := hbmBytes / tb.GPU.HBMBW; mem > sec {
 				sec = mem
 			}
-			xTask = e.Task(pipeline.LabelXCache, gpu, sec, disp)
+			xTask = e.Task(pipeline.LabelXCache, st.GPU, sec, disp)
 		}
 
-		join := e.Barrier("attn-join", gather, xFlash, xGDS, xTask, cpuPartial)
-		mlp := e.Task(pipeline.LabelCompute, gpu,
-			tb.GPU.ComputeTime(m.MLPFLOPsPerTokenLayer(l)*float64(bs), wMBytes)+tb.OverheadPerLayer/2,
-			join, wM)
-		prevMLP = mlp
+		st.End(l, e.Barrier("attn-join", gather, xFlash, xGDS, xTask, cpuPartial))
 	}
 
 	// Delayed writeback: amortized page-aligned spills off the critical path.
 	if opt.DelayedWriteback {
-		perStep := ((1-alpha)*newKVBytes + alpha*newXBytes) * float64(m.Layers) * wbCfg.SteadyStateWAF()
+		perStep := (float64((1-alpha)*newKVBytes) + float64(alpha*newXBytes)) * float64(m.Layers) * wbCfg.SteadyStateWAF()
 		e.Task(pipeline.LabelStoreKV, nspWrite, perStep)
-		physWrites = perStep
+		rep.DecodeWriteBytesPerStep = perStep
 	} else {
-		physWrites = (1 - alpha) * newKVBytes * float64(m.Layers) * wbCfg.NaiveWAF()
+		rep.DecodeWriteBytesPerStep = float64((1 - alpha) * newKVBytes * float64(m.Layers) * wbCfg.NaiveWAF())
 		// α portion's new X entries still spill page-buffered.
-		physWrites += alpha * newXBytes * float64(m.Layers)
+		rep.DecodeWriteBytesPerStep += float64(alpha * newXBytes * float64(m.Layers))
 	}
-
-	barrier := e.Barrier("step", append([]sim.Task{prevMLP}, commits...)...)
-	res := e.Run()
-	return res.Finish(barrier), res.ByLabel, res.ResourceBusy, physWrites, res.Tasks
-}
-
-func hostDRAMUtil(tb device.Testbed, m model.Config, bs int, opt Options) float64 {
-	var used int64
-	if !pipeline.WeightsOnStorage(m) {
-		used = m.TotalWeightBytes()
-	}
-	// Writeback buffers: c steps of KV entries.
-	used += int64(opt.SpillInterval) * int64(bs) * m.KVBytesPerTokenLayer() * int64(m.Layers)
-	u := float64(used) / float64(tb.DRAM.Bytes)
-	if u > 1 {
-		u = 1
-	}
-	return u
+	st.Finish(rep, commits...)
+	return st
 }

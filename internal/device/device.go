@@ -306,6 +306,12 @@ func DefaultTestbed() Testbed {
 	}
 }
 
+// NSPWriteBW returns the host→device write bandwidth of the given number of
+// SmartSSDs: their host-visible write rate, capped by the shared uplink.
+func (t Testbed) NSPWriteBW(devices int) float64 {
+	return min(float64(devices)*t.SmartSSD.SSD.WriteBW, t.Topo.StorageUplink.BW)
+}
+
 // Validate checks a testbed for physically meaningless values.
 func (t Testbed) Validate() error {
 	checks := []struct {

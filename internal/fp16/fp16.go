@@ -167,9 +167,3 @@ func RoundInto(dst, src []float32) []float32 {
 // place and returns s: RoundInto(s, s). This is the fundamental "stored as
 // FP16" emulation used across the repository.
 func RoundSlice(s []float32) []float32 { return RoundInto(s, s) }
-
-// MaxValue is the largest finite binary16 value (65504).
-const MaxValue float32 = 65504
-
-// Eps is the machine epsilon of binary16 (2^-10).
-const Eps float32 = 1.0 / 1024

@@ -121,6 +121,12 @@ func TestRoundIdempotent(t *testing.T) {
 	}
 }
 
+// MaxValue is the largest finite binary16 value (65504).
+const MaxValue float32 = 65504
+
+// Eps is the machine epsilon of binary16 (2^-10).
+const Eps float32 = 1.0 / 1024
+
 // TestRoundErrorBound: relative quantization error of normal-range values is
 // at most one half ULP (2^-11 relative).
 func TestRoundErrorBound(t *testing.T) {

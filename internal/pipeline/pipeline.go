@@ -1,7 +1,10 @@
 // Package pipeline provides the shared vocabulary of the timing engines:
 // inference requests, per-system reports with stage breakdowns, capacity
-// fitting (the "CPU OOM" behaviour of Figures 10-12), and the prefill model
-// every system shares (all systems use FlashAttention for prefill, §6.1).
+// fitting (the "CPU OOM" behaviour of Figures 10-12), and Step, the decoding
+// step every task-graph engine shares: per-layer weight streaming, the GPU's
+// QKV projection and MLP around the engine's own attention tasks, the step
+// barrier, the report fill, and the prefill model (all systems use
+// FlashAttention for prefill, §6.1).
 package pipeline
 
 import (
@@ -162,44 +165,118 @@ func FitBatchStorage(m model.Config, ctx, want int, devCap int64, devices int) i
 	return 0
 }
 
-// PrefillInputs parameterizes the shared prefill model.
-type PrefillInputs struct {
-	WeightLoadBW float64 // host→GPU effective bandwidth for weights
-	WeightSrcBW  float64 // storage read bandwidth when weights are on storage (0 = DRAM-resident)
-	KVStoreBW    float64 // bandwidth for writing the prompt KV/X to its home
-	KVStoreBytes int64   // bytes written during prefill (KV, or α-mixed X/KV)
+// HostDRAMShare returns the share of host DRAM a system occupies: its
+// DRAM-resident weights plus extra bytes of its own, capped at 1.
+func HostDRAMShare(tb device.Testbed, m model.Config, extra int64) float64 {
+	used := extra
+	if !WeightsOnStorage(m) {
+		used += m.TotalWeightBytes()
+	}
+	return min(float64(used)/float64(tb.DRAM.Bytes), 1)
 }
 
-// Prefill returns the prefill latency: compute-bound FlashAttention on the
-// GPU, pipelined against weight streaming and KV writeback. Activations that
-// exceed GPU memory force chunked execution with weight reloads (FlexGen's
-// block schedule).
-func Prefill(tb device.Testbed, m model.Config, bs, s int, in PrefillInputs) float64 {
-	compute := m.PrefillFLOPs(bs, s) / tb.GPU.GEMMFLOPS
+// Step builds one steady-state decoding step of a task-graph engine. Every
+// such engine decodes the same way: each layer's attention and MLP weights
+// stream to the GPU (read from Src first when the weights live on storage),
+// the GPU projects q/k/v, the engine's own attention path runs, and the GPU
+// runs the MLP. Engines differ only in that attention path and where the KV
+// cache lives, so each layer is Begin, the engine's attention tasks, then
+// End; Finish schedules the step and fills the report.
+//
+// The scheduler breaks ties by task creation order, so the order in which
+// Begin, End and the engine create tasks is part of every report.
+type Step struct {
+	E    *sim.Engine
+	GPU  *sim.Resource
+	Link *sim.Resource // the host→GPU link the weights cross
+	// Src is where storage-resident weights are read from before they
+	// cross Link. The engine creates it and sets it before the first Begin.
+	Src *sim.Resource
 
-	actBytes := int64(bs) * int64(s) * int64(m.Hidden) * model.BytesPerElem
-	usableGPU := int64(float64(tb.GPU.MemBytes) * 0.6)
+	tb        device.Testbed
+	m         model.Config
+	bs        int
+	onStorage bool     // WeightsOnStorage(m), which sums every layer
+	wM        sim.Task // the current layer's MLP weights
+	prevMLP   sim.Task
+}
+
+// NewStep starts a decoding step of model m at batch bs with the GPU and a
+// host→GPU link of rate linkBW. record=false skips timeline retention
+// (Request.NoTrace).
+func NewStep(tb device.Testbed, m model.Config, bs int, linkBW float64, record bool) Step {
+	e := sim.NewEngine()
+	e.RecordTimeline(record)
+	return Step{
+		E: e, GPU: e.Resource(ResGPU, 1), Link: e.Resource(ResGPULink, linkBW),
+		tb: tb, m: m, bs: bs, onStorage: WeightsOnStorage(m),
+	}
+}
+
+// Begin streams layer l's weights and returns its QKV projection, which
+// waits for the attention weights and the previous layer's MLP.
+func (s *Step) Begin(l int) sim.Task {
+	wABytes := float64(s.m.AttnWeightBytesPerLayer())
+	wMBytes := float64(s.m.MLPActiveWeightBytesPerLayer(l))
+	var wA sim.Task
+	if s.onStorage {
+		sA := s.E.Task(LabelLoadWeight, s.Src, wABytes)
+		wA = s.E.Task(LabelLoadWeight, s.Link, wABytes, sA)
+		sM := s.E.Task(LabelLoadWeight, s.Src, wMBytes)
+		s.wM = s.E.Task(LabelLoadWeight, s.Link, wMBytes, sM)
+	} else {
+		wA = s.E.Task(LabelLoadWeight, s.Link, wABytes)
+		s.wM = s.E.Task(LabelLoadWeight, s.Link, wMBytes)
+	}
+	// float64(...) keeps x/2 (compiled as x*0.5) from fusing into the add.
+	sec := s.tb.GPU.ComputeTime(s.m.ProjFLOPsPerTokenLayer()*float64(s.bs), wABytes)
+	return s.E.Task(LabelCompute, s.GPU, sec+float64(s.tb.OverheadPerLayer/2), wA, s.prevMLP)
+}
+
+// End runs layer l's MLP once its attention output (join) and MLP weights
+// are in.
+func (s *Step) End(l int, join sim.Task) {
+	sec := s.tb.GPU.ComputeTime(s.m.MLPFLOPsPerTokenLayer(l)*float64(s.bs),
+		float64(s.m.MLPActiveWeightBytesPerLayer(l)))
+	s.prevMLP = s.E.Task(LabelCompute, s.GPU, sec+float64(s.tb.OverheadPerLayer/2), join, s.wM)
+}
+
+// Finish ends the step at the last MLP and the KV commits, schedules it, and
+// fills rep's step latency, stage and resource busy times, timeline and
+// host CPU and GPU utilizations.
+func (s *Step) Finish(rep *Report, commits ...sim.Task) {
+	step := s.E.Barrier("step", append([]sim.Task{s.prevMLP}, commits...)...)
+	res := s.E.Run()
+	rep.StepSec = res.Finish(step)
+	rep.Breakdown = res.ByLabel
+	rep.ResourceBusy = res.ResourceBusy
+	rep.Trace = res.Tasks
+	rep.HostUtilCPU = res.ResourceBusy[ResCPU] / rep.StepSec
+	rep.HostUtilGPU = res.ResourceBusy[ResGPU] / rep.StepSec
+}
+
+// Prefill sets rep.PrefillSec: compute-bound FlashAttention on the GPU (all
+// systems use it for prefill, §6.1), pipelined against streaming the weights
+// over the step's Link (and Src, when they live on storage) and writing
+// storeBytes of prompt KV/X to its home at storeBW. Activations that exceed
+// GPU memory force chunked execution with weight reloads (FlexGen's block
+// schedule).
+func (s *Step) Prefill(rep *Report, storeBW float64, storeBytes int64) {
+	m, gpu := s.m, s.tb.GPU
+	compute := m.PrefillFLOPs(s.bs, rep.Context) / gpu.GEMMFLOPS
+
+	actBytes := int64(s.bs) * int64(rep.Context) * int64(m.Hidden) * model.BytesPerElem
+	usableGPU := int64(float64(gpu.MemBytes) * 0.6)
 	chunks := 1
 	if actBytes > usableGPU {
 		chunks = int((actBytes + usableGPU - 1) / usableGPU)
 	}
-	weightBW := in.WeightLoadBW
-	if in.WeightSrcBW > 0 && in.WeightSrcBW < weightBW {
-		weightBW = in.WeightSrcBW
+	weightBW := s.Link.Rate
+	if s.onStorage {
+		weightBW = min(weightBW, s.Src.Rate)
 	}
 	weights := float64(m.TotalWeightBytes()) * float64(chunks) / weightBW
-
-	var store float64
-	if in.KVStoreBW > 0 {
-		store = float64(in.KVStoreBytes) / in.KVStoreBW
-	}
+	store := float64(storeBytes) / storeBW
 	// The three streams pipeline; the slowest dominates.
-	t := compute
-	if weights > t {
-		t = weights
-	}
-	if store > t {
-		t = store
-	}
-	return t
+	rep.PrefillSec = max(compute, weights, store)
 }

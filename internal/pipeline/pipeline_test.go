@@ -78,13 +78,20 @@ func TestFitBatchStorage(t *testing.T) {
 	}
 }
 
+// prefill returns the prefill latency of model m at batch bs and context s
+// over the testbed's GPU link (and its uplink for storage-resident weights).
+func prefill(tb device.Testbed, m model.Config, bs, s int, storeBW float64, storeBytes int64) float64 {
+	st := NewStep(tb, m, bs, tb.Topo.GPULink.BW, false)
+	st.Src = st.E.Resource(ResUplink, tb.Topo.StorageUplink.BW)
+	rep := Report{Context: s}
+	st.Prefill(&rep, storeBW, storeBytes)
+	return rep.PrefillSec
+}
+
 func TestPrefillScales(t *testing.T) {
 	tb := device.DefaultTestbed()
-	in := PrefillInputs{WeightLoadBW: tb.Topo.GPULink.BW, KVStoreBW: 16.4e9,
-		KVStoreBytes: model.OPT30B.KVCacheBytes(16, 16384)}
-	t16 := Prefill(tb, model.OPT30B, 16, 16384, in)
-	in.KVStoreBytes = model.OPT30B.KVCacheBytes(16, 32768)
-	t32 := Prefill(tb, model.OPT30B, 16, 32768, in)
+	t16 := prefill(tb, model.OPT30B, 16, 16384, 16.4e9, model.OPT30B.KVCacheBytes(16, 16384))
+	t32 := prefill(tb, model.OPT30B, 16, 32768, 16.4e9, model.OPT30B.KVCacheBytes(16, 32768))
 	if t32 <= t16 {
 		t.Errorf("prefill not increasing with context: %v vs %v", t16, t32)
 	}
@@ -97,9 +104,8 @@ func TestPrefillChunking(t *testing.T) {
 	tb := device.DefaultTestbed()
 	// Activations beyond GPU memory force weight reloads: prefill grows
 	// superlinearly once chunked.
-	in := PrefillInputs{WeightLoadBW: tb.Topo.GPULink.BW}
-	small := Prefill(tb, model.OPT175B, 1, 8192, in)
-	big := Prefill(tb, model.OPT175B, 16, 131072, in)
+	small := prefill(tb, model.OPT175B, 1, 8192, 1, 0)
+	big := prefill(tb, model.OPT175B, 16, 131072, 1, 0)
 	if big < 16*small {
 		t.Errorf("chunked long prefill %v not ≥ 16× short %v", big, small)
 	}
