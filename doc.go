@@ -232,7 +232,12 @@
 // a 5,000-task graph; it measures about 140x on a 2-vCPU Xeon. The graph lives in a pointer-free arena each
 // Engine takes from a sync.Pool: task nodes, dependency edges as int32 ids,
 // successor lists in one compressed-sparse-row array built by Run, per-label
-// busy sums and per-resource ready heaps of int32 ids. A sim.Task is a value
+// busy sums and two typed ready heaps per resource. The runnable heap holds
+// int32 ids ordered by id; the waiting heap holds (ready, id) entries that
+// carry their final ready time, so no heap comparison calls through a func
+// value or loads a task node. Each task's service time, fixed + demand/Rate,
+// is computed once when the pass begins, and labels are interned by a
+// linear scan, since the engines' graphs use at most 7. A sim.Task is a value
 // handle — the task's id — and schedule times are read back through
 // Result.Finish. Run returns the arena to the pool before
 // it returns, so building and scheduling a decode-step graph allocates
@@ -499,8 +504,8 @@
 //     `// guarded by <mu>` (repcache's cache and entries, the telemetry
 //     registry's metrics) is only touched with the named mutex held —
 //     RLock suffices for reads, never for writes. Heap-ordering fields of
-//     internal/sim's min-heaps (a task node's ready time, a resource
-//     queue's free time and heaps, the candidate keys) and of
+//     internal/sim's min-heaps (a waiting entry's ready time and id, a
+//     resource queue's free time and heaps, the candidate keys) and of
 //     internal/cluster's event heap (event.at, kind, q, seq) change only on
 //     the heap's own Fix/Push/Pop paths, or with a re-heapify call following
 //     in the same function. Code with no mutex at all — the experiment

@@ -132,6 +132,7 @@ func TestParallelRunnerByteIdentical(t *testing.T) {
 		{"fig11", Runner.Fig11},
 		{"fig16b", Runner.Fig16b},
 		{"ext-cxl", Runner.ExtCXL},
+		{"ext-ftl", Runner.ExtFTL},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	render := func(procs int) map[string]string {

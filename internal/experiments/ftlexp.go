@@ -10,7 +10,8 @@ import (
 // ExtFTL regenerates the §7.2 FTL analysis: mapping-table DRAM footprint at
 // both granularities for a 3.84 TB device, and measured write amplification
 // of each mapping under HILOS's sequential KV pattern versus random
-// small-write workloads.
+// small-write workloads. The two mappings' devices are independent, so each
+// mapping is one sweep point.
 func (r Runner) ExtFTL() Table {
 	t := Table{
 		ID:    "ext-ftl",
@@ -23,39 +24,45 @@ func (r Runner) ExtFTL() Table {
 		},
 	}
 	const devCap = int64(3840e9)
+	var points []func() group
 	for _, m := range []ftl.Mapping{ftl.PageLevel, ftl.BlockLevel} {
-		cfg := ftl.DefaultConfig(m)
-		cfg.CapBytes = 32 << 20 // small slice; WAF is capacity-invariant
+		points = append(points, func() group {
+			var g group
+			cfg := ftl.DefaultConfig(m)
+			cfg.CapBytes = 32 << 20 // small slice; WAF is capacity-invariant
 
-		seq, err := ftl.New(cfg)
-		if err != nil {
-			t.Notes = append(t.Notes, "error: "+err.Error())
-			continue
-		}
-		// Prefill + two wrap-around spill passes: the HILOS pattern.
-		for pass := 0; pass < 3; pass++ {
-			if err := seq.SequentialFill(); err != nil {
-				t.Notes = append(t.Notes, "error: "+err.Error())
-				break
+			seq, err := ftl.New(cfg)
+			if err != nil {
+				g.notes = append(g.notes, "error: "+err.Error())
+				return g
 			}
-		}
+			// Prefill + two wrap-around spill passes: the HILOS pattern.
+			for pass := 0; pass < 3; pass++ {
+				if err := seq.SequentialFill(); err != nil {
+					g.notes = append(g.notes, "error: "+err.Error())
+					break
+				}
+			}
 
-		rnd, err := ftl.New(cfg)
-		if err != nil {
-			t.Notes = append(t.Notes, "error: "+err.Error())
-			continue
-		}
-		if err := rnd.SequentialFill(); err == nil {
-			_ = rnd.RandomOverwrite(rand.New(rand.NewSource(1)), 2000)
-		}
+			rnd, err := ftl.New(cfg)
+			if err != nil {
+				g.notes = append(g.notes, "error: "+err.Error())
+				return g
+			}
+			if err := rnd.SequentialFill(); err == nil {
+				_ = rnd.RandomOverwrite(rand.New(rand.NewSource(1)), 2000)
+			}
 
-		table := ftl.MappingTableBytes(devCap, cfg.PageBytes, cfg.PagesPerBlock, m, cfg.MapEntryBytes)
-		t.Rows = append(t.Rows, []string{
-			m.String(),
-			fmt.Sprintf("%.0f MB", float64(table)/1e6),
-			f2(seq.WAF()),
-			f2(rnd.WAF()),
+			table := ftl.MappingTableBytes(devCap, cfg.PageBytes, cfg.PagesPerBlock, m, cfg.MapEntryBytes)
+			g.rows = append(g.rows, []string{
+				m.String(),
+				fmt.Sprintf("%.0f MB", float64(table)/1e6),
+				f2(seq.WAF()),
+				f2(rnd.WAF()),
+			})
+			return g
 		})
 	}
+	t.addPoints(points)
 	return t
 }

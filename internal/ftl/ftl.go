@@ -13,6 +13,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -89,7 +90,8 @@ func MappingTableBytes(capBytes, pageBytes int64, pagesPerBlock int, m Mapping, 
 	}
 }
 
-// Device is the simulated FTL state.
+// Device is the simulated FTL state. Its tables are int32: a simulated
+// slice holds far fewer than 2^31 pages, and New rejects one that does not.
 type Device struct {
 	cfg Config
 
@@ -98,69 +100,81 @@ type Device struct {
 	pagesPerBlk  int
 
 	// l2p maps logical page → physical page (-1 = unwritten).
-	l2p []int
-	// pageState: 0 free, 1 valid, 2 invalid.
-	pageState []byte
-	// owner maps physical page → logical page (for GC relocation).
-	owner []int
-	// blockValid counts valid pages per block.
-	blockValid []int
-	// programmed counts programmed (valid or invalid) pages per block; a
-	// block with programmed == 0 sits in the free pool.
-	programmed []int
+	l2p []int32
+	// owner maps physical page → the logical page it holds while valid,
+	// -1 for a free or invalidated page (GC relocates the valid ones).
+	owner []int32
+	// blockValid is each block's valid page count, plus notCandidate while
+	// the block sits in the free pool or is open. GC's greedy victim is
+	// then simply the block with the least blockValid.
+	blockValid []int32
 
 	openBlock int // block currently receiving writes
 	nextPage  int // next page index within the open block
-	freeBlks  []int
-	live      []int // GC relocation scratch stack (see collect)
+	freeBlks  []int32
+	live      []int32 // GC relocation scratch stack (see collect)
 
 	// seqNext tracks, per logical block, the next expected page of an
 	// in-flight sequential rewrite (block-level mapping absorbs sequential
 	// overwrites into a replacement block, like hybrid log-block FTLs);
 	// -1 when no rewrite is in flight.
-	seqNext []int
+	seqNext []int32
 
 	hostWrites  int64 // pages the host asked to write
 	flashWrites int64 // pages physically programmed (incl. GC and RMW)
 	erases      int64
 }
 
-// New returns an empty device.
+// notCandidate biases the valid count of a free or open block so that no
+// GC candidate, whose count is at most PagesPerBlock, ever ties with it.
+const notCandidate = 1 << 30
+
+// New returns an empty device. The physical page count must fit an int32,
+// and a block must hold fewer than notCandidate pages.
 func New(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	logical := int(cfg.CapBytes / cfg.PageBytes)
-	total := int(float64(logical) * (1 + cfg.Overprovision))
+	logical := cfg.CapBytes / cfg.PageBytes
+	physical := float64(logical) * (1 + cfg.Overprovision)
+	ppb := int64(cfg.PagesPerBlock)
+	if physical > math.MaxInt32 {
+		return nil, fmt.Errorf("ftl: %.0f physical pages exceed the int32 page tables", physical)
+	}
+	if ppb >= notCandidate {
+		return nil, fmt.Errorf("ftl: %d pages per block reach the int32 GC bias %d", ppb, notCandidate)
+	}
 	// Round up to whole blocks.
-	blocks := (total + cfg.PagesPerBlock - 1) / cfg.PagesPerBlock
-	total = blocks * cfg.PagesPerBlock
+	blocks := (int64(physical) + ppb - 1) / ppb
+	if blocks*ppb > math.MaxInt32 {
+		return nil, fmt.Errorf("ftl: %d physical pages exceed the int32 page tables", blocks*ppb)
+	}
+	total := int(blocks * ppb)
 	d := &Device{
 		cfg:          cfg,
-		logicalPages: logical,
+		logicalPages: int(logical),
 		totalPages:   total,
 		pagesPerBlk:  cfg.PagesPerBlock,
-		l2p:          make([]int, logical),
-		pageState:    make([]byte, total),
-		owner:        make([]int, total),
-		blockValid:   make([]int, blocks),
-		programmed:   make([]int, blocks),
+		l2p:          make([]int32, logical),
+		owner:        make([]int32, total),
+		blockValid:   make([]int32, blocks),
+		seqNext:      make([]int32, (logical+ppb-1)/ppb),
 	}
-	for i := range d.l2p {
-		d.l2p[i] = -1
-	}
-	for i := range d.owner {
-		d.owner[i] = -1
-	}
-	d.seqNext = make([]int, (logical+cfg.PagesPerBlock-1)/cfg.PagesPerBlock)
-	for i := range d.seqNext {
-		d.seqNext[i] = -1
-	}
+	fill(d.l2p, -1)
+	fill(d.owner, -1)
+	fill(d.seqNext, -1)
+	fill(d.blockValid, notCandidate) // block 0 opens, the rest are free
 	for b := blocks - 1; b >= 1; b-- {
-		d.freeBlks = append(d.freeBlks, b)
+		d.freeBlks = append(d.freeBlks, int32(b))
 	}
 	d.openBlock = 0
 	return d, nil
+}
+
+func fill(s []int32, v int32) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // WritePage writes one logical page. Under block-level mapping, overwriting
@@ -176,11 +190,11 @@ func (d *Device) WritePage(lp int) error {
 		switch {
 		case lp%d.pagesPerBlk == 0:
 			// Sequential rewrite begins: open a replacement log block.
-			d.seqNext[lblk] = lp + 1
+			d.seqNext[lblk] = int32(lp + 1)
 			d.program(lp)
-		case d.seqNext[lblk] == lp:
+		case int(d.seqNext[lblk]) == lp:
 			// Sequential rewrite continues.
-			d.seqNext[lblk] = lp + 1
+			d.seqNext[lblk] = int32(lp + 1)
 			d.program(lp)
 		default:
 			// Random overwrite: relocate the whole logical block.
@@ -203,45 +217,44 @@ func (d *Device) program(lp int) {
 	d.nextPage++
 	// Invalidate the previous location.
 	if old := d.l2p[lp]; old >= 0 {
-		d.pageState[old] = 2
-		d.blockValid[old/d.pagesPerBlk]--
+		d.owner[old] = -1
+		d.blockValid[int(old)/d.pagesPerBlk]--
 	}
-	d.pageState[pp] = 1
-	d.owner[pp] = lp
-	d.l2p[lp] = pp
+	d.owner[pp] = int32(lp)
+	d.l2p[lp] = int32(pp)
 	d.blockValid[d.openBlock]++
-	d.programmed[d.openBlock]++
 	d.flashWrites++
 }
 
 // advanceBlock opens a fresh block, running greedy GC until the free pool
 // has a block (relocations during GC may themselves consume freed blocks).
+// The block it closes becomes a GC candidate only then, so no collection
+// it runs picks the block being closed.
 func (d *Device) advanceBlock() {
 	for len(d.freeBlks) == 0 {
 		d.collect()
 	}
 	n := len(d.freeBlks) - 1
-	d.openBlock = d.freeBlks[n]
+	d.blockValid[d.openBlock] -= notCandidate
+	d.openBlock = int(d.freeBlks[n])
 	d.freeBlks = d.freeBlks[:n]
 	d.nextPage = 0
 }
 
-// collect erases the programmed block with the fewest valid pages,
-// relocating its valid pages via the freed space.
+// collect erases the programmed block with the fewest valid pages (the
+// lowest-numbered one among ties), relocating its valid pages via the freed
+// space.
 func (d *Device) collect() {
-	victim, best := -1, 1<<30
-	for b := range d.blockValid {
-		if b == d.openBlock || d.programmed[b] == 0 {
-			continue
-		}
-		if d.blockValid[b] < best {
-			victim, best = b, d.blockValid[b]
+	victim, best := 0, d.blockValid[0]
+	for b, v := range d.blockValid {
+		if v < best {
+			victim, best = b, v
 		}
 	}
-	if victim < 0 {
+	if best >= notCandidate {
 		panic("ftl: no GC victim (device sized too small)")
 	}
-	if best == d.pagesPerBlk {
+	if int(best) == d.pagesPerBlk {
 		panic("ftl: GC cannot make progress; increase overprovisioning")
 	}
 	// Relocate valid pages: they are appended after the erase returns the
@@ -250,24 +263,22 @@ func (d *Device) collect() {
 	// pages onto the tail of the device's scratch stack and truncates back
 	// to its entry length on return.
 	base := len(d.live)
-	for i := 0; i < d.pagesPerBlk; i++ {
-		pp := victim*d.pagesPerBlk + i
-		if d.pageState[pp] == 1 {
-			d.live = append(d.live, d.owner[pp])
+	pages := d.owner[victim*d.pagesPerBlk : (victim+1)*d.pagesPerBlk]
+	for i, lp := range pages {
+		if lp >= 0 {
+			d.live = append(d.live, lp)
+			pages[i] = -1
 		}
-		d.pageState[pp] = 0
-		d.owner[pp] = -1
 	}
 	end := len(d.live)
-	d.blockValid[victim] = 0
-	d.programmed[victim] = 0
+	d.blockValid[victim] = notCandidate
 	d.erases++
-	d.freeBlks = append(d.freeBlks, victim)
+	d.freeBlks = append(d.freeBlks, int32(victim))
 	for i := base; i < end; i++ {
 		lp := d.live[i]
 		// Relocation writes are flash writes but not host writes.
 		d.l2p[lp] = -1 // avoid double-invalidation (old page already freed)
-		d.program(lp)
+		d.program(int(lp))
 	}
 	d.live = d.live[:base]
 }

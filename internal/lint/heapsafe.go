@@ -11,8 +11,9 @@ import (
 
 // HeapSafe protects the ordering invariant of internal/sim's
 // min-heaps and internal/cluster's event heap: once an item sits in a heap,
-// the fields its comparison functions read (node.ready, a queue's free time
-// and heaps, the candidate keys; event.at, kind, q and seq) must only
+// the fields its comparison functions read (a waiting entry's ready and
+// id, a queue's free time and heaps, the candidate keys; event.at, kind, q
+// and seq) must only
 // change on the heap's own maintenance paths — otherwise the heap silently
 // stops being a heap and the scheduler's earliest-start policy (or the
 // cluster's event order) decays into an arbitrary one.

@@ -96,10 +96,10 @@ func TestGuardedByFixture(t *testing.T)  { checkFixture(t, GuardedBy, "guardedby
 func TestHeapSafeFixture(t *testing.T)   { checkFixture(t, HeapSafe, "heapsafe") }
 
 // TestHeapSafeGuardsSimNodes checks the rule on the real scheduler rather
-// than a fixture: internal/sim keeps its ready heaps as task ids into an
-// arena of nodes, and a write to a node's ready time outside the heap file
-// must still be reported. The mutation is injected as an extra file,
-// type-checked into the loaded package.
+// than a fixture: internal/sim's waiting heaps hold (ready, id) entries
+// ordered by readyEntry.less, and a write to an entry's ready time outside
+// the heap file must still be reported. The mutation is injected as an
+// extra file, type-checked into the loaded package.
 func TestHeapSafeGuardsSimNodes(t *testing.T) {
 	res, err := load.Load("../..", "./internal/sim")
 	if err != nil {
@@ -108,8 +108,8 @@ func TestHeapSafeGuardsSimNodes(t *testing.T) {
 	pkg := res.Packages[0]
 	const src = `package sim
 
-func retime(n *node, at Time) {
-	n.ready = at
+func retime(e *readyEntry, at Time) {
+	e.ready = at
 }
 `
 	f, err := parser.ParseFile(res.Fset, filepath.Join(pkg.Dir, "injected.go"), src, parser.ParseComments)
@@ -129,7 +129,7 @@ func retime(n *node, at Time) {
 		for _, d := range diags {
 			t.Logf("%s: %s", res.Fset.Position(d.Pos), d.Message)
 		}
-		t.Fatalf("got %d diagnostics, want one for the injected node.ready write", len(diags))
+		t.Fatalf("got %d diagnostics, want one for the injected readyEntry.ready write", len(diags))
 	}
 }
 

@@ -72,15 +72,6 @@ func (c Config) ffnExpertParams() int64 {
 	return int64(c.MLPMatrices) * int64(c.Hidden) * int64(c.Intermediate)
 }
 
-// MLPWeightBytesPerLayer returns the FP16 bytes of all FFN weights stored
-// for one layer (all experts for MoE layers).
-func (c Config) MLPWeightBytesPerLayer(layer int) int64 {
-	if c.IsMoE() && (!c.MoEEveryOther || layer%2 == 1) {
-		return int64(c.Experts) * c.ffnExpertParams() * BytesPerElem
-	}
-	return c.ffnExpertParams() * BytesPerElem
-}
-
 // MLPActiveWeightBytesPerLayer returns the FFN weight bytes that must be
 // loaded to the GPU per decoding step for one layer (active experts only).
 func (c Config) MLPActiveWeightBytesPerLayer(layer int) int64 {
@@ -90,24 +81,33 @@ func (c Config) MLPActiveWeightBytesPerLayer(layer int) int64 {
 	return c.ffnExpertParams() * BytesPerElem
 }
 
-// TotalWeightBytes returns the FP16 footprint of all transformer weights.
-func (c Config) TotalWeightBytes() int64 {
-	var total int64
-	for l := 0; l < c.Layers; l++ {
-		total += c.AttnWeightBytesPerLayer() + c.MLPWeightBytesPerLayer(l)
+// moeLayers returns how many layers use the MoE FFN: none for a dense
+// model, the odd-indexed half with MoEEveryOther, otherwise all of them.
+func (c Config) moeLayers() int64 {
+	switch {
+	case !c.IsMoE():
+		return 0
+	case c.MoEEveryOther:
+		return int64(c.Layers / 2)
 	}
-	return total
+	return int64(c.Layers)
 }
+
+// weightBytes sums attention weights over every layer and the FFN weights
+// of experts experts per MoE layer and one per dense layer. The sum is
+// integer, so this closed form equals the per-layer loop exactly.
+func (c Config) weightBytes(experts int) int64 {
+	layers, moe := int64(c.Layers), c.moeLayers()
+	ffn := c.ffnExpertParams() * BytesPerElem
+	return layers*c.AttnWeightBytesPerLayer() + moe*int64(experts)*ffn + (layers-moe)*ffn
+}
+
+// TotalWeightBytes returns the FP16 footprint of all transformer weights.
+func (c Config) TotalWeightBytes() int64 { return c.weightBytes(c.Experts) }
 
 // ActiveWeightBytesPerStep returns the weight bytes touched per decoding
 // step across all layers (MoE loads only active experts).
-func (c Config) ActiveWeightBytesPerStep() int64 {
-	var total int64
-	for l := 0; l < c.Layers; l++ {
-		total += c.AttnWeightBytesPerLayer() + c.MLPActiveWeightBytesPerLayer(l)
-	}
-	return total
-}
+func (c Config) ActiveWeightBytesPerStep() int64 { return c.weightBytes(c.ActiveExperts) }
 
 // ParamCount returns the approximate parameter count (transformer blocks
 // only; embeddings excluded, matching how model names are usually derived).

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -78,6 +79,48 @@ func TestKVToXRatio(t *testing.T) {
 	}
 	if r := Mixtral8x7B.KVToXRatio(); r >= 1 {
 		t.Errorf("Mixtral GQA KV/X ratio = %v, want < 1", r)
+	}
+}
+
+// MLPWeightBytesPerLayer returns the FP16 bytes of all FFN weights stored
+// for one layer (all experts for MoE layers).
+func (c Config) MLPWeightBytesPerLayer(layer int) int64 {
+	if c.IsMoE() && (!c.MoEEveryOther || layer%2 == 1) {
+		return int64(c.Experts) * c.ffnExpertParams() * BytesPerElem
+	}
+	return c.ffnExpertParams() * BytesPerElem
+}
+
+// TestWeightSumsMatchLayerLoop holds the closed-form weight sums to the
+// per-layer loop they replace, on every preset and on synthetic MoE
+// configurations: alternate-layer MoE with odd and even layer counts,
+// all-layer MoE, and dense models.
+func TestWeightSumsMatchLayerLoop(t *testing.T) {
+	configs := All()
+	for _, layers := range []int{1, 2, 7, 32, 33} {
+		for _, everyOther := range []bool{false, true} {
+			c := GLaM143B
+			c.Name = fmt.Sprintf("moe-%d-every-other-%t", layers, everyOther)
+			c.Layers, c.MoEEveryOther = layers, everyOther
+			configs = append(configs, c)
+		}
+		d := OPT30B
+		d.Name = fmt.Sprintf("dense-%d", layers)
+		d.Layers = layers
+		configs = append(configs, d)
+	}
+	for _, c := range configs {
+		var total, active int64
+		for l := 0; l < c.Layers; l++ {
+			total += c.AttnWeightBytesPerLayer() + c.MLPWeightBytesPerLayer(l)
+			active += c.AttnWeightBytesPerLayer() + c.MLPActiveWeightBytesPerLayer(l)
+		}
+		if got := c.TotalWeightBytes(); got != total {
+			t.Errorf("%s: TotalWeightBytes = %d, per-layer loop %d", c.Name, got, total)
+		}
+		if got := c.ActiveWeightBytesPerStep(); got != active {
+			t.Errorf("%s: ActiveWeightBytesPerStep = %d, per-layer loop %d", c.Name, got, active)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func buildLarge(e *Engine) *Engine {
 // standing in for a run in a fresh process.
 func freshEngine() *Engine {
 	e := NewEngine()
-	e.a = &arena{index: map[string]int32{}}
+	e.a = new(arena)
 	return e
 }
 
@@ -115,6 +115,41 @@ func TestTaskAfterRunPanics(t *testing.T) {
 		} {
 			if panicMessage(c.f) == "" {
 				t.Errorf("%s after a run did not panic", c.name)
+			}
+		}
+	}
+}
+
+// TestInternLabels: labels get indices in first-use order, and ByLabel
+// sums each one, from a single label up to far more than the engines use,
+// on fresh and recycled arenas alike.
+func TestInternLabels(t *testing.T) {
+	for _, distinct := range []int{1, 7, 40, 3} {
+		e := NewEngine()
+		for i := 0; i < 3*distinct; i++ {
+			e.Delay(fmt.Sprintf("l%d", i%distinct), 1)
+		}
+		a := e.a
+		if len(a.labels) != distinct {
+			t.Fatalf("%d labels: interned %d", distinct, len(a.labels))
+		}
+		for i, l := range a.labels {
+			if want := fmt.Sprintf("l%d", i); l != want {
+				t.Fatalf("%d labels: label %d is %q, want %q", distinct, i, l, want)
+			}
+		}
+		for i := range a.nodes {
+			if got := a.nodes[i].label; got != int32(i%distinct) {
+				t.Fatalf("%d labels: task %d has label %d, want %d", distinct, i, got, i%distinct)
+			}
+		}
+		res := e.Run()
+		if len(res.ByLabel) != distinct {
+			t.Fatalf("%d labels: ByLabel has %d", distinct, len(res.ByLabel))
+		}
+		for l, v := range res.ByLabel {
+			if v != 3 {
+				t.Errorf("%d labels: ByLabel[%q] = %v, want 3", distinct, l, v)
 			}
 		}
 	}

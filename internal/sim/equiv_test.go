@@ -90,7 +90,7 @@ func buildRandomDAG(e *Engine, rng *rand.Rand, nTasks int) []Task {
 				// A fixed latency adder on a resource task: no builder
 				// makes one through the API, but both schedulers and
 				// CriticalPath must handle the sum.
-				e.a.nodes[t.id].fixed = rng.Float64() * 0.5
+				e.a.nodes[t.id].dur = rng.Float64() * 0.5
 			}
 			tasks = append(tasks, t)
 		}

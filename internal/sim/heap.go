@@ -13,22 +13,27 @@ import (
 //
 //   - dependency counting makes a task ready the moment its last dependency
 //     finishes (its ready time is the running max of dependency finishes);
-//   - each resource keeps two min-heaps of its ready task ids: "waiting"
-//     (ready time still ahead of the resource's free time, ordered by
-//     (ready, id)) and "runnable" (startable the instant the resource
-//     frees, ordered by id alone — they all share start == free);
+//   - each resource keeps two typed min-heaps of its ready tasks:
+//     "waiting" holds (ready, id) entries whose ready time is still ahead
+//     of the resource's free time, ordered by (ready, id); "runnable" holds
+//     the ids startable the instant the resource frees, ordered by id
+//     alone, since they all share start == free;
 //   - each resource caches its best candidate (start, id), and the next
 //     task is the earliest of those R candidates.
 //
 // Whenever a resource's free time advances, its waiting heap drains into
 // runnable. All start/finish arithmetic matches the rescanning scheduler
-// operation for operation, so the two produce bit-identical Results.
+// operation for operation, and both read the service times begin computed,
+// so the two produce bit-identical Results.
 
 // node is one task in the arena; its index is the task's id. It holds no
 // pointers, so building and scheduling a graph pays no write barriers.
 type node struct {
-	demand  float64
-	fixed   Time
+	demand float64
+	// dur is the task's fixed latency while the graph is built; begin adds
+	// its demand at its resource's rate, so during a pass it is the task's
+	// service time.
+	dur     Time
 	ready   Time  // max finish over completed dependencies (Run)
 	res     int32 // resource index, -1 for pure-latency tasks
 	label   int32 // index into arena.labels
@@ -45,25 +50,26 @@ type node struct {
 type arena struct {
 	nodes  []node
 	deps   []int32
-	succ   []int32          // successor lists in CSR form, built by Run
-	labels []string         // interned task labels
-	index  map[string]int32 // label → index into labels
-	sums   []Time           // per-label busy time, summed in schedule order
-	queues []queue          // per resource, then the pure-latency pseudo-resource
+	succ   []int32  // successor lists in CSR form, built by Run
+	labels []string // interned task labels
+	sums   []Time   // per-label busy time, summed in schedule order
+	queues []queue  // per resource, then the pure-latency pseudo-resource
 }
 
-var arenas = sync.Pool{New: func() any { return &arena{index: map[string]int32{}} }}
+var arenas = sync.Pool{New: func() any { return new(arena) }}
 
-// intern returns label's index, registering it on first use.
+// intern returns label's index, registering it on first use. The engines
+// use at most 7 labels, and comparing a few strings is cheaper than hashing
+// one, so it finds them by a linear scan.
 func (a *arena) intern(label string) int32 {
-	i, ok := a.index[label]
-	if !ok {
-		i = int32(len(a.labels))
-		a.index[label] = i
-		a.labels = append(a.labels, label)
-		a.sums = append(a.sums, 0)
+	for i, l := range a.labels {
+		if l == label {
+			return int32(i)
+		}
 	}
-	return i
+	a.labels = append(a.labels, label)
+	a.sums = append(a.sums, 0)
+	return int32(len(a.labels) - 1)
 }
 
 func (a *arena) depsOf(n *node) []int32 { return a.deps[n.dep0 : n.dep0+n.ndep] }
@@ -74,7 +80,7 @@ func (a *arena) depsOf(n *node) []int32 { return a.deps[n.dep0 : n.dep0+n.ndep] 
 type queue struct {
 	free     Time
 	busy     Time
-	waiting  idHeap
+	waiting  readyHeap
 	runnable idHeap
 	cand     candidate // the queue's best offer, valid when ok
 	ok       bool
@@ -90,7 +96,8 @@ type pass struct {
 	res Result
 }
 
-// begin claims the engine's arena for its single scheduling pass.
+// begin claims the engine's arena for its single scheduling pass and turns
+// every task's fixed latency into its service time, fixed + demand/Rate.
 func (e *Engine) begin() pass {
 	a := e.live("Run")
 	e.a = nil
@@ -98,6 +105,11 @@ func (e *Engine) begin() pass {
 	p := pass{e: e, a: a, tel: e.telemetrySink(), res: Result{eng: e.serial, spans: make([]span, n)}}
 	if !e.noRecords {
 		p.res.Tasks = make([]TaskRecord, 0, n)
+	}
+	for i := range a.nodes {
+		if nd := &a.nodes[i]; nd.res >= 0 {
+			nd.dur += nd.demand / e.resources[nd.res].Rate
+		}
 	}
 	nq := len(e.resources) + 1
 	a.queues = slices.Grow(a.queues[:0], nq)[:nq]
@@ -110,26 +122,32 @@ func (e *Engine) begin() pass {
 
 // place schedules task t at start and returns its finish time.
 func (p *pass) place(t int32, start Time) Time {
-	n := &p.a.nodes[t]
-	dur := p.e.service(n)
+	a := p.a
+	n := &a.nodes[t]
+	dur := n.dur
 	finish := start + dur
 	p.res.spans[t] = span{start, finish}
-	resName := ""
 	if n.res >= 0 {
-		p.a.queues[n.res].busy += dur
-		resName = p.e.resources[n.res].Name
+		a.queues[n.res].busy += dur
 	}
-	p.a.sums[n.label] += dur
+	a.sums[n.label] += dur
 	if finish > p.res.Makespan {
 		p.res.Makespan = finish
 	}
+	if p.e.noRecords && p.tel == nil {
+		return finish
+	}
+	resName := ""
+	if n.res >= 0 {
+		resName = p.e.resources[n.res].Name
+	}
 	if !p.e.noRecords {
 		p.res.Tasks = append(p.res.Tasks, TaskRecord{
-			Label: p.a.labels[n.label], Resource: resName, Start: start, Finish: finish,
+			Label: a.labels[n.label], Resource: resName, Start: start, Finish: finish,
 		})
 	}
 	if p.tel != nil {
-		p.tel.observeTask(p.a.labels[n.label], resName, start, finish)
+		p.tel.observeTask(a.labels[n.label], resName, start, finish)
 	}
 	return finish
 }
@@ -151,62 +169,115 @@ func (p *pass) end() Result {
 		p.tel.observeRun(e, p.res.Makespan)
 	}
 	clear(a.labels)
-	clear(a.index)
 	a.nodes, a.deps, a.labels, a.sums = a.nodes[:0], a.deps[:0], a.labels[:0], a.sums[:0]
 	arenas.Put(a)
 	return p.res
 }
 
-// idHeap is a binary min-heap of task ids under an externally chosen order.
+// idHeap is a binary min-heap of task ids: the runnable heap, where every
+// task would start at the resource's shared free time, so id alone orders
+// it. Both heaps sift a hole instead of swapping.
 type idHeap []int32
 
-// lessReady orders by (ready, id): the waiting heap and the pure-latency
-// pseudo-resource, whose tasks start exactly at their ready time.
-func lessReady(x, y *node, i, j int32) bool {
-	return x.ready < y.ready || (x.ready == y.ready && i < j)
-}
-
-// lessID orders by id alone: the runnable heap, where every task would
-// start at the resource's shared free time.
-func lessID(_, _ *node, i, j int32) bool { return i < j }
-
-func (h *idHeap) push(nodes []node, t int32, less func(x, y *node, i, j int32) bool) {
-	*h = append(*h, t)
-	s := *h
+func (h *idHeap) push(t int32) {
+	s := append(*h, t)
 	i := len(s) - 1
 	for i > 0 {
-		p := (i - 1) / 2
-		if !less(&nodes[s[i]], &nodes[s[p]], s[i], s[p]) {
+		up := (i - 1) / 2
+		if s[up] <= t {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
-		i = p
+		s[i] = s[up]
+		i = up
 	}
+	s[i] = t
+	*h = s
 }
 
-func (h *idHeap) pop(nodes []node, less func(x, y *node, i, j int32) bool) int32 {
+func (h *idHeap) pop() int32 {
 	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
+	top, n := s[0], len(s)-1
+	x := s[n]
 	s = s[:n]
 	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && less(&nodes[s[l]], &nodes[s[m]], s[l], s[m]) {
-			m = l
-		}
-		if r < n && less(&nodes[s[r]], &nodes[s[m]], s[r], s[m]) {
-			m = r
-		}
-		if m == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
-		i = m
+		if r := c + 1; r < n && s[r] < s[c] {
+			c = r
+		}
+		if x <= s[c] {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
+	s[i] = x
+	return top
+}
+
+// readyEntry is a waiting task with its ready time, which is final once the
+// task is enqueued.
+type readyEntry struct {
+	ready Time
+	id    int32
+}
+
+// less orders by (ready, id): the waiting heap and the pure-latency
+// pseudo-resource, whose tasks start exactly at their ready time.
+func (x readyEntry) less(y readyEntry) bool {
+	return x.ready < y.ready || (x.ready == y.ready && x.id < y.id)
+}
+
+// readyHeap is a binary min-heap of waiting tasks under readyEntry.less.
+type readyHeap []readyEntry
+
+func (h *readyHeap) push(x readyEntry) {
+	s := append(*h, x)
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !x.less(s[up]) {
+			break
+		}
+		s[i] = s[up]
+		i = up
+	}
+	s[i] = x
+	*h = s
+}
+
+func (h *readyHeap) pop() readyEntry {
+	s := *h
+	top, n := s[0], len(s)-1
+	x := s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].less(s[c]) {
+			c = r
+		}
+		if !s[c].less(x) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = x
 	return top
 }
 
@@ -224,18 +295,18 @@ func (c candidate) less(o candidate) bool {
 // ready tasks. The runnable heap wins when non-empty: all its tasks would
 // start at free, which can never exceed the waiting heap's earliest ready
 // time (waiting holds only ready > free).
-func best(q *queue, nodes []node) (candidate, bool) {
+func best(q *queue) (candidate, bool) {
 	if len(q.runnable) > 0 {
 		return candidate{start: q.free, id: q.runnable[0]}, true
 	}
 	if len(q.waiting) > 0 {
-		return candidate{start: nodes[q.waiting[0]].ready, id: q.waiting[0]}, true
+		return candidate{start: q.waiting[0].ready, id: q.waiting[0].id}, true
 	}
 	return candidate{}, false
 }
 
 // fix re-evaluates q's candidate after its heaps or free time changed.
-func (a *arena) fix(q *queue) { q.cand, q.ok = best(q, a.nodes) }
+func (q *queue) fix() { q.cand, q.ok = best(q) }
 
 // next returns the queue holding the earliest candidate overall. Graphs use
 // a handful of resources, so a scan over the cached candidates is cheaper
@@ -259,11 +330,11 @@ func (a *arena) enqueue(t int32) {
 	}
 	q := &a.queues[qi]
 	if n.res >= 0 && n.ready <= q.free {
-		q.runnable.push(a.nodes, t, lessID)
+		q.runnable.push(t)
 	} else {
-		q.waiting.push(a.nodes, t, lessReady)
+		q.waiting.push(readyEntry{ready: n.ready, id: t})
 	}
-	a.fix(q)
+	q.fix()
 }
 
 // Run schedules every task and returns the simulation result. Run may be
@@ -306,20 +377,20 @@ func (e *Engine) Run() Result {
 		start := q.cand.start
 		var t int32
 		if len(q.runnable) > 0 {
-			t = q.runnable.pop(nodes, lessID)
+			t = q.runnable.pop()
 		} else {
-			t = q.waiting.pop(nodes, lessReady)
+			t = q.waiting.pop().id
 		}
 		finish := p.place(t, start)
 		n := &nodes[t]
 		if n.res >= 0 {
 			q.free = finish
 			// The free advance may promote waiting tasks to runnable.
-			for len(q.waiting) > 0 && nodes[q.waiting[0]].ready <= q.free {
-				q.runnable.push(nodes, q.waiting.pop(nodes, lessReady), lessID)
+			for len(q.waiting) > 0 && q.waiting[0].ready <= q.free {
+				q.runnable.push(q.waiting.pop().id)
 			}
 		}
-		a.fix(q)
+		q.fix()
 
 		for _, s := range a.succ[n.succ0 : n.succ0+n.nsucc] {
 			sn := &nodes[s]

@@ -24,7 +24,11 @@
 //
 // Run implements the policy as a dependency-counting event loop over
 // per-resource min-heaps (O((n+m)·log n + n·R) for n tasks, m edges and R
-// resources). The equivalence tests keep the original O(n²) rescanning list
+// resources). Each resource keeps two typed heaps: runnable task ids ordered
+// by id, and waiting (ready, id) entries that carry their final ready time,
+// so no comparison calls through a func value or loads a task node. Every
+// task's service time, fixed + demand/Rate, is computed once when the pass
+// begins. The equivalence tests keep the original O(n²) rescanning list
 // scheduler as an oracle and fuzz both on random DAGs for bit-identical
 // Results, so Run is a pure performance upgrade.
 package sim
@@ -131,7 +135,7 @@ func (e *Engine) Barrier(label string, deps ...Task) Task {
 
 func (e *Engine) add(label string, r *Resource, demand float64, fixed Time, deps []Task) Task {
 	a := e.live("Task")
-	n := node{demand: demand, fixed: fixed, res: -1, dep0: int32(len(a.deps))}
+	n := node{demand: demand, dur: fixed, res: -1, dep0: int32(len(a.deps))}
 	if r != nil {
 		if r.eng != e.serial {
 			panic(fmt.Sprintf("sim: task %q uses resource %q of another engine", label, r.Name))
@@ -152,16 +156,6 @@ func (e *Engine) add(label string, r *Resource, demand float64, fixed Time, deps
 	n.label = a.intern(label)
 	a.nodes = append(a.nodes, n)
 	return Task{eng: e.serial, id: int32(len(a.nodes) - 1)}
-}
-
-// service is a task's service time: its fixed latency plus its demand at
-// its resource's rate.
-func (e *Engine) service(n *node) Time {
-	d := n.fixed
-	if n.res >= 0 {
-		d += n.demand / e.resources[n.res].Rate
-	}
-	return d
 }
 
 // TaskRecord is one scheduled task, for timeline export and debugging.

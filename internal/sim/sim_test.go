@@ -61,7 +61,12 @@ func (e *Engine) CriticalPath() Time {
 				in = longest[d]
 			}
 		}
-		longest[i] = in + e.service(&a.nodes[i])
+		n := &a.nodes[i]
+		dur := n.dur
+		if n.res >= 0 {
+			dur += n.demand / e.resources[n.res].Rate
+		}
+		longest[i] = in + dur
 		if longest[i] > cp {
 			cp = longest[i]
 		}

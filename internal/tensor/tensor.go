@@ -74,7 +74,7 @@ func MatMul(a, b Mat) Mat {
 			}
 			brow := b.Row(k)
 			for j := range orow {
-				orow[j] += av * brow[j]
+				orow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -116,17 +116,17 @@ func Dot(a, b []float32) float32 {
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
 		aa, bb := a[i:i+8:i+8], b[i:i+8:i+8]
-		s0 += aa[0] * bb[0]
-		s1 += aa[1] * bb[1]
-		s2 += aa[2] * bb[2]
-		s3 += aa[3] * bb[3]
-		s4 += aa[4] * bb[4]
-		s5 += aa[5] * bb[5]
-		s6 += aa[6] * bb[6]
-		s7 += aa[7] * bb[7]
+		s0 += float32(aa[0] * bb[0])
+		s1 += float32(aa[1] * bb[1])
+		s2 += float32(aa[2] * bb[2])
+		s3 += float32(aa[3] * bb[3])
+		s4 += float32(aa[4] * bb[4])
+		s5 += float32(aa[5] * bb[5])
+		s6 += float32(aa[6] * bb[6])
+		s7 += float32(aa[7] * bb[7])
 	}
 	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
+		s0 += float32(a[i] * b[i])
 	}
 	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
 }
