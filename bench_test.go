@@ -84,13 +84,12 @@ func BenchmarkFig18cAccuracy(b *testing.B) {
 
 // --- Micro-benchmarks of the functional and timing substrates.
 
-func benchBlockedAttention(b *testing.B, seq int) {
+// benchBlockedAttention times one decode-shape Blocked call over a
+// seq-token K/V cache of head dimension dim.
+func benchBlockedAttention(b *testing.B, seq, dim int) {
 	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	q := tensor.RandMat(rng, 1, 128, 1)
-	k := tensor.RandMat(rng, seq, 128, 1)
-	v := tensor.RandMat(rng, seq, 128, 1)
-	b.SetBytes(int64(2 * seq * 128 * 2))
+	q, k, v := attentionInputs(seq, dim)
+	b.SetBytes(int64(2 * seq * dim * 2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,13 +97,11 @@ func benchBlockedAttention(b *testing.B, seq int) {
 	}
 }
 
-func BenchmarkBlockedAttention4K(b *testing.B) { benchBlockedAttention(b, 4096) }
+func BenchmarkBlockedAttention4K(b *testing.B) { benchBlockedAttention(b, 4096, 128) }
 
 // BenchmarkBlockedAttention64K exposes kernel scaling with context length:
-// ns/op should grow linearly from the 4K case and allocs/op stay flat (all
-// scratch comes from the sync.Pool arenas). Runs with the default worker
-// count; the Serial/Workers4 pair below measures the parallel speedup.
-func BenchmarkBlockedAttention64K(b *testing.B) { benchBlockedAttention(b, 64*1024) }
+// ns/op should grow linearly from the 4K case and allocs/op stay flat.
+func BenchmarkBlockedAttention64K(b *testing.B) { benchBlockedAttention(b, 64*1024, 128) }
 
 // attentionInputs returns a decode-shape query row and a seq-token K/V
 // cache of head dimension dim.
@@ -116,48 +113,21 @@ func attentionInputs(seq, dim int) (q, k, v tensor.Mat) {
 	return q, k, v
 }
 
-// benchBlockedAttentionWorkers pins the worker count explicitly so the
-// Serial/Workers4 ratio is comparable across machines: same shape, same
-// chunk partition, only the concurrency differs (results are bit-identical).
-func benchBlockedAttentionWorkers(b *testing.B, seq, dim, workers int) {
-	b.Helper()
-	q, k, v := attentionInputs(seq, dim)
-	b.SetBytes(int64(2 * seq * dim * 2))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		attention.BlockedWorkers(q, k, v, nil, 128, workers, 0)
-	}
-}
-
-// BenchmarkBlockedAttention64KSerial / ...Workers4 are the parallel-kernel
-// pair; TestBlockedAttentionParallelSpeedup floors their ratio at 2x.
-func BenchmarkBlockedAttention64KSerial(b *testing.B) {
-	benchBlockedAttentionWorkers(b, 64*1024, 128, 1)
-}
-func BenchmarkBlockedAttention64KWorkers4(b *testing.B) {
-	benchBlockedAttentionWorkers(b, 64*1024, 128, 4)
-}
-
 // BenchmarkBlockedAttention1M is the 1M-token decode shape (head dim 64
-// keeps K+V at 512 MB). One op streams the full megatoken K/V range through
-// the chunked parallel dataflow.
-func BenchmarkBlockedAttention1M(b *testing.B) { benchBlockedAttentionWorkers(b, 1<<20, 64, 4) }
+// keeps K+V at 512 MB). One op streams the full megatoken K/V range
+// through the block dataflow.
+func BenchmarkBlockedAttention1M(b *testing.B) { benchBlockedAttention(b, 1<<20, 64) }
 
 // BenchmarkTopKBlocksAttention64K measures the lossy block-sparse kernel on
-// the decode shape: parallel score+pool over 64K tokens, serial selection of
-// 64 blocks, attention over the kept 8K tokens.
+// the decode shape: score and pool 64K tokens, select 64 blocks, attend
+// over the kept 8K tokens.
 func BenchmarkTopKBlocksAttention64K(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const seq, dim = 64 * 1024, 128
-	q := tensor.RandMat(rng, 1, dim, 1)
-	k := tensor.RandMat(rng, seq, dim, 1)
-	v := tensor.RandMat(rng, seq, dim, 1)
-	b.SetBytes(int64(2 * seq * dim * 2))
+	q, k, v := attentionInputs(64*1024, 128)
+	b.SetBytes(int64(2 * 64 * 1024 * 128 * 2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		attention.TopKBlocksWorkers(q, k, v, nil, 64, 128, 4, 0)
+		attention.TopKBlocks(q, k, v, nil, 64, 128)
 	}
 }
 

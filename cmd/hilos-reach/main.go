@@ -10,10 +10,9 @@
 //
 //	go run ./cmd/hilos-reach
 //
-// It lists the allow-listed functions no binary links with their reasons,
-// then prints each other declared function no binary links and each
-// allow-list entry that no longer names such a function, and exits 1 if
-// there was any (2 on a build or parse error).
+// It prints each declared function no binary links, with its position, and
+// exits 1 if there was any (2 on a build or parse error). There are no
+// exceptions: a helper only tests use belongs in a _test.go file.
 package main
 
 import (
@@ -34,12 +33,6 @@ import (
 	"strings"
 )
 
-// allowed names the deliberate exceptions: library functions no binary
-// links, each with the reason it stays.
-var allowed = map[string]string{
-	"repro/internal/sim.(*Engine).SetTelemetry": "the per-run engine sink that replaces sim.EnableTelemetry (ROADMAP item 3)",
-}
-
 // pkg is the part of `go list -json` output the check reads.
 type pkg struct {
 	ImportPath string
@@ -49,38 +42,31 @@ type pkg struct {
 }
 
 func main() {
-	excused, missing, stale, err := check(".")
+	missing, err := check(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hilos-reach:", err)
 		os.Exit(2)
 	}
-	for _, e := range excused {
-		fmt.Printf("allowed, not linked: %s (%s)\n", e, allowed[e])
-	}
 	for _, m := range missing {
 		fmt.Println("not linked by any binary:", m)
 	}
-	for _, s := range stale {
-		fmt.Println("stale allow-list entry:", s)
-	}
-	if len(missing)+len(stale) > 0 {
+	if len(missing) > 0 {
 		os.Exit(1)
 	}
 	fmt.Println("every library function is linked by a binary")
 }
 
 // check runs the comparison over the module at root and every module
-// nested below it. It returns the allow-listed unlinked declarations, the
-// other unlinked declarations (symbol and position), and the allow-list
-// entries that name no unlinked declaration.
-func check(root string) (excused, missing, stale []string, err error) {
+// nested below it. It returns the unlinked declarations (symbol and
+// position), sorted.
+func check(root string) (missing []string, err error) {
 	mods, err := modules(root)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	tmp, err := os.MkdirTemp("", "hilos-reach")
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	defer os.RemoveAll(tmp)
 
@@ -89,14 +75,14 @@ func check(root string) (excused, missing, stale []string, err error) {
 	for i, dir := range mods {
 		pkgs, err := list(dir)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		var mains []string
 		for _, p := range pkgs {
 			if p.Name == "main" {
 				mains = append(mains, p.ImportPath)
 			} else if err := declare(p, declared); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 		}
 		if len(mains) == 0 {
@@ -104,41 +90,30 @@ func check(root string) (excused, missing, stale []string, err error) {
 		}
 		out := filepath.Join(tmp, fmt.Sprint(i)) + string(filepath.Separator)
 		if err := run(dir, nil, "go", append([]string{"build", "-gcflags=all=-l", "-o", out}, mains...)...); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		bins, err := os.ReadDir(out)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		for _, b := range bins {
 			var nm bytes.Buffer
 			if err := run(dir, &nm, "go", "tool", "nm", filepath.Join(out, b.Name())); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			if err := textSymbols(&nm, linked); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 		}
 	}
 
 	for sym, pos := range declared {
-		switch {
-		case linked[sym]:
-		case allowed[sym] != "":
-			excused = append(excused, sym)
-		default:
+		if !linked[sym] {
 			missing = append(missing, sym+" ("+pos+")")
 		}
 	}
-	for sym := range allowed {
-		if _, ok := declared[sym]; !ok || linked[sym] {
-			stale = append(stale, sym)
-		}
-	}
-	sort.Strings(excused)
 	sort.Strings(missing)
-	sort.Strings(stale)
-	return excused, missing, stale, nil
+	return missing, nil
 }
 
 // modules returns root and every directory below it that holds a go.mod,

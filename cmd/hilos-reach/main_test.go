@@ -89,7 +89,7 @@ func TestCheckCoversRootPackage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, missing, _, err := check(dir)
+	missing, err := check(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,9 +253,13 @@
 // dataflow: Blocked and TopKBlocks reduce each K/V block's local softmax
 // statistics first (attention.Partial.AddBlock) and rescale the value
 // accumulator at most once per block — the §5.4 streaming update unit —
-// instead of once per token. Top-k retrieval selects through a bounded
-// min-heap in O(n·log k), reproducing the old O(n·k) selection's output
-// exactly (descending score, ascending index among ties, every k). All
+// instead of once per token. Both are plain serial loops over query rows:
+// their only callers are reflm's X-cache heads (at most 20 tokens, d = 16)
+// and the Fig. 18(c) lossy-retrieval proxy (one query row, at most 2,048
+// tokens), far too small for a worker grid to pay. Top-k retrieval
+// selects through a bounded min-heap in O(n·log k), reproducing the old
+// O(n·k) selection's output exactly (descending score, ascending index
+// among ties, every k). All
 // optimized paths stay within the existing FP32 tolerances of the Ref
 // golden reference (and bit-exact where tests demand it, e.g. the X-cache
 // regeneration path).
@@ -274,40 +278,19 @@
 // hilos-verify runs them through the reference LM (internal/reflm), at
 // shapes far too small for tiling or row sharding to pay.
 //
-// Chunk geometry has no process-wide setting. The attention and
-// accelerator kernels split K/V into block-aligned chunks of
-// attention.ChunkSpan(headDim, blockSize, chunkTokens) tokens: a positive
-// chunkTokens pins the span, and the default entry points pass 0, which
-// sizes one chunk's K and V rows at FP32 to a fixed 1 MiB per-worker cache
-// budget. The budget is a constant — deliberately never probed from the
-// host CPU — because the chunk partition shapes the fixed reduction tree
-// and is therefore part of the numeric contract: results are bit-identical
-// across worker counts for any span, and across machines because every
-// machine derives the same span. `hilos-bench -tune` sweeps spans over a
-// decode-shape call and prints the knee next to the built-in span; it
-// reports and changes nothing.
-//
-// Within one attention call the kernels are parallel: a process-wide worker
-// pool (tensor.ParallelFor — long-lived goroutines, a shared atomic item
-// cursor, the caller always participating and waiting only for items already
-// claimed, so nesting can't deadlock) shards the (query row × K/V chunk)
-// work grid, with per-worker score scratch and per-item Partial accumulators
-// drawn from sync.Pool arenas so steady-state calls allocate only the
-// output. Parallel results are bit-identical to a one-worker run for every
-// worker count, by construction rather than by tolerance: the K/V range is
-// split into block-aligned chunks as a pure function of shape and chunk span
-// (never of the worker count), every work item writes only its own
-// index-owned Partial, and each row's chunk partials reduce through a
-// fixed-shape binary tree of Merge calls (stride 1, 2, 4, …) whose
-// combination order depends only on the chunk count — goroutine completion
-// order can never reach a float32 bit. Property and fuzz tests pin
-// reflect.DeepEqual equality across worker counts {1, 2, 3, 8} under -race.
-// TopKBlocks parallelizes its score+pool phase into index-owned slots and
-// keeps block selection serial and deterministic.
-//
 // The accelerator model (accel.AttentionWorkers) is a fused, copy-free
-// block datapath on the same pool. Its work items are block-aligned K/V
-// chunks. Each 128-token K or V block is rounded to FP16 straight into
+// block datapath on a process-wide worker pool (tensor.ParallelFor —
+// long-lived goroutines, a shared atomic item cursor, the caller always
+// participating and waiting only for items already claimed, so nesting
+// can't deadlock). Its work items are block-aligned K/V chunks of accel's
+// chunkSpan(headDim, chunkTokens) tokens: a positive chunkTokens pins the
+// span, and accel.Attention passes 0, which sizes one chunk's K and V rows
+// at FP32 to a fixed 1 MiB per-worker cache budget. The budget is a
+// constant — deliberately never probed from the host CPU — because the
+// chunk partition shapes the fixed reduction tree and is therefore part of
+// the numeric contract: results are bit-identical across worker counts for
+// any span, and across machines because every machine derives the same
+// span. Each 128-token K or V block is rounded to FP16 straight into
 // per-worker scratch (a sync.Pool lane) in one pass (fp16.RoundInto), so
 // the caller's cache is never cloned whole and never written. One filled
 // block serves all d_group query rows: phase 1 scores every row from the
@@ -341,12 +324,11 @@
 // `go test ./internal/fp16 -run TestRoundExhaustive -exhaustive` checks all
 // 2^32 float32 patterns (about 30 s on 2 CPUs).
 //
-// Picking Workers: the default entry points (Blocked, TopKBlocks,
-// accel.Attention) run runtime.GOMAXPROCS(0) workers, right for
-// latency-sensitive single-call workloads; when many attention calls already
-// run concurrently, the *Workers kernel variants take a per-call count (and
-// chunk span), and lowering GOMAXPROCS caps the rest. Worker count never
-// changes results — only latency versus CPU.
+// Picking workers: accel.Attention runs runtime.GOMAXPROCS(0) workers,
+// right for latency-sensitive single-call workloads; when many accelerator
+// calls already run concurrently, accel.AttentionWorkers takes a per-call
+// count (and chunk span), and lowering GOMAXPROCS caps the rest. Worker
+// count never changes results — only latency versus CPU.
 //
 // Experiment tables evaluate their sweep points concurrently on the same
 // kernel worker pool (tensor.ParallelFor) with index-ordered assembly, so
@@ -415,9 +397,9 @@
 //     the scalar loop;
 //   - TestTelemetryOverhead: the cluster loop with telemetry on at most 2x
 //     its cost with telemetry off;
-//   - TestBlockedAttentionParallelSpeedup and TestAcceleratorParallelSpeedup:
-//     4 workers at least 2x (attention) and 1.5x (accelerator) over one.
-//     Below GOMAXPROCS 4 no such speedup is measurable, and they skip.
+//   - TestAcceleratorParallelSpeedup: the accelerator datapath with 4
+//     workers at least 1.5x over one. Below GOMAXPROCS 4 no such speedup is
+//     measurable, and it skips.
 //
 // # Observability
 //

@@ -13,12 +13,12 @@ import (
 // model. AttentionWorkers streams K/V through 128-token blocks as the
 // hardware's on-chip buffers do, sharding block-aligned chunks across the
 // kernel worker pool (tensor.ParallelFor) while staying bit-identical to a
-// one-worker run, mirroring the internal/attention dataflow:
+// one-worker run:
 //
 //   - The chunk partition is a pure function of shape and the chunkTokens
-//     argument (attention.ChunkSpan at the hardware block size), never of
-//     worker count, and every chunk work item owns its score slices, its
-//     per-block stat slots and its per-group chunk accumulators.
+//     argument (chunkSpan), never of worker count, and every chunk work
+//     item owns its score slices, its per-block stat slots and its
+//     per-group chunk accumulators.
 //   - Each block is rounded to FP16 straight into per-worker lane scratch
 //     in one pass, so the caller's K/V are never cloned or written, and one
 //     filled block serves all d_group query rows.
@@ -29,13 +29,40 @@ import (
 //     still seeing one FP32 add per token in token order.
 //   - Per-group softmax statistics fold serially in block index order —
 //     exactly the serial dataflow's association — and chunk accumulators
-//     reduce through the same fixed-shape stride-doubling tree the
-//     attention kernels use.
+//     reduce through a fixed-shape stride-doubling tree.
 //
 // The original per-row loop is retained as the golden reference in
 // serial_test.go; with the chunk span pinned past the sequence length the
 // fused datapath degenerates to it bit-for-bit (one chunk, same fold order),
 // which the tests pin.
+
+// Chunk-span sizing. cacheBudgetBytes is the per-worker cache budget a
+// budget-derived span fits: a typical per-core L2 slice (1 MiB), so one K/V
+// chunk (K rows + V rows at FP32) stays resident while a work item streams
+// it. It is a constant, not probed from the host, so results replay
+// identically across machines. Below minChunkTokens the merge tree is
+// deeper than the streaming work it saves; above maxChunkTokens the chunk
+// grid stops load-balancing long contexts.
+const (
+	cacheBudgetBytes = 1 << 20
+	minChunkTokens   = 256
+	maxChunkTokens   = 65536
+)
+
+// chunkSpan returns the K/V chunk length, in tokens, of the datapath's
+// range sharding. A positive tokens pins the span; tokens ≤ 0 derives it as
+// the largest span whose K rows plus V rows at FP32 fit cacheBudgetBytes,
+// clamped to [minChunkTokens, maxChunkTokens]. Either way the span is
+// rounded down to a BlockTokens multiple (at least one block). Worker count
+// is deliberately not an input: the chunk partition shapes the fixed merge
+// tree, so admitting it would break bit-identity across worker counts.
+func chunkSpan(headDim, tokens int) int {
+	if tokens <= 0 {
+		// Per token resident per chunk: one K row + one V row at FP32.
+		tokens = min(max(cacheBudgetBytes/(2*4*max(headDim, 1)), minChunkTokens), maxChunkTokens)
+	}
+	return max(tokens/BlockTokens, 1) * BlockTokens
+}
 
 // accelMinParallelWork is the floor, in group·token units, below which the
 // grid runs inline on the calling goroutine: dispatching pool workers for a
@@ -196,7 +223,7 @@ func treeAddVec(parts [][]float32) []float32 {
 
 // AttentionWorkers computes Attention with an explicit worker count and
 // chunk span. The padded sequence splits into block-aligned chunks of
-// attention.ChunkSpan(HeadDim, BlockTokens, chunkTokens) tokens, one work
+// chunkSpan(HeadDim, chunkTokens) tokens, one work
 // item each; chunkTokens ≤ 0 derives the span from the cache budget.
 // Phase 1 quantizes each K block into lane scratch and fills every group
 // row's index-owned score slice and block-stat slot from it (query-key
@@ -219,7 +246,7 @@ func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScor
 	sPad := PadSequence(s)
 	scale := float32(1 / math.Sqrt(float64(a.cfg.HeadDim)))
 	nb := (sPad + BlockTokens - 1) / BlockTokens
-	span := attention.ChunkSpan(a.cfg.HeadDim, BlockTokens, chunkTokens)
+	span := chunkSpan(a.cfg.HeadDim, chunkTokens)
 	nChunks := (sPad + span - 1) / span
 	dg, dv := a.cfg.DGroup, v.Cols
 	if dg*sPad < accelMinParallelWork {

@@ -352,6 +352,25 @@ func TestTreeAddVecFixedShape(t *testing.T) {
 	}
 }
 
+// TestChunkSpanSizing: the derived span fits K+V rows at FP32 in
+// cacheBudgetBytes, scales inversely with head dimension, stays inside the
+// clamp, and yields to a positive tokens pin (rounded down to a block).
+func TestChunkSpanSizing(t *testing.T) {
+	for _, c := range []struct{ d, tokens, want int }{
+		{64, 0, 2048},             // 1 MiB / (2·64·4)
+		{128, 0, 1024},            // 1 MiB / (2·128·4)
+		{1024, 0, minChunkTokens}, // 128 tokens clamped up to the floor
+		{1, 0, maxChunkTokens},    // 131072 tokens clamped down to the ceiling
+		{64, 600, 512},            // pin, block-aligned
+		{64, -5, 2048},            // non-positive pin derives from the budget
+		{64, 100, BlockTokens},    // pin below one block: one block
+	} {
+		if got := chunkSpan(c.d, c.tokens); got != c.want {
+			t.Errorf("chunkSpan(%d, %d) = %d, want %d", c.d, c.tokens, got, c.want)
+		}
+	}
+}
+
 // FuzzAccelParallelEquivalence fuzzes group counts, sequence lengths, head
 // dims and chunk spans, asserting multi-worker runs stay bit-identical to
 // one-worker runs of the same grid, and, whenever the span covers the whole
@@ -387,7 +406,7 @@ func FuzzAccelParallelEquivalence(f *testing.F) {
 				t.Fatalf("dg=%d s=%d d=%d chunk=%d: workers=%d diverged", dg, s, d, chunk, w)
 			}
 		}
-		if attention.ChunkSpan(d, BlockTokens, chunk) >= PadSequence(s) {
+		if chunkSpan(d, chunk) >= PadSequence(s) {
 			want, err := acc.attentionSerial(q, k, v, nil, tensor.Mat{}, tensor.Mat{})
 			if err != nil {
 				t.Fatal(err)

@@ -56,11 +56,10 @@ func (a *Accelerator) attentionSerial(q, k, v tensor.Mat, mask []bool, hostScore
 
 		// Merge the host-side delayed-writeback partial (new KV entries
 		// buffered in host DRAM; the CPU shipped only QKᵀ scalars + V rows).
-		partial := attention.NewPartial(v.Cols)
+		var partial attention.Partial
 		if hostScores.Rows > 0 {
-			hp := attention.PartialFromScores(hostScores.Row(g), hostV)
-			partial.Merge(hp)
-			st.Merge(hp.Stats)
+			partial = attention.PartialFromScores(hostScores.Row(g), hostV)
+			st.Merge(partial.Stats)
 		}
 
 		// Second pass: softmax normalization unit + score-value product

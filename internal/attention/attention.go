@@ -3,7 +3,6 @@ package attention
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/tensor"
@@ -40,7 +39,7 @@ func Ref(q, k, v tensor.Mat, mask []bool) tensor.Mat {
 			}
 			vrow := v.Row(ki)
 			for j := range orow {
-				orow[j] += w * vrow[j]
+				orow[j] += float32(w * vrow[j])
 			}
 		}
 	}
@@ -110,7 +109,7 @@ func (p *Partial) AddToken(score float32, vrow []float32) {
 	p.Stats.Z += w
 	w32 := float32(w)
 	for i := range p.Acc {
-		p.Acc[i] += w32 * vrow[i]
+		p.Acc[i] += float32(w32 * vrow[i])
 	}
 }
 
@@ -162,38 +161,10 @@ func (p *Partial) AddBlock(scores []float32, v tensor.Mat, lo int) {
 		}
 		vrow := v.Row(lo + j)
 		for i := range p.Acc {
-			p.Acc[i] += w32 * vrow[i]
+			p.Acc[i] += float32(w32 * vrow[i])
 		}
 	}
-	p.Stats.Z += sB * rescale
-}
-
-// Merge folds another partial (over a disjoint token range) into p.
-//
-//lint:allow floataccum the Partial accumulator itself is the modeled FP32 MAC array
-func (p *Partial) Merge(o Partial) {
-	if len(p.Acc) != len(o.Acc) {
-		panic("attention: partial dim mismatch")
-	}
-	if math.IsInf(o.Stats.M, -1) {
-		return
-	}
-	if o.Stats.M > p.Stats.M {
-		r := math.Exp(p.Stats.M - o.Stats.M)
-		r32 := float32(r)
-		for i := range p.Acc {
-			p.Acc[i] = p.Acc[i]*r32 + o.Acc[i]
-		}
-		p.Stats.Z = p.Stats.Z*r + o.Stats.Z
-		p.Stats.M = o.Stats.M
-	} else {
-		r := math.Exp(o.Stats.M - p.Stats.M)
-		r32 := float32(r)
-		for i := range p.Acc {
-			p.Acc[i] += o.Acc[i] * r32
-		}
-		p.Stats.Z += o.Stats.Z * r
-	}
+	p.Stats.Z += float64(sB * rescale)
 }
 
 // FinalizeInto writes the normalized attention output acc/Z into dst, so
@@ -230,13 +201,32 @@ func PartialFromScores(scores []float32, v tensor.Mat) Partial {
 // K/V are consumed in blocks of blockSize tokens, each block's local softmax
 // statistics are folded via the streaming update unit, and the value
 // accumulator is rescaled at most once per block (the true flash-attention
-// dataflow of §5.4, not a per-token rescale). Work is sharded across the
-// kernel worker pool as (query row × K/V chunk) items with scratch drawn
-// from sync.Pool arenas; results are bit-identical for every worker count
-// (see parallel.go). Output matches Ref within FP32 tolerance for any
+// dataflow of §5.4, not a per-token rescale). Each query row scores one block
+// at a time into one buffer, folds it with Partial.AddBlock and normalizes
+// once at the end. Output matches Ref within FP32 tolerance for any
 // blockSize ≥ 1.
 func Blocked(q, k, v tensor.Mat, mask []bool, blockSize int) tensor.Mat {
-	return BlockedWorkers(q, k, v, mask, blockSize, runtime.GOMAXPROCS(0), 0)
+	if blockSize <= 0 {
+		blockSize = 128
+	}
+	scale := float32(1 / math.Sqrt(float64(q.Cols)))
+	out := tensor.New(q.Rows, v.Cols)
+	blk := make([]float32, min(blockSize, k.Rows))
+	p := NewPartial(v.Cols)
+	for qi := 0; qi < q.Rows; qi++ {
+		qrow := q.Row(qi)
+		p.Reset()
+		for lo := 0; lo < k.Rows; lo += blockSize {
+			hi := min(lo+blockSize, k.Rows)
+			s := blk[:hi-lo]
+			for ki := lo; ki < hi; ki++ {
+				s[ki-lo] = applyMask(tensor.Dot(qrow, k.Row(ki))*scale, mask, ki)
+			}
+			p.AddBlock(s, v, lo)
+		}
+		p.FinalizeInto(out.Row(qi))
+	}
+	return out
 }
 
 // TopKBlocks computes lossy sparse attention with block-granular KV
@@ -245,12 +235,48 @@ func Blocked(q, k, v tensor.Mat, mask []bool, blockSize int) tensor.Mat {
 // engine keeps instead of exact per-token scores), and only the keepBlocks
 // highest-ranked blocks participate in attention. This is the
 // InstAttention-style lossy compression proxy of Fig. 18(c): evidence
-// sitting in low-pooled-score blocks is silently dropped. Query rows (or,
-// for single-row decode shapes, the score+pool phase) run on the kernel
-// worker pool; block selection stays serial and deterministic, and results
-// are bit-identical for every worker count (see parallel.go).
+// sitting in low-pooled-score blocks is silently dropped. Each query row
+// scores every cached token, mean-pools the blocks, selects keepBlocks of
+// them deterministically and attends over the kept blocks in selection
+// order.
 func TopKBlocks(q, k, v tensor.Mat, mask []bool, keepBlocks, blockSize int) tensor.Mat {
-	return TopKBlocksWorkers(q, k, v, mask, keepBlocks, blockSize, runtime.GOMAXPROCS(0), 0)
+	if blockSize <= 0 {
+		blockSize = 16
+	}
+	scale := float32(1 / math.Sqrt(float64(q.Cols)))
+	out := tensor.New(q.Rows, v.Cols)
+	scores := make([]float32, k.Rows)
+	blockScore := make([]float32, (k.Rows+blockSize-1)/blockSize)
+	block := func(b int) (lo, hi int) { return b * blockSize, min((b+1)*blockSize, k.Rows) }
+	p := NewPartial(v.Cols)
+	for qi := 0; qi < q.Rows; qi++ {
+		qrow := q.Row(qi)
+		for ki := range scores {
+			scores[ki] = applyMask(tensor.Dot(qrow, k.Row(ki))*scale, mask, ki)
+		}
+		for b := range blockScore {
+			lo, hi := block(b)
+			blockScore[b] = poolBlock(scores[lo:hi])
+		}
+		p.Reset()
+		for _, b := range topKIndices(blockScore, keepBlocks) {
+			lo, hi := block(b)
+			p.AddBlock(scores[lo:hi], v, lo)
+		}
+		p.FinalizeInto(out.Row(qi))
+	}
+	return out
+}
+
+// poolBlock mean-pools a block's scores in float64 so block ranking does
+// not depend on float32 rounding of the partial sums (hilos-lint:
+// floataccum).
+func poolBlock(scores []float32) float32 {
+	var sum float64
+	for _, s := range scores {
+		sum += float64(s)
+	}
+	return float32(sum / float64(len(scores)))
 }
 
 // topKIndices returns the indices of the k largest scores (k clamped to

@@ -111,6 +111,35 @@ func TestSingleTokenIdentity(t *testing.T) {
 	}
 }
 
+// Merge folds another partial (over a disjoint token range) into p: the
+// merge identity the delayed-writeback tests and FuzzPartialMerge check.
+//
+//lint:allow floataccum the Partial accumulator itself is the modeled FP32 MAC array
+func (p *Partial) Merge(o Partial) {
+	if len(p.Acc) != len(o.Acc) {
+		panic("attention: partial dim mismatch")
+	}
+	if math.IsInf(o.Stats.M, -1) {
+		return
+	}
+	if o.Stats.M > p.Stats.M {
+		r := math.Exp(p.Stats.M - o.Stats.M)
+		r32 := float32(r)
+		for i := range p.Acc {
+			p.Acc[i] = p.Acc[i]*r32 + o.Acc[i]
+		}
+		p.Stats.Z = p.Stats.Z*r + o.Stats.Z
+		p.Stats.M = o.Stats.M
+	} else {
+		r := math.Exp(o.Stats.M - p.Stats.M)
+		r32 := float32(r)
+		for i := range p.Acc {
+			p.Acc[i] += o.Acc[i] * r32
+		}
+		p.Stats.Z += o.Stats.Z * r
+	}
+}
+
 func TestPartialMergeEqualsWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q, k, v := randQKV(rng, 1, 300, 16, 16)
@@ -273,5 +302,36 @@ func TestTopKBlocksMask(t *testing.T) {
 	want := Ref(q, k.SliceRows(0, 48), v.SliceRows(0, 48), nil)
 	if d := tensor.MaxAbsDiff(got, want); d > tol {
 		t.Errorf("masked block retention differs by %v", d)
+	}
+}
+
+// TestTopKBlocksRowsIndependent: a multi-row TopKBlocks or Blocked call
+// reuses one score buffer and one Partial across rows, so each row of a
+// 6-row call must equal a one-row call on that query bit for bit, with a
+// ragged tail block and a mask.
+func TestTopKBlocksRowsIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	const rows, s, d, bs = 6, 100, 16, 16 // 100 tokens: a 4-token tail block
+	q, k, v := randQKV(rng, rows, s, d, d)
+	mask := make([]bool, s)
+	for i := range mask {
+		mask[i] = i%5 != 0
+	}
+	for _, c := range []struct {
+		name string
+		run  func(q tensor.Mat) tensor.Mat
+	}{
+		{"TopKBlocks", func(q tensor.Mat) tensor.Mat { return TopKBlocks(q, k, v, mask, 3, bs) }},
+		{"Blocked", func(q tensor.Mat) tensor.Mat { return Blocked(q, k, v, mask, bs) }},
+	} {
+		all := c.run(q)
+		for i := 0; i < rows; i++ {
+			one := c.run(q.SliceRows(i, i+1)).Row(0)
+			for j, x := range all.Row(i) {
+				if math.Float32bits(x) != math.Float32bits(one[j]) {
+					t.Fatalf("%s: row %d of a %d-row call differs from a one-row call at %d: %v vs %v", c.name, i, rows, j, x, one[j])
+				}
+			}
+		}
 	}
 }

@@ -62,7 +62,7 @@ func (r *RoPE) Apply(vec []float32, pos int) {
 	c, s := r.cos[pos], r.sin[pos]
 	for i := 0; i < r.dim/2; i++ {
 		a, b := vec[2*i], vec[2*i+1]
-		vec[2*i] = a*c[i] - b*s[i]
-		vec[2*i+1] = a*s[i] + b*c[i]
+		vec[2*i] = float32(a*c[i]) - float32(b*s[i])
+		vec[2*i+1] = float32(a*s[i]) + float32(b*c[i])
 	}
 }

@@ -58,10 +58,10 @@ func (s *Stats) UpdateBlock(mB, sB float64) {
 	case math.IsInf(mB, -1):
 		// Fully masked block contributes nothing.
 	case mB > s.M:
-		s.Z = s.Z*math.Exp(s.M-mB) + sB
+		s.Z = float64(s.Z*math.Exp(s.M-mB)) + sB
 		s.M = mB
 	default:
-		s.Z += sB * math.Exp(mB-s.M)
+		s.Z += float64(sB * math.Exp(mB-s.M))
 	}
 }
 

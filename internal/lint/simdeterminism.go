@@ -38,7 +38,7 @@ import (
 // idiom) is deterministic and is not flagged. The sanctioned worker-pool
 // shapes likewise pass: index-ordered assembly (`out[i] = f(i)` with one
 // owner per slot, as in tensor.ParallelFor callers) and fixed-shape
-// reductions over those slots (attention's tree-merge), because neither
+// reductions over those slots (the accelerator's tree merge), because neither
 // lets completion order reach a result.
 var SimDeterminism = &analysis.Analyzer{
 	Name: "simdeterminism",

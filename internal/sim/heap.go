@@ -102,7 +102,7 @@ func (e *Engine) begin() pass {
 	a := e.live("Run")
 	e.a = nil
 	n := len(a.nodes)
-	p := pass{e: e, a: a, tel: e.telemetrySink(), res: Result{eng: e.serial, spans: make([]span, n)}}
+	p := pass{e: e, a: a, tel: defaultTel.Load(), res: Result{eng: e.serial, spans: make([]span, n)}}
 	if !e.noRecords {
 		p.res.Tasks = make([]TaskRecord, 0, n)
 	}

@@ -71,7 +71,6 @@ type Engine struct {
 	resources []*Resource
 	a         *arena // nil once Run has returned it to the pool
 	noRecords bool
-	tel       *Telemetry
 }
 
 // NewEngine returns an empty simulation.

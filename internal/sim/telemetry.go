@@ -25,11 +25,11 @@ type Telemetry struct {
 	Stream *telemetry.Stream
 }
 
-// defaultTel is the process-wide sink engines fall back to when none was
-// attached with SetTelemetry. Construction sites (core, baselines,
-// repcache) are spread across packages, so a process-wide default is how
-// cmd-level tooling turns sim telemetry on without threading a handle
-// through every engine constructor.
+// defaultTel is the process-wide sink every engine's Run reports to, read
+// once per Run. Construction sites (core, baselines, repcache) are spread
+// across packages, so a process-wide default is how cmd-level tooling turns
+// sim telemetry on without threading a handle through every engine
+// constructor.
 var defaultTel atomic.Pointer[Telemetry]
 
 // EnableTelemetry installs the process-wide default sink built from reg
@@ -46,18 +46,6 @@ func EnableTelemetry(reg *telemetry.Registry, stream *telemetry.Stream) {
 		BusySec:   reg.Gauge("sim.resource_busy_sec"),
 		Stream:    stream,
 	})
-}
-
-// SetTelemetry attaches an explicit sink to this engine, overriding the
-// process-wide default (nil reverts to the default).
-func (e *Engine) SetTelemetry(t *Telemetry) { e.tel = t }
-
-// telemetrySink resolves the effective sink once per Run.
-func (e *Engine) telemetrySink() *Telemetry {
-	if e.tel != nil {
-		return e.tel
-	}
-	return defaultTel.Load()
 }
 
 // observeTask records one scheduled task.

@@ -7,9 +7,8 @@ import (
 )
 
 // This file implements the process-wide kernel worker pool: a fixed set of
-// long-lived goroutines that the parallel kernels (attention row/range
-// sharding, the accelerator's per-group dataflow) borrow for the duration
-// of one call. The experiment sweeps and the cluster's report prewarming
+// long-lived goroutines that the accelerator's chunk-sharded datapath
+// borrows for the duration of one call. The experiment sweeps and the cluster's report prewarming
 // fan out on the same pool. Launching goroutines per call would cost an
 // allocation and a scheduler wakeup per worker per op; the pool makes a
 // parallel kernel call cost one job descriptor allocation regardless of
@@ -21,8 +20,8 @@ import (
 // on an unspecified goroutine at an unspecified time. Callers keep the
 // repository's bit-identical replay invariant by making fn(i) write only
 // state owned by item i (index-ordered assembly) and by reducing item
-// results in a fixed order afterwards (e.g. attention's fixed-shape
-// tree-merge) — never in goroutine completion order.
+// results in a fixed order afterwards (e.g. the accelerator's fixed-shape
+// tree merge) — never in goroutine completion order.
 
 // job is one ParallelFor invocation: a shared atomic item cursor plus the
 // body. Pool workers and the submitting goroutine all drain the same cursor,

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/attention"
 	"repro/internal/tensor"
 )
 
@@ -50,39 +49,15 @@ func TestTelemetryOverhead(t *testing.T) {
 	}
 }
 
-// minParallelProcs is the GOMAXPROCS below which no 4-worker speedup is
-// measurable, so the parallel floors skip instead of failing.
-const minParallelProcs = 4
-
-func skipBelowParallelProcs(t *testing.T) {
-	if p := runtime.GOMAXPROCS(0); p < minParallelProcs {
-		t.Skipf("GOMAXPROCS=%d < %d: a 4-worker speedup is not measurable here", p, minParallelProcs)
-	}
-}
-
-// TestBlockedAttentionParallelSpeedup floors the 64K decode-shape Blocked
-// attention at 2x faster with 4 workers than with one, on the
-// BenchmarkBlockedAttention64KSerial/Workers4 shape.
-func TestBlockedAttentionParallelSpeedup(t *testing.T) {
-	skipBelowParallelProcs(t)
-	const floor = 2.0
-	q, k, v := attentionInputs(64*1024, 128)
-	got := speedup(3, 2,
-		func() { attention.BlockedWorkers(q, k, v, nil, 128, 1, 0) },
-		func() { attention.BlockedWorkers(q, k, v, nil, 128, 4, 0) })
-	t.Logf("Blocked attention 4 workers %.2fx over serial (floor %.1fx)", got, floor)
-	if got < floor {
-		t.Errorf("Blocked attention 4 workers only %.2fx over serial, floor %.1fx", got, floor)
-	}
-}
-
 // TestAcceleratorParallelSpeedup floors the 16K accelerator datapath at
 // 1.5x faster with 4 workers than with one, on the
-// BenchmarkAcceleratorAttention16KSerial/Workers4 shape. The floor is lower
-// than the attention kernel's because the per-group statistics fold, the
-// tree merge and normalization stay serial by design.
+// BenchmarkAcceleratorAttention16KSerial/Workers4 shape. The per-group
+// statistics fold, the tree merge and normalization stay serial by design.
+// Below GOMAXPROCS 4 no 4-worker speedup is measurable, so the floor skips.
 func TestAcceleratorParallelSpeedup(t *testing.T) {
-	skipBelowParallelProcs(t)
+	if p := runtime.GOMAXPROCS(0); p < 4 {
+		t.Skipf("GOMAXPROCS=%d < 4: a 4-worker speedup is not measurable here", p)
+	}
 	const floor = 1.5
 	a, q, k, v := accelInputs(t, 16*1024)
 	run := func(workers int) func() {
