@@ -25,10 +25,9 @@
 //
 // Observability: -metrics-addr serves live stats over HTTP while runs
 // execute — GET /metrics returns a JSON snapshot of every counter, gauge
-// and histogram (cluster, sim and report-cache subsystems) plus event-
-// stream accounting, and GET /events streams newline-delimited JSON
-// scheduler events as they happen (bounded per-client buffers; laggards
-// drop events). -trace-out writes the last run's batch schedule as Chrome
+// and histogram (cluster and sim subsystems) plus event-stream accounting,
+// and GET /events streams newline-delimited JSON scheduler events as they
+// happen (bounded per-client buffers; laggards drop events). -trace-out writes the last run's batch schedule as Chrome
 // trace JSON for chrome://tracing. -replay-speed slaves the simulated
 // clock to the wall clock at the given multiple (1 = real time) so /events
 // can be watched live; it delays event processing only and never changes
@@ -146,7 +145,6 @@ func main() {
 		reg = hilos.NewMetricsRegistry()
 		stream = hilos.NewEventStream()
 		hilos.EnableSimTelemetry(reg, stream)
-		hilos.EnableCacheMetrics(reg)
 		telOpts = append(telOpts, hilos.WithClusterTelemetry(hilos.NewClusterTelemetry(reg, stream)))
 		ln, err := net.Listen("tcp", *metricsAddr)
 		check(err)

@@ -279,10 +279,13 @@
 // shapes far too small for tiling or row sharding to pay.
 //
 // The accelerator model (accel.AttentionWorkers) is a fused, copy-free
-// block datapath on a process-wide worker pool (tensor.ParallelFor —
-// long-lived goroutines, a shared atomic item cursor, the caller always
-// participating and waiting only for items already claimed, so nesting
-// can't deadlock). Its work items are block-aligned K/V chunks of accel's
+// block datapath that fans out on tensor.ParallelFor: each call starts
+// workers−1 helper goroutines that drain one shared atomic item cursor
+// with the caller, and returns once they exit, so no goroutine outlives
+// the call and nested calls cannot deadlock (every call owns its helpers).
+// A goroutine start is about a microsecond against the milliseconds of
+// one accelerator call, so a long-lived pool would save little. The
+// datapath's work items are block-aligned K/V chunks of accel's
 // chunkSpan(headDim, chunkTokens) tokens: a positive chunkTokens pins the
 // span, and accel.Attention passes 0, which sizes one chunk's K and V rows
 // at FP32 to a fixed 1 MiB per-worker cache budget. The budget is a
@@ -330,16 +333,15 @@
 // count (and chunk span), and lowering GOMAXPROCS caps the rest. Worker
 // count never changes results — only latency versus CPU.
 //
-// Experiment tables evaluate their sweep points concurrently on the same
-// kernel worker pool (tensor.ParallelFor) with index-ordered assembly, so
-// regenerated tables are byte-identical to a sequential run. Independent
-// points that hit the same simulation share it through internal/repcache, a
-// process-wide memoized report cache keyed on the complete (testbed,
-// request, options) input. The cluster dispatcher's per-fleet report memo is
-// a repcache.Group — a private memo with the same per-key singleflight, so
-// concurrent prewarm workers share one run per batch shape, and whose
-// entries are dropped with the dispatcher instead of accumulating in the
-// process cache.
+// Experiment tables evaluate their sweep points concurrently on
+// tensor.ParallelFor with index-ordered assembly, so regenerated tables are
+// byte-identical to a sequential run. Independent points that hit the same
+// simulation share it through internal/repcache, a process-wide
+// singleflight report memo keyed on the complete (system, configuration,
+// request) input as a typed struct. The cluster dispatcher does not use
+// it: a cluster run's report tables (below) are its only report memo, and
+// they are dropped with the run instead of accumulating in the process
+// cache.
 //
 // The cluster event loop's cost per event does not grow with trace length
 // or backlog. Arrivals never enter the event heap: cluster.Run merges a
@@ -358,8 +360,11 @@
 // arrival. A start-deadline event carries its request's admission position,
 // so checking whether the request still waits is one comparison against the
 // queue's count of taken requests. Engine reports sit in one table per
-// request shape, rows indexed by batch size and pipeline, in front of the
-// repcache.Group (prewarm workers call the group directly). A queue looks
+// request shape, rows indexed by batch size and pipeline; a miss runs the
+// engine directly, once per (shape, size, engine). Before the loop,
+// prewarm sizes each shape's table for the target batch size and
+// simulates every (shape, engine) at that size on tensor.ParallelFor, each
+// work item writing a slot of its own, so it needs no lock. A queue looks
 // its table up once, when it is created, and a closed batch once per
 // placement, so planning a batch hashes nothing and, once its reports exist,
 // allocates nothing (internal/cluster TestPlanDoesNotAllocate). Summarizing
@@ -434,8 +439,10 @@
 // cluster.pipeline.<name>.{busy_sec, utilization, write_bytes, wear_pct,
 // write_pressure_bps, worn_out} gauges. The discrete-event engines
 // (EnableSimTelemetry) emit sim.tasks_scheduled and sim.resource_busy_sec;
-// the report cache (EnableCacheMetrics) emits repcache.hits,
-// repcache.misses and repcache.coalesced. Event kinds on the stream are
+// the experiments' report cache (EnableCacheMetrics) emits repcache.hits,
+// repcache.misses and repcache.coalesced, counting experiment-table
+// simulations only (a cluster run's report tables do not go through it).
+// Event kinds on the stream are
 // arrival, reject, dispatch, preempt, fail, fault, repair, retry,
 // quarantine, failover, degrade, task and resource_busy.
 //
@@ -491,9 +498,11 @@
 //     internal/cluster's event heap (event.at, kind, q, seq) change only on
 //     the heap's own Fix/Push/Pop paths, or with a re-heapify call following
 //     in the same function. Code with no mutex at all — the experiment
-//     sweeps and report prewarm on tensor.ParallelFor, the cluster event
-//     loop — stays race-free structurally: single-goroutine loops and
-//     index-disjoint writes.
+//     sweeps and the cluster's report prewarm on tensor.ParallelFor (each
+//     work item writes its own pre-sized slot), the cluster event loop —
+//     stays race-free structurally: single-goroutine loops and
+//     index-disjoint writes, joined by the WaitGroup each ParallelFor call
+//     waits on.
 //
 // Run the suite with `go run ./cmd/hilos-lint ./...` (flags: -json for
 // machine-readable output, -rules to select analyzers, -list to enumerate

@@ -237,7 +237,8 @@ func (s *Simulator) Backlog(m Model, trace []RequestClass, batchSize int, sys Sy
 	for i, c := range trace {
 		reqs[i] = TimedRequest{ID: i, Class: c}
 	}
-	// Every pipeline runs the same engine, so they share one memo group.
+	// Every pipeline runs the same engine, so they share one report per
+	// batch shape.
 	fleet := make([]cluster.Pipeline, s.pipelines)
 	for i := range fleet {
 		fleet[i] = cluster.Pipeline{Name: fmt.Sprintf("pipeline-%d", i), Run: eng.Run, EngineID: string(sys)}

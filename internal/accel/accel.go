@@ -75,7 +75,7 @@ func PadSequence(s int) int {
 //
 // Inputs are quantized through FP16 (storage precision) block by block in
 // scratch and are never modified; accumulation is FP32, matching §5.4. The
-// per-block qk/softmax/sv stages shard across the kernel worker pool (see
+// per-block qk/softmax/sv stages shard across GOMAXPROCS workers (see
 // AttentionWorkers); results are bit-identical for every worker count.
 func (a *Accelerator) Attention(q, k, v tensor.Mat, mask []bool, hostScores tensor.Mat, hostV tensor.Mat) (tensor.Mat, error) {
 	return a.AttentionWorkers(q, k, v, mask, hostScores, hostV, runtime.GOMAXPROCS(0), 0)

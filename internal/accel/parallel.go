@@ -11,8 +11,8 @@ import (
 
 // This file implements the fused functional datapath of the accelerator
 // model. AttentionWorkers streams K/V through 128-token blocks as the
-// hardware's on-chip buffers do, sharding block-aligned chunks across the
-// kernel worker pool (tensor.ParallelFor) while staying bit-identical to a
+// hardware's on-chip buffers do, sharding block-aligned chunks across
+// worker goroutines (tensor.ParallelFor) while staying bit-identical to a
 // one-worker run:
 //
 //   - The chunk partition is a pure function of shape and the chunkTokens
@@ -65,8 +65,8 @@ func chunkSpan(headDim, tokens int) int {
 }
 
 // accelMinParallelWork is the floor, in group·token units, below which the
-// grid runs inline on the calling goroutine: dispatching pool workers for a
-// few blocks costs more than it saves. A pure function of shape, so it
+// grid runs inline on the calling goroutine: starting helper goroutines
+// for a few blocks costs more than it saves. A pure function of shape, so it
 // cannot perturb results.
 const accelMinParallelWork = 16 * 1024
 

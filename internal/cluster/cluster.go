@@ -44,7 +44,7 @@
 // implementation, not two.
 //
 // Everything is deterministic under -race: engine simulations are pure and
-// prewarmed on a worker pool, while admission, eviction and placement run
+// prewarmed in parallel, while admission, eviction and placement run
 // on a single goroutine against the simulated clock.
 package cluster
 

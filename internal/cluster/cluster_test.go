@@ -272,7 +272,7 @@ func TestAttribution(t *testing.T) {
 
 // Determinism on real engines: a mixed HILOS + DRAM-baseline fleet over a
 // Poisson trace must produce byte-identical summaries run after run (the
-// -race CI job exercises the prewarming pool).
+// -race CI job exercises the parallel prewarm).
 func TestRunDeterministicRealEngines(t *testing.T) {
 	tb := device.DefaultTestbed()
 	fleet := []Pipeline{

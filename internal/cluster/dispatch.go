@@ -10,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/pipeline"
-	"repro/internal/repcache"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -38,9 +37,9 @@ type Pipeline struct {
 	// qualifies); nil skips energy attribution.
 	Energy func(pipeline.Report) (energy.Breakdown, error)
 	// EngineID groups pipelines that share one engine (same Run behavior):
-	// report simulations memoize across all pipelines with the same
-	// non-empty EngineID, so N identical hosts simulate each batch shape
-	// once, not N times. Empty means a private memo for this fleet member.
+	// pipelines with the same non-empty EngineID in one fleet read one
+	// report per batch shape, so N identical hosts simulate each shape
+	// once, not N times. Empty means this fleet member's own reports.
 	EngineID string
 	// Lossy marks an approximating tier (e.g. InstInfer-style sparse
 	// attention): work landing here when every exact pipeline is down or
@@ -125,26 +124,16 @@ type Assignment struct {
 // ExecSec returns the batch's execution time.
 func (a Assignment) ExecSec() float64 { return a.FinishSec - a.StartSec }
 
-// repKey names one engine simulation in the dispatcher's repcache.Group:
-// (engine, request shape, batch size). Engines are pure, so identical batch
-// shapes share one simulation — across pipelines too, when they declare a
-// common EngineID (eng is then the first fleet index sharing it). Keys are
-// scoped to the group, so an EngineID names an engine only within one fleet
-// and two dispatchers never share (or collide on) reports.
-type repKey struct {
-	eng     int
-	in, out int
-	size    int
-}
-
 // shape is a request shape: the (Input, Output) pair engine reports depend
 // on. Class names do not enter it, so two names over one shape share
 // reports.
 type shape struct{ in, out int }
 
 // reportTable holds one request shape's engine reports in rows indexed
-// [size][pipeline], flattened as reps[size*len(fleet)+p]. Pipelines sharing
-// an EngineID point at one report; a nil entry has not been read yet. fits
+// [size][pipeline], flattened as reps[size*len(fleet)+p]. The tables are a
+// cluster run's only report memo: each (shape, size, engine) is simulated
+// once, and pipelines sharing an EngineID point at one report. A nil entry
+// has not been read yet. fits
 // records, per size, the pipelines whose engine can place that many jobs
 // (fitsFor), flattened the same way in pipeSet words. Only the event loop
 // touches a table, so reading one takes no lock and hashes nothing.
@@ -171,19 +160,15 @@ func (s pipeSet) empty() bool {
 // dispatcher is the policy layer under the event loop (Run): it scores and
 // commits placements for the batches the loop forms. It is
 // single-goroutine after prewarming, which keeps assignment deterministic.
-// Report memoization is delegated to a private repcache.Group, whose per-key
-// singleflight also serializes the prewarm workers on identical shapes.
 type dispatcher struct {
 	m      model.Config
 	fleet  []Pipeline
 	policy Policy
 	freeAt []float64
-	engKey []int // repKey.eng per fleet index: the first index sharing its EngineID
-	group  *repcache.Group
-	// tables fronts group with one reportTable per request shape. Callers
-	// look a table up once (a queue when it is created, a closed batch
-	// once per placement) and then read reports by index. prewarm calls
-	// the group directly.
+	engKey []int // per fleet index, the first index sharing its EngineID
+	// tables holds one reportTable per request shape. Callers look a table
+	// up once (a queue when it is created, a closed batch once per
+	// placement) and then read reports by index.
 	tables map[shape]*reportTable
 
 	// Recovery state, which the event loop maintains. inj is nil without a
@@ -224,7 +209,6 @@ func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher
 		policy: policy,
 		freeAt: make([]float64, len(fleet)),
 		engKey: engKey,
-		group:  repcache.NewGroup(),
 		tables: map[shape]*reportTable{},
 		health: make([]pipeHealth, len(fleet)),
 		worn:   make(pipeSet, (len(fleet)+63)/64),
@@ -244,9 +228,9 @@ func (d *dispatcher) table(c workload.Class) *reportTable {
 }
 
 // report returns the engine report for size jobs of t's shape on pipeline
-// p; the report is shared and must not be mutated. A miss simulates through
-// the group once per engine, then every pipeline on that engine reads the
-// same entry. Only the event loop calls it.
+// p; the report is shared and must not be mutated. A miss simulates once per
+// engine, then every pipeline on that engine reads the same entry. Only the
+// event loop calls it.
 func (d *dispatcher) report(t *reportTable, p, size int) *pipeline.Report {
 	nf := len(d.fleet)
 	i := size*nf + p
@@ -259,7 +243,7 @@ func (d *dispatcher) report(t *reportTable, p, size int) *pipeline.Report {
 	}
 	row, eng := t.reps[size*nf:(size+1)*nf], d.engKey[p]
 	if row[eng] == nil {
-		rep := d.simulate(repKey{eng: eng, in: t.in, out: t.out, size: size})
+		rep := d.simulate(eng, t, size)
 		row[eng] = &rep
 	}
 	row[p] = row[eng]
@@ -318,42 +302,46 @@ func (d *dispatcher) retire(p int) {
 	d.worn.add(p)
 }
 
-// simulate is report's concurrency-safe path through the group memo. It
-// runs the engine of k.eng, the first fleet member sharing the engine.
-func (d *dispatcher) simulate(k repKey) pipeline.Report {
-	return d.group.Do(k, func() pipeline.Report {
-		// Scheduling reads only scalar timing/capacity fields; skip the
-		// per-task timeline so prewarming a fleet doesn't retain one
-		// timeline per (pipeline, class, size) shape.
-		return d.fleet[k.eng].Run(pipeline.Request{Model: d.m, Batch: k.size, Context: k.in, OutputLen: k.out, NoTrace: true})
-	})
+// simulate runs engine eng on size jobs of t's shape. Scheduling reads only
+// scalar timing/capacity fields, so it skips the per-task timeline.
+func (d *dispatcher) simulate(eng int, t *reportTable, size int) pipeline.Report {
+	return d.fleet[eng].Run(pipeline.Request{Model: d.m, Batch: size, Context: t.in, OutputLen: t.out, NoTrace: true})
 }
 
 // prewarm simulates every distinct request shape among a trace's queue keys
-// at the target batch size on every engine, on the kernel worker pool before
-// the sequential event loop starts; the loop then runs on memoized reports
+// at the target batch size on every engine, in parallel before the
+// sequential event loop starts; the loop then runs on the tables' reports
 // for those dominant shapes, and odd tail sizes simulate lazily on the loop.
 // Shapes deduplicate through the report tables before crossing the fleet
 // (keys that differ only in priority or class name share a shape), and
-// pipelines sharing an EngineID simulate each shape once. Results are
-// identical with or without prewarming — it only moves pure computations off
-// the loop.
+// pipelines sharing an EngineID simulate each shape once, so each work item
+// writes its own slot of a table sized beforehand and needs no lock. Results
+// are identical with or without prewarming — it only moves pure
+// computations off the loop.
 func (d *dispatcher) prewarm(keys []keyState, size int) {
-	var todo []repKey
+	type work struct {
+		t   *reportTable
+		eng int
+	}
+	nf := len(d.fleet)
+	var todo []work
 	for _, k := range keys {
 		known := len(d.tables)
 		t := d.table(k.key.class)
 		if len(d.tables) == known {
 			continue // the shape is already crossed with the fleet
 		}
+		t.reps = make([]*pipeline.Report, (size+1)*nf)
 		for p, eng := range d.engKey {
 			if eng == p {
-				todo = append(todo, repKey{eng: eng, in: t.in, out: t.out, size: size})
+				todo = append(todo, work{t, eng})
 			}
 		}
 	}
 	tensor.ParallelFor(len(todo), runtime.GOMAXPROCS(0), func(i int) {
-		d.simulate(todo[i])
+		w := todo[i]
+		rep := d.simulate(w.eng, w.t, size)
+		w.t.reps[size*nf+w.eng] = &rep
 	})
 }
 

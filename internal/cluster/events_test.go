@@ -277,7 +277,7 @@ func TestPreemptionNoopWithoutDeadlines(t *testing.T) {
 // Determinism on real engines with every extension on: a mixed
 // online/offline trace over a heterogeneous fleet with preemption and
 // continuous batching must produce byte-identical summaries run after run
-// (the -race CI job exercises the prewarming pool under this loop too).
+// (the -race CI job exercises the parallel prewarm under this loop too).
 func TestRunDeterministicPreemptionContinuous(t *testing.T) {
 	tb := device.DefaultTestbed()
 	fleet := []Pipeline{

@@ -23,7 +23,7 @@ func (t *Table) addPoints(points []func() group) {
 	t.Notes = append(t.Notes, notes...)
 }
 
-// runPoints evaluates every point on the kernel worker pool with up to
+// runPoints evaluates every point on tensor.ParallelFor with up to
 // GOMAXPROCS workers and assembles the results strictly in point order, so
 // the table is identical to what a sequential loop over the points would
 // have produced. Points must be independent of each other; shared

@@ -3,9 +3,9 @@
 // request) — the discrete-event substrate is fully deterministic — so
 // identical simulation points across experiment tables, sweep axes and
 // repeated benchmark iterations can share one run. Run keys on that
-// complete comparable input; callers with context-relative keys
-// (internal/cluster's dispatcher, whose engine labels are only meaningful
-// within one fleet) keep them in a Group of their own.
+// complete comparable input. The cluster dispatcher does not use it: its
+// engine labels are only meaningful within one fleet, so each cluster run
+// keeps its reports in report tables of its own.
 //
 // Cached reports are shared: callers must treat them (including their
 // Breakdown/ResourceBusy maps and Trace slice) as immutable, the same
@@ -73,22 +73,22 @@ type entry struct {
 	ready atomic.Bool
 }
 
-// table is one singleflight memo: the process-wide cache or a Group's own.
-// The zero value is empty and ready to use.
+// table is a singleflight memo keyed by simulation point. The zero value is
+// empty and ready to use.
 type table struct {
 	mu      sync.Mutex
-	entries map[any]*entry // guarded by mu
+	entries map[runKey]*entry // guarded by mu
 }
 
 // cache is the process-wide memo behind Run.
 var cache table
 
-func (t *table) do(key any, compute func() (pipeline.Report, error)) (pipeline.Report, error) {
+func (t *table) do(key runKey, compute func() (pipeline.Report, error)) (pipeline.Report, error) {
 	t.mu.Lock()
 	e, ok := t.entries[key]
 	if !ok {
 		if t.entries == nil {
-			t.entries = map[any]*entry{}
+			t.entries = map[runKey]*entry{}
 		}
 		e = &entry{}
 		t.entries[key] = e
@@ -116,31 +116,6 @@ func (t *table) do(key any, compute func() (pipeline.Report, error)) (pipeline.R
 		e.ready.Store(true)
 	}
 	return e.rep, e.err
-}
-
-// Group is a private memo for callers whose keys are only meaningful
-// relative to some local context — e.g. one cluster dispatcher's fleet,
-// where the same engine label on two different dispatchers names two
-// different engines. Do has the same share-one-run singleflight semantics
-// (and counts into the same metrics) as the package-level memo, but the
-// entries live only as long as the Group: they do not count into Len, and
-// Reset leaves them alone.
-type Group struct {
-	memo table
-}
-
-// NewGroup returns a fresh, empty Group.
-func NewGroup() *Group {
-	return &Group{}
-}
-
-// Do returns the memoized report for key within the group, computing it on
-// first use. key must be comparable. Concurrent calls for the same key block
-// on the first and share its result; distinct keys compute in parallel.
-func (g *Group) Do(key any, compute func() pipeline.Report) pipeline.Report {
-	// compute returns no error, so do returns none.
-	rep, _ := g.memo.do(key, func() (pipeline.Report, error) { return compute(), nil })
-	return rep
 }
 
 // Run is a memoized engine.Engine.Run: it simulates req on the system's

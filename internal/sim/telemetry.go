@@ -13,10 +13,8 @@ import (
 // "resource_busy" event at end of run. Emission order is the deterministic
 // schedule order, timestamps are simulated seconds, and nothing feeds back
 // into scheduling — Results are bit-identical with telemetry on or off.
+// Every event carries the subsystem label "sim".
 type Telemetry struct {
-	// Subsystem labels the events of this sink (e.g. "sim" or an engine
-	// name) so one stream can multiplex several simulations.
-	Subsystem string
 	// Tasks counts scheduled tasks. Nil disables the counter.
 	Tasks *telemetry.Counter
 	// BusySec accumulates resource busy seconds across runs. Nil disables.
@@ -41,10 +39,9 @@ func EnableTelemetry(reg *telemetry.Registry, stream *telemetry.Stream) {
 		return
 	}
 	defaultTel.Store(&Telemetry{
-		Subsystem: "sim",
-		Tasks:     reg.Counter("sim.tasks_scheduled"),
-		BusySec:   reg.Gauge("sim.resource_busy_sec"),
-		Stream:    stream,
+		Tasks:   reg.Counter("sim.tasks_scheduled"),
+		BusySec: reg.Gauge("sim.resource_busy_sec"),
+		Stream:  stream,
 	})
 }
 
@@ -55,7 +52,7 @@ func (tel *Telemetry) observeTask(label, resName string, start, finish Time) {
 		return
 	}
 	tel.Stream.Publish(telemetry.Event{
-		TSec: float64(finish), Kind: "task", Subsystem: tel.Subsystem,
+		TSec: float64(finish), Kind: "task", Subsystem: "sim",
 		Resource: resName, Value: float64(finish - start), Detail: label,
 	})
 }
@@ -67,7 +64,7 @@ func (tel *Telemetry) observeRun(e *Engine, makespan Time) {
 		tel.BusySec.Add(float64(r.busy))
 		if tel.Stream != nil {
 			tel.Stream.Publish(telemetry.Event{
-				TSec: float64(makespan), Kind: "resource_busy", Subsystem: tel.Subsystem,
+				TSec: float64(makespan), Kind: "resource_busy", Subsystem: "sim",
 				Resource: r.Name, Value: float64(r.busy),
 			})
 		}

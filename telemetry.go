@@ -57,7 +57,9 @@ func EnableSimTelemetry(reg *MetricsRegistry, stream *EventStream) {
 }
 
 // EnableCacheMetrics wires the process-wide report cache's hit, miss and
-// singleflight-coalesced counters into reg; nil disables them again.
+// singleflight-coalesced counters into reg; nil disables them again. The
+// cache serves the experiment tables; cluster runs keep their reports in
+// tables of their own and do not count here.
 func EnableCacheMetrics(reg *MetricsRegistry) { repcache.EnableMetrics(reg) }
 
 // TelemetryHandler serves live stats over HTTP: GET /metrics returns the
